@@ -7,9 +7,6 @@
  *   pr2  memory block trains + timing-wheel queue (frames per-block)
  *   pr3  payload-agnostic trains: frame bursts train too, and the
  *        egress path runs on pooled allocation-free storage
- *   pr8  partitioned conservative-PDES engine: hosts and switch split
- *        across per-partition event queues advancing in lock-step
- *        lookahead windows (EdmConfig::fabric_workers)
  *
  * Four closed-loop workloads on an 8-node fabric (7 compute + 1
  * memory): bulk 2 KB reads, streaming 2 KB writes, a mixed read/write
@@ -19,23 +16,9 @@
  * cross-check here re-asserts it each run — so the blocks/sec ratios
  * are pure simulator speedup.
  *
- * The pr8 section runs a pairwise 24-node workload (12 co-partitioned
- * node pairs spread over 8 host partition groups) at 1/2/4/8 fabric
- * workers, re-asserts bit-identical results per worker count
- * (test_parallel_engine.cpp owns the full determinism proof), and
- * reports speedup over the single-thread pr3 referee. Wall-clock
- * scaling obviously needs the cores: the checked-in JSON is produced
- * by CI runners, a 1-vCPU container will show ~1x.
- *
  * The chunk-sweep section measures the PR 5 follow-up — grant chunk
  * size under wire-charged occupancy (scenarios/chunk_sweep_wire.edm
  * carries the declarative form, kGoldenChunkSweepWire the baseline).
- *
- * The leaf-spine section measures the PR 9 multi-tier fabric — a
- * 32-host four-leaf incast under the sharded scheduler with the
- * partition map auto-derived from the topology, asserting the workers
- * >= 1 schedule bit-exact against the fabric_workers = 0 referee
- * (train cap pinned; docs/TOPOLOGY.md).
  *
  * The fair-share section measures the PR 10 multi-tenant arbitration —
  * the tenant_isolation pool layout on a 17-node incast with the
@@ -212,138 +195,6 @@ run(Load load, const Engine &eng, std::uint64_t ops_per_node)
     }
     rs.events = sim.events().executed();
     rs.end_time = sim.now();
-    return rs;
-}
-
-/**
- * Pairwise closed-loop workload for the parallel engine: 24 nodes as
- * 12 co-partitioned pairs spread across 8 host partition groups (plus
- * the switch partition). Even nodes read 2 KB from their partner, odd
- * nodes stream 2 KB writes back; every block still crosses the switch
- * partition both ways, so the mailbox handoff is on the hot path.
- */
-RunStats
-runParallel(int workers, std::uint64_t ops_per_node)
-{
-    constexpr std::size_t kParNodes = 24;
-    Simulation sim;
-    EdmConfig cfg;
-    cfg.num_nodes = kParNodes;
-    cfg.link_rate = Gbps{25.0};
-    cfg.fabric_workers = workers;
-    if (workers > 0) {
-        cfg.fabric_partition_map.resize(kParNodes);
-        for (std::size_t n = 0; n < kParNodes; ++n)
-            cfg.fabric_partition_map[n] =
-                static_cast<std::uint16_t>(1 + (n / 2) % 8);
-    }
-    CycleFabric fab(cfg, sim);
-    for (NodeId n = 0; n < kParNodes; ++n)
-        fab.host(n).store()->write(
-            0x10000, std::vector<std::uint8_t>(kOpBytes, 0x5A));
-
-    RunStats rs;
-    std::vector<std::uint64_t> remaining(kParNodes, ops_per_node);
-    std::function<void(NodeId)> issue = [&](NodeId n) {
-        if (remaining[n] == 0)
-            return;
-        --remaining[n];
-        const NodeId partner = static_cast<NodeId>(n ^ 1u);
-        if (n & 1) {
-            fab.write(n, partner,
-                      0x20000 + static_cast<std::uint64_t>(n) * 0x10000,
-                      std::vector<std::uint8_t>(
-                          kOpBytes, static_cast<std::uint8_t>(n)),
-                      [&issue, n](Picoseconds) { issue(n); });
-        } else {
-            fab.read(n, partner, 0x10000, kOpBytes,
-                     [&issue, n](std::vector<std::uint8_t>, Picoseconds,
-                                 bool) { issue(n); });
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (NodeId n = 0; n < kParNodes; ++n)
-        issue(n);
-    fab.run();
-    rs.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
-    for (NodeId n = 0; n < kParNodes; ++n) {
-        const auto &st = fab.host(n).stats();
-        rs.blocks += st.mem_blocks_sent + st.mem_blocks_received;
-        rs.completions += st.reads_completed + st.writes_completed;
-    }
-    rs.events = fab.eventsExecuted();
-    rs.end_time = fab.endTime();
-    return rs;
-}
-
-/**
- * Leaf-spine incast for the multi-tier fabric: 32 hosts over four
- * 8-host leaves, everyone hammering node 0 with short mixed ops, so
- * every leaf's trunk (requests, grants, streams, shard-coordination
- * notes) and the victim leaf's scheduler shard are the hot path. The
- * partition map is auto-derived from the topology (one per leaf); the
- * train cap is pinned at the engine's lookahead cap so the serial
- * referee batches identically and workers >= 1 must reproduce it
- * bit-exactly (asserted per row in main).
- */
-RunStats
-runLeafSpine(int workers, std::uint64_t ops_per_node)
-{
-    constexpr std::size_t kLsNodes = 32;
-    Simulation sim;
-    EdmConfig cfg;
-    cfg.num_nodes = kLsNodes;
-    cfg.link_rate = Gbps{25.0};
-    cfg.strict_grant_accounting = true;
-    cfg.fabric_workers = workers;
-    cfg.topology.tiers = TopologySpec::Tiers::LeafSpine;
-    cfg.topology.hosts_per_leaf = 8;
-    cfg.topology.trunk_width = 4;
-    cfg.topology.ecmp_seed = 7;
-    cfg.max_train_blocks = 12;
-    cfg.max_frame_train_blocks = 12;
-    CycleFabric fab(cfg, sim);
-    fab.host(0).store()->write(0x10000,
-                               std::vector<std::uint8_t>(1024, 0x5A));
-
-    RunStats rs;
-    std::vector<std::uint64_t> remaining(kLsNodes, ops_per_node);
-    remaining[0] = 0;
-    std::function<void(NodeId)> issue = [&](NodeId n) {
-        if (remaining[n] == 0)
-            return;
-        --remaining[n];
-        if ((remaining[n] % 3) == 0) {
-            fab.write(n, 0,
-                      0x20000 + static_cast<std::uint64_t>(n) * 0x10000,
-                      std::vector<std::uint8_t>(
-                          700, static_cast<std::uint8_t>(n)),
-                      [&issue, n](Picoseconds) { issue(n); });
-        } else {
-            fab.read(n, 0, 0x10000, 900,
-                     [&issue, n](std::vector<std::uint8_t>, Picoseconds,
-                                 bool) { issue(n); });
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (NodeId n = 1; n < kLsNodes; ++n)
-        issue(n);
-    fab.run();
-    rs.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    for (NodeId n = 0; n < kLsNodes; ++n) {
-        const auto &st = fab.host(n).stats();
-        rs.blocks += st.mem_blocks_sent + st.mem_blocks_received;
-        rs.completions += st.reads_completed + st.writes_completed;
-    }
-    rs.events = fab.eventsExecuted();
-    rs.end_time = fab.endTime();
     return rs;
 }
 
@@ -556,109 +407,6 @@ main(int argc, char **argv)
                 "(target >= 1.5x on mixed+frames vs pr2)\n",
                 std::pow(geo_pr1, 1.0 / rows),
                 std::pow(geo_pr2, 1.0 / rows));
-
-    // ---- pr8: partitioned conservative-PDES engine ------------------
-    std::printf("\n=== pr8 parallel engine: pairwise 24-node workload, "
-                "8 host partitions ===\n\n");
-    std::printf("  %-16s %12s %12s %10s\n", "config", "Mblocks/s",
-                "events", "vs pr3");
-    runParallel(4, ops / 4 + 1); // warm-up (spawns the thread pool)
-    const RunStats referee = runParallel(0, ops);
-    constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-    std::printf("  %-16s %12.2f %12llu %9s\n", "pr3-referee",
-                static_cast<double>(referee.blocks) / referee.wall_s / 1e6,
-                static_cast<unsigned long long>(referee.events), "1.00x");
-    json.record("pairwise-24node", "pr3-referee",
-                {{"blocks_per_sec",
-                  static_cast<double>(referee.blocks) / referee.wall_s},
-                 {"ns_per_block",
-                  referee.wall_s / static_cast<double>(referee.blocks) *
-                      1e9},
-                 {"events", static_cast<double>(referee.events)},
-                 {"speedup_vs_pr3", 1.0}});
-    for (int workers : kWorkerCounts) {
-        const RunStats r = runParallel(workers, ops);
-        // Model-level equivalence with the single-thread referee: the
-        // parallel path batches trains differently (tighter lookahead
-        // cap) but may not change anything the model observes.
-        if (r.completions != referee.completions ||
-            r.blocks != referee.blocks ||
-            r.end_time != referee.end_time || r.completions == 0) {
-            std::fprintf(
-                stderr,
-                "FATAL: pr8-parallel-w%d diverged from the referee "
-                "(%llu vs %llu blocks, end %lld vs %lld)\n",
-                workers, static_cast<unsigned long long>(r.blocks),
-                static_cast<unsigned long long>(referee.blocks),
-                static_cast<long long>(r.end_time),
-                static_cast<long long>(referee.end_time));
-            return 1;
-        }
-        const double speedup = referee.wall_s / r.wall_s;
-        std::printf("  pr8-parallel-w%-2d %12.2f %12llu %9.2fx\n", workers,
-                    static_cast<double>(r.blocks) / r.wall_s / 1e6,
-                    static_cast<unsigned long long>(r.events), speedup);
-        json.record("pairwise-24node",
-                    "pr8-parallel-w" + std::to_string(workers),
-                    {{"blocks_per_sec",
-                      static_cast<double>(r.blocks) / r.wall_s},
-                     {"ns_per_block",
-                      r.wall_s / static_cast<double>(r.blocks) * 1e9},
-                     {"events", static_cast<double>(r.events)},
-                     {"speedup_vs_pr3", speedup}});
-    }
-    std::printf("\n  (scaling needs the cores: CI runners regenerate the "
-                "checked-in JSON;\n   a 1-vCPU container shows ~1x)\n");
-
-    // ---- PR 9: leaf-spine topology, sharded scheduler ---------------
-    std::printf("\n=== leaf-spine incast: 32 hosts / 4 leaves onto "
-                "node 0, auto-derived partitions ===\n\n");
-    std::printf("  %-16s %12s %12s %10s\n", "config", "Mblocks/s",
-                "events", "vs w0");
-    const RunStats ls_ref = runLeafSpine(0, ops);
-    std::printf("  %-16s %12.2f %12llu %9s\n", "leafspine-w0",
-                static_cast<double>(ls_ref.blocks) / ls_ref.wall_s / 1e6,
-                static_cast<unsigned long long>(ls_ref.events), "1.00x");
-    json.record("leafspine-32node", "leafspine-w0",
-                {{"blocks_per_sec",
-                  static_cast<double>(ls_ref.blocks) / ls_ref.wall_s},
-                 {"ns_per_block",
-                  ls_ref.wall_s / static_cast<double>(ls_ref.blocks) *
-                      1e9},
-                 {"events", static_cast<double>(ls_ref.events)},
-                 {"speedup_vs_w0", 1.0}});
-    for (int workers : {2, 4}) {
-        const RunStats r = runLeafSpine(workers, ops);
-        // Hard bit-exactness bar (the train cap is pinned, so there is
-        // no batching difference to excuse): the sharded scheduler on
-        // the auto-derived per-leaf map must reproduce the serial
-        // referee's schedule.
-        if (r.completions != ls_ref.completions ||
-            r.blocks != ls_ref.blocks ||
-            r.end_time != ls_ref.end_time || r.completions == 0) {
-            std::fprintf(
-                stderr,
-                "FATAL: leafspine-w%d diverged from the w0 referee "
-                "(%llu vs %llu blocks, end %lld vs %lld)\n",
-                workers, static_cast<unsigned long long>(r.blocks),
-                static_cast<unsigned long long>(ls_ref.blocks),
-                static_cast<long long>(r.end_time),
-                static_cast<long long>(ls_ref.end_time));
-            return 1;
-        }
-        const double speedup = ls_ref.wall_s / r.wall_s;
-        std::printf("  leafspine-w%-2d   %12.2f %12llu %9.2fx\n", workers,
-                    static_cast<double>(r.blocks) / r.wall_s / 1e6,
-                    static_cast<unsigned long long>(r.events), speedup);
-        json.record("leafspine-32node",
-                    "leafspine-w" + std::to_string(workers),
-                    {{"blocks_per_sec",
-                      static_cast<double>(r.blocks) / r.wall_s},
-                     {"ns_per_block",
-                      r.wall_s / static_cast<double>(r.blocks) * 1e9},
-                     {"events", static_cast<double>(r.events)},
-                     {"speedup_vs_w0", speedup}});
-    }
 
     // ---- PR 5 follow-up: chunk size under wire-charged occupancy ----
     std::printf("\n=== chunk-bytes sweep, wire-charged occupancy, "

@@ -263,35 +263,6 @@ struct EdmConfig
     std::size_t max_frame_train_blocks = 64;
 
     /**
-     * Simulator knob: worker threads for the partitioned parallel
-     * fabric engine (sim/parallel_engine.*, docs/PARALLEL.md). 0
-     * (default) keeps the legacy single-thread path — no engine is
-     * constructed and every historical schedule is reproduced
-     * bit-exactly. >= 1 runs the fabric as conservative-PDES
-     * partitions advancing in lock-step windows bounded by the link
-     * hop latency; results are bit-identical for any worker count
-     * (1 included, which is the single-thread referee of the parallel
-     * scheduling path itself). The effective count is clamped to the
-     * partition count and to hardware_concurrency, divided by any
-     * ScenarioRunner workers already active, so nested sweeps never
-     * oversubscribe the machine.
-     */
-    int fabric_workers = 0;
-
-    /**
-     * Partition assignment for the parallel engine: entry i maps node i
-     * to a partition index >= 1 (partition 0 is reserved for the
-     * switch, which must be a partition of its own — every host link
-     * terminates there). Empty (default) assigns every host to
-     * partition 1, the safest split: all host-to-host interactions stay
-     * within one partition and only the hop-latency link crossing
-     * separates partitions. Finer maps expose more parallelism for
-     * disjoint traffic groups; see docs/PARALLEL.md for when the
-     * single-thread referee must be re-run.
-     */
-    std::vector<std::uint16_t> fabric_partition_map;
-
-    /**
      * Fabric wiring (PR 9). Defaults to the single-switch fabric, which
      * constructs today's datapath byte-for-byte; every multi-tier
      * behavior is gated behind this spec. LeafSpine shards the
@@ -317,8 +288,8 @@ struct EdmConfig
      * Epoch window for per-pool `limit` enforcement, in nanoseconds:
      * a pool whose charged line-time inside the current window exceeds
      * limit x window is deferred until the window rolls (the grid is
-     * absolute simulation time, so enforcement is deterministic for
-     * any worker count). Only consulted when fair_share is on.
+     * absolute simulation time, so enforcement is deterministic).
+     * Only consulted when fair_share is on.
      */
     std::int64_t fair_share_window_ns = 20000;
 

@@ -24,66 +24,17 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
                 memory_nodes.end();
     };
 
-    // Partitioned execution (PR 8). Single mode: partition 0 is always
-    // the switch (it keeps the Simulation's root queue); hosts live on
-    // partitions >= 1 per fabric_partition_map, all on partition 1 by
-    // default. Leaf-spine: the map is auto-derived from the topology —
-    // partition l owns leaf switch l and its hosts, so only trunk
-    // traffic crosses partitions. The engine is built before the hosts
-    // because each HostStack binds to its partition's queue at
-    // construction.
-    if (cfg_.fabric_workers > 0) {
-        if (!topo_.isSingle()) {
-            EDM_ASSERT(cfg_.fabric_partition_map.empty(),
-                       "leaf-spine topologies derive their own "
-                       "fabric_partition_map (one partition per leaf)");
-            node_part_ = topo_.derivePartitionMap();
-        } else if (cfg_.fabric_partition_map.empty()) {
-            node_part_.assign(cfg_.num_nodes, 1);
-        } else {
-            EDM_ASSERT(cfg_.fabric_partition_map.size() == cfg_.num_nodes,
-                       "fabric_partition_map has %zu entries for %zu nodes",
-                       cfg_.fabric_partition_map.size(), cfg_.num_nodes);
-            node_part_ = cfg_.fabric_partition_map;
-            for (std::uint16_t p : node_part_)
-                EDM_ASSERT(p >= 1,
-                           "partition 0 is reserved for the switch");
-        }
-        std::size_t nparts = 2;
-        for (std::uint16_t p : node_part_)
-            nparts = std::max<std::size_t>(nparts, p + 1u);
-        ParallelFabricEngine::Options eopts;
-        eopts.workers = cfg_.fabric_workers;
-        eopts.window =
-            std::max<Picoseconds>(1, (cfg_.cycle + hopLatency()) / 2);
-        // The structured event log timestamps cross-partition state
-        // synchronously, and the preemption re-entry probe makes every
-        // grant decision read host-side mux state: both demand globally
-        // ordered execution.
-        eopts.force_serial = cfg_.event_log != nullptr ||
-            (cfg_.wire_charged_occupancy && cfg_.charge_preemption_reentry);
-        eopts.hazard = [this] { return corrupt_pending_links_ > 0; };
-        engine_ = std::make_unique<ParallelFabricEngine>(
-            sim_.events(), nparts, eopts);
-    } else {
-        node_part_.assign(cfg_.num_nodes, 0);
-    }
-    const std::size_t nparts = engine_ ? engine_->partitions() : 1;
-    train_pools_.resize(nparts);
-    read_lat_p_.resize(nparts);
-    write_lat_p_.resize(nparts);
-    rmw_lat_p_.resize(nparts);
-
     hosts_.reserve(cfg_.num_nodes);
     for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
         hosts_.push_back(std::make_unique<HostStack>(
-            i, cfg_, hq(i), is_memory(i),
+            i, cfg_, sim_.events(), is_memory(i),
             [this, i] { pumpHost(i); }));
     }
     switches_.reserve(topo_.numLeaves());
     for (std::uint16_t l = 0; l < topo_.numLeaves(); ++l) {
         switches_.push_back(std::make_unique<SwitchStack>(
-            cfg_, leafQ(l), [this](NodeId port) { pumpSwitchPort(port); },
+            cfg_, sim_.events(),
+            [this](NodeId port) { pumpSwitchPort(port); },
             topo_.isSingle() ? nullptr : &topo_, l));
     }
     if (!topo_.isSingle())
@@ -139,21 +90,14 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
         hosts_[i]->setWriteDeliveredHook(
             [this, i](const MemMessage &chunk, Picoseconds t) {
                 // Cross-leaf reports ride the response-direction trunk:
-                // the measurement lands one traversal later on the
-                // writer's partition. Gated on the *topology* (not the
-                // engine) so fabric_workers = 0 and >= 2 stay
-                // bit-exact.
+                // the measurement lands one traversal later.
                 if (!topo_.isSingle() &&
                     topo_.leafOf(chunk.src) != topo_.leafOf(i)) {
                     const NodeId writer = chunk.src;
                     const NodeId dst = chunk.dst;
                     const MsgId id = chunk.id;
-                    // Same per-source-leaf phase skew as the trunk
-                    // hooks (see installTrunkHooks).
-                    scheduleArrival(
-                        node_part_[i], node_part_[writer],
-                        hq(i).now() + trunkLatency() +
-                            static_cast<Picoseconds>(topo_.leafOf(i)),
+                    sim_.events().schedule(
+                        sim_.now() + trunkLatency(),
                         [this, writer, dst, id, t] {
                             hosts_[writer]->notifyWriteDelivered(dst, id,
                                                                  t);
@@ -161,18 +105,7 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
                     return;
                 }
                 // Same leaf (or single switch): a synchronous call back
-                // into the writer from the memory node's rx path. Under
-                // the engine that is only race-free when both live on
-                // one partition — the default map trivially satisfies
-                // this; custom maps must co-locate writer/memory pairs
-                // that exchange writes.
-                EDM_ASSERT(
-                    !engine_ ||
-                        node_part_[chunk.src] == node_part_[i],
-                    "write-delivered report crosses partitions "
-                    "(writer %u on %u, memory node %u on %u): "
-                    "co-locate them in fabric_partition_map",
-                    chunk.src, node_part_[chunk.src], i, node_part_[i]);
+                // into the writer from the memory node's rx path.
                 hosts_[chunk.src]->notifyWriteDelivered(chunk.dst, chunk.id,
                                                         t);
             });
@@ -199,10 +132,7 @@ Picoseconds
 CycleFabric::trunkLatency() const
 {
     // One trunk serialization slot, two hops (leaf->spine, spine->leaf)
-    // and the spine's classify + forward pipeline. Always >= the
-    // engine's lookahead window (which is (cycle + hop)/2), so every
-    // cross-leaf event is legal to crossSchedule from anywhere in a
-    // window.
+    // and the spine's classify + forward pipeline.
     return cfg_.cycle + 2 * hopLatency() +
         static_cast<Picoseconds>(cfg_.costs.sw_classify +
                                  cfg_.costs.sw_forward) *
@@ -212,102 +142,82 @@ CycleFabric::trunkLatency() const
 void
 CycleFabric::installTrunkHooks()
 {
-    // Every hook fires on the *source* leaf's partition at decision
-    // time; the action lands on the destination leaf exactly one trunk
-    // traversal (plus the source switch's local processing) later. The
-    // spine itself is contention-free transport — trunk *contention* is
-    // modeled by the scheduler shards' ECMP-lane busy timers — so the
-    // traversal is a fixed latency and the hooks carry no queueing
-    // state.
+    // Every hook fires on the *source* leaf at decision time; the action
+    // lands on the destination leaf exactly one trunk traversal (plus
+    // the source switch's local processing) later. The spine itself is
+    // contention-free transport — trunk *contention* is modeled by the
+    // scheduler shards' ECMP-lane busy timers — so the traversal is a
+    // fixed latency and the hooks carry no queueing state.
+    const Picoseconds T = trunkLatency();
     for (std::uint16_t l = 0; l < topo_.numLeaves(); ++l) {
-        // Per-source-leaf trunk phase skew (+l ps, SerDes lane
-        // alignment): lockstep decisions on different leaves can then
-        // never land on one shard at the *same* instant, so arrival
-        // order is decided by timestamps alone — identical under the
-        // serial referee (one queue, insertion order) and the
-        // partitioned engine (barrier merge), whose same-instant
-        // tie-breaks for different source partitions legitimately
-        // differ. Sub-cycle, so no protocol timing changes.
-        const Picoseconds T =
-            trunkLatency() + static_cast<Picoseconds>(l);
         SwitchStack::TrunkHooks hooks;
-        hooks.route_grant = [this, l, T](NodeId target,
-                                         const phy::PhyBlock &grant,
-                                         Picoseconds local) {
-            scheduleArrival(leafPart(l), swPart(target),
-                            leafQ(l).now() + local + T,
-                            [this, target, grant] {
-                                leafSw(target).deliverGrant(target, grant);
-                            });
+        hooks.route_grant = [this, T](NodeId target,
+                                      const phy::PhyBlock &grant,
+                                      Picoseconds local) {
+            sim_.events().schedule(
+                sim_.now() + local + T, [this, target, grant] {
+                    leafSw(target).deliverGrant(target, grant);
+                });
         };
-        hooks.route_request = [this, l, T](NodeId target,
-                                           const MemMessage &request,
-                                           Picoseconds local) {
-            scheduleArrival(leafPart(l), swPart(target),
-                            leafQ(l).now() + local + T,
-                            [this, target, request] {
-                                leafSw(target).acceptForwardedRequest(
-                                    target, request);
-                            });
+        hooks.route_request = [this, T](NodeId target,
+                                        const MemMessage &request,
+                                        Picoseconds local) {
+            sim_.events().schedule(
+                sim_.now() + local + T, [this, target, request] {
+                    leafSw(target).acceptForwardedRequest(target, request);
+                });
         };
-        hooks.route_block = [this, l, T](NodeId egress, NodeId ingress,
-                                         std::uint64_t seq,
-                                         const phy::PhyBlock &block,
-                                         Picoseconds local) {
-            scheduleArrival(leafPart(l), swPart(egress),
-                            leafQ(l).now() + local + T,
-                            [this, egress, ingress, seq, block] {
-                                leafSw(egress).acceptTrunkBlock(
-                                    egress, ingress, seq, block);
-                            });
+        hooks.route_block = [this, T](NodeId egress, NodeId ingress,
+                                      std::uint64_t seq,
+                                      const phy::PhyBlock &block,
+                                      Picoseconds local) {
+            sim_.events().schedule(
+                sim_.now() + local + T,
+                [this, egress, ingress, seq, block] {
+                    leafSw(egress).acceptTrunkBlock(egress, ingress, seq,
+                                                    block);
+                });
         };
-        hooks.route_run = [this, l, T](NodeId egress, NodeId ingress,
-                                       std::uint64_t seq,
-                                       std::vector<phy::PhyBlock> blocks,
-                                       Picoseconds first_avail,
-                                       Picoseconds stride) {
+        hooks.route_run = [this, T](NodeId egress, NodeId ingress,
+                                    std::uint64_t seq,
+                                    std::vector<phy::PhyBlock> blocks,
+                                    Picoseconds first_avail,
+                                    Picoseconds stride) {
             // first_avail already includes the source switch's forward
             // latency; the whole availability ladder shifts by T.
             const Picoseconds arrive = first_avail + T;
-            scheduleArrival(
-                leafPart(l), swPart(egress), arrive,
-                [this, egress, ingress, seq, blocks = std::move(blocks),
-                 arrive, stride] {
+            sim_.events().schedule(
+                arrive, [this, egress, ingress, seq,
+                         blocks = std::move(blocks), arrive, stride] {
                     leafSw(egress).acceptTrunkRun(egress, ingress, seq,
                                                   blocks, arrive, stride);
                 });
         };
-        hooks.route_notify = [this, l, T](const ControlInfo &notify,
-                                          Picoseconds local) {
-            scheduleArrival(leafPart(l), swPart(notify.dst),
-                            leafQ(l).now() + local + T,
-                            [this, notify] {
-                                leafSw(notify.dst).scheduler()
-                                    .addWriteDemand(notify);
-                            });
+        hooks.route_notify = [this, T](const ControlInfo &notify,
+                                       Picoseconds local) {
+            sim_.events().schedule(sim_.now() + local + T, [this, notify] {
+                leafSw(notify.dst).scheduler().addWriteDemand(notify);
+            });
         };
-        hooks.route_chunk_note = [this, l, T](NodeId src, NodeId dst,
-                                              MsgId id, bool response,
-                                              Bytes bytes,
-                                              bool last_chunk) {
-            scheduleArrival(leafPart(l), swPart(dst), leafQ(l).now() + T,
-                            [this, src, dst, id, response, bytes,
-                             last_chunk] {
-                                leafSw(dst).scheduler().onChunkForwarded(
-                                    src, dst, id, response, bytes,
-                                    last_chunk);
-                            });
+        hooks.route_chunk_note = [this, T](NodeId src, NodeId dst,
+                                           MsgId id, bool response,
+                                           Bytes bytes, bool last_chunk) {
+            sim_.events().schedule(
+                sim_.now() + T,
+                [this, src, dst, id, response, bytes, last_chunk] {
+                    leafSw(dst).scheduler().onChunkForwarded(
+                        src, dst, id, response, bytes, last_chunk);
+                });
         };
         hooks.route_flood = [this, l, T](std::vector<phy::PhyBlock> frame,
                                          Picoseconds local) {
-            const Picoseconds at = leafQ(l).now() + local + T;
+            const Picoseconds at = sim_.now() + local + T;
             for (std::uint16_t dl = 0; dl < topo_.numLeaves(); ++dl) {
                 if (dl == l)
                     continue;
-                scheduleArrival(leafPart(l), leafPart(dl), at,
-                                [this, dl, frame] {
-                                    switches_[dl]->acceptTrunkFlood(frame);
-                                });
+                sim_.events().schedule(at, [this, dl, frame] {
+                    switches_[dl]->acceptTrunkFlood(frame);
+                });
             }
         };
         switches_[l]->setTrunkHooks(std::move(hooks));
@@ -317,13 +227,12 @@ CycleFabric::installTrunkHooks()
         // line-time charge) ride the same trunk at the same fixed
         // latency.
         switches_[l]->scheduler().setRemoteNoteSink(
-            [this, l, T](std::uint16_t leaf, NodeId port, std::size_t lane,
-                         Picoseconds release, bool dst_side, int pool,
-                         Picoseconds charge) {
-                scheduleArrival(
-                    leafPart(l), leafPart(leaf), leafQ(l).now() + T,
-                    [this, leaf, port, lane, release, dst_side, pool,
-                     charge] {
+            [this, T](std::uint16_t leaf, NodeId port, std::size_t lane,
+                      Picoseconds release, bool dst_side, int pool,
+                      Picoseconds charge) {
+                sim_.events().schedule(
+                    sim_.now() + T, [this, leaf, port, lane, release,
+                                     dst_side, pool, charge] {
                         Scheduler &sch = switches_[leaf]->scheduler();
                         if (dst_side)
                             sch.noteRemoteForward(port, lane, release);
@@ -337,30 +246,25 @@ CycleFabric::installTrunkHooks()
 }
 
 CycleFabric::Train
-CycleFabric::acquireTrain(std::size_t part)
+CycleFabric::acquireTrain()
 {
     // Trains churn at line rate; recycling the two vectors avoids an
-    // allocator round trip per train. Pools are per *executing*
-    // partition (acquired on the emitting side, released on the
-    // delivering side), so no pool is ever touched from two threads.
-    std::vector<Train> &pool = train_pools_[part];
-    if (pool.empty())
+    // allocator round trip per train.
+    if (train_pool_.empty())
         return Train{};
-    Train t = std::move(pool.back());
-    pool.pop_back();
+    Train t = std::move(train_pool_.back());
+    train_pool_.pop_back();
     t.blocks.clear();
     t.avails.clear();
     t.kind = Train::Kind::Memory;
-    t.delivery = kInvalidEvent;
     return t;
 }
 
 void
-CycleFabric::releaseTrain(std::size_t part, Train t)
+CycleFabric::releaseTrain(Train t)
 {
-    std::vector<Train> &pool = train_pools_[part];
-    if (pool.size() < 64)
-        pool.push_back(std::move(t));
+    if (train_pool_.size() < 64)
+        train_pool_.push_back(std::move(t));
 }
 
 std::size_t
@@ -374,20 +278,7 @@ CycleFabric::trainCap(std::size_t knob) const
     // before anything downstream has seen them.
     const auto safety =
         static_cast<std::size_t>(hopLatency() / cfg_.cycle) + 2;
-    std::size_t cap = std::max<std::size_t>(1, std::min(knob, safety));
-    if (engine_) {
-        // Tighter parallel cap: a train's delivery must land at least
-        // one lookahead window after its last emission slot, so the
-        // producer's trim/abort paths (gated on last_emit_end) can
-        // never touch a train whose delivery pop may be running
-        // concurrently: (len - 1) * cycle <= link_delay - window.
-        const Picoseconds link_delay = cfg_.cycle + hopLatency();
-        const Picoseconds margin = link_delay - engine_->window();
-        cap = std::min(cap,
-                       static_cast<std::size_t>(margin / cfg_.cycle) + 1);
-        cap = std::max<std::size_t>(1, cap);
-    }
-    return cap;
+    return std::max<std::size_t>(1, std::min(knob, safety));
 }
 
 void
@@ -402,40 +293,21 @@ CycleFabric::noteTrainEvent(trace::EventType type, NodeId port,
 }
 
 void
-CycleFabric::scheduleArrival(std::size_t src_part, std::size_t dst_part,
-                             Picoseconds when, EventQueue::Callback cb)
-{
-    if (engine_ && src_part != dst_part)
-        engine_->crossSchedule(src_part, dst_part, when, std::move(cb));
-    else if (engine_)
-        engine_->queue(dst_part).schedule(when, std::move(cb));
-    else
-        sim_.events().schedule(when, std::move(cb));
-}
-
-void
-CycleFabric::commitTrain(TxPump &p, EventQueue &q, std::size_t src_part,
-                         std::size_t dst_part, Train t, std::size_t run,
+CycleFabric::commitTrain(TxPump &p, Train t, std::size_t run,
                          Picoseconds now, EventQueue::Callback deliver,
                          EventQueue::Callback emit)
 {
+    EventQueue &q = sim_.events();
     t.start = now;
-    // Same call order as the legacy path (delivery first, then emit):
-    // sequence numbers — direct or merge-assigned — depend on it.
-    if (engine_) {
-        t.delivery = kInvalidEvent; // mailboxed ids are not cancellable
-        scheduleArrival(src_part, dst_part, now + cfg_.cycle + hopLatency(),
-                        std::move(deliver));
-    } else {
-        t.delivery = q.schedule(now + cfg_.cycle + hopLatency(),
-                                std::move(deliver));
-    }
-    const bool pushed = p.trains.push_back(std::move(t));
-    EDM_ASSERT(pushed, "in-flight train ring overflowed");
-    (void)pushed;
+    // Same call order as the per-block path (delivery first, then
+    // emit): same-instant sequence numbers depend on it.
+    q.schedule(now + cfg_.cycle + hopLatency(), std::move(deliver));
+    EDM_ASSERT(p.trains.size() < kMaxTrainsInFlight,
+               "more than %zu trains in flight on one pump",
+               kMaxTrainsInFlight);
+    p.trains.push_back(std::move(t));
     p.next_slot = now + static_cast<Picoseconds>(run) * cfg_.cycle;
     p.emit_at = now + static_cast<Picoseconds>(run - 1) * cfg_.cycle;
-    p.last_emit_end = p.emit_at;
     p.emit_ev = q.schedule(p.emit_at, std::move(emit));
 }
 
@@ -479,9 +351,10 @@ CycleFabric::takeFrameTrain(phy::PreemptionMux &mux,
 // ---------------------------------------------------------------------------
 
 void
-CycleFabric::pumpWake(TxPump &p, EventQueue &q, Picoseconds ready,
+CycleFabric::pumpWake(TxPump &p, Picoseconds ready,
                       EventQueue::Callback emit)
 {
+    EventQueue &q = sim_.events();
     Picoseconds start = std::max(q.now(), p.next_slot);
     if (ready > start)
         start = ready;
@@ -501,14 +374,13 @@ CycleFabric::pumpWake(TxPump &p, EventQueue &q, Picoseconds ready,
 void
 CycleFabric::pumpHost(NodeId id)
 {
-    EventQueue &q = hq(id);
     trimUplinkTrain(id);
     const Picoseconds ready = frame_backlog_[id].empty()
-        ? hosts_[id]->mux().readyAt(q.now())
-        : q.now();
+        ? hosts_[id]->mux().readyAt(sim_.now())
+        : sim_.now();
     if (ready == phy::PreemptionMux::kNever)
         return;
-    pumpWake(host_pumps_[id], q, ready, [this, id] { emitHost(id); });
+    pumpWake(host_pumps_[id], ready, [this, id] { emitHost(id); });
 }
 
 void
@@ -516,8 +388,7 @@ CycleFabric::emitHost(NodeId id)
 {
     TxPump &p = host_pumps_[id];
     auto &mux = hosts_[id]->mux();
-    EventQueue &q = hq(id);
-    const std::size_t part = node_part_[id];
+    EventQueue &q = sim_.events();
     p.emit_ev = kInvalidEvent;
 
     // Top up the mux's bounded frame staging buffer from the backlog.
@@ -559,18 +430,18 @@ CycleFabric::emitHost(NodeId id)
     // blocks it would have.
     const bool trains_ok = health.corrupt_next == 0 && !health.disabled;
     if (train_cap_ > 1 && trains_ok) {
-        Train t = acquireTrain(part);
+        Train t = acquireTrain();
         const std::size_t run = mux.takeTrainRun(now, cfg_.cycle,
                                                  train_cap_, 2, t.blocks,
                                                  t.avails);
         if (run >= 2) {
             noteTrainEvent(trace::EventType::TrainEmit, id, t.kind, run);
-            commitTrain(p, q, part, swPart(id), std::move(t), run, now,
+            commitTrain(p, std::move(t), run, now,
                         [this, id] { deliverHostTrain(id); },
                         [this, id] { emitHost(id); });
             return;
         }
-        releaseTrain(part, std::move(t));
+        releaseTrain(std::move(t));
     }
 
     // Frame-train path: outside a memory message, a run of staged L2
@@ -583,16 +454,16 @@ CycleFabric::emitHost(NodeId id)
     // queued (memory-only traffic must not pay for the attempt).
     if (frame_train_cap_ > 1 && trains_ok && !mux.midMemoryMessage() &&
         (mux.frameBacklog() > 0 || !backlog.empty())) {
-        Train t = acquireTrain(part);
+        Train t = acquireTrain();
         const std::size_t run = takeFrameTrain(mux, backlog, now, t);
         if (run >= 2) {
             noteTrainEvent(trace::EventType::TrainEmit, id, t.kind, run);
-            commitTrain(p, q, part, swPart(id), std::move(t), run, now,
+            commitTrain(p, std::move(t), run, now,
                         [this, id] { deliverHostTrain(id); },
                         [this, id] { emitHost(id); });
             return;
         }
-        releaseTrain(part, std::move(t));
+        releaseTrain(std::move(t));
     }
 
     const phy::PhyBlock block = mux.next(now);
@@ -605,8 +476,6 @@ CycleFabric::emitHost(NodeId id)
     bool deliver = !health.disabled;
     if (deliver && health.corrupt_next > 0) {
         --health.corrupt_next;
-        if (health.corrupt_next == 0)
-            --corrupt_pending_links_; // budget drained: hazard may clear
         ++health.errors;
         deliver = false;
         if (link_health_hook_)
@@ -623,8 +492,7 @@ CycleFabric::emitHost(NodeId id)
             // (strict mode) instead of letting them go stale, and drop
             // its parked grants — it will never send the chunks they
             // bought. Every shard sweeps: the port's flows may span
-            // leaves (fault paths run in serial windows, so touching
-            // remote shards synchronously is race-free).
+            // leaves.
             for (auto &sw : switches_)
                 sw->scheduler().abortPort(id);
             hosts_[id]->onUplinkDisabled();
@@ -634,10 +502,9 @@ CycleFabric::emitHost(NodeId id)
     }
 
     if (deliver) {
-        scheduleArrival(part, swPart(id), now + cfg_.cycle + hopLatency(),
-                        [this, id, block] {
-                            leafSw(id).rxBlock(id, block);
-                        });
+        q.schedule(now + cfg_.cycle + hopLatency(), [this, id, block] {
+            leafSw(id).rxBlock(id, block);
+        });
     }
 
     p.emit_at = p.next_slot;
@@ -653,30 +520,20 @@ CycleFabric::deliverHostTrain(NodeId id)
     Train t = std::move(p.trains.front());
     p.trains.pop_front();
     // now() is the first block's arrival; later blocks arrive (and are
-    // timestamped) one serialization slot apart. The leaf queue's clock
-    // is authoritative: this event executes on the owning leaf's
-    // partition (the root queue in single mode).
+    // timestamped) one serialization slot apart.
     if (t.kind == Train::Kind::Memory)
         leafSw(id).rxBlockTrain(id, t.blocks.data(), t.blocks.size(),
-                                lq(id).now(), cfg_.cycle);
+                                sim_.now(), cfg_.cycle);
     else
         leafSw(id).rxFrameTrain(id, t.blocks.data(), t.blocks.size());
-    releaseTrain(swPart(id), std::move(t)); // delivery runs on the switch
+    releaseTrain(std::move(t));
 }
 
 void
 CycleFabric::abortUplinkTrain(NodeId id)
 {
     TxPump &p = host_pumps_[id];
-    EventQueue &q = hq(id);
-    const Picoseconds now = q.now();
-    // last_emit_end gate before any ring access: once the newest
-    // train's last slot has passed nothing is trimmable, and under the
-    // engine its delivery pop may already be concurrent — the producer
-    // must not even read back(). (Fault paths only run in serial
-    // windows, but the gate keeps the invariant uniform.)
-    if (now > p.last_emit_end)
-        return;
+    const Picoseconds now = sim_.now();
     if (p.trains.empty())
         return;
     // Only the newest train can still be mid-emission: trains earlier in
@@ -711,24 +568,22 @@ CycleFabric::abortUplinkTrain(NodeId id)
     t.blocks.resize(committed);
     p.next_slot = t.start +
         static_cast<Picoseconds>(committed) * cfg_.cycle;
-    p.last_emit_end = t.start +
-        static_cast<Picoseconds>(committed - 1) * cfg_.cycle;
     if (p.emit_ev != kInvalidEvent) {
         p.emit_at = std::max(now, p.next_slot);
-        q.reschedule(p.emit_ev, p.emit_at);
+        sim_.events().reschedule(p.emit_ev, p.emit_at);
     }
 }
 
 void
-CycleFabric::trimFrameTrain(NodeId port, TxPump &p, EventQueue &q,
-                            Train &t, phy::PreemptionMux &mux)
+CycleFabric::trimFrameTrain(NodeId port, TxPump &p, Train &t,
+                            phy::PreemptionMux &mux)
 {
     // A frame train committed slots on the bet that the memory queue
     // sleeps past them; a memory block that has just arrived (or been
     // made available) claims every slot its availability reaches —
     // after a frame slot the mux always prefers eligible memory — so
     // the overtaken tail un-commits and returns to the staging head.
-    const Picoseconds now = q.now();
+    const Picoseconds now = sim_.now();
     const auto len = static_cast<Picoseconds>(t.blocks.size());
     // Strict >: a memory block landing exactly on the *last* slot still
     // wins it (same tie rule as mid-train, below) — only past the last
@@ -761,11 +616,9 @@ CycleFabric::trimFrameTrain(NodeId port, TxPump &p, EventQueue &q,
     mux.restoreFrameRun(t.blocks.data() + keep, t.blocks.size() - keep);
     t.blocks.resize(keep);
     p.next_slot = t.start + static_cast<Picoseconds>(keep) * cfg_.cycle;
-    p.last_emit_end = t.start +
-        static_cast<Picoseconds>(keep - 1) * cfg_.cycle;
     if (p.emit_ev != kInvalidEvent) {
         p.emit_at = std::max(now, p.next_slot);
-        q.reschedule(p.emit_ev, p.emit_at);
+        sim_.events().reschedule(p.emit_ev, p.emit_at);
     }
 }
 
@@ -777,15 +630,12 @@ CycleFabric::trimUplinkTrain(NodeId id)
     // never lets fresh work overtake an in-flight train. Frame trains
     // do: a memory arrival preempts their remaining slots.
     TxPump &p = host_pumps_[id];
-    EventQueue &q = hq(id);
-    if (q.now() > p.last_emit_end)
-        return; // fully emitted: never touch the ring (see abort)
     if (p.trains.empty())
         return;
     Train &t = p.trains.back();
     if (t.kind != Train::Kind::Frame)
         return;
-    trimFrameTrain(id, p, q, t, hosts_[id]->mux());
+    trimFrameTrain(id, p, t, hosts_[id]->mux());
 }
 
 void
@@ -797,16 +647,13 @@ CycleFabric::trimEgressTrain(NodeId port)
     // /G/ is the canonical case — would have gone on the wire *before*
     // those, so the overtaken tail un-commits and re-queues behind it.
     TxPump &p = switch_pumps_[port];
-    EventQueue &q = lq(port);
-    const Picoseconds now = q.now();
-    if (now > p.last_emit_end)
-        return; // fully emitted: never touch the ring (see abort)
+    const Picoseconds now = sim_.now();
     if (p.trains.empty())
         return;
     Train &t = p.trains.back();
     auto &mux = leafSw(port).egressMux(port);
     if (t.kind == Train::Kind::Frame) {
-        trimFrameTrain(port, p, q, t, mux);
+        trimFrameTrain(port, p, t, mux);
         return;
     }
     const auto len = static_cast<Picoseconds>(t.blocks.size());
@@ -829,25 +676,22 @@ CycleFabric::trimEgressTrain(NodeId port)
     t.blocks.resize(keep);
     t.avails.resize(keep);
     p.next_slot = t.start + static_cast<Picoseconds>(keep) * cfg_.cycle;
-    p.last_emit_end = t.start +
-        static_cast<Picoseconds>(keep - 1) * cfg_.cycle;
     if (p.emit_ev != kInvalidEvent) {
         p.emit_at = std::max(now, p.next_slot);
-        q.reschedule(p.emit_ev, p.emit_at);
+        sim_.events().reschedule(p.emit_ev, p.emit_at);
     }
 }
 
 void
 CycleFabric::pumpSwitchPort(NodeId port)
 {
-    EventQueue &q = lq(port);
     trimEgressTrain(port);
     const Picoseconds ready = leafSw(port).egressFrameBacklog(port).empty()
-        ? leafSw(port).egressMux(port).readyAt(q.now())
-        : q.now();
+        ? leafSw(port).egressMux(port).readyAt(sim_.now())
+        : sim_.now();
     if (ready == phy::PreemptionMux::kNever)
         return;
-    pumpWake(switch_pumps_[port], q, ready,
+    pumpWake(switch_pumps_[port], ready,
              [this, port] { emitSwitchPort(port); });
 }
 
@@ -856,7 +700,7 @@ CycleFabric::emitSwitchPort(NodeId port)
 {
     TxPump &p = switch_pumps_[port];
     auto &mux = leafSw(port).egressMux(port);
-    EventQueue &q = lq(port);
+    EventQueue &q = sim_.events();
     p.emit_ev = kInvalidEvent;
 
     // Top up the bounded frame staging buffer from the L2 backlog.
@@ -888,19 +732,18 @@ CycleFabric::emitSwitchPort(NodeId port)
     // ahead of time with future availability stamps, and a grant /G/ may
     // still lawfully slot in between those future blocks.
     if (train_cap_ > 1) {
-        Train t = acquireTrain(swPart(port));
+        Train t = acquireTrain();
         const std::size_t run = mux.takeTrainRun(now, cfg_.cycle,
                                                  train_cap_, 2, t.blocks,
                                                  t.avails);
         if (run >= 2) {
             noteTrainEvent(trace::EventType::TrainEmit, port, t.kind, run);
-            commitTrain(p, q, swPart(port), node_part_[port], std::move(t),
-                        run, now,
+            commitTrain(p, std::move(t), run, now,
                         [this, port] { deliverSwitchTrain(port); },
                         [this, port] { emitSwitchPort(port); });
             return;
         }
-        releaseTrain(swPart(port), std::move(t));
+        releaseTrain(std::move(t));
     }
 
     // Frame-train path (see emitHost): flooded L2 bursts leave
@@ -909,27 +752,24 @@ CycleFabric::emitSwitchPort(NodeId port)
     // (trimEgressTrain dispatches to trimFrameTrain).
     if (frame_train_cap_ > 1 && !mux.midMemoryMessage() &&
         (mux.frameBacklog() > 0 || !backlog.empty())) {
-        Train t = acquireTrain(swPart(port));
+        Train t = acquireTrain();
         const std::size_t run = takeFrameTrain(mux, backlog, now, t);
         if (run >= 2) {
             noteTrainEvent(trace::EventType::TrainEmit, port, t.kind, run);
-            commitTrain(p, q, swPart(port), node_part_[port], std::move(t),
-                        run, now,
+            commitTrain(p, std::move(t), run, now,
                         [this, port] { deliverSwitchTrain(port); },
                         [this, port] { emitSwitchPort(port); });
             return;
         }
-        releaseTrain(swPart(port), std::move(t));
+        releaseTrain(std::move(t));
     }
 
     const phy::PhyBlock block = mux.next(now);
     p.next_slot = now + cfg_.cycle;
 
-    scheduleArrival(swPart(port), node_part_[port],
-                    now + cfg_.cycle + hopLatency(),
-                    [this, port, block] {
-                        hosts_[port]->rxBlock(block);
-                    });
+    q.schedule(now + cfg_.cycle + hopLatency(), [this, port, block] {
+        hosts_[port]->rxBlock(block);
+    });
 
     p.emit_at = p.next_slot;
     p.emit_ev = q.schedule(p.next_slot, [this, port] {
@@ -948,23 +788,19 @@ CycleFabric::deliverSwitchTrain(NodeId port)
         hosts_[port]->rxBlockTrain(t.blocks.data(), t.blocks.size());
     else
         hosts_[port]->rxFrameTrain(t.blocks.data(), t.blocks.size());
-    releaseTrain(node_part_[port], std::move(t)); // runs on the host side
+    releaseTrain(std::move(t));
 }
 
 void
 CycleFabric::read(NodeId from, NodeId to, std::uint64_t addr, Bytes len,
                   ReadCallback cb)
 {
-    // Completions execute on the issuing host's partition: record into
-    // that partition's store (index 0 when no engine).
-    const std::size_t part = node_part_[from];
     host(from).postRead(
         to, addr, len,
-        [this, part, cb = std::move(cb)](std::vector<std::uint8_t> data,
-                                         Picoseconds latency,
-                                         bool timed_out) {
+        [this, cb = std::move(cb)](std::vector<std::uint8_t> data,
+                                   Picoseconds latency, bool timed_out) {
             if (!timed_out)
-                read_lat_p_[part].add(toNs(latency));
+                read_lat_.add(toNs(latency));
             if (cb)
                 cb(std::move(data), latency, timed_out);
         });
@@ -974,11 +810,10 @@ void
 CycleFabric::write(NodeId from, NodeId to, std::uint64_t addr,
                    std::vector<std::uint8_t> data, WriteCallback cb)
 {
-    const std::size_t part = node_part_[from];
     host(from).postWrite(
         to, addr, std::move(data),
-        [this, part, cb = std::move(cb)](Picoseconds latency) {
-            write_lat_p_[part].add(toNs(latency));
+        [this, cb = std::move(cb)](Picoseconds latency) {
+            write_lat_.add(toNs(latency));
             if (cb)
                 cb(latency);
         });
@@ -988,12 +823,11 @@ void
 CycleFabric::rmw(NodeId from, NodeId to, std::uint64_t addr, mem::RmwOp op,
                  std::uint64_t arg0, std::uint64_t arg1, RmwCallback cb)
 {
-    const std::size_t part = node_part_[from];
     host(from).postRmw(
         to, addr, op, arg0, arg1,
-        [this, part, cb = std::move(cb)](mem::RmwResult result,
-                                         Picoseconds latency) {
-            rmw_lat_p_[part].add(toNs(latency));
+        [this, cb = std::move(cb)](mem::RmwResult result,
+                                   Picoseconds latency) {
+            rmw_lat_.add(toNs(latency));
             if (cb)
                 cb(result, latency);
         });
@@ -1003,8 +837,6 @@ void
 CycleFabric::corruptUplink(NodeId src, int blocks)
 {
     EDM_ASSERT(src < uplink_health_.size(), "node %u out of range", src);
-    if (uplink_health_[src].corrupt_next == 0 && blocks > 0)
-        ++corrupt_pending_links_; // engine hazard: serial until drained
     uplink_health_[src].corrupt_next += blocks;
     if (auto *log = cfg_.event_log)
         log->log(trace::EventType::FaultInject, sim_.now(), src, src, 0, 0,
@@ -1026,8 +858,6 @@ CycleFabric::repairUplink(NodeId src)
     const bool was_disabled = health.disabled;
     health.disabled = false;
     health.errors = 0;
-    if (health.corrupt_next > 0)
-        --corrupt_pending_links_; // engine hazard bookkeeping
     // A disabled link stops consuming its corruption budget (blocks are
     // dropped before the corruption check), and a saturating injection
     // such as ReplicatedFabric::failNetwork leaves it effectively
@@ -1114,37 +944,6 @@ CycleFabric::injectFrame(NodeId src, const std::vector<std::uint8_t> &frame)
     const auto blocks = phy::encodeFrame(frame);
     frame_backlog_[src].append(blocks.data(), blocks.size());
     pumpHost(src);
-}
-
-const Samples &
-CycleFabric::mergedLat(Samples &merged,
-                       const std::vector<Samples> &parts) const
-{
-    // Rebuilt on every access: the accessors run between (not during)
-    // simulation phases, and the stores are small relative to a run.
-    merged.reset();
-    for (const Samples &s : parts)
-        for (double v : s.raw())
-            merged.add(v);
-    return merged;
-}
-
-std::uint64_t
-CycleFabric::run(Picoseconds horizon)
-{
-    return engine_ ? engine_->run(horizon) : sim_.run(horizon);
-}
-
-Picoseconds
-CycleFabric::endTime() const
-{
-    return engine_ ? engine_->now() : sim_.now();
-}
-
-std::uint64_t
-CycleFabric::eventsExecuted() const
-{
-    return engine_ ? engine_->eventsExecuted() : sim_.events().executed();
 }
 
 } // namespace core

@@ -19,6 +19,7 @@
 #define EDM_CORE_FABRIC_HPP
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -27,10 +28,8 @@
 #include "core/config.hpp"
 #include "core/host_stack.hpp"
 #include "core/switch_stack.hpp"
-#include "hw/spsc_ring.hpp"
 #include "net/topology.hpp"
 #include "phy/block_fifo.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/simulation.hpp"
 
 namespace edm {
@@ -196,50 +195,30 @@ class CycleFabric
     std::size_t peakEgressStaging() const;
 
     /**
-     * End-to-end latencies in nanoseconds (completion-measured).
-     *
-     * With fabric_workers > 0 the samples are collected per partition
-     * (completions execute on the issuing host's partition) and merged
-     * on access in partition order, chronological within each
-     * partition — deterministic for any worker count, but a different
-     * interleaving than the legacy single-queue order. Order-blind
-     * statistics (count, percentile, sorted raws) are bit-identical to
-     * the referee; compare raw() sorted.
+     * End-to-end latencies in nanoseconds (completion-measured), in
+     * completion order.
      */
-    const Samples &readLatency() const { return mergedLat(read_lat_, read_lat_p_); }
-    const Samples &writeLatency() const { return mergedLat(write_lat_, write_lat_p_); }
-    const Samples &rmwLatency() const { return mergedLat(rmw_lat_, rmw_lat_p_); }
-
-    // ---- parallel execution (EdmConfig::fabric_workers, PR 8) ----
+    const Samples &readLatency() const { return read_lat_; }
+    const Samples &writeLatency() const { return write_lat_; }
+    const Samples &rmwLatency() const { return rmw_lat_; }
 
     /**
-     * Drain the fabric up to and including @p horizon. With
-     * fabric_workers = 0 this is Simulation::run; otherwise the
-     * partitioned engine advances every partition queue in lock-step
-     * windows. Returns events executed by this call.
+     * Drain the fabric up to and including @p horizon (Simulation::run).
+     * Returns events executed by this call.
      */
-    std::uint64_t run(Picoseconds horizon = INT64_MAX);
+    std::uint64_t run(Picoseconds horizon = INT64_MAX)
+    {
+        return sim_.run(horizon);
+    }
 
-    /** Time of the last executed event across all partitions. */
-    Picoseconds endTime() const;
+    /** Time of the last executed event. */
+    Picoseconds endTime() const { return sim_.now(); }
 
-    /** Events executed across all partition queues (lifetime). */
-    std::uint64_t eventsExecuted() const;
-
-    /**
-     * The event queue that owns node @p id. Workload drivers running
-     * under fabric_workers > 0 must schedule the closures that call
-     * read()/write()/rmw()/injectFrame() for a node on *this* queue so
-     * host state is only ever touched from its owning partition. With
-     * fabric_workers = 0 this is simply the Simulation's queue.
-     */
-    EventQueue &hostQueue(NodeId id) { return hq(id); }
-
-    /** Partition owning node @p id (0 when no engine: everything). */
-    std::size_t partitionOf(NodeId id) const { return node_part_[id]; }
-
-    /** The engine, or nullptr when fabric_workers = 0. */
-    ParallelFabricEngine *engine() { return engine_.get(); }
+    /** Events executed over the simulation's lifetime. */
+    std::uint64_t eventsExecuted() const
+    {
+        return sim_.events().executed();
+    }
 
     /**
      * One-way block delivery latency excluding the serialization slot:
@@ -265,7 +244,10 @@ class CycleFabric
      * (the transmission unit of the payload-agnostic pipeline): emitted
      * by a single pump event and delivered by a single rx event (block
      * i leaves at start + i·cycle). Queued FIFO per pump because
-     * several trains can be in flight across the hop latency at once.
+     * several trains can be in flight across the hop latency at once:
+     * one delivery per (cycle + hop) with at least two cycles between
+     * train starts keeps the count under ~13 at the 25G defaults, and
+     * commitTrain asserts it never reaches kMaxTrainsInFlight.
      * Memory trains carry mid-message /MD/ data; frame trains carry L2
      * /S/ + data runs (the /Tn/ boundary always travels per-block).
      */
@@ -281,19 +263,9 @@ class CycleFabric
         std::vector<Picoseconds> avails; ///< per-block availability (memory)
         Kind kind = Kind::Memory;
         Picoseconds start = 0;        ///< first block's emission slot
-        EventId delivery = kInvalidEvent;
     };
 
-    /**
-     * In-flight trains per pump. The emitting partition pushes
-     * (commitTrain) and trims the back; the receiving partition pops
-     * the front at delivery — a classic single-producer single-consumer
-     * pair under the parallel engine, hence the lock-free ring.
-     * Capacity bounds the in-flight count: one delivery per
-     * (cycle + hop) with at least two cycles between train starts keeps
-     * it under ~13 at the 25G defaults.
-     */
-    using TrainRing = hw::SpscRing<Train, 32>;
+    static constexpr std::size_t kMaxTrainsInFlight = 32;
 
     struct TxPump
     {
@@ -302,18 +274,8 @@ class CycleFabric
         /** Pending emit event while active (cadence or parked-waiting). */
         EventId emit_ev = kInvalidEvent;
         Picoseconds emit_at = 0;
-        /**
-         * Emission slot of the newest train's last block (-1 until a
-         * train commits). Trim/abort paths consult this *before*
-         * touching the ring: once now exceeds it, the newest train is
-         * fully on the wire and can never be trimmed — and, under the
-         * parallel engine, its delivery (and pop) may already be
-         * executing on the consumer partition this very window, so the
-         * producer must not read back(). The train cap guarantees
-         * delivery fires at least one window after this slot.
-         */
-        Picoseconds last_emit_end = -1;
-        TrainRing trains; ///< in-flight, delivery events pending
+        /** In-flight trains, oldest first; the newest may be trimmed. */
+        std::deque<Train> trains;
     };
 
     EdmConfig cfg_;
@@ -322,17 +284,6 @@ class CycleFabric
     /** Wiring derived from cfg_.topology (single-switch by default). */
     net::Topology topo_;
 
-    /**
-     * Node -> owning partition (all zeros when no engine). Single mode:
-     * the switch keeps partition 0, hosts live on >= 1 per
-     * fabric_partition_map. Leaf-spine: partition l is leaf l *plus its
-     * hosts* (auto-derived; co-locating host<->leaf hops keeps them
-     * train-eligible and puts only trunk traffic in mailboxes).
-     * Declared before hosts_/engine users; engine_ before hosts_ so
-     * host destructors may still touch their partition queues.
-     */
-    std::vector<std::uint16_t> node_part_;
-    std::unique_ptr<ParallelFabricEngine> engine_;
     std::vector<std::unique_ptr<HostStack>> hosts_;
 
     /** One switch per leaf; exactly one element in single mode. */
@@ -351,74 +302,33 @@ class CycleFabric
     std::vector<LinkHealth> uplink_health_;
     LinkHealthHook link_health_hook_;
 
-    /**
-     * Uplinks with corrupt_next > 0. While nonzero, the engine runs
-     * serial windows: the whole fault machinery (detection hooks, link
-     * disable + switch abort, repair, read retry) crosses partitions
-     * synchronously. Touched only from serial/single-threaded contexts.
-     */
-    int corrupt_pending_links_ = 0;
-
-    /** Per-partition sample stores ([0] only when no engine). */
-    std::vector<Samples> read_lat_p_;
-    std::vector<Samples> write_lat_p_;
-    std::vector<Samples> rmw_lat_p_;
-    /** Merge caches rebuilt by the latency accessors. */
-    mutable Samples read_lat_;
-    mutable Samples write_lat_;
-    mutable Samples rmw_lat_;
+    Samples read_lat_;
+    Samples write_lat_;
+    Samples rmw_lat_;
 
     /** Effective train caps: min(cfg knob, hop/cycle + 2). See trainCap(). */
     std::size_t train_cap_ = 1;
     std::size_t frame_train_cap_ = 1;
 
-    /** Recycled train vectors, one pool per executing partition. */
-    std::vector<std::vector<Train>> train_pools_;
+    /** Recycled train vectors. */
+    std::vector<Train> train_pool_;
 
-    const Samples &mergedLat(Samples &merged,
-                             const std::vector<Samples> &parts) const;
-    EventQueue &hq(NodeId id)
-    {
-        return engine_ ? engine_->queue(node_part_[id]) : sim_.events();
-    }
-    EventQueue &sq() { return sim_.events(); } ///< switch = partition 0
-    /** Partition owning leaf @p leaf (single: 0; leaf-spine: the leaf). */
-    std::size_t leafPart(std::uint16_t leaf) const
-    {
-        return engine_ ? (topo_.isSingle() ? 0 : leaf) : 0;
-    }
-    /** Partition owning the switch that serves node @p port. */
-    std::size_t swPart(NodeId port) const
-    {
-        return leafPart(topo_.leafOf(port));
-    }
     /** The switch serving node @p port (the only one in single mode). */
     SwitchStack &leafSw(NodeId port) { return *switches_[topo_.leafOf(port)]; }
-    EventQueue &leafQ(std::uint16_t leaf)
-    {
-        return engine_ ? engine_->queue(leafPart(leaf)) : sim_.events();
-    }
-    /** Event queue of the switch serving node @p port. */
-    EventQueue &lq(NodeId port) { return leafQ(topo_.leafOf(port)); }
     /** Wire cross-leaf routing (leaf-spine only; no-op wiring cost). */
     void installTrunkHooks();
-    void scheduleArrival(std::size_t src_part, std::size_t dst_part,
-                         Picoseconds when, EventQueue::Callback cb);
     std::size_t trainCap(std::size_t knob) const;
     static void topUpFrames(phy::PreemptionMux &mux,
                             phy::BlockFifo &backlog);
-    Train acquireTrain(std::size_t part);
-    void releaseTrain(std::size_t part, Train t);
-    void pumpWake(TxPump &p, EventQueue &q, Picoseconds ready,
-                  EventQueue::Callback emit);
-    void commitTrain(TxPump &p, EventQueue &q, std::size_t src_part,
-                     std::size_t dst_part, Train t, std::size_t run,
-                     Picoseconds now, EventQueue::Callback deliver,
-                     EventQueue::Callback emit);
+    Train acquireTrain();
+    void releaseTrain(Train t);
+    void pumpWake(TxPump &p, Picoseconds ready, EventQueue::Callback emit);
+    void commitTrain(TxPump &p, Train t, std::size_t run, Picoseconds now,
+                     EventQueue::Callback deliver, EventQueue::Callback emit);
     std::size_t takeFrameTrain(phy::PreemptionMux &mux,
                                phy::BlockFifo &backlog, Picoseconds now,
                                Train &t);
-    void trimFrameTrain(NodeId port, TxPump &p, EventQueue &q, Train &t,
+    void trimFrameTrain(NodeId port, TxPump &p, Train &t,
                         phy::PreemptionMux &mux);
     /** Emit a TrainEmit/TrainTrim record when the event log is attached. */
     void noteTrainEvent(trace::EventType type, NodeId port, Train::Kind kind,

@@ -13,8 +13,7 @@
  * exactly the demand ledger this scheduler already maintains.
  *
  * One tree per scheduler shard. All state is shard-local and advanced
- * only from scheduler code running inside that shard's partition, so
- * the parallel engine's bit-exactness story is unchanged; the only
+ * only from that shard's scheduler code; the only
  * cross-shard traffic is the fixed-latency trunk coordination note,
  * which now carries the granting pool's id and line-time charge so a
  * client's home shard sees its tenants' cross-leaf consumption too.
@@ -24,7 +23,7 @@
  *  - virtual time advances by charged line-time / effective share, in
  *    grant-issue order — a pure function of the event sequence;
  *  - the limit window lives on an absolute simulation-time grid, so a
- *    pool's deferral instant never depends on worker count;
+ *    pool's deferral instant is a pure function of simulated time;
  *  - a pool waking from idle is capped to the minimum active virtual
  *    time (no credit hoarding, no dependence on idle wall-time).
  */

@@ -1,5 +1,7 @@
 #include "backing_store.hpp"
 
+#include <cstring>
+
 #include "common/logging.hpp"
 
 namespace edm {
@@ -45,9 +47,7 @@ BackingStore::write(std::uint64_t addr, const std::vector<std::uint8_t> &data)
         const std::uint64_t a = addr + i;
         const std::uint64_t in_page = kPageBytes - (a % kPageBytes);
         const Bytes n = std::min<Bytes>(data.size() - i, in_page);
-        std::uint8_t *p = touch(a);
-        for (Bytes j = 0; j < n; ++j)
-            p[j] = data[i + j];
+        std::memcpy(touch(a), data.data() + i, n);
         i += n;
     }
 }

@@ -50,14 +50,5 @@ Topology::ecmpLane(core::NodeId src, core::NodeId dst, core::MsgId id,
                                     spec_.trunk_width);
 }
 
-std::vector<std::uint16_t>
-Topology::derivePartitionMap() const
-{
-    std::vector<std::uint16_t> map(num_nodes_);
-    for (std::size_t n = 0; n < num_nodes_; ++n)
-        map[n] = leafOf(static_cast<core::NodeId>(n));
-    return map;
-}
-
 } // namespace net
 } // namespace edm

@@ -7,10 +7,7 @@
  * answers the wiring questions every layer used to hard-code as "one
  * switch": which leaf owns a host, which hosts a leaf serves, how many
  * trunk lanes join a leaf to the spine, and which lane a flow's ECMP
- * hash picks. It also derives the parallel engine's partition map
- * (each leaf co-located with its hosts), multiplying the partitions
- * available to sim/parallel_engine exactly as ROADMAP's scale-out item
- * predicts.
+ * hash picks.
  *
  * The spine itself is contention-free transport with a fixed traversal
  * latency (mirroring the single switch's contention-free internal
@@ -26,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/message.hpp"
@@ -87,15 +83,6 @@ class Topology
      */
     std::size_t ecmpLane(core::NodeId src, core::NodeId dst,
                          core::MsgId id, bool response) const;
-
-    /**
-     * Partition map for the parallel engine (sim/parallel_engine.*):
-     * node i lives on partition leafOf(i), co-locating every host with
-     * its leaf switch — so host<->leaf hops never cross the window
-     * barrier and only trunk traffic is mailboxed. Partition 0 (the
-     * engine's root queue) is leaf 0 plus its hosts.
-     */
-    std::vector<std::uint16_t> derivePartitionMap() const;
 
   private:
     core::TopologySpec spec_;

@@ -32,13 +32,6 @@ EventQueue::freeSlot(std::uint32_t slot)
     s.cb.reset();
     s.heap_pos = kNpos;
     s.bucket = kNpos;
-    s.staged = false;
-    if (s.serial) {
-        // s.when is still the filed time here, whether the event fired
-        // (step) or was cancelled.
-        serial_times_.erase(serial_times_.find(s.when));
-        s.serial = false;
-    }
     // Bumping the generation invalidates every outstanding EventId for
     // this slot; wrap-around after 2^32 reuses is accepted.
     ++s.generation;
@@ -52,8 +45,7 @@ EventQueue::decode(EventId id) const
     const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
     const auto generation = static_cast<std::uint32_t>(id >> 32);
     if (slot >= slots_.size() || slots_[slot].generation != generation ||
-        (slots_[slot].heap_pos == kNpos && slots_[slot].bucket == kNpos &&
-         !slots_[slot].staged))
+        (slots_[slot].heap_pos == kNpos && slots_[slot].bucket == kNpos))
         return kNpos;
     return slot;
 }
@@ -307,17 +299,6 @@ EventQueue::wheelPeek(Picoseconds &when, std::uint64_t &seq) const
 // Public API
 // ---------------------------------------------------------------------------
 
-void
-EventQueue::stageSlot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.staged = true;
-    s.parent_time = ctx_->time;
-    s.parent_seq = ctx_->seq;
-    s.call_index = ctx_->calls++;
-    staged_.push_back(StagedRef{slot, s.generation});
-}
-
 EventId
 EventQueue::schedule(Picoseconds when, Callback cb)
 {
@@ -329,14 +310,7 @@ EventQueue::schedule(Picoseconds when, Callback cb)
     Slot &s = slots_[slot];
     s.cb = std::move(cb);
     s.when = when;
-    if (when >= window_end_) {
-        // Cross-window schedule during a parallel window: stage without
-        // consuming a sequence; the barrier assigns one in genealogy
-        // order so results do not depend on worker interleaving.
-        stageSlot(slot);
-        return makeId(slot, s.generation);
-    }
-    s.seq = (*seq_src_)++;
+    s.seq = next_seq_++;
     placeEvent(slot);
     return makeId(slot, s.generation);
 }
@@ -355,9 +329,7 @@ EventQueue::cancel(EventId id)
     const std::uint32_t slot = decode(id);
     if (slot == kNpos)
         return false;
-    if (slots_[slot].staged)
-        ; // not filed anywhere; the generation bump kills its refs
-    else if (slots_[slot].bucket != kNpos)
+    if (slots_[slot].bucket != kNpos)
         wheelUnlink(slot);
     else
         removeAt(slots_[slot].heap_pos);
@@ -375,28 +347,6 @@ EventQueue::reschedule(EventId id, Picoseconds when)
                "rescheduling event into the past: %lld < now %lld",
                static_cast<long long>(when), static_cast<long long>(now_));
     Slot &s = slots_[slot];
-    if (s.serial && s.when != when) {
-        serial_times_.erase(serial_times_.find(s.when));
-        serial_times_.insert(when);
-    }
-    if (s.staged) {
-        if (when >= window_end_) {
-            // Still cross-window: a re-stage counts as a fresh schedule
-            // call by the current event (the ref is already listed).
-            s.when = when;
-            s.parent_time = ctx_->time;
-            s.parent_seq = ctx_->seq;
-            s.call_index = ctx_->calls++;
-            return true;
-        }
-        // Pulled back into the window: becomes an ordinary in-window
-        // event. The stale StagedRef dies at commit (staged == false).
-        s.staged = false;
-        s.when = when;
-        s.seq = (*seq_src_)++;
-        placeEvent(slot);
-        return true;
-    }
     // Detach wherever the event lives, re-sequence, re-file. The slot —
     // and therefore the caller's EventId — survives the migration.
     if (s.bucket != kNpos) {
@@ -406,11 +356,7 @@ EventQueue::reschedule(EventId id, Picoseconds when)
         s.heap_pos = kNpos;
     }
     s.when = when;
-    if (when >= window_end_) {
-        stageSlot(slot);
-        return true;
-    }
-    s.seq = (*seq_src_)++;
+    s.seq = next_seq_++;
     placeEvent(slot);
     return true;
 }
@@ -444,13 +390,6 @@ EventQueue::peekSelect(Picoseconds &when, std::uint64_t &seq,
     when = from_wheel ? wheel_when : heap_[0].when;
     seq = from_wheel ? wheel_seq : heap_[0].seq;
     return true;
-}
-
-bool
-EventQueue::peekNext(Picoseconds &when, std::uint64_t &seq) const
-{
-    bool from_wheel = false;
-    return peekSelect(when, seq, from_wheel);
 }
 
 bool
@@ -488,11 +427,6 @@ EventQueue::step(Picoseconds horizon)
     Callback cb = std::move(slots_[slot].cb);
     freeSlot(slot);
     ++executed_;
-    // Publish the event's identity so schedule calls made by the
-    // callback can capture their genealogy (SpawnKey).
-    ctx_->time = when;
-    ctx_->seq = seq;
-    ctx_->calls = 0;
     cb();
     return true;
 }
@@ -505,102 +439,6 @@ EventQueue::run(Picoseconds horizon)
     while (!stop_requested_ && step(horizon))
         ++ran;
     return ran;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-window API
-// ---------------------------------------------------------------------------
-
-void
-EventQueue::beginWindow(Picoseconds end, std::uint64_t seq_base)
-{
-    EDM_ASSERT(staged_.empty(), "previous window was not merged");
-    EDM_ASSERT(end > now_, "window end %lld not ahead of now %lld",
-               static_cast<long long>(end), static_cast<long long>(now_));
-    window_end_ = end;
-    // Provisional in-window sequences start at the global cursor so
-    // they order after everything already committed; they are consumed
-    // only by events that execute and die inside this window.
-    *seq_src_ = seq_base;
-}
-
-void
-EventQueue::endWindow()
-{
-    window_end_ = INT64_MAX;
-    staged_.clear();
-}
-
-bool
-EventQueue::stagedLive(StagedRef r) const
-{
-    const Slot &s = slots_[r.slot];
-    return s.generation == r.generation && s.staged;
-}
-
-EventQueue::SpawnKey
-EventQueue::stagedKey(StagedRef r) const
-{
-    const Slot &s = slots_[r.slot];
-    return SpawnKey{s.parent_time, s.parent_seq, s.call_index};
-}
-
-bool
-EventQueue::commitStaged(StagedRef r, std::uint64_t seq)
-{
-    Slot &s = slots_[r.slot];
-    if (s.generation != r.generation || !s.staged)
-        return false; // cancelled, or a stale ref after an unstage
-    s.staged = false;
-    s.seq = seq;
-    placeEvent(r.slot);
-    return true;
-}
-
-EventId
-EventQueue::scheduleCommitted(Picoseconds when, Callback cb,
-                              std::uint64_t seq)
-{
-    EDM_ASSERT(when >= now_,
-               "committing event in the past: %lld < now %lld",
-               static_cast<long long>(when), static_cast<long long>(now_));
-    EDM_ASSERT(static_cast<bool>(cb), "committing an empty callback");
-    const std::uint32_t slot = allocSlot();
-    Slot &s = slots_[slot];
-    s.cb = std::move(cb);
-    s.when = when;
-    s.seq = seq;
-    placeEvent(slot);
-    return makeId(slot, s.generation);
-}
-
-EventId
-EventQueue::scheduleSerial(Picoseconds when, Callback cb)
-{
-    const EventId id = schedule(when, std::move(cb));
-    const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-    slots_[slot].serial = true;
-    serial_times_.insert(when);
-    return id;
-}
-
-bool
-EventQueue::serialEventBefore(Picoseconds t) const
-{
-    return !serial_times_.empty() && *serial_times_.begin() < t;
-}
-
-void
-EventQueue::syncNow(Picoseconds t)
-{
-    if (t > now_)
-        advanceTo(t);
-}
-
-EventQueue::SpawnKey
-EventQueue::takeSpawnKey()
-{
-    return SpawnKey{ctx_->time, ctx_->seq, ctx_->calls++};
 }
 
 } // namespace edm

@@ -26,17 +26,6 @@
  * and heap. Callbacks are SmallFunction (small-buffer optimized,
  * move-only): typical capture sets live inline in the slot table, so
  * scheduling does not allocate.
- *
- * Parallel-window API (used by sim/parallel_engine.*): during a
- * conservative-PDES window [W, W+delta), a schedule call whose target
- * time falls at or beyond the window end is *staged* — filed in the
- * slot table with the scheduling event's genealogy (SpawnKey) instead
- * of a sequence number. At the window barrier the engine sorts every
- * staged/cross-partition entry by genealogy and assigns sequence
- * numbers from one global cursor, so the (time, seq) execution order is
- * identical for any worker count. With no window open (the default,
- * window_end_ = INT64_MAX) none of this is reachable and schedule()
- * costs one predictable branch over the single-thread baseline.
  */
 
 #ifndef EDM_SIM_EVENT_QUEUE_HPP
@@ -44,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -67,42 +55,6 @@ class EventQueue
   public:
     using Callback = SmallFunction<void(), 48>;
     using EventId = ::edm::EventId; ///< for generic code over queue types
-
-    /**
-     * Genealogy of a schedule call: the (time, seq) identity of the
-     * event that made it plus the ordinal of the call within that
-     * event. The parallel engine sorts cross-window work by this key
-     * when assigning sequence numbers at a window barrier, which
-     * reproduces the order the calls were made in — independent of
-     * which worker executed which partition.
-     */
-    struct SpawnKey
-    {
-        Picoseconds parent_time = 0;
-        std::uint64_t parent_seq = 0;
-        std::uint32_t call_index = 0;
-    };
-
-    /** Identity of the event currently executing on this queue. */
-    struct ExecContext
-    {
-        Picoseconds time = 0;
-        std::uint64_t seq = 0;
-        std::uint32_t calls = 0; ///< staged/cross schedule calls so far
-    };
-
-    /** Handle to an event staged during a window, pre-commit. */
-    struct StagedRef
-    {
-        std::uint32_t slot;
-        std::uint32_t generation;
-    };
-
-    EventQueue() = default;
-    // ctx_/seq_src_ self-point by default; moving would leave them
-    // aimed at the old object.
-    EventQueue(const EventQueue &) = delete;
-    EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulation time. */
     Picoseconds now() const { return now_; }
@@ -174,93 +126,6 @@ class EventQueue
         wheel_enabled_ = false;
     }
 
-    // ---- parallel-window API (sim/parallel_engine.*) ----
-
-    /**
-     * Open a window ending (exclusively) at @p end: schedule calls with
-     * when >= end are staged instead of filed, and in-window schedules
-     * draw provisional sequences from @p seq_base — at or above the
-     * engine's global cursor, so they order after every committed event.
-     * Provisional events always execute (and die) before the window
-     * closes, so their sequences never outlive it.
-     */
-    void beginWindow(Picoseconds end, std::uint64_t seq_base);
-
-    /** Close the window. @pre every live staged ref was committed. */
-    void endWindow();
-
-    /** Refs staged since beginWindow (may contain dead duplicates). */
-    const std::vector<StagedRef> &stagedRefs() const { return staged_; }
-
-    /** True if @p r still names a staged, uncommitted event. */
-    bool stagedLive(StagedRef r) const;
-
-    /** Target time of a live staged event. */
-    Picoseconds stagedWhen(StagedRef r) const
-    {
-        return slots_[r.slot].when;
-    }
-
-    /** Genealogy merge key of a live staged event. */
-    SpawnKey stagedKey(StagedRef r) const;
-
-    /**
-     * Give a staged event its barrier-assigned sequence and file it.
-     * Returns false (consuming nothing) for refs invalidated by cancel
-     * or duplicated by an unstage/re-stage cycle.
-     */
-    bool commitStaged(StagedRef r, std::uint64_t seq);
-
-    /** File an event with an explicit barrier-assigned sequence. */
-    EventId scheduleCommitted(Picoseconds when, Callback cb,
-                              std::uint64_t seq);
-
-    /**
-     * Schedule an event that must run in a serial window because its
-     * callback touches state across partitions synchronously (fault
-     * injection, repair). The engine checks serialEventBefore() when
-     * sizing each window.
-     */
-    EventId scheduleSerial(Picoseconds when, Callback cb);
-
-    /** True if a pending serial-flagged event exists before @p t. */
-    bool serialEventBefore(Picoseconds t) const;
-
-    /** Earliest pending (when, seq) without popping; false if empty. */
-    bool peekNext(Picoseconds &when, std::uint64_t &seq) const;
-
-    /**
-     * Lock-step clock advance for serial windows. @pre @p t is the
-     * global minimum pending timestamp across all queues, so every
-     * wheel bucket this skips is empty for this queue too.
-     */
-    void syncNow(Picoseconds t);
-
-    /** Merge key for a cross-partition (mailbox) schedule call. */
-    SpawnKey takeSpawnKey();
-
-    /** Execution context hook: nullptr restores the queue's own. */
-    void shareContext(ExecContext *ctx) { ctx_ = ctx ? ctx : &own_ctx_; }
-
-    /** Sequence-counter hook: nullptr restores the queue's own. */
-    void shareSeqCounter(std::uint64_t *seq)
-    {
-        seq_src_ = seq ? seq : &next_seq_;
-    }
-
-    /** Next unused sequence number (engine global-cursor seeding). */
-    std::uint64_t seqCursor() const { return next_seq_; }
-
-    /**
-     * Raise the queue's own counter to @p v (monotonic). Called when
-     * the engine stops sharing its global cursor so later unshared
-     * schedules cannot reuse already-assigned sequences.
-     */
-    void syncSeqCursor(std::uint64_t v)
-    {
-        next_seq_ = std::max(next_seq_, v);
-    }
-
   private:
     static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
 
@@ -298,12 +163,6 @@ class EventQueue
         std::uint32_t wheel_prev = kNpos;
         std::uint32_t wheel_next = kNpos;
         std::uint32_t next_free = kNpos;
-        // ---- parallel-window state ----
-        Picoseconds parent_time = 0; ///< SpawnKey while staged
-        std::uint64_t parent_seq = 0;
-        std::uint32_t call_index = 0;
-        bool staged = false; ///< awaiting barrier sequence assignment
-        bool serial = false; ///< must execute in a serial window
     };
 
     /** Intrusive FIFO list of slots sharing a wheel bucket. */
@@ -347,12 +206,9 @@ class EventQueue
      */
     bool wheelPeek(Picoseconds &when, std::uint64_t &seq) const;
 
-    /** Selection shared by step()/peekNext(): earliest (when, seq). */
+    /** Earliest pending (when, seq) and which structure holds it. */
     bool peekSelect(Picoseconds &when, std::uint64_t &seq,
                     bool &from_wheel) const;
-
-    /** Stage a detached slot under the current execution context. */
-    void stageSlot(std::uint32_t slot);
 
     static std::uint32_t
     bucketIndex(int level, std::uint32_t index)
@@ -391,16 +247,6 @@ class EventQueue
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     bool stop_requested_ = false;
-
-    // ---- parallel-window state ----
-    /** Exclusive window end; INT64_MAX = no window open (staging off). */
-    Picoseconds window_end_ = INT64_MAX;
-    std::vector<StagedRef> staged_;
-    /** Pending serial-flagged event times (duplicates allowed). */
-    std::multiset<Picoseconds> serial_times_;
-    ExecContext own_ctx_;
-    ExecContext *ctx_ = &own_ctx_;
-    std::uint64_t *seq_src_ = &next_seq_;
 };
 
 } // namespace edm

@@ -18,10 +18,7 @@ FaultCampaign::corruptAt(Picoseconds at, core::NodeId node, int blocks)
 {
     EDM_ASSERT(node < nodes_.size(), "campaign node %u out of range",
                node);
-    // Serial-marked: fault injection reaches across partitions
-    // (train aborts, link health, scheduler aborts), so the parallel
-    // engine must execute the containing window globally ordered.
-    sim_.events().scheduleSerial(at, [this, node, blocks] {
+    sim_.events().schedule(at, [this, node, blocks] {
         NodeState &st = nodes_[node];
         // A fresh burst restarts the phase clocks unless the link is
         // already down (extra corruption on a dead link is invisible —
@@ -56,7 +53,7 @@ FaultCampaign::repairAt(Picoseconds at, core::NodeId node)
 {
     EDM_ASSERT(node < nodes_.size(), "campaign node %u out of range",
                node);
-    sim_.events().scheduleSerial(
+    sim_.events().schedule(
         at, [this, node] { fabric_.repairUplink(node); });
 }
 
@@ -64,7 +61,7 @@ void
 FaultCampaign::failSwitchAt(Picoseconds at, bool backup_network)
 {
     EDM_ASSERT(rep_, "switch actions need attachReplicated()");
-    sim_.events().scheduleSerial(at, [this, backup_network] {
+    sim_.events().schedule(at, [this, backup_network] {
         ++stats_.switch_failures;
         rep_->failNetwork(backup_network);
     });
@@ -74,7 +71,7 @@ void
 FaultCampaign::failbackSwitchAt(Picoseconds at, bool backup_network)
 {
     EDM_ASSERT(rep_, "switch actions need attachReplicated()");
-    sim_.events().scheduleSerial(at, [this, backup_network] {
+    sim_.events().schedule(at, [this, backup_network] {
         ++stats_.switch_failbacks;
         rep_->recoverNetwork(backup_network);
     });
@@ -101,7 +98,7 @@ FaultCampaign::onLinkEvent(core::NodeId node,
         if (auto_repair_delay_ > 0) {
             // Hook rule: never re-enter the fabric synchronously — the
             // repair runs as its own event, even for a zero-ish delay.
-            sim_.events().scheduleSerial(
+            sim_.events().schedule(
                 sim_.now() + auto_repair_delay_,
                 [this, node] { fabric_.repairUplink(node); });
         }

@@ -290,10 +290,6 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
         if (!parseLong(value, n) || n < 1)
             return bad_value();
         cfg.max_frame_train_blocks = static_cast<std::size_t>(n);
-    } else if (key == "fabric_workers") {
-        if (!parseLong(value, n) || n < 0)
-            return bad_value();
-        cfg.fabric_workers = static_cast<int>(n);
     } else if (key == "l2_pipeline_ns") {
         if (!parseLong(value, n) || n < 0)
             return bad_value();

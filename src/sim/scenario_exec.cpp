@@ -100,8 +100,6 @@ runIncastPoint(ScenarioContext &ctx, const IncastPoint &pt,
             }
         }
     }
-    // Drains the partitioned engine when cfg.fabric_workers >= 1 and
-    // falls back to the shared Simulation loop otherwise.
     fab.run();
 
     const auto acc = fab.grantAccounting();

@@ -23,30 +23,7 @@ mixSeed(std::uint64_t base, std::uint64_t index)
     return splitmix64(state);
 }
 
-/** Pool width of the in-flight runAll(), for nested-thread budgeting. */
-std::atomic<unsigned> g_active_runner_threads{0};
-
-/** Scoped publication of the pool width for the duration of runAll(). */
-struct ActiveThreadsScope
-{
-    explicit ActiveThreadsScope(unsigned threads)
-    {
-        g_active_runner_threads.store(threads,
-                                      std::memory_order_relaxed);
-    }
-    ~ActiveThreadsScope()
-    {
-        g_active_runner_threads.store(0, std::memory_order_relaxed);
-    }
-};
-
 } // namespace
-
-unsigned
-activeScenarioRunnerThreads()
-{
-    return g_active_runner_threads.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // ScenarioContext
@@ -211,7 +188,6 @@ ScenarioRunner::runAll()
         }
     };
 
-    const ActiveThreadsScope active(threads);
     if (threads == 1) {
         worker();
     } else {

@@ -29,16 +29,6 @@
 namespace edm {
 
 /**
- * ScenarioRunner worker threads currently executing scenarios in this
- * process (0 when no runAll() is in flight; 1 when a runAll() is
- * draining on the calling thread). The parallel fabric engine
- * (sim/parallel_engine.*) divides its own worker budget by this so a
- * sweep of fabric_workers > 1 scenarios never oversubscribes the
- * machine: runner workers x fabric workers <= hardware_concurrency.
- */
-unsigned activeScenarioRunnerThreads();
-
-/**
  * Per-scenario execution context handed to the scenario body.
  *
  * The Simulation is created lazily so purely analytic scenarios (closed

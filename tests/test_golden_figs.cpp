@@ -309,12 +309,10 @@ chunkSweepWireValues()
 /**
  * Cluster-scale leaf-spine tier: every mode of the shipped
  * scenarios/leaf_spine.edm (65 hosts over five leaves, strict sharded
- * scheduler, base/wire/par2) on its full 64-to-1 incast point, pinning
+ * scheduler, base/wire) on its full 64-to-1 incast point, pinning
  * completed / grants / wasted / parked / peak staging / read_p99 per
  * row. Loads the real scenario file, so the golden also notices edits
- * to the .edm itself; the par2 row doubles as the pinned proof that
- * the auto-derived per-leaf partition map reproduces the serial
- * referee's schedule bit-exactly.
+ * to the .edm itself.
  */
 std::vector<double>
 leafSpineValues()
@@ -462,22 +460,6 @@ TEST(GoldenFigs, LeafSpineCluster)
 {
     checkOrRegen("kGoldenLeafSpine", kGoldenLeafSpine,
                  std::size(kGoldenLeafSpine), leafSpineValues());
-}
-
-TEST(GoldenFigs, LeafSpineParallelRowMatchesBase)
-{
-    // The sharded-scheduler acceptance bar: the par2 row (two workers
-    // over the auto-derived per-leaf partition map) must be bit-exact
-    // with the base row (serial referee). Checked on live values, not
-    // the pinned array, so it holds through regeneration too. Row
-    // layout: 6 metrics per mode, modes in file order base/wire/par2.
-    const auto v = leafSpineValues();
-    ASSERT_EQ(v.size(), 18u);
-    for (std::size_t i = 0; i < 6; ++i)
-        expectExact(v[i], v[12 + i], "leafspine base vs par2", i);
-    // wasted_slots: strict mode must park, never waste, on every shard.
-    EXPECT_EQ(v[2], 0.0);
-    EXPECT_EQ(v[14], 0.0);
 }
 
 TEST(GoldenFigs, FairShareTenantIsolation)

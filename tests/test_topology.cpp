@@ -1,7 +1,7 @@
 /**
  * @file
  * Topology unit tests plus leaf-spine fabric integration: wiring math
- * (leaf assignment, ECMP lane hashing, partition derivation) and full
+ * (leaf assignment, ECMP lane hashing) and full
  * cross-leaf reads/writes/RMWs through the multi-tier engine with
  * sharded scheduler state (docs/TOPOLOGY.md).
  */
@@ -79,15 +79,6 @@ TEST(Topology, EcmpLaneIsDeterministicSeededAndInRange)
             differs = topo.ecmpLane(src, 1, id, false) !=
                 topo2.ecmpLane(src, 1, id, false);
     EXPECT_TRUE(differs);
-}
-
-TEST(Topology, DerivedPartitionMapIsLeafOwnership)
-{
-    Topology topo(leafSpineSpec(4), 10);
-    const auto map = topo.derivePartitionMap();
-    ASSERT_EQ(map.size(), 10u);
-    for (core::NodeId n = 0; n < 10; ++n)
-        EXPECT_EQ(map[n], topo.leafOf(n));
 }
 
 // ---------------------------------------------------------------------------
