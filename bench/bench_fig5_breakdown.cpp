@@ -1,8 +1,10 @@
 /**
  * @file
  * Reproduces **Figure 5**: cycle-by-cycle latency breakdown of EDM's
- * network fabric for a 64 B read and write (one clock cycle = 2.56 ns),
- * cross-checked against the cycle simulator's stage accounting.
+ * network fabric for a 64 B read and write (one clock cycle = 2.56 ns).
+ * Every stage comes from the analytic model (`analytic::edmBreakdown`);
+ * the cycle simulator is not run, so nothing here checks the table
+ * against it.
  */
 
 #include <cstdio>

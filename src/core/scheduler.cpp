@@ -1,6 +1,7 @@
 #include "scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 #include "core/occupancy.hpp"
@@ -15,7 +16,11 @@ Scheduler::Scheduler(const EdmConfig &cfg, EventQueue &events,
                      std::uint16_t leaf)
     : cfg_(cfg), events_(events), sink_(std::move(sink)), topo_(topo),
       leaf_(leaf), dst_hi_(static_cast<NodeId>(cfg.num_nodes)),
-      src_busy_(cfg.num_nodes, false), dst_busy_(cfg.num_nodes, false)
+      src_busy_(cfg.num_nodes, false), dst_busy_(cfg.num_nodes, false),
+      pairs_(cfg.num_nodes * cfg.num_nodes),
+      words_((cfg.num_nodes + 63) / 64),
+      pair_dsts_(cfg.num_nodes * words_, 0), rescan_(words_, 0),
+      winner_of_src_(cfg.num_nodes, -1)
 {
     EDM_ASSERT(sink_, "scheduler needs a grant sink");
     const std::size_t cap =
@@ -93,9 +98,27 @@ Scheduler::raiseBusyUntil(std::vector<Picoseconds> &table,
     events_.schedule(release, [this, &table, idx, release] {
         // Only the note that set the current horizon wakes the matcher;
         // superseded releases would re-match against a still-busy view.
-        if (table[idx] == release)
+        // A lapsed remote or lane reservation can free demands in any
+        // queue, so every port is rescanned.
+        if (table[idx] == release) {
+            markAllPorts();
             scheduleMatching();
+        }
     });
+}
+
+void
+Scheduler::markPairDsts(NodeId src)
+{
+    const std::uint64_t *dsts = &pair_dsts_[src * words_];
+    for (std::size_t w = 0; w < words_; ++w)
+        rescan_[w] |= dsts[w];
+}
+
+void
+Scheduler::markAllPorts()
+{
+    std::fill(rescan_.begin(), rescan_.end(), ~std::uint64_t{0});
 }
 
 void
@@ -149,7 +172,7 @@ void
 Scheduler::openLedgerEntry(const Demand &d)
 {
     const FlowKey key = keyOf(d);
-    auto [it, inserted] = ledger_.try_emplace(key);
+    auto [it, inserted] = ledger_.try_emplace(packKey(key));
     if (!inserted) {
         // Message-id reuse before the previous flow retired (a wrapped
         // 8-bit id, or a flow whose completion was never observed). The
@@ -186,12 +209,17 @@ Scheduler::insertDemand(Demand d)
         d.pool = fair_tree_->poolOf(
             static_cast<std::uint16_t>(d.response ? d.dst : d.src));
     const std::int64_t prio = priorityOf(d);
-    const auto pair_key = std::make_pair(d.src, d.dst);
+    const NodeId src = d.src;
+    const NodeId dst = d.dst;
     const std::uint64_t seq = d.seq;
     openLedgerEntry(d);
     const bool inserted = q.insert(prio, std::move(d));
     EDM_ASSERT(inserted, "insert into a non-full queue failed");
-    pairs_[pair_key].push_back(seq);
+    auto &pair = pairs_[pairIndex(src, dst)];
+    if (pair.empty())
+        pairDstsWord(src, dst) |= portBit(dst);
+    pair.push_back(seq);
+    markPort(dst);
     scheduleMatching();
     return true;
 }
@@ -246,23 +274,131 @@ Scheduler::avgIterations() const
 bool
 Scheduler::isPairHead(const Demand &d) const
 {
-    auto it = pairs_.find(std::make_pair(d.src, d.dst));
-    if (it == pairs_.end() || it->second.empty())
-        return false;
-    return it->second.front() == d.seq;
+    const auto &v = pairs_[pairIndex(d.src, d.dst)];
+    return !v.empty() && v.front() == d.seq;
 }
 
 void
 Scheduler::retirePairEntry(const Demand &d)
 {
-    auto it = pairs_.find(std::make_pair(d.src, d.dst));
-    EDM_ASSERT(it != pairs_.end(), "retiring unknown pair entry");
-    auto &v = it->second;
+    auto &v = pairs_[pairIndex(d.src, d.dst)];
     auto pos = std::find(v.begin(), v.end(), d.seq);
     EDM_ASSERT(pos != v.end(), "retiring unknown seq");
     v.erase(pos);
     if (v.empty())
-        pairs_.erase(it);
+        pairDstsWord(d.src, d.dst) &= ~portBit(d.dst);
+    // The pair's next demand may now be its head.
+    markPort(d.dst);
+}
+
+bool
+Scheduler::eligible(const Demand &dem) const
+{
+    if (src_busy_[dem.src] || !isPairHead(dem))
+        return false;
+    // A response's first grant is the buffered request itself — a
+    // multi-block message delivered on the memory node's *downlink*,
+    // which therefore must be free too (unlike single-block /G/ grants,
+    // which interleave freely).
+    if (dem.buffered_request && dst_busy_[dem.src])
+        return false;
+    if (topo_) {
+        // Sharded eligibility: respect reservations other shards
+        // announced, and require the trunk lanes a cross-leaf flow
+        // traverses to be free.
+        if (remote_src_busy_until_[dem.src] > events_.now())
+            return false;
+        if (topo_->leafOf(dem.src) != leaf_) {
+            const std::size_t lane =
+                topo_->ecmpLane(dem.src, dem.dst, dem.id, dem.response);
+            // Granted data descends our down lane...
+            if (lane_busy_until_[1][lane] > events_.now())
+                return false;
+            // ...and a request forward first ascends our up lane toward
+            // the memory node.
+            if (dem.buffered_request &&
+                lane_busy_until_[0][lane] > events_.now())
+                return false;
+        }
+    }
+    return true;
+}
+
+bool
+Scheduler::propose(NodeId d, bool &limit_deferred)
+{
+    if (d < dst_lo_ || d >= dst_hi_ || dst_busy_[d])
+        return false;
+    if (topo_ && remote_dst_busy_until_[d] > events_.now())
+        return false;
+    if (!fair_tree_) {
+        const auto *entry = queues_[d]->peekIf(
+            [this](const Demand &dem) { return eligible(dem); });
+        if (!entry)
+            return false;
+        candidates_.push_back(
+            Candidate{d, entry->value.src, entry->value.seq,
+                      entry->priority});
+        return true;
+    }
+    // Fair-share pick: the demand of the most deserving pool
+    // (latency-sensitive pools bypass, the rest in virtual-time order,
+    // limit-capped pools sit out the window). The queue iterates in
+    // priority order, so the first entry seen for a pool is that pool's
+    // best and ties resolve to the higher legacy priority — keeping the
+    // decision a pure function of queue contents and tree state.
+    const Queue::Entry *best = nullptr;
+    bool best_bypass = false;
+    double best_vt = 0.0;
+    bool saw_normal = false;
+    bool saw_eligible = false;
+    queues_[d]->forEach([&](const Queue::Entry &e) {
+        const Demand &dem = e.value;
+        if (!eligible(dem))
+            return;
+        saw_eligible = true;
+        if (fair_tree_->overLimit(dem.pool, events_.now())) {
+            // The pool spent its window: defer, wake at roll.
+            limit_deferred = true;
+            if (fair_tree_->noteDeferred(dem.pool, events_.now())) {
+                if (auto *log = cfg_.event_log)
+                    log->log(trace::EventType::GrantDeferredByLimit,
+                             events_.now(), d, dem.src, dem.dst, dem.id,
+                             dem.response, trace::Detail::None,
+                             dem.remaining, leaf_, 0, auxOf(dem.pool));
+            }
+            return;
+        }
+        const bool bypass = fair_tree_->latencySensitive(dem.pool);
+        if (!bypass)
+            saw_normal = true;
+        const double vt = fair_tree_->vtime(dem.pool);
+        bool better;
+        if (!best)
+            better = true;
+        else if (bypass != best_bypass)
+            better = bypass;
+        else if (bypass)
+            better = false; // first (highest-prio) bypass wins
+        else
+            better = vt < best_vt; // ties: first seen wins
+        if (better) {
+            best = &e;
+            best_bypass = bypass;
+            best_vt = vt;
+        }
+    });
+    if (best) {
+        Candidate c{d, best->value.src, best->value.seq, best->priority};
+        c.pool = best->value.pool;
+        c.bypass = best_bypass;
+        c.vt = best_vt;
+        c.bypass_decided = best_bypass && saw_normal;
+        candidates_.push_back(c);
+    }
+    // An eligible but over-limit demand keeps the port in the rescan set,
+    // so every pass re-notes its deferral exactly as a full scan would.
+    return saw_eligible;
 }
 
 void
@@ -295,130 +431,21 @@ Scheduler::runMatching()
         if (fair_tree_)
             refreshPoolShares();
 
-        // Phase 1 (request): each free destination port proposes its
-        // highest-priority eligible demand — or, under fair share, the
-        // demand of its most deserving pool (latency-sensitive pools
-        // bypass, the rest in virtual-time order, limit-capped pools
-        // sit out the window).
-        struct Candidate
-        {
-            NodeId dst;
-            NodeId src;
-            std::uint64_t seq;
-            std::int64_t prio;
-            int pool = -1;
-            bool bypass = false;
-            double vt = 0.0;
-            /** Bypass out-ranked a competing non-bypass demand. */
-            bool bypass_decided = false;
-        };
-        std::vector<Candidate> candidates;
-        for (NodeId d = dst_lo_; d < dst_hi_; ++d) {
-            if (dst_busy_[d])
-                continue;
-            if (topo_ && remote_dst_busy_until_[d] > events_.now())
-                continue;
-            const auto eligible = [&](const Demand &dem) {
-                if (src_busy_[dem.src] || !isPairHead(dem))
-                    return false;
-                // A response's first grant is the buffered request
-                // itself — a multi-block message delivered on the
-                // memory node's *downlink*, which therefore must be
-                // free too (unlike single-block /G/ grants, which
-                // interleave freely).
-                if (dem.buffered_request && dst_busy_[dem.src])
-                    return false;
-                if (topo_) {
-                    // Sharded eligibility: respect reservations
-                    // other shards announced, and require the trunk
-                    // lanes a cross-leaf flow traverses to be free.
-                    if (remote_src_busy_until_[dem.src] >
-                        events_.now())
-                        return false;
-                    if (topo_->leafOf(dem.src) != leaf_) {
-                        const std::size_t lane = topo_->ecmpLane(
-                            dem.src, dem.dst, dem.id, dem.response);
-                        // Granted data descends our down lane...
-                        if (lane_busy_until_[1][lane] >
-                            events_.now())
-                            return false;
-                        // ...and a request forward first ascends
-                        // our up lane toward the memory node.
-                        if (dem.buffered_request &&
-                            lane_busy_until_[0][lane] >
-                                events_.now())
-                            return false;
-                    }
-                }
-                return true;
-            };
-            if (!fair_tree_) {
-                const auto *entry = queues_[d]->peekIf(eligible);
-                if (entry) {
-                    candidates.push_back(Candidate{d, entry->value.src,
-                                                   entry->value.seq,
-                                                   entry->priority});
-                }
-                continue;
-            }
-            // Fair-share pick. The queue iterates in priority order, so
-            // the first entry seen for a pool is that pool's best and
-            // ties resolve to the higher legacy priority — keeping the
-            // decision a pure function of queue contents and tree state.
-            const Queue::Entry *best = nullptr;
-            bool best_bypass = false;
-            double best_vt = 0.0;
-            bool saw_normal = false;
-            queues_[d]->forEach([&](const Queue::Entry &e) {
-                const Demand &dem = e.value;
-                if (!eligible(dem))
-                    return;
-                if (fair_tree_->overLimit(dem.pool, events_.now())) {
-                    // The pool spent its window: defer, wake at roll.
-                    limit_deferred = true;
-                    if (fair_tree_->noteDeferred(dem.pool,
-                                                 events_.now())) {
-                        if (auto *log = cfg_.event_log)
-                            log->log(
-                                trace::EventType::GrantDeferredByLimit,
-                                events_.now(), d, dem.src, dem.dst,
-                                dem.id, dem.response,
-                                trace::Detail::None, dem.remaining,
-                                leaf_, 0, auxOf(dem.pool));
-                    }
-                    return;
-                }
-                const bool bypass =
-                    fair_tree_->latencySensitive(dem.pool);
-                if (!bypass)
-                    saw_normal = true;
-                const double vt = fair_tree_->vtime(dem.pool);
-                bool better;
-                if (!best)
-                    better = true;
-                else if (bypass != best_bypass)
-                    better = bypass;
-                else if (bypass)
-                    better = false; // first (highest-prio) bypass wins
-                else
-                    better = vt < best_vt; // ties: first seen wins
-                if (better) {
-                    best = &e;
-                    best_bypass = bypass;
-                    best_vt = vt;
-                }
-            });
-            if (best) {
-                Candidate c{d, best->value.src, best->value.seq,
-                            best->priority};
-                c.pool = best->value.pool;
-                c.bypass = best_bypass;
-                c.vt = best_vt;
-                c.bypass_decided = best_bypass && saw_normal;
-                candidates.push_back(c);
+        // Phase 1 (request): each free destination port proposes. Only
+        // rescan-set ports are visited, in ascending order, and a port
+        // leaves the set when it is busy or holds no eligible demand
+        // (see the file comment's invariant).
+        candidates_.clear();
+        for (std::size_t w = dst_lo_ >> 6; w < words_; ++w) {
+            for (std::uint64_t bits = rescan_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto d = static_cast<NodeId>(
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+                if (!propose(d, limit_deferred))
+                    rescan_[w] &= ~portBit(d);
             }
         }
-        if (candidates.empty())
+        if (candidates_.empty())
             break;
 
         ++iteration;
@@ -433,14 +460,15 @@ Scheduler::runMatching()
         // Phase 2 (grant/accept): each source accepts its highest-priority
         // request (the single-cycle priority-encoder step). Under fair
         // share the same bypass-then-virtual-time order decides.
-        std::map<NodeId, Candidate> winner_by_src;
-        for (const auto &c : candidates) {
-            auto it = winner_by_src.find(c.src);
-            if (it == winner_by_src.end()) {
-                winner_by_src[c.src] = c;
+        winners_.clear();
+        for (const auto &c : candidates_) {
+            std::int32_t &slot = winner_of_src_[c.src];
+            if (slot < 0) {
+                slot = static_cast<std::int32_t>(winners_.size());
+                winners_.push_back(c);
                 continue;
             }
-            Candidate &w = it->second;
+            Candidate &w = winners_[static_cast<std::size_t>(slot)];
             if (!fair_tree_) {
                 if (c.prio > w.prio)
                     w = c;
@@ -465,8 +493,14 @@ Scheduler::runMatching()
             }
         }
 
-        // Phase 3 (update): issue grants, mark ports busy.
-        for (auto &[src, c] : winner_by_src) {
+        // Phase 3 (update): issue grants in ascending source order, mark
+        // ports busy.
+        std::sort(winners_.begin(), winners_.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      return a.src < b.src;
+                  });
+        for (const Candidate &c : winners_) {
+            winner_of_src_[c.src] = -1;
             Queue &q = *queues_[c.dst];
             // Extract the demand, grant a chunk, reinsert if unfinished.
             Demand granted{};
@@ -503,6 +537,7 @@ Scheduler::runMatching()
             events_.schedule(wake, [this, wake] {
                 if (limit_wake_at_ == wake) {
                     limit_wake_at_ = -1;
+                    markAllPorts();
                     scheduleMatching();
                 }
             });
@@ -516,8 +551,9 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     const Bytes l = std::min<Bytes>(cfg_.chunk_bytes, d.remaining);
     EDM_ASSERT(l > 0, "granting zero bytes");
 
-    auto ledger_it = ledger_.find(keyOf(d));
-    if (cfg_.strict_grant_accounting && ledger_it == ledger_.end()) {
+    const auto ledger_it = ledger_.find(packKey(keyOf(d)));
+    const bool tracked = ledger_it != ledger_.end();
+    if (cfg_.strict_grant_accounting && !tracked) {
         // The flow retired (final /MT/ observed, or its sender's link
         // died) while this demand was still queued: granting it would
         // put a /G/ on the wire that no host answers and hold both
@@ -534,7 +570,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
         return;
     }
-    if (ledger_it != ledger_.end())
+    if (tracked)
         ledger_it->second.granted += l;
     ++grants_issued_;
 
@@ -551,6 +587,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         events_.schedule(when + requestForwardOccupancy(cfg_, req),
                          [this, mem_port] {
                              dst_busy_[mem_port] = false;
+                             markPort(mem_port);
+                             markPairDsts(mem_port);
                              scheduleMatching();
                          });
         if (isCrossLeaf(d)) {
@@ -601,14 +639,20 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         // limit window. Backlog shrinks only by ledger-backed bytes —
         // a legacy over-grant against a retired entry burns bandwidth
         // but has no demand left to cancel.
-        fair_tree_->chargeGrant(d.pool,
-                                ledger_it != ledger_.end() ? l : 0,
-                                occupancy, events_.now());
+        fair_tree_->chargeGrant(d.pool, tracked ? l : 0, occupancy,
+                                events_.now());
     }
     const NodeId src_port = d.src;
     events_.schedule(when + occupancy, [this, src_port, dst_port] {
         src_busy_[src_port] = false;
         dst_busy_[dst_port] = false;
+        // Both freed ports can take a demand as destination, and every
+        // queue holding a pair from either can now see it eligible (the
+        // uplink for its data, the downlink for a request forward).
+        markPort(src_port);
+        markPort(dst_port);
+        markPairDsts(src_port);
+        markPairDsts(dst_port);
         scheduleMatching();
     });
 
@@ -685,7 +729,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
 {
     ++ledger_stats_.chunks_observed;
     const FlowKey key{src, dst, id, response};
-    auto it = ledger_.find(key);
+    auto it = ledger_.find(packKey(key));
     if (it == ledger_.end())
         return; // flow already retired, or never tracked (evicted id)
     it->second.observed += bytes;
@@ -707,7 +751,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
 std::optional<Scheduler::FlowBytes>
 Scheduler::flowBytes(const FlowKey &key) const
 {
-    const auto it = ledger_.find(key);
+    const auto it = ledger_.find(packKey(key));
     if (it == ledger_.end())
         return std::nullopt;
     return it->second;
@@ -716,20 +760,26 @@ Scheduler::flowBytes(const FlowKey &key) const
 void
 Scheduler::abortPort(NodeId port)
 {
+    // Sweep in ascending packed-key (dst, id, direction) order, so log
+    // records, reclaims and sink calls do not depend on the hash
+    // table's layout.
+    std::vector<std::uint64_t> keys;
+    for (const auto &[packed, entry] : ledger_) {
+        if (unpackKey(packed).src == port)
+            keys.push_back(packed);
+    }
+    std::sort(keys.begin(), keys.end());
     std::vector<FlowKey> aborted;
-    for (auto it = ledger_.begin(); it != ledger_.end();) {
-        if (it->first.src != port) {
-            ++it;
-            continue;
-        }
-        const FlowKey key = it->first;
+    for (const std::uint64_t packed : keys) {
+        const FlowKey key = unpackKey(packed);
+        const auto it = ledger_.find(packed);
         const Bytes stale = it->second.demanded - it->second.observed;
         // The aborted flow's never-granted bytes leave the pool's
         // backlog with it — a storm must not inflate a tenant's
         // apparent demand (and so deflate everyone else's share)
         // with demand nobody can serve anymore.
         releaseLedgerBacklog(key, it->second);
-        it = ledger_.erase(it);
+        ledger_.erase(it);
         ++ledger_stats_.retired_by_abort;
         if (auto *log = cfg_.event_log)
             log->log(trace::EventType::LedgerAbort, events_.now(), port,
@@ -743,7 +793,7 @@ Scheduler::abortPort(NodeId port)
     }
     // Notify after the sweep: a sink may re-enter the scheduler (a host
     // re-issuing the aborted read opens a fresh demand), which must not
-    // happen while the ledger iterator is live.
+    // happen while the sweep is live.
     for (const FlowKey &key : aborted)
         abort_sink_(key);
 }

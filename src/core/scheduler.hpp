@@ -24,6 +24,17 @@
  * trunk lane timers) that phase 1 additionally consults. With a null
  * topology every new table is empty and every new check short-circuits,
  * reproducing single-switch schedules bit-exactly.
+ *
+ * Simulation cost: a matching pass costs what changed, not N. The
+ * scheduler keeps a *rescan set*, a bitset of local destination ports
+ * that may hold an eligible demand, and phase 1 walks only its marked
+ * ports in ascending order, so it builds the candidate list a scan of
+ * every port would. Invariant: at the end of a pass no unmarked free
+ * port holds an eligible demand, and every event that can make a demand
+ * eligible (a new demand, a retired pair head, a port release, a remote
+ * reservation or limit window expiring) marks the queues it affects.
+ * The rescan set is a simulator device with no timing meaning: the
+ * §3.1.2 per-iteration charges are unchanged.
  */
 
 #ifndef EDM_CORE_SCHEDULER_HPP
@@ -32,9 +43,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -85,18 +96,6 @@ struct FlowKey
     NodeId dst = 0; ///< data receiver
     MsgId id = 0;
     bool response = false; ///< RRES flow (read/RMW response data)
-
-    bool
-    operator<(const FlowKey &o) const
-    {
-        if (src != o.src)
-            return src < o.src;
-        if (dst != o.dst)
-            return dst < o.dst;
-        if (id != o.id)
-            return id < o.id;
-        return response < o.response;
-    }
 };
 
 /** Demand-lifecycle accounting statistics. */
@@ -337,6 +336,20 @@ class Scheduler
     /** Ledger entry: a demand's byte lifecycle. */
     using LedgerEntry = FlowBytes;
 
+    /** A destination port's phase-1 proposal. */
+    struct Candidate
+    {
+        NodeId dst;
+        NodeId src;
+        std::uint64_t seq;
+        std::int64_t prio;
+        int pool = -1;
+        bool bypass = false;
+        double vt = 0.0;
+        /** Bypass out-ranked a competing non-bypass demand. */
+        bool bypass_decided = false;
+    };
+
     EdmConfig cfg_;
     EventQueue &events_;
     GrantSink sink_;
@@ -371,17 +384,39 @@ class Scheduler
 
     std::array<std::uint64_t, kNumLinkTiers> tier_charged_ps_{};
 
-    /** Earliest live seq per (src,dst) pair, for in-order service. */
-    std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> pairs_;
+    /**
+     * Live seqs per (src,dst) pair in notification order, for in-order
+     * service; indexed src * N + dst.
+     */
+    std::vector<std::vector<std::uint64_t>> pairs_;
+
+    /** 64-bit words per port bitset. */
+    std::size_t words_ = 0;
 
     /**
-     * Live demand lifecycles. An entry exists from demand registration
-     * until retirement (observed final chunk or fault abort) — a flow
-     * whose completion the datapath never reports stays resident, which
-     * is exactly the stranded-flow diagnostic pendingLedgerEntries()
-     * and the incast stress report as "stranded".
+     * Per source port: bitset of destination ports holding a live pair
+     * from it (words_ words at src * words_).
      */
-    std::map<FlowKey, LedgerEntry> ledger_;
+    std::vector<std::uint64_t> pair_dsts_;
+
+    /** Rescan set: ports that may hold an eligible demand. */
+    std::vector<std::uint64_t> rescan_;
+
+    /** Per-pass scratch: phase-1 proposals and phase-2 winners. */
+    std::vector<Candidate> candidates_;
+    std::vector<Candidate> winners_;
+
+    /** Index into winners_ per source port (-1 = none this iteration). */
+    std::vector<std::int32_t> winner_of_src_;
+
+    /**
+     * Live demand lifecycles, keyed by packKey(). An entry exists from
+     * demand registration until retirement (observed final chunk or
+     * fault abort) — a flow whose completion the datapath never reports
+     * stays resident, which is exactly the stranded-flow diagnostic
+     * pendingLedgerEntries() and the incast stress report as "stranded".
+     */
+    std::unordered_map<std::uint64_t, LedgerEntry> ledger_;
     LedgerStats ledger_stats_;
 
     std::uint64_t next_seq_ = 0;
@@ -403,6 +438,18 @@ class Scheduler
     bool insertDemand(Demand d);
     bool isPairHead(const Demand &d) const;
     void retirePairEntry(const Demand &d);
+
+    /** True when demand @p dem may be granted now (free ports, head). */
+    bool eligible(const Demand &dem) const;
+
+    /**
+     * Phase 1 for destination port @p d: push its proposal, if any, onto
+     * candidates_ (setting @p limit_deferred when a fair-share limit held
+     * a demand back). Returns false when @p d may leave the rescan set:
+     * it is not local, it is busy, or it holds no eligible demand.
+     */
+    bool propose(NodeId d, bool &limit_deferred);
+
     void scheduleMatching();
     void runMatching();
     void issueGrant(NodeId dst_port, Demand &d, Picoseconds when);
@@ -412,6 +459,61 @@ class Scheduler
     {
         return FlowKey{d.src, d.dst, d.id, d.response};
     }
+
+    /**
+     * FlowKey packed as src 16 | dst 16 | id 8 | dir 1: ascending packed
+     * keys order flows by (src, dst, id, direction).
+     */
+    static std::uint64_t
+    packKey(const FlowKey &k)
+    {
+        return static_cast<std::uint64_t>(k.src) << 25 |
+            static_cast<std::uint64_t>(k.dst) << 9 |
+            static_cast<std::uint64_t>(k.id) << 1 |
+            static_cast<std::uint64_t>(k.response);
+    }
+
+    static FlowKey
+    unpackKey(std::uint64_t p)
+    {
+        return FlowKey{static_cast<NodeId>(p >> 25),
+                       static_cast<NodeId>(p >> 9),
+                       static_cast<MsgId>(p >> 1), (p & 1) != 0};
+    }
+
+    /** Index of the (src, dst) pair in pairs_. */
+    std::size_t
+    pairIndex(NodeId src, NodeId dst) const
+    {
+        return static_cast<std::size_t>(src) * cfg_.num_nodes + dst;
+    }
+
+    /** Port @p p's bit within its 64-bit bitset word. */
+    static std::uint64_t
+    portBit(NodeId p)
+    {
+        return std::uint64_t{1} << (p & 63);
+    }
+
+    /** The pair_dsts_ word holding @p dst's bit for source @p src. */
+    std::uint64_t &
+    pairDstsWord(NodeId src, NodeId dst)
+    {
+        return pair_dsts_[src * words_ + (dst >> 6)];
+    }
+
+    /** Add port @p p to the rescan set. */
+    void
+    markPort(NodeId p)
+    {
+        rescan_[p >> 6] |= portBit(p);
+    }
+
+    /** Mark every destination queue holding a live pair from @p src. */
+    void markPairDsts(NodeId src);
+
+    /** Mark every port (a time-based reservation expired). */
+    void markAllPorts();
 
     void openLedgerEntry(const Demand &d);
     /** Drop a retired flow's queued demand (strict mode). */

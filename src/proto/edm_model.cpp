@@ -11,7 +11,10 @@ namespace proto {
 
 EdmFlowModel::EdmFlowModel(Simulation &sim, const ClusterConfig &cluster,
                            const EdmModelConfig &cfg)
-    : FabricModel(sim, cluster), mcfg_(cfg)
+    : FabricModel(sim, cluster), mcfg_(cfg),
+      outstanding_(cluster.num_nodes * cluster.num_nodes, 0),
+      parked_(cluster.num_nodes * cluster.num_nodes),
+      next_id_(cluster.num_nodes * cluster.num_nodes, 0)
 {
     ecfg_.num_nodes = cluster.num_nodes;
     ecfg_.link_rate = cluster.link_rate;
@@ -37,7 +40,7 @@ void
 EdmFlowModel::admit(const Job &job)
 {
     // Hosts rate-limit active requests to X per destination (§3.1.2).
-    const PairKey pair{job.src, job.dst};
+    const std::size_t pair = pairIndex(job.src, job.dst);
     if (outstanding_[pair] >= mcfg_.max_notifications) {
         parked_[pair].push_back(job);
         return;
@@ -45,7 +48,7 @@ EdmFlowModel::admit(const Job &job)
     // 8-bit id-wrap guard (mirrors HostStack::admit): launching onto a
     // still-live message id would silently merge two jobs' delivery
     // accounting. Park until the conflicting id retires.
-    if (nextIdLive(pair)) {
+    if (nextIdLive(job.src, job.dst)) {
         ++id_stalls_;
         if (auto *log = mcfg_.event_log)
             log->log(trace::EventType::IdWrapStall, sim_.now(), job.src,
@@ -59,19 +62,17 @@ EdmFlowModel::admit(const Job &job)
 }
 
 bool
-EdmFlowModel::nextIdLive(const PairKey &pair)
+EdmFlowModel::nextIdLive(core::NodeId src, core::NodeId dst) const
 {
-    return active_.find(MsgKey{pair.first, pair.second, next_id_[pair]}) !=
-        active_.end();
+    return active_.contains(msgKey(src, dst, next_id_[pairIndex(src, dst)]));
 }
 
 void
 EdmFlowModel::launch(const Job &job)
 {
-    const PairKey pair{job.src, job.dst};
-    const core::MsgId id = next_id_[pair]++;
+    const core::MsgId id = next_id_[pairIndex(job.src, job.dst)]++;
     const bool inserted =
-        active_.emplace(MsgKey{job.src, job.dst, id}, Active{job, 0})
+        active_.emplace(msgKey(job.src, job.dst, id), Active{job, 0})
             .second;
     EDM_ASSERT(inserted, "message id %u reused while live",
                static_cast<unsigned>(id));
@@ -106,16 +107,16 @@ EdmFlowModel::launch(const Job &job)
 void
 EdmFlowModel::onGrant(const core::GrantAction &action)
 {
-    MsgKey key;
+    std::uint64_t key;
     bool response;
     const Bytes chunk = action.chunk;
     if (action.forward_request) {
         const auto &req = *action.forward_request;
-        key = MsgKey{req.dst, req.src, req.id};
+        key = msgKey(req.dst, req.src, req.id);
         response = true; // forwarded request pays for an RRES chunk
     } else {
         const auto &g = *action.grant_block;
-        key = MsgKey{g.src, g.dst, g.id};
+        key = msgKey(g.src, g.dst, g.id);
         response = g.response;
     }
     // Grant travels one hop to the sender; the chunk then serializes and
@@ -133,7 +134,7 @@ EdmFlowModel::onGrant(const core::GrantAction &action)
 }
 
 void
-EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
+EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
 {
     auto it = active_.find(key);
     if (it == active_.end()) {
@@ -166,7 +167,7 @@ EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
         active_.erase(key);
         complete(job, sim_.now() + cfg_.fixed_overhead);
         // Completion frees one slot of the per-pair X budget.
-        const PairKey pair{job.src, job.dst};
+        const std::size_t pair = pairIndex(job.src, job.dst);
         --outstanding_[pair];
         // Drain parked jobs while budget is free and the next id is not
         // live (id-wrap stall). In legacy runs the id guard never fires
@@ -175,7 +176,7 @@ EdmFlowModel::deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at)
         auto &parked = parked_[pair];
         while (!parked.empty() &&
                outstanding_[pair] < mcfg_.max_notifications &&
-               !nextIdLive(pair)) {
+               !nextIdLive(job.src, job.dst)) {
             const Job next = parked.front();
             parked.pop_front();
             ++outstanding_[pair];

@@ -12,9 +12,11 @@
 #ifndef EDM_PROTO_EDM_MODEL_HPP
 #define EDM_PROTO_EDM_MODEL_HPP
 
-#include <deque>
-#include <map>
+#include <cstdint>
+#include <list>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
@@ -90,25 +92,41 @@ class EdmFlowModel : public FabricModel
         Bytes delivered = 0;
     };
 
-    using PairKey = std::pair<core::NodeId, core::NodeId>;
-    using MsgKey = std::tuple<core::NodeId, core::NodeId, core::MsgId>;
+    /** Index of the (src, dst) pair in the per-pair vectors. */
+    std::size_t
+    pairIndex(core::NodeId src, core::NodeId dst) const
+    {
+        return static_cast<std::size_t>(src) * cfg_.num_nodes + dst;
+    }
+
+    /** Message identity packed as src 16 | dst 16 | id 8. */
+    static std::uint64_t
+    msgKey(core::NodeId src, core::NodeId dst, core::MsgId id)
+    {
+        return static_cast<std::uint64_t>(src) << 24 |
+            static_cast<std::uint64_t>(dst) << 8 | id;
+    }
 
     EdmModelConfig mcfg_;
     core::EdmConfig ecfg_;
     std::unique_ptr<core::Scheduler> sched_;
 
-    std::map<MsgKey, Active> active_;
-    std::map<PairKey, int> outstanding_;
-    std::map<PairKey, std::deque<Job>> parked_;
-    std::map<PairKey, std::uint8_t> next_id_;
+    /** Live messages, keyed by msgKey(). */
+    std::unordered_map<std::uint64_t, Active> active_;
+
+    // Per (src, dst) pair, indexed by pairIndex(). Parked jobs sit in a
+    // list so the many never-parking pairs own no allocation.
+    std::vector<int> outstanding_;
+    std::vector<std::list<Job>> parked_;
+    std::vector<core::MsgId> next_id_;
     std::uint64_t stale_grants_ = 0;
     std::uint64_t id_stalls_ = 0;
 
     void admit(const Job &job);
-    bool nextIdLive(const PairKey &pair);
+    bool nextIdLive(core::NodeId src, core::NodeId dst) const;
     void launch(const Job &job);
     void onGrant(const core::GrantAction &action);
-    void deliverChunk(const MsgKey &key, Bytes chunk, Picoseconds at);
+    void deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at);
 };
 
 } // namespace proto
