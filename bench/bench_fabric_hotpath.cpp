@@ -65,6 +65,12 @@ enum class Load
     WriteStream,
     MixedFrames,
     FramesHeavy,
+    /**
+     * Grants overtake their forwarded requests through the contested
+     * egress, so the row doubles as a ledger hot-path measurement. Its
+     * "incast-strict" name predates the ledger being the only
+     * accounting and stays for BENCH_fabric_hotpath.json continuity.
+     */
     Incast,
 };
 
@@ -107,11 +113,6 @@ run(Load load, const Engine &eng, std::uint64_t ops_per_node)
     cfg.link_rate = Gbps{25.0};
     cfg.max_train_blocks = eng.max_train;
     cfg.max_frame_train_blocks = eng.max_frame_train;
-    // The incast row runs the over-grant regime (grants overtaking
-    // their forwarded requests through the contested egress); strict
-    // accounting keeps every closed loop alive so the engines stay
-    // comparable, and the row doubles as a ledger hot-path measurement.
-    cfg.strict_grant_accounting = load == Load::Incast;
     const NodeId mem = kNodes - 1;
     CycleFabric fab(cfg, sim, {mem});
     fab.host(mem).store()->write(0x10000,
@@ -210,7 +211,6 @@ runChunkSweep(Bytes chunk, std::uint64_t ops_per_node)
     EdmConfig cfg;
     cfg.num_nodes = kNodes;
     cfg.link_rate = Gbps{25.0};
-    cfg.strict_grant_accounting = true;
     cfg.wire_charged_occupancy = true;
     cfg.chunk_bytes = chunk;
     const NodeId mem = kNodes - 1;
@@ -272,7 +272,6 @@ runFairShare(bool fair, std::uint64_t ops_per_node)
     EdmConfig cfg;
     cfg.num_nodes = kFsNodes;
     cfg.link_rate = Gbps{25.0};
-    cfg.strict_grant_accounting = true;
     cfg.fair_share = fair;
     cfg.tenants.pools = {{"bulk0", 1, 6, 3.0, 0.0, 1.0, false},
                          {"bulk1", 7, 12, 1.0, 0.0, 0.4, false},

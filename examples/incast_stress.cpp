@@ -1,9 +1,9 @@
 /**
  * @file
  * Domain example: incast contention stress on the cycle-level fabric —
- * the regime where the legacy scheduler over-grants.
+ * the regime where grants outrun the requests they pay for.
  *
- * Two sweeps, each run in three scheduler modes:
+ * Two sweeps, each run under both port charges:
  *
  *   N-to-1      fan-in senders hammer one memory node with closed-loop
  *               mixed 900 B reads / 700 B writes. Read-request forwards
@@ -16,25 +16,21 @@
  *               (the grant-direction ambiguity regime on top of the
  *               contention).
  *
- * The modes:
+ * Both rows run the demand-lifecycle ledger: early grants park, and
+ * demands retire on the observed final /MT/. The rows differ only in
+ * the port charge:
  *
- *   legacy  historical accounting and the historical payload-byte port
- *           charge (l/B). Early grants are dropped ("grant for unknown
- *           message"), wasting their line slots and stranding flows.
- *   strict  demand-lifecycle ledger (EdmConfig::strict_grant_accounting):
- *           early grants park, demands retire on the observed final
- *           /MT/ — nothing wasted, but the under-charged port timers
- *           still let egress staging pile up.
- *   wire    wire-charged occupancy (EdmConfig::wire_charged_occupancy)
- *           on top of the strict ledger: port timers charge the chunk's
- *           exact 66-bit block line-time (docs/WIRE_FORMAT.md), pacing
- *           grants at the true wire drain rate. The staging that let
- *           grants outrun their forwards never builds — in the N-to-1
- *           incast regime wasted slots and peak egress staging both
- *           drop well below legacy, and (unlike strict alone) almost
- *           nothing even needs parking.
+ *   base  the payload-byte port charge (l/B). Nothing is wasted, but
+ *         the under-charged port timers let egress staging pile up and
+ *         grants outrun their forwarded requests, so many park.
+ *   wire  wire-charged occupancy (EdmConfig::wire_charged_occupancy):
+ *         port timers charge the chunk's exact 66-bit block line-time
+ *         (docs/WIRE_FORMAT.md), pacing grants at the true wire drain
+ *         rate. The staging that let grants outrun their forwards never
+ *         builds — in the N-to-1 incast regime peak egress staging
+ *         drops well below base, and almost nothing needs parking.
  *
- * The table quantifies all three per point: completions, wasted granted
+ * The table quantifies both per point: completions, wasted granted
  * slots, parked grants, stranded flows, peak egress staging depth
  * (CycleFabric::peakEgressStaging) and read p99.
  *
@@ -86,30 +82,18 @@ using namespace edm::core;
 
 constexpr int kChainsPerNode = 6;
 
-enum class Mode
-{
-    Legacy, ///< historical accounting + payload-byte port charge
-    Strict, ///< demand-lifecycle ledger enforcement
-    Wire,   ///< wire-charged occupancy + strict ledger
-};
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-      case Mode::Legacy: return "legacy";
-      case Mode::Strict: return "strict";
-      case Mode::Wire: return "wire";
-    }
-    return "?";
-}
-
 struct Point
 {
     const char *pattern; ///< "N-to-1" or "all-to-all"
     std::size_t nodes;
-    Mode mode;
+    bool wire; ///< wire-charged occupancy ("wire" row), else "base"
 };
+
+const char *
+modeName(const Point &pt)
+{
+    return pt.wire ? "wire" : "base";
+}
 
 /**
  * --tenants: the noisy-neighbor isolation sweep over the
@@ -158,7 +142,6 @@ runTenantSweep(int rounds)
     // runIncastPoint, restricted to hosts 13..16.
     runner.add("solo", [rounds, wl, tenants](ScenarioContext &ctx) {
         EdmConfig cfg;
-        cfg.strict_grant_accounting = true;
         cfg.tenants = tenants;
         cfg.num_nodes = kNodes;
         core::CycleFabric fab(cfg, ctx.sim());
@@ -204,7 +187,6 @@ runTenantSweep(int rounds)
         runner.add(fair ? "fairshare" : "legacy",
                    [rounds, wl, tenants, fair](ScenarioContext &ctx) {
                        EdmConfig cfg;
-                       cfg.strict_grant_accounting = true;
                        cfg.fair_share = fair;
                        cfg.tenants = tenants;
                        runIncastPoint(ctx, IncastPoint{"N-to-1", kNodes},
@@ -298,14 +280,14 @@ main(int argc, char **argv)
                     rounds, kChainsPerNode);
 
     // The occupancy model's prediction for the peakstage column: every
-    // full chunk the legacy charge paces through a saturated egress
+    // full chunk the payload charge paces through a saturated egress
     // leaves this many unpaid framing blocks behind in staging; the
     // wire charge leaves none.
     {
         EdmConfig cfg;
         std::printf("staging-growth model (core::"
                     "stagingGrowthBlocksPerChunk, %llu B chunks): "
-                    "legacy %.1f blocks/write chunk, %.1f blocks/read "
+                    "payload %.1f blocks/write chunk, %.1f blocks/read "
                     "chunk; wire-charged %.1f\n\n",
                     static_cast<unsigned long long>(cfg.chunk_bytes),
                     stagingGrowthBlocksPerChunk(cfg, false,
@@ -320,7 +302,6 @@ main(int argc, char **argv)
                     }());
     }
 
-    constexpr Mode kModes[] = {Mode::Legacy, Mode::Strict, Mode::Wire};
     std::vector<Point> points;
     const std::vector<std::size_t> n_to_1 =
         quick ? std::vector<std::size_t>{9}
@@ -329,12 +310,12 @@ main(int argc, char **argv)
         quick ? std::vector<std::size_t>{4}
               : std::vector<std::size_t>{4, 8};
     for (const std::size_t n : n_to_1)
-        for (const Mode m : kModes)
-            points.push_back(Point{"N-to-1", n, m});
+        for (const bool wire : {false, true})
+            points.push_back(Point{"N-to-1", n, wire});
     if (!storm) // the storm campaign targets the N-to-1 fan-in only
         for (const std::size_t n : all_to_all)
-            for (const Mode m : kModes)
-                points.push_back(Point{"all-to-all", n, m});
+            for (const bool wire : {false, true})
+                points.push_back(Point{"all-to-all", n, wire});
 
     IncastWorkload workload;
     workload.chains_per_node = kChainsPerNode;
@@ -358,13 +339,11 @@ main(int argc, char **argv)
     ScenarioRunner runner(opts);
     for (const Point &pt : points) {
         runner.add(std::string(pt.pattern) + "/" +
-                       std::to_string(pt.nodes) + "/" + modeName(pt.mode),
+                       std::to_string(pt.nodes) + "/" + modeName(pt),
                    [pt, workload, rounds, storm,
                     &faults](ScenarioContext &ctx) {
                        EdmConfig cfg;
-                       cfg.strict_grant_accounting =
-                           pt.mode != Mode::Legacy;
-                       cfg.wire_charged_occupancy = pt.mode == Mode::Wire;
+                       cfg.wire_charged_occupancy = pt.wire;
                        if (storm) {
                            cfg.read_timeout = 150000 * kNanosecond;
                            cfg.read_retry_limit = 5;
@@ -390,7 +369,7 @@ main(int argc, char **argv)
         const Point &pt = points[i];
         std::printf("  %-11s %6zu %-7s %8.0f %9.0f %8.0f %8.0f %9.0f "
                     "%9.0f %11.1f",
-                    pt.pattern, pt.nodes, modeName(pt.mode),
+                    pt.pattern, pt.nodes, modeName(pt),
                     r.metricStat("offered").mean(),
                     r.metricStat("completed").mean(),
                     r.metricStat("wasted_slots").mean(),
@@ -409,14 +388,12 @@ main(int argc, char **argv)
     }
 
     std::printf(
-        "\nlegacy rows waste granted slots and strand flows under "
-        "contention; strict rows park early grants and retire\n"
-        "demands on the observed final /MT/ "
-        "(EdmConfig::strict_grant_accounting); wire rows additionally "
-        "charge port timers\nthe exact 66-bit block line-time "
-        "(EdmConfig::wire_charged_occupancy) so grants pace at the true "
-        "drain rate — in the\nN-to-1 incast regime wasted slots and "
-        "peak egress staging drop well below legacy "
+        "\nboth rows park early grants and retire demands on the "
+        "observed final /MT/ (the demand-lifecycle ledger);\n"
+        "wire rows charge port timers the exact 66-bit block line-time "
+        "(EdmConfig::wire_charged_occupancy) so grants\npace at the "
+        "true drain rate — in the N-to-1 incast regime peak egress "
+        "staging and parked grants drop well\nbelow base "
         "(docs/WIRE_FORMAT.md has the arithmetic).\n");
     return 0;
 }

@@ -193,18 +193,11 @@ struct EdmConfig
     Picoseconds read_retry_base = 2 * kMicrosecond;
 
     /**
-     * Strict demand-lifecycle accounting. The scheduler keeps an explicit
-     * ledger per demand (bytes demanded vs. granted vs. observed through
-     * the datapath) and *retires* demands when the switch sees the
-     * message's final /MT/ or a fault abort, instead of trusting byte
-     * arithmetic alone. Retired demands are never granted again (their
-     * ports are reclaimed immediately), and hosts park grants that
-     * outrun their request instead of dropping them. Off by default:
-     * legacy mode reproduces the historical schedules bit-exactly
-     * (including the over-grants this knob exists to eliminate) except
-     * where the old behavior was an outright wire-protocol bug — the
-     * drainStaged stream-boundary corruption and the ambiguous-grant
-     * mis-routing are fixed in both modes.
+     * Inert: nothing reads this member. The demand-lifecycle ledger
+     * (core::Scheduler) is the only grant accounting, and the legacy
+     * mode this flag used to select is gone. It survives only because
+     * bench/edm/workloads.hpp still assigns it; the "Next benchmark
+     * change" list in ROADMAP.md deletes both.
      */
     bool strict_grant_accounting = false;
 
@@ -219,25 +212,12 @@ struct EdmConfig
      * outrun their flow's forwarded request. On, the scheduler (and the
      * flow-level model's chunk serialization) charge the exact block
      * count from core/occupancy.hpp, pacing grants at the true wire
-     * rate. Off by default: legacy mode reproduces the historical
+     * rate. Off by default: the payload charge reproduces the historical
      * schedules bit-exactly. Turning it on changes every schedule — see
      * docs/REBASELINE.md for the golden-rebaseline procedure and
      * docs/WIRE_FORMAT.md for the arithmetic.
      */
     bool wire_charged_occupancy = false;
-
-    /**
-     * Strict mode: how long a parked grant may wait for the request it
-     * outran before it is dropped as orphaned (its forwarded RREQ was
-     * lost to a fault, or the grant was issued against an evicted
-     * ledger id). A legitimately parked /G/ waits only for the egress
-     * backlog ahead of the forwarded request — nanoseconds to a few
-     * microseconds — so the generous default never fires for a live
-     * flow but bounds the parked store well below the ~256-message
-     * horizon at which a reused 8-bit (dst, id) would otherwise drain
-     * another flow's grants. 0 disables expiry.
-     */
-    Picoseconds parked_grant_timeout = 25 * kMicrosecond;
 
     /**
      * Simulator (not hardware) knob: upper bound on the block-train
@@ -305,20 +285,6 @@ struct EdmConfig
      * Table 1 caption). Memory traffic never pays this.
      */
     Picoseconds l2_pipeline = 400 * kNanosecond;
-
-    /**
-     * Wire-charged mode refinement: also charge the preemption
-     * re-entry block (core::kPreemptionReentryBlocks — the frame block
-     * the mux owes its interrupted frame after a memory message) on
-     * grants whose destination port has an active frame backlog.
-     * Without it, measured port occupancy undercounts mixed-traffic
-     * ports by one block slot per preempting chunk; the analytic
-     * staging-growth estimate already charges it. Only consulted when
-     * wire_charged_occupancy is on. Changes mixed-traffic schedules —
-     * rebaseline per docs/REBASELINE.md. Off by default: both legacy
-     * and wire golden values are reproduced bit-exactly.
-     */
-    bool charge_preemption_reentry = false;
 
     /**
      * Structured event log of fabric decisions (grants, ledger

@@ -43,27 +43,11 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
     train_cap_ = trainCap(cfg_.max_train_blocks);
     frame_train_cap_ = trainCap(cfg_.max_frame_train_blocks);
 
-    // Frame-activity probe for the preemption re-entry charge
-    // (EdmConfig::charge_preemption_reentry): a grant's data crosses the
-    // source uplink and the destination downlink, so frame backlog on
-    // either segment means the memory stream will preempt an L2 stream
-    // and pay the re-entry slots on the way back. The scheduler only
-    // consults the probe when both gating flags are on.
-    for (auto &sw : switches_) {
-        sw->scheduler().setFrameActivityProbe(
-            [this](NodeId src, NodeId dst) {
-                return hosts_[src]->mux().frameBacklog() > 0 ||
-                    !frame_backlog_[src].empty() ||
-                    leafSw(dst).egressMux(dst).frameBacklog() > 0 ||
-                    !leafSw(dst).egressFrameBacklog(dst).empty();
-            });
-    }
-
     // Fail-fast read retries: a fault abort that retires a response
     // flow means the reader's data sender went dark — route the abort
     // to the waiting reader so it re-issues on the backoff path instead
     // of waiting out the full read timeout. Only wired when the retry
-    // budget exists; otherwise abortPort stays exactly the legacy sweep.
+    // budget exists; otherwise abortPort only sweeps the ledger.
     if (cfg_.read_retry_limit > 0) {
         for (auto &sw : switches_) {
             sw->scheduler().setAbortSink([this](const FlowKey &key) {
@@ -488,11 +472,10 @@ CycleFabric::emitHost(NodeId id)
                 log->log(trace::EventType::FaultRecover, now, id, id, 0, 0,
                          false, trace::Detail::LinkDisabled, health.errors);
             // The node can no longer answer grants: retire its demand
-            // lifecycles so the scheduler stops granting dead flows
-            // (strict mode) instead of letting them go stale, and drop
-            // its parked grants — it will never send the chunks they
-            // bought. Every shard sweeps: the port's flows may span
-            // leaves.
+            // lifecycles so the scheduler stops granting dead flows,
+            // and drop its parked grants — it will never send the
+            // chunks they bought. Every shard sweeps: the port's flows
+            // may span leaves.
             for (auto &sw : switches_)
                 sw->scheduler().abortPort(id);
             hosts_[id]->onUplinkDisabled();

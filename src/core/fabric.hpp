@@ -164,12 +164,12 @@ class CycleFabric
      * Fabric-wide grant-accounting metrics: the hosts' grant outcomes
      * summed over every node plus the scheduler's demand-lifecycle
      * counters. `wasted_grant_slots` are grants that bought line slots
-     * no host ever filled — zero in strict mode by construction.
+     * no host ever filled.
      */
     struct GrantAccounting
     {
         std::uint64_t unknown_grants = 0;        ///< dropped, no state
-        std::uint64_t grants_parked = 0;         ///< strict: held early
+        std::uint64_t grants_parked = 0;         ///< held early
         std::uint64_t stale_response_grants = 0; ///< RRES already done
         std::uint64_t parked_grants_dropped = 0; ///< orphaned parked
         std::uint64_t wasted_grant_slots = 0;    ///< unknown + stale
@@ -188,7 +188,7 @@ class CycleFabric
      * Deepest combined egress staging seen on any switch port
      * (blocks): circuit-staged blocks plus the egress mux's memory
      * backlog, sampled at every push (SwitchStack::peakEgressStaging).
-     * Grows with the legacy per-chunk occupancy under-charge
+     * Grows with the payload charge's per-chunk under-charge
      * (core::stagingGrowthBlocksPerChunk); wire-charged occupancy
      * (EdmConfig::wire_charged_occupancy) keeps it shallow.
      */

@@ -100,9 +100,9 @@ HostStack::admit(NodeId dst, PendingRequest req)
     }
     // 8-bit message ids wrap at 256 sends per destination; launching
     // onto an id whose original message is still live (a stranded
-    // legacy-incast read, or simply >256 queued toward one node) would
-    // make two distinct messages indistinguishable on the wire. Stall
-    // the send until the id frees — its completion (or timeout) calls
+    // read, or simply >256 queued toward one node) would make two
+    // distinct messages indistinguishable on the wire. Stall the send
+    // until the id frees — its completion (or timeout) calls
     // release(), which drains the park.
     if (nextIdLive(dst)) {
         ++stats_.id_stalls;
@@ -300,7 +300,7 @@ HostStack::onGrant(const ControlInfo &g)
         sendResponseChunk(g.dst, g.id, g.size);
         return;
     }
-    if (g.response && cfg_.strict_grant_accounting && store_) {
+    if (g.response && store_) {
         // A /G/ can lawfully overtake its own flow's forwarded request:
         // the single-block grant interleaves through a backlogged
         // egress while the multi-block RREQ waits for stream ownership.
@@ -330,10 +330,9 @@ HostStack::onGrant(const ControlInfo &g)
             log->log(trace::EventType::GrantParked, events_.now(), id_,
                      id_, g.dst, g.id, g.response, trace::Detail::None,
                      g.size);
-        if (cfg_.parked_grant_timeout > 0 &&
-            !parked_sweeps_.count(req_key)) {
+        if (!parked_sweeps_.count(req_key)) {
             parked_sweeps_[req_key] =
-                events_.scheduleAfter(cfg_.parked_grant_timeout,
+                events_.scheduleAfter(kParkedGrantTimeout,
                                       [this, req_key] {
                                           expireParkedGrants(req_key);
                                       });
@@ -457,7 +456,7 @@ HostStack::expireParkedGrants(std::pair<NodeId, MsgId> key)
     // the prefix this sweep's deadline covers, then re-arm for the
     // oldest survivor so every grant still gets its exact
     // parked_at + timeout deadline from one pending event per key.
-    const Picoseconds cutoff = events_.now() - cfg_.parked_grant_timeout;
+    const Picoseconds cutoff = events_.now() - kParkedGrantTimeout;
     auto &grants = it->second;
     std::size_t expired = 0;
     while (expired < grants.size() &&
@@ -482,8 +481,7 @@ HostStack::expireParkedGrants(std::pair<NodeId, MsgId> key)
         return;
     }
     parked_sweeps_[key] =
-        events_.schedule(grants.front().parked_at +
-                             cfg_.parked_grant_timeout,
+        events_.schedule(grants.front().parked_at + kParkedGrantTimeout,
                          [this, key] { expireParkedGrants(key); });
 }
 

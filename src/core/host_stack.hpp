@@ -59,17 +59,18 @@ struct HostStats
     std::uint64_t frames_received = 0;
 
     /**
-     * Grants that matched no message state when they arrived. In legacy
-     * mode each one is a granted line slot silently wasted (the grant
-     * is dropped and its chunk never sent); strict mode parks them
-     * instead, so this stays zero there.
+     * Grants that matched no message state and could not be parked (a
+     * write grant, or a response grant on a node without memory). Each
+     * one is a granted line slot wasted: the grant is dropped and its
+     * chunk never sent. Response grants that outran their request
+     * park instead (grants_parked).
      */
     std::uint64_t unknown_grants = 0;
 
     /**
-     * Strict mode: grants that arrived before their request did (the
-     * /G/ overtook the forwarded RREQ through a backlogged egress) and
-     * were parked until the request showed up.
+     * Grants that arrived before their request did (the /G/ overtook
+     * the forwarded RREQ through a backlogged egress) and were parked
+     * until the request showed up.
      */
     std::uint64_t grants_parked = 0;
 
@@ -77,18 +78,18 @@ struct HostStats
     std::uint64_t stale_response_grants = 0;
 
     /**
-     * Strict mode: parked grants dropped as orphaned — their request
-     * never arrived within EdmConfig::parked_grant_timeout, or this
-     * node's uplink was disabled so it could never answer them. Keeps
-     * a stale parked size from draining into a later message that
-     * reuses the same 8-bit (dst, id).
+     * Parked grants dropped as orphaned — their request never arrived
+     * within kParkedGrantTimeout, or this node's uplink was disabled so
+     * it could never answer them. Keeps a stale parked size from
+     * draining into a later message that reuses the same 8-bit
+     * (dst, id).
      */
     std::uint64_t parked_grants_dropped = 0;
 
     /**
      * Sends stalled because the next 8-bit message id toward their
      * destination was still live (a wrapped id whose original message
-     * has not completed — e.g. a stranded legacy-incast read). The
+     * has not completed — e.g. a read stranded by a fault). The
      * send parks until the id frees instead of wrapping onto the live
      * id, which would make two distinct messages indistinguishable on
      * the wire (and used to panic the host).
@@ -112,6 +113,18 @@ struct HostStats
      */
     std::uint64_t reads_abandoned = 0;
 };
+
+/**
+ * How long a parked grant may wait for the request it outran before it
+ * is dropped as orphaned (its forwarded RREQ was lost to a fault, or the
+ * grant was issued against an evicted ledger id). A legitimately parked
+ * /G/ waits only for the egress backlog ahead of the forwarded request —
+ * nanoseconds to a few microseconds — so this never fires for a live
+ * flow but bounds the parked store well below the ~256-message horizon
+ * at which a reused 8-bit (dst, id) would otherwise drain another flow's
+ * grants.
+ */
+inline constexpr Picoseconds kParkedGrantTimeout = 25 * kMicrosecond;
 
 /**
  * Per-node EDM stack. The owning fabric pumps TX blocks from mux() onto
@@ -284,14 +297,13 @@ class HostStack
     };
 
     /**
-     * Strict grant accounting: grants that outran their request sit
-     * here (in arrival order, keyed like responses_) until serveRead /
-     * serveRmw creates the response state they were issued against —
-     * the hardware analogue of leaving them in the grant queue instead
-     * of popping and dropping them. Entries older than
-     * cfg_.parked_grant_timeout are swept by a scheduled expiry so an
-     * orphaned grant can never outlive its flow and leak into a reused
-     * (dst, id).
+     * Grants that outran their request sit here (in arrival order,
+     * keyed like responses_) until serveRead / serveRmw creates the
+     * response state they were issued against — the hardware analogue
+     * of leaving them in the grant queue instead of popping and
+     * dropping them. Entries older than kParkedGrantTimeout are swept
+     * by a scheduled expiry so an orphaned grant can never outlive its
+     * flow and leak into a reused (dst, id).
      */
     std::map<std::pair<NodeId, MsgId>, std::vector<ParkedGrant>>
         parked_grants_;

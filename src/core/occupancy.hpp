@@ -93,11 +93,9 @@ chunkLineTime(MemMsgType type, Bytes payload, Gbps rate)
  * policy one staged frame block may claim the slot between two memory
  * messages (the mux re-alternates at every /MT/ boundary), so on a port
  * that also carries L2 frames a chunk's first block can slip one slot.
- * Never charged on frame-free fabrics — that would systematically
- * over-reserve — but staging-depth estimates for mixed traffic add it
- * per chunk, and wire-charged grants add it too when
- * EdmConfig::charge_preemption_reentry is on and the destination port
- * has an active frame backlog (grantOccupancy's @p frame_active).
+ * It is a staging estimate, not a port charge: grantOccupancy never
+ * adds it, and staging-depth estimates for mixed traffic add it per
+ * chunk (stagingGrowthBlocksPerChunk's @p with_frames).
  */
 inline constexpr std::size_t kPreemptionReentryBlocks = 1;
 
@@ -122,24 +120,17 @@ inline constexpr double kBlockWireBytes =
  * @p response selects the chunk framing: RRES chunks have no address
  * block, WREQ chunks do.
  *
- * Legacy mode returns the historical raw-payload serialization delay
- * bit-exactly; wire-charged mode returns the exact block line-time,
- * plus the preemption re-entry slot when @p frame_active reports an
- * L2 frame backlog on the destination port and
- * EdmConfig::charge_preemption_reentry opts in.
+ * The payload charge returns the historical raw-payload serialization
+ * delay bit-exactly; wire-charged mode returns the exact block
+ * line-time.
  */
 inline Picoseconds
-grantOccupancy(const EdmConfig &cfg, bool response, Bytes chunk,
-               bool frame_active = false)
+grantOccupancy(const EdmConfig &cfg, bool response, Bytes chunk)
 {
     if (!cfg.wire_charged_occupancy)
         return transmissionDelay(chunk, cfg.link_rate);
-    Picoseconds charge = chunkLineTime(
-        response ? MemMsgType::RRES : MemMsgType::WREQ, chunk,
-        cfg.link_rate);
-    if (frame_active && cfg.charge_preemption_reentry)
-        charge += lineTime(kPreemptionReentryBlocks, cfg.link_rate);
-    return charge;
+    return chunkLineTime(response ? MemMsgType::RRES : MemMsgType::WREQ,
+                         chunk, cfg.link_rate);
 }
 
 /**
@@ -192,27 +183,6 @@ toString(LinkTier tier)
     case LinkTier::LeafEgress: return "leaf-egress";
     }
     return "unknown";
-}
-
-/**
- * Occupancy charged to one tier by a granted chunk. Every tier a chunk
- * traverses carries its full line-time (the chunk is cut-through: its
- * blocks occupy each tier back-to-back for one chunk serialization),
- * so the per-tier charge is the same grantOccupancy the port timers
- * use — minus the preemption re-entry refinement, which is a
- * host-port-edge effect and never applies to trunk or spine lanes. The
- * spine tier is charged for accounting visibility only (the spine is
- * contention-free transport, docs/TOPOLOGY.md); trunk-lane busy timers
- * are the tier charge that actually gates grants.
- */
-inline Picoseconds
-tierOccupancy(const EdmConfig &cfg, LinkTier tier, bool response,
-              Bytes chunk, bool frame_active = false)
-{
-    const bool edge_tier =
-        tier == LinkTier::LeafIngress || tier == LinkTier::LeafEgress;
-    return grantOccupancy(cfg, response, chunk,
-                          edge_tier ? frame_active : false);
 }
 
 /**

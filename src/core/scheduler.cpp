@@ -140,11 +140,9 @@ Scheduler::noteRemoteForward(NodeId dst, std::size_t lane,
 }
 
 void
-Scheduler::chargeTier(LinkTier tier, const Demand &d, Bytes chunk,
-                      bool frame_active, Picoseconds when)
+Scheduler::chargeTier(LinkTier tier, const Demand &d, Picoseconds charge,
+                      Picoseconds when)
 {
-    const Picoseconds charge =
-        tierOccupancy(cfg_, tier, d.response, chunk, frame_active);
     tier_charged_ps_[static_cast<std::size_t>(tier)] +=
         static_cast<std::uint64_t>(charge);
     if (auto *log = cfg_.event_log)
@@ -201,7 +199,7 @@ Scheduler::insertDemand(Demand d)
     // Check capacity before touching the ledger: openLedgerEntry may
     // evict-and-overwrite a live predecessor's entry under a reused id,
     // and unwinding that after a failed insert would leave the older,
-    // still-queued flow untracked (strict mode would then drop it as
+    // still-queued flow untracked (issueGrant would then drop it as
     // stale). A full queue drops the demand before it owns anything.
     if (q.full())
         return false;
@@ -552,8 +550,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     EDM_ASSERT(l > 0, "granting zero bytes");
 
     const auto ledger_it = ledger_.find(packKey(keyOf(d)));
-    const bool tracked = ledger_it != ledger_.end();
-    if (cfg_.strict_grant_accounting && !tracked) {
+    if (ledger_it == ledger_.end()) {
         // The flow retired (final /MT/ observed, or its sender's link
         // died) while this demand was still queued: granting it would
         // put a /G/ on the wire that no host answers and hold both
@@ -570,8 +567,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
         return;
     }
-    if (tracked)
-        ledger_it->second.granted += l;
+    ledger_it->second.granted += l;
     ++grants_issued_;
 
     GrantAction action;
@@ -622,25 +618,16 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
 
     // Release both ports one chunk occupancy after the grant leaves, so
     // the next chunk's first bit lands right behind this chunk's last
-    // bit (§3.1.1 step 7). Legacy charges the raw payload serialization
+    // bit (§3.1.1 step 7). The payload charge is the raw serialization
     // l/B; wire-charged mode charges the chunk's exact 66-bit block
     // line-time (core/occupancy.hpp), which also covers the /MS/,
-    // address and /MT/ framing the legacy charge leaves unpaid — plus,
-    // when charge_preemption_reentry opts in, the re-entry slot a
-    // frame-carrying destination port owes its interrupted frame.
-    const bool frame_active = cfg_.wire_charged_occupancy &&
-        cfg_.charge_preemption_reentry && frame_probe_ &&
-        frame_probe_(d.src, d.dst);
-    const Picoseconds occupancy =
-        grantOccupancy(cfg_, d.response, l, frame_active);
+    // address and /MT/ framing the payload charge leaves unpaid.
+    const Picoseconds occupancy = grantOccupancy(cfg_, d.response, l);
     if (fair_tree_) {
         // Charge the granted data's line-time to the client's pool:
         // advances its virtual time (the fairness currency) and its
-        // limit window. Backlog shrinks only by ledger-backed bytes —
-        // a legacy over-grant against a retired entry burns bandwidth
-        // but has no demand left to cancel.
-        fair_tree_->chargeGrant(d.pool, tracked ? l : 0, occupancy,
-                                events_.now());
+        // limit window, and shrinks its backlog by the granted bytes.
+        fair_tree_->chargeGrant(d.pool, l, occupancy, events_.now());
     }
     const NodeId src_port = d.src;
     events_.schedule(when + occupancy, [this, src_port, dst_port] {
@@ -680,12 +667,12 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         // Per-tier occupancy accounting (docs/TOPOLOGY.md): edge tiers
         // carry the full grant charge; cross-leaf chunks additionally
         // occupy a trunk lane and the spine for the same line-time.
-        chargeTier(LinkTier::LeafIngress, d, l, frame_active, when);
+        chargeTier(LinkTier::LeafIngress, d, occupancy, when);
         if (isCrossLeaf(d)) {
-            chargeTier(LinkTier::Trunk, d, l, false, when);
-            chargeTier(LinkTier::Spine, d, l, false, when);
+            chargeTier(LinkTier::Trunk, d, occupancy, when);
+            chargeTier(LinkTier::Spine, d, occupancy, when);
         }
-        chargeTier(LinkTier::LeafEgress, d, l, frame_active, when);
+        chargeTier(LinkTier::LeafEgress, d, occupancy, when);
     }
 
     d.remaining -= l;
@@ -744,8 +731,7 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
                  src, dst, id, response, trace::Detail::None,
                  it->second.observed, leaf_, 0, auxOf(poolOfKey(key)));
     ledger_.erase(it);
-    if (cfg_.strict_grant_accounting)
-        reclaimQueuedDemand(key);
+    reclaimQueuedDemand(key);
 }
 
 std::optional<Scheduler::FlowBytes>
@@ -786,8 +772,7 @@ Scheduler::abortPort(NodeId port)
                      key.src, key.dst, key.id, key.response,
                      trace::Detail::None, stale, leaf_, 0,
                      auxOf(poolOfKey(key)));
-        if (cfg_.strict_grant_accounting)
-            reclaimQueuedDemand(key);
+        reclaimQueuedDemand(key);
         if (abort_sink_)
             aborted.push_back(key);
     }

@@ -110,10 +110,10 @@ struct LedgerStats
     /** Demands retired by a fault abort (disabled sender link). */
     std::uint64_t retired_by_abort = 0;
 
-    /** Strict mode: grants withheld because the demand was retired. */
+    /** Grants withheld because the demand was retired. */
     std::uint64_t grants_suppressed = 0;
 
-    /** Strict mode: queued bytes reclaimed from retired demands. */
+    /** Queued bytes reclaimed from retired demands. */
     std::uint64_t stale_bytes_reclaimed = 0;
 
     /** Ledger entries evicted by message-id reuse before retirement. */
@@ -128,27 +128,15 @@ struct LedgerStats
  * creates an entry keyed by its FlowKey, grants debit the entry, and
  * the entry *retires* when the switch datapath reports the message's
  * final chunk (/MT/ with the last-chunk flag, or a fault abort) — not
- * when byte arithmetic happens to reach zero. With
- * EdmConfig::strict_grant_accounting, retirement is authoritative: a
- * retired demand is dropped from the queues, its ports are never
- * reserved for a grant nobody will answer, and the matching loop moves
- * on within the same pass. Legacy mode keeps the ledger as passive
- * observability, reproducing historical schedules bit-exactly.
+ * when byte arithmetic happens to reach zero. Retirement is
+ * authoritative: a retired demand is dropped from the queues, its
+ * ports are never reserved for a grant nobody will answer, and the
+ * matching loop moves on within the same pass.
  */
 class Scheduler
 {
   public:
     using GrantSink = std::function<void(const GrantAction &)>;
-
-    /**
-     * Answers "does this src→dst path currently carry an L2 frame
-     * backlog?" — installed by the fabric so wire-charged grants can
-     * charge the preemption re-entry slot
-     * (EdmConfig::charge_preemption_reentry). The scheduler itself has
-     * no view of the frame plane. Consulted only when both flags are
-     * on; never installed (and never consulted) otherwise.
-     */
-    using FrameActivityProbe = std::function<bool(NodeId src, NodeId dst)>;
 
     /**
      * Observer of fault-aborted flows: called once per ledger entry
@@ -187,13 +175,6 @@ class Scheduler
     Scheduler(const EdmConfig &cfg, EventQueue &events, GrantSink sink,
               const net::Topology *topo = nullptr,
               std::uint16_t leaf = 0);
-
-    /** Install the frame-backlog probe (see FrameActivityProbe). */
-    void
-    setFrameActivityProbe(FrameActivityProbe probe)
-    {
-        frame_probe_ = std::move(probe);
-    }
 
     /** Install the fault-abort observer (see AbortSink). */
     void
@@ -253,10 +234,9 @@ class Scheduler
      * @p bytes passed the switch; @p response is the direction bit
      * (true for RRES data, false for WREQ data — the /MS/ header's
      * message type) and @p last_chunk marks the message's final chunk.
-     * Retires the ledger entry on the final chunk; in strict mode any
-     * residual queued demand for the flow is reclaimed so it can never
-     * be granted again. Pure bookkeeping — schedules no events and, in
-     * legacy mode, changes no decision.
+     * Retires the ledger entry on the final chunk and reclaims any
+     * residual queued demand for the flow, so it can never be granted
+     * again. Pure bookkeeping — schedules no events.
      */
     void onChunkForwarded(NodeId src, NodeId dst, MsgId id, bool response,
                           Bytes bytes, bool last_chunk);
@@ -264,8 +244,7 @@ class Scheduler
     /**
      * Fault report: @p port's uplink was disabled. Every demand whose
      * data sender is @p port can no longer be answered; retire its
-     * ledger entries, and in strict mode drop the queued demands and
-     * stop granting them.
+     * ledger entries, drop the queued demands and stop granting them.
      */
     void abortPort(NodeId port);
 
@@ -353,7 +332,6 @@ class Scheduler
     EdmConfig cfg_;
     EventQueue &events_;
     GrantSink sink_;
-    FrameActivityProbe frame_probe_;
     AbortSink abort_sink_;
     RemoteNoteSink note_sink_;
 
@@ -516,7 +494,7 @@ class Scheduler
     void markAllPorts();
 
     void openLedgerEntry(const Demand &d);
-    /** Drop a retired flow's queued demand (strict mode). */
+    /** Drop a retired flow's queued demand. */
     void reclaimQueuedDemand(const FlowKey &key);
 
     /** Fair-share pool of the flow's client host (-1 without a tree). */
@@ -553,9 +531,17 @@ class Scheduler
     void raiseBusyUntil(std::vector<Picoseconds> &table, std::size_t idx,
                         Picoseconds release);
 
-    /** Charge one tier's occupancy: stats + TierCharge log record. */
-    void chargeTier(LinkTier tier, const Demand &d, Bytes chunk,
-                    bool frame_active, Picoseconds when);
+    /**
+     * Charge @p charge of occupancy to one tier: stats + TierCharge log
+     * record. Every tier a chunk traverses carries the chunk's full
+     * grant occupancy (it is cut-through: its blocks occupy each tier
+     * back-to-back for one chunk serialization). The spine tier is
+     * charged for accounting visibility only (the spine is
+     * contention-free transport, docs/TOPOLOGY.md); trunk-lane busy
+     * timers are the tier charge that actually gates grants.
+     */
+    void chargeTier(LinkTier tier, const Demand &d, Picoseconds charge,
+                    Picoseconds when);
 };
 
 } // namespace core

@@ -212,8 +212,8 @@ class SwitchStack
      * a train handed over early with future availability stamps, so
      * compare runs at the same max_train_blocks. This is the quantity
      * the wire-occupancy model's per-chunk growth estimate
-     * (core::stagingGrowthBlocksPerChunk) predicts — legacy payload
-     * charging under-reserves every chunk and the peak climbs with the
+     * (core::stagingGrowthBlocksPerChunk) predicts — the payload
+     * charge under-reserves every chunk and the peak climbs with the
      * grant count; wire-charged occupancy keeps it near one chunk per
      * contending flow.
      */

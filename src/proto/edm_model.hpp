@@ -33,9 +33,6 @@ struct EdmModelConfig
     core::Priority priority = core::Priority::Srpt;
     double scheduler_ghz = 3.0;         ///< ASIC synthesis rate (§4.1)
 
-    /** Demand-lifecycle ledger enforcement (EdmConfig equivalent). */
-    bool strict_grant_accounting = false;
-
     /**
      * Charge exact 66-bit block line-time per chunk (EdmConfig
      * equivalent): the shared core::Scheduler's port-occupancy timers

@@ -34,8 +34,8 @@
  *   ls.min_share = 0.2
  *   ls.latency_sensitive = true
  *
- *   [mode strict]            # EdmConfig overlay, one table row per mode
- *   strict_grant_accounting = true
+ *   [mode wire]              # EdmConfig overlay, one table row per mode
+ *   wire_charged_occupancy = true
  *
  * Unknown keys are hard errors: a typo must fail loudly, never
  * silently fall back to a default schedule.
@@ -57,7 +57,7 @@ namespace edm {
 /** One `[section]`: its header text and key/value pairs in file order. */
 struct ScenarioSection
 {
-    std::string name; ///< full header, e.g. "scenario" or "mode strict"
+    std::string name; ///< full header, e.g. "scenario" or "mode wire"
     std::vector<std::pair<std::string, std::string>> entries;
 
     /** Value of @p key, or nullptr when absent (last wins on repeats). */

@@ -69,7 +69,7 @@ enum class Detail : std::uint8_t
 {
     None = 0,
     RequestForward = 1,  ///< GrantIssued: first response grant carries the RREQ
-    Suppressed = 2,      ///< GrantDropped: strict ledger had no live entry
+    Suppressed = 2,      ///< GrantDropped: the ledger had no live entry
     UnknownMessage = 3,  ///< GrantDropped: host had no matching state
     StaleResponse = 4,   ///< GrantDropped: response already fully sent
     ParkedExpired = 5,   ///< GrantDropped: orphaned parked grant timed out

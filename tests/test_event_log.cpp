@@ -140,7 +140,6 @@ runLoggedIncast(EventLog *log, std::size_t max_train_blocks)
     ScenarioRunner runner(opts);
     runner.add("incast", [log, max_train_blocks](ScenarioContext &ctx) {
         core::EdmConfig cfg;
-        cfg.strict_grant_accounting = true;
         cfg.max_train_blocks = max_train_blocks;
         cfg.max_frame_train_blocks = max_train_blocks;
         cfg.event_log = log;

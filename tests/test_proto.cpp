@@ -296,16 +296,14 @@ TEST(EdmFlow, IdWrapStallsInsteadOfMergingOntoLiveId)
     // port's ledger between the first and second chunk grant, so the
     // half-delivered message never retires from the live table.
     Simulation sim;
-    EdmModelConfig mc;
-    mc.strict_grant_accounting = true;
-    EdmFlowModel model(sim, smallCluster(2), mc);
+    EdmFlowModel model(sim, smallCluster(2));
 
     model.offer(makeJob(0, 0, 1, 512, 0)); // two 256 B chunks
     // The demand registers at 10 ns (one propagation) and chunk 1 is
     // granted immediately; chunk 2 waits out the port occupancy
     // (~20 ns at 100G). Aborting at 15 ns reclaims the queued demand —
-    // strict mode also retires its pair-FIFO slot so later demands
-    // still flow — and leaves id 0 live forever at 256 of 512 bytes.
+    // and retires its pair-FIFO slot so later demands still flow — and
+    // leaves id 0 live forever at 256 of 512 bytes.
     sim.events().schedule(15 * kNanosecond,
                           [&] { model.scheduler().abortPort(0); });
 

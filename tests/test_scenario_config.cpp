@@ -59,13 +59,13 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
 TEST(ScenarioParser, ModeSectionsSelectableByPrefix)
 {
     const ScenarioDoc doc = parseOk("[scenario]\nname = x\n"
-                                    "[mode legacy]\n"
-                                    "[mode strict]\n"
-                                    "strict_grant_accounting = true\n");
+                                    "[mode base]\n"
+                                    "[mode wire]\n"
+                                    "wire_charged_occupancy = true\n");
     const auto modes = doc.sectionsWithPrefix("mode ");
     ASSERT_EQ(modes.size(), 2u);
-    EXPECT_EQ(modes[0]->name, "mode legacy");
-    EXPECT_EQ(modes[1]->name, "mode strict");
+    EXPECT_EQ(modes[0]->name, "mode base");
+    EXPECT_EQ(modes[1]->name, "mode wire");
     EXPECT_EQ(modes[1]->entries.size(), 1u);
 }
 
@@ -95,32 +95,27 @@ TEST(ScenarioConfig, AppliesKnownKeys)
     EXPECT_TRUE(applyEdmConfigKey(cfg, "link_gbps", "25", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "priority", "srpt", error));
     EXPECT_TRUE(
-        applyEdmConfigKey(cfg, "strict_grant_accounting", "true", error));
-    EXPECT_TRUE(
         applyEdmConfigKey(cfg, "wire_charged_occupancy", "true", error));
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "charge_preemption_reentry",
-                                  "true", error));
-    EXPECT_TRUE(
-        applyEdmConfigKey(cfg, "parked_grant_timeout_ns", "250", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "max_train_blocks", "4", error));
     EXPECT_EQ(cfg.num_nodes, 9u);
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
-    EXPECT_TRUE(cfg.strict_grant_accounting);
     EXPECT_TRUE(cfg.wire_charged_occupancy);
-    EXPECT_TRUE(cfg.charge_preemption_reentry);
-    EXPECT_EQ(cfg.parked_grant_timeout, 250 * kNanosecond);
     EXPECT_EQ(cfg.max_train_blocks, 4u);
 }
 
-TEST(ScenarioConfig, RemovedParallelEngineKeysAreHardErrors)
+TEST(ScenarioConfig, RemovedKeysAreHardErrors)
 {
-    // The partitioned engine and its two knobs are gone: a scenario
-    // that still names them must fail to load instead of silently
-    // running serial. (Names split so a source search for the removed
-    // knobs finds no live code.)
+    // Knobs whose mechanism is gone must fail to load instead of being
+    // silently ignored: the partitioned engine's two knobs, and the
+    // grant-accounting mode switch with its two companions (the ledger
+    // is the only accounting and the parked-grant expiry a constant).
+    // Names split so a source search for the removed knobs finds no
+    // live code.
     for (const std::string key :
-         {"fabric_" "workers", "fabric_" "partition_map"}) {
+         {"fabric_" "workers", "fabric_" "partition_map",
+          "strict_" "grant_accounting", "charge_" "preemption_reentry",
+          "parked_" "grant_timeout_ns"}) {
         core::EdmConfig cfg;
         std::string error;
         EXPECT_FALSE(applyEdmConfigKey(cfg, key, "2", error)) << key;
@@ -218,20 +213,12 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     ASSERT_EQ(spec.quick_n_to_1.size(), 1u);
     EXPECT_EQ(spec.quick_n_to_1[0], 9u);
 
-    // The three modes mirror examples/incast_stress.cpp exactly.
-    ASSERT_EQ(spec.modes.size(), 3u);
-    EXPECT_EQ(spec.modes[0].name, "legacy");
-    EXPECT_EQ(spec.modes[1].name, "strict");
-    EXPECT_EQ(spec.modes[2].name, "wire");
-    const core::EdmConfig legacy = spec.configFor(spec.modes[0]);
-    EXPECT_FALSE(legacy.strict_grant_accounting);
-    EXPECT_FALSE(legacy.wire_charged_occupancy);
-    const core::EdmConfig strict = spec.configFor(spec.modes[1]);
-    EXPECT_TRUE(strict.strict_grant_accounting);
-    EXPECT_FALSE(strict.wire_charged_occupancy);
-    const core::EdmConfig wire = spec.configFor(spec.modes[2]);
-    EXPECT_TRUE(wire.strict_grant_accounting);
-    EXPECT_TRUE(wire.wire_charged_occupancy);
+    // The two modes mirror examples/incast_stress.cpp exactly.
+    ASSERT_EQ(spec.modes.size(), 2u);
+    EXPECT_EQ(spec.modes[0].name, "base");
+    EXPECT_EQ(spec.modes[1].name, "wire");
+    EXPECT_FALSE(spec.configFor(spec.modes[0]).wire_charged_occupancy);
+    EXPECT_TRUE(spec.configFor(spec.modes[1]).wire_charged_occupancy);
 }
 
 TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
@@ -273,20 +260,18 @@ TEST(ScenarioSpecTest, ParsedSpecReproducesHandBuiltConfigExactly)
     ASSERT_TRUE(loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/incast.edm",
                                  spec, error))
         << error;
-    ASSERT_EQ(spec.modes.size(), 3u);
+    ASSERT_EQ(spec.modes.size(), 2u);
 
     // Hand-built configs exactly as examples/incast_stress.cpp sets them.
-    core::EdmConfig strict_cfg;
-    strict_cfg.strict_grant_accounting = true;
+    const core::EdmConfig base_cfg;
     core::EdmConfig wire_cfg;
-    wire_cfg.strict_grant_accounting = true;
     wire_cfg.wire_charged_occupancy = true;
 
     const struct
     {
         const core::EdmConfig *hand;
         const ScenarioModeSpec *mode;
-    } pairs[] = {{&strict_cfg, &spec.modes[1]}, {&wire_cfg, &spec.modes[2]}};
+    } pairs[] = {{&base_cfg, &spec.modes[0]}, {&wire_cfg, &spec.modes[1]}};
     for (const auto &pair : pairs) {
         const ScenarioResult hand =
             runOnePoint(*pair.hand, spec.base_seed);
@@ -348,12 +333,18 @@ TEST(ScenarioSpecTest, LoadsShippedFailureStormScenario)
     EXPECT_EQ(spec.faults.storm_seed, 42u);
     EXPECT_EQ(spec.faults.repair_after, 6000 * kNanosecond);
 
-    // Retry/backoff knobs ride in [config] and land on every mode.
-    ASSERT_EQ(spec.modes.size(), 3u);
-    const core::EdmConfig cfg = spec.configFor(spec.modes[0]);
-    EXPECT_EQ(cfg.read_retry_limit, 5);
-    EXPECT_EQ(cfg.link_error_threshold, 8u);
-    EXPECT_GT(cfg.read_timeout, 0);
+    // Retry/backoff knobs ride in [config] and land on every mode; the
+    // modes differ only in the port charge.
+    ASSERT_EQ(spec.modes.size(), 2u);
+    EXPECT_EQ(spec.modes[0].name, "base");
+    EXPECT_EQ(spec.modes[1].name, "wire");
+    for (const ScenarioModeSpec &mode : spec.modes) {
+        const core::EdmConfig cfg = spec.configFor(mode);
+        EXPECT_EQ(cfg.read_retry_limit, 5);
+        EXPECT_EQ(cfg.link_error_threshold, 8u);
+        EXPECT_GT(cfg.read_timeout, 0);
+        EXPECT_EQ(cfg.wire_charged_occupancy, mode.name == "wire");
+    }
 
     // A scenario with no [faults] section stays inactive.
     ScenarioSpec plain;

@@ -285,9 +285,8 @@ struct TrackedDemand
  * events().step(now), and then asserts from the grant log alone that
  * no pair-head demand has its source uplink and destination downlink
  * free — plus, for a read whose request is not yet forwarded, the
- * memory node's downlink. With @p abort_mid_run the scheduler runs in
- * strict mode and port 0's uplink is aborted halfway through the
- * arrivals, exercising the reclaim path.
+ * memory node's downlink. With @p abort_mid_run port 0's uplink is
+ * aborted halfway through the arrivals, exercising the reclaim path.
  */
 void
 expectMaximalAtEveryInstant(int seed, std::size_t n, Priority prio,
@@ -299,7 +298,6 @@ expectMaximalAtEveryInstant(int seed, std::size_t n, Priority prio,
     // reaches the sink in the instant the pass ran: at the end of each
     // instant the grant log holds every reservation the scheduler made.
     cfg.scheduler_ghz = 1e9;
-    cfg.strict_grant_accounting = abort_mid_run;
     GrantLog log;
     Scheduler sched(cfg, sim.events(), log.sink(sim));
 
@@ -453,7 +451,6 @@ TEST(Scheduler, AbortPortSweepsFlowsInFlowKeyOrder)
     Simulation sim;
     GrantLog log;
     EdmConfig cfg = makeConfig(8);
-    cfg.strict_grant_accounting = true;
     Scheduler sched(cfg, sim.events(), log.sink(sim));
     std::vector<FlowKey> seen;
     sched.setAbortSink([&](const FlowKey &k) { seen.push_back(k); });
@@ -488,7 +485,7 @@ TEST(Scheduler, AbortPortSweepsFlowsInFlowKeyOrder)
         EXPECT_EQ(fields(seen[i]), fields(want[i])) << "position " << i;
     EXPECT_EQ(sched.ledgerStats().retired_by_abort, want.size());
     EXPECT_EQ(sched.pendingLedgerEntries(), 1u);
-    EXPECT_EQ(sched.pendingDemands(), 1u); // strict mode reclaimed the rest
+    EXPECT_EQ(sched.pendingDemands(), 1u); // the abort reclaimed the rest
 }
 
 TEST(Scheduler, AverageIterationsReasonable)

@@ -1,16 +1,14 @@
 /**
  * @file
- * Demand-lifecycle ledger tests (scheduler over-grant bugfix).
+ * Demand-lifecycle ledger tests.
  *
- * The legacy scheduler decrements demands only by issued grants, so
- * under incast contention a /G/ can outrun its flow's forwarded RREQ
- * through a backlogged egress, reach the memory node before any
- * response state exists, and be dropped — "grant for unknown message",
- * a granted line slot silently wasted and a read that never completes.
- * With EdmConfig::strict_grant_accounting the ledger retires demands on
- * the observed final /MT/ (or fault abort), hosts park early grants,
- * and the incast regime runs warning-clean with zero wasted slots —
- * while every legacy schedule stays bit-exact.
+ * Under incast contention a /G/ can outrun its flow's forwarded RREQ
+ * through a backlogged egress and reach the memory node before any
+ * response state exists. The scheduler's ledger retires each demand on
+ * its observed final /MT/ (or a fault abort) and never grants a retired
+ * demand again; hosts park early grants until their request arrives.
+ * The incast regime therefore runs warning-clean with zero wasted slots
+ * under either port charge.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +29,7 @@ namespace {
 
 constexpr std::size_t kIncastNodes = 9; ///< 8 senders -> 1 memory node
 constexpr int kChainsPerNode = 6;
+constexpr int kRounds = 20; ///< operations per chain
 
 /** Everything a sweep needs to compare runs for bit-exactness. */
 struct IncastResult
@@ -46,26 +45,18 @@ struct IncastResult
     std::vector<double> write_lat;
 };
 
-enum class Mix
-{
-    ReadsOnly,
-    WritesOnly,
-    Mixed, ///< the over-grant regime: RREQ forwards contend with WREQ data
-};
-
 /**
- * Closed-loop N-to-1 incast: every sender keeps kChainsPerNode chains
- * of back-to-back 900 B reads / 700 B writes against node 0.
+ * Closed-loop N-to-1 mixed incast: every sender keeps kChainsPerNode
+ * chains of back-to-back ops against node 0, every third a 700 B write
+ * and the rest 900 B reads, so RREQ forwards contend with WREQ data.
  */
 IncastResult
-runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
-          bool wire_charged = false)
+runIncast(std::size_t train_cap, bool wire_charged = false)
 {
     EdmConfig cfg;
     cfg.num_nodes = kIncastNodes;
     cfg.max_train_blocks = train_cap;
     cfg.max_frame_train_blocks = train_cap;
-    cfg.strict_grant_accounting = strict;
     cfg.wire_charged_occupancy = wire_charged;
     Simulation sim(42);
     CycleFabric fab(cfg, sim);
@@ -74,9 +65,7 @@ runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
     std::function<void(NodeId, int)> issue = [&](NodeId from, int left) {
         if (left <= 0)
             return;
-        const bool write_op = mix == Mix::WritesOnly ||
-            (mix == Mix::Mixed && left % 3 == 0);
-        if (write_op) {
+        if (left % 3 == 0) {
             fab.write(from, 0, 0x1000u * from,
                       std::vector<std::uint8_t>(700, 1),
                       [&, from, left](Picoseconds) {
@@ -94,9 +83,9 @@ runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
     };
     for (NodeId i = 1; i < kIncastNodes; ++i)
         for (int k = 0; k < kChainsPerNode; ++k)
-            issue(i, rounds);
+            issue(i, kRounds);
     r.offered =
-        static_cast<int>(kIncastNodes - 1) * kChainsPerNode * rounds;
+        static_cast<int>(kIncastNodes - 1) * kChainsPerNode * kRounds;
     sim.run();
 
     r.end_time = sim.now();
@@ -109,29 +98,13 @@ runIncast(Mix mix, int rounds, bool strict, std::size_t train_cap,
     return r;
 }
 
-TEST(SchedulerLedger, LegacyIncastOverGrantsAndWastesSlots)
+TEST(SchedulerLedger, IncastIsWarningCleanAndWastesNothing)
 {
-    // The historical bug, reproduced: mixed incast makes /G/s overtake
-    // their forwarded RREQ, the memory node drops them, and the flows
-    // they belonged to never finish. The ledger observes the breakage
-    // (leaked entries = broken flows) without changing the schedule.
+    // Mixed incast makes /G/s overtake their forwarded RREQ; the memory
+    // node parks them instead of dropping them — zero warnings, zero
+    // wasted slots, every operation completes, and the ledger drains.
     const std::uint64_t warns_before = warnCount();
-    const IncastResult r = runIncast(Mix::Mixed, 20, false, 64);
-    EXPECT_GT(r.acc.unknown_grants, 0u);
-    EXPECT_GT(r.acc.wasted_grant_slots, 0u);
-    EXPECT_LT(r.completed, r.offered); // lost grants strand their flows
-    EXPECT_GT(r.ledger_left, 0u);      // broken flows never retire
-    EXPECT_GT(warnCount(), warns_before);
-}
-
-TEST(SchedulerLedger, StrictIncastIsWarningCleanAndWastesNothing)
-{
-    // Acceptance criterion: with strict_grant_accounting on, the same
-    // regime parks early grants instead of dropping them — zero
-    // warnings, zero wasted slots, every operation completes, and the
-    // ledger drains.
-    const std::uint64_t warns_before = warnCount();
-    const IncastResult r = runIncast(Mix::Mixed, 20, true, 64);
+    const IncastResult r = runIncast(64);
     EXPECT_EQ(warnCount(), warns_before); // no scheduler/host warnings
     EXPECT_EQ(r.acc.unknown_grants, 0u);
     EXPECT_EQ(r.acc.stale_response_grants, 0u);
@@ -147,35 +120,17 @@ TEST(SchedulerLedger, StrictIncastIsWarningCleanAndWastesNothing)
               static_cast<std::uint64_t>(r.offered));
 }
 
-TEST(SchedulerLedger, StrictMatchesLegacyOnCleanWorkloads)
-{
-    // Strict mode is pure enforcement: on workloads that never
-    // over-grant it must reproduce the legacy schedule bit-exactly.
-    for (const Mix mix : {Mix::ReadsOnly, Mix::WritesOnly}) {
-        const IncastResult legacy = runIncast(mix, 12, false, 64);
-        const IncastResult strict = runIncast(mix, 12, true, 64);
-        ASSERT_EQ(legacy.acc.unknown_grants, 0u); // clean by design
-        EXPECT_EQ(strict.end_time, legacy.end_time);
-        EXPECT_EQ(strict.grants, legacy.grants);
-        EXPECT_EQ(strict.completed, legacy.completed);
-        EXPECT_EQ(strict.read_lat, legacy.read_lat);
-        EXPECT_EQ(strict.write_lat, legacy.write_lat);
-        EXPECT_EQ(strict.acc.grants_parked, 0u);
-        EXPECT_EQ(strict.acc.ledger.grants_suppressed, 0u);
-    }
-}
-
 TEST(SchedulerLedger, TrainEnginesMatchPerBlockUnderIncast)
 {
     // Regression for the egress-staging corruption the incast regime
     // exposed: drainStaged used to pop across a stream boundary when
     // the earlier stream's /MT/ was still in the forwarding pipeline,
     // nesting /MS/ sequences on the wire (a panic in the train engine).
-    // Per-block and train engines must agree bit-exactly, in both
-    // accounting modes.
-    for (const bool strict : {false, true}) {
-        const IncastResult per_block = runIncast(Mix::Mixed, 20, strict, 1);
-        const IncastResult trains = runIncast(Mix::Mixed, 20, strict, 64);
+    // Per-block and train engines must agree bit-exactly, under both
+    // port charges.
+    for (const bool wire : {false, true}) {
+        const IncastResult per_block = runIncast(1, wire);
+        const IncastResult trains = runIncast(64, wire);
         EXPECT_EQ(trains.end_time, per_block.end_time);
         EXPECT_EQ(trains.grants, per_block.grants);
         EXPECT_EQ(trains.completed, per_block.completed);
@@ -191,7 +146,6 @@ TEST(SchedulerLedger, RetiresOnObservedCompletion)
     // retire on its observed final /MT/, leaving nothing behind.
     EdmConfig cfg;
     cfg.num_nodes = 4;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim, {3});
     fab.host(3).store()->write(0x100, std::vector<std::uint8_t>(600, 7));
@@ -224,7 +178,6 @@ TEST(SchedulerLedger, RetiresOnFaultAbort)
     EdmConfig cfg;
     cfg.num_nodes = 3;
     cfg.read_timeout = 2 * kMicrosecond;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim, {1});
     fab.host(1).store()->write(0x100, std::vector<std::uint8_t>(256, 3));
@@ -254,16 +207,15 @@ TEST(SchedulerLedger, RetiresOnFaultAbort)
     EXPECT_EQ(sched.pendingDemands(), 0u);
 }
 
-TEST(SchedulerLedger, StrictRetirementStopsFurtherGrants)
+TEST(SchedulerLedger, RetirementStopsFurtherGrants)
 {
     // Scheduler-level unit test: once the datapath reports a demand's
-    // final chunk, a strict scheduler must never grant it again — the
+    // final chunk, the scheduler must never grant it again — the
     // residual queued demand is reclaimed and its ports stay free.
     EdmConfig cfg;
     cfg.num_nodes = 4;
     cfg.link_rate = Gbps{100.0};
     cfg.chunk_bytes = 256;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     std::vector<GrantAction> grants;
     Scheduler sched(cfg, sim.events(),
@@ -300,39 +252,6 @@ TEST(SchedulerLedger, StrictRetirementStopsFurtherGrants)
     EXPECT_EQ(sched.ledgerStats().retired_by_completion, 1u);
 }
 
-TEST(SchedulerLedger, LegacyRetirementIsObservabilityOnly)
-{
-    // The same sequence in legacy mode must keep granting exactly as
-    // the historical scheduler did — the ledger only watches.
-    EdmConfig cfg;
-    cfg.num_nodes = 4;
-    cfg.link_rate = Gbps{100.0};
-    cfg.chunk_bytes = 256;
-    Simulation sim;
-    std::vector<GrantAction> grants;
-    Scheduler sched(cfg, sim.events(),
-                    [&](const GrantAction &a) { grants.push_back(a); });
-
-    ControlInfo n;
-    n.src = 0;
-    n.dst = 1;
-    n.id = 9;
-    n.size = 1000;
-    ASSERT_TRUE(sched.addWriteDemand(n));
-    sim.run(1);
-    ASSERT_EQ(grants.size(), 1u);
-    sched.onChunkForwarded(0, 1, 9, /*response=*/false, 256,
-                           /*last_chunk=*/false);
-    const auto bytes = sched.flowBytes(FlowKey{0, 1, 9});
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(bytes->observed, 256u); // the ledger watches either way
-    sched.onChunkForwarded(0, 1, 9, false, 256, true);
-    EXPECT_EQ(sched.ledgerStats().retired_by_completion, 1u);
-    sim.run();
-    EXPECT_EQ(grants.size(), 4u); // 256 + 256 + 256 + 232, as always
-    EXPECT_EQ(sched.ledgerStats().grants_suppressed, 0u);
-}
-
 TEST(SchedulerLedger, DirectionBitKeysLedgerEntriesSeparately)
 {
     // Hosts number messages per destination, so host 0 writing to host
@@ -340,10 +259,9 @@ TEST(SchedulerLedger, DirectionBitKeysLedgerEntriesSeparately)
     // demand under the same (src=0, dst=1, id). Only FlowKey's
     // direction bit keeps the two ledger entries apart; without it the
     // second registration evicts the first and the first completion
-    // retires (and, strictly, reclaims) the other, still-live flow.
+    // retires (and reclaims) the other, still-live flow.
     EdmConfig cfg;
     cfg.num_nodes = 4;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     Scheduler sched(cfg, sim.events(), [](const GrantAction &) {});
 
@@ -381,12 +299,10 @@ TEST(SchedulerLedger, CollidingReadServeAndWriteBothComplete)
     // End-to-end regression for the ledger collision: both hosts start
     // their per-destination id counters at zero, so the write 0→1 and
     // the response to 1's read from 0 are live as {0→1, id 0}
-    // simultaneously, serialized on node 0's uplink. Strict mode must
-    // finish both.
+    // simultaneously, serialized on node 0's uplink. Both must finish.
     const std::uint64_t warns_before = warnCount();
     EdmConfig cfg;
     cfg.num_nodes = 2;
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     CycleFabric fab(cfg, sim);
     fab.host(0).store()->write(0x100, std::vector<std::uint8_t>(2000, 5));
@@ -416,12 +332,11 @@ TEST(SchedulerLedger, FullQueueInsertLeavesPredecessorTracked)
     // A demand dropped on a full queue must not disturb the ledger
     // entry of a live predecessor sharing its key: insertDemand used to
     // open (evict-and-overwrite) the entry first and erase it on insert
-    // failure, untracking the queued flow — which strict mode then
+    // failure, untracking the queued flow — which issueGrant then
     // dropped as stale.
     EdmConfig cfg;
     cfg.num_nodes = 2;
     cfg.max_notifications = 1; // per-port queue capacity = 1 * 2 = 2
-    cfg.strict_grant_accounting = true;
     Simulation sim;
     Scheduler sched(cfg, sim.events(), [](const GrantAction &) {});
 
@@ -449,35 +364,26 @@ TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
 {
     // Acceptance criterion for EdmConfig::wire_charged_occupancy: with
     // port timers charging the chunk's exact 66-bit block line-time
-    // (instead of the ~9%-short raw payload charge), grants pace at the
-    // true wire drain rate, so the mixed-incast regime wastes fewer
-    // granted slots and peaks at a much shallower egress staging depth
-    // than legacy — and, unlike strict accounting alone, grants barely
-    // ever outrun their forwarded request in the first place.
-    const IncastResult legacy = runIncast(Mix::Mixed, 20, false, 64);
-    const IncastResult wire =
-        runIncast(Mix::Mixed, 20, true, 64, /*wire_charged=*/true);
-    ASSERT_GT(legacy.acc.wasted_grant_slots, 0u); // the regime is real
-    EXPECT_EQ(wire.completed, wire.offered);
-    EXPECT_EQ(wire.acc.unknown_grants, 0u);
-    EXPECT_LT(wire.acc.wasted_grant_slots, legacy.acc.wasted_grant_slots);
-    EXPECT_LT(wire.peak_staging, legacy.peak_staging);
-    EXPECT_EQ(wire.ledger_left, 0u);
-
-    // The wire-charged schedule is engine-invariant too: per-block and
-    // train emission must agree bit-exactly, as they do in legacy mode.
-    const IncastResult per_block =
-        runIncast(Mix::Mixed, 20, true, 1, /*wire_charged=*/true);
-    EXPECT_EQ(wire.end_time, per_block.end_time);
-    EXPECT_EQ(wire.grants, per_block.grants);
-    EXPECT_EQ(wire.completed, per_block.completed);
-    EXPECT_EQ(wire.read_lat, per_block.read_lat);
-    EXPECT_EQ(wire.write_lat, per_block.write_lat);
+    // (instead of the ~9%-short payload charge l/B), grants pace at the
+    // true wire drain rate, so the mixed-incast regime peaks at a much
+    // shallower egress staging depth and grants stop outrunning their
+    // forwarded request in the first place. Both charges run the same
+    // ledger: nothing is wasted and every operation completes.
+    const IncastResult payload = runIncast(64);
+    const IncastResult wire = runIncast(64, /*wire_charged=*/true);
+    ASSERT_GT(payload.acc.grants_parked, 0u); // the regime is real
+    for (const IncastResult *r : {&payload, &wire}) {
+        EXPECT_EQ(r->completed, r->offered);
+        EXPECT_EQ(r->acc.wasted_grant_slots, 0u);
+        EXPECT_EQ(r->ledger_left, 0u);
+    }
+    EXPECT_LT(wire.acc.grants_parked, payload.acc.grants_parked);
+    EXPECT_LT(wire.peak_staging, payload.peak_staging);
 }
 
 TEST(SchedulerLedger, IdWrapStallsInsteadOfPanicking)
 {
-    // Legacy-incast follow-up (ROADMAP, PR 4): 8-bit message ids wrap
+    // Incast follow-up (ROADMAP, PR 4): 8-bit message ids wrap
     // at 256 sends per destination, and a long-enough run with one
     // stranded flow eventually wrapped onto its still-live id — an
     // EDM_PANIC in HostStack::launch. The host must stall the new send
@@ -542,8 +448,6 @@ TEST(SchedulerLedger, OrphanedParkedGrantsExpire)
     // persisting until a later message reuses its (dst, id) and drains
     // chunks that were never granted to it.
     EdmConfig cfg;
-    cfg.strict_grant_accounting = true;
-    cfg.parked_grant_timeout = 2 * kMicrosecond;
     Simulation sim;
     HostStack host(0, cfg, sim.events(), /*has_memory=*/true, [] {});
 
@@ -554,12 +458,14 @@ TEST(SchedulerLedger, OrphanedParkedGrantsExpire)
     g.size = 256;
     g.response = true;
     host.rxBlock(makeGrant(g));
-    sim.run(/*horizon=*/kMicrosecond);
+    // The grant parks a few cycles after arrival, so at the timeout
+    // measured from arrival it has not expired yet.
+    sim.run(/*horizon=*/kParkedGrantTimeout);
     EXPECT_EQ(host.stats().grants_parked, 1u);
     EXPECT_EQ(host.stats().parked_grants_dropped, 0u);
 
     const std::uint64_t warns_before = warnCount();
-    sim.run(); // the expiry sweep fires at parked_at + timeout
+    sim.run(); // the expiry sweep fires at parked_at + kParkedGrantTimeout
     EXPECT_EQ(host.stats().parked_grants_dropped, 1u);
     EXPECT_EQ(host.stats().unknown_grants, 0u);
     EXPECT_GT(warnCount(), warns_before);
@@ -567,11 +473,10 @@ TEST(SchedulerLedger, OrphanedParkedGrantsExpire)
 
 TEST(SchedulerLedger, UplinkDisableDropsParkedGrants)
 {
-    // With expiry disabled, the fault hook alone must reap parked
-    // grants on a node whose uplink died — it can never answer them.
+    // Before the expiry sweep can fire, the fault hook alone must reap
+    // parked grants on a node whose uplink died — it can never answer
+    // them.
     EdmConfig cfg;
-    cfg.strict_grant_accounting = true;
-    cfg.parked_grant_timeout = 0;
     Simulation sim;
     HostStack host(0, cfg, sim.events(), /*has_memory=*/true, [] {});
 
@@ -582,8 +487,9 @@ TEST(SchedulerLedger, UplinkDisableDropsParkedGrants)
     g.size = 256;
     g.response = true;
     host.rxBlock(makeGrant(g));
-    sim.run();
+    sim.run(/*horizon=*/kParkedGrantTimeout / 2);
     EXPECT_EQ(host.stats().grants_parked, 1u);
+    EXPECT_EQ(host.stats().parked_grants_dropped, 0u);
     host.onUplinkDisabled();
     EXPECT_EQ(host.stats().parked_grants_dropped, 1u);
 
@@ -604,7 +510,6 @@ TEST(SchedulerLedger, RepairReopensLedgerAndRegrants)
     // ledgered and retired exactly like on a never-failed link.
     EdmConfig cfg;
     cfg.num_nodes = 2;
-    cfg.strict_grant_accounting = true;
     cfg.link_error_threshold = 4;
     cfg.read_timeout = 2 * kMicrosecond;
     Simulation sim;

@@ -93,7 +93,6 @@ leafSpineConfig(std::size_t nodes, std::size_t hosts_per_leaf)
     cfg.link_rate = Gbps{25.0};
     cfg.topology = leafSpineSpec(hosts_per_leaf);
     cfg.topology.ecmp_seed = 7;
-    cfg.strict_grant_accounting = true;
     return cfg;
 }
 
@@ -181,7 +180,7 @@ TEST(LeafSpineFabric, CrossLeafWriteAndRmwComplete)
 TEST(LeafSpineFabric, ManyToOneAcrossLeavesStaysStrict)
 {
     // Incast onto node 0 from every other leaf: grants from the dst
-    // shard must respect remote-source busy views — strict mode sees
+    // shard must respect remote-source busy views — the ledger sees
     // zero wasted slots.
     Simulation sim;
     core::CycleFabric fab(leafSpineConfig(16, 4), sim, {0});
