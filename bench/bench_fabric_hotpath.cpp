@@ -6,7 +6,7 @@
  *   pr1  one event per block per hop, heap-only event queue
  *   pr2  memory block trains + timing-wheel queue (frames per-block)
  *   pr3  payload-agnostic trains: frame bursts train too, and the
- *        egress path runs on pooled allocation-free storage
+ *        egress path runs on allocation-free ring storage
  *
  * Four closed-loop workloads on an 8-node fabric (7 compute + 1
  * memory): bulk 2 KB reads, streaming 2 KB writes, a mixed read/write

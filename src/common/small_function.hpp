@@ -10,13 +10,17 @@
  * allocation, no pointer chase on invoke) and falls back to the heap for
  * oversized callables. It is move-only, so captured state such as
  * unique_ptr or packet buffers can be moved into an event without a
- * copy.
+ * copy. An inline callable that is trivially copyable and trivially
+ * destructible (a lambda capturing `this`, ids and a block) moves by a
+ * byte copy of the buffer and is never destroyed, so scheduling and
+ * firing it make no indirect call besides the invoke itself.
  */
 
 #ifndef EDM_COMMON_SMALL_FUNCTION_HPP
 #define EDM_COMMON_SMALL_FUNCTION_HPP
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -91,7 +95,8 @@ class SmallFunction<R(Args...), InlineBytes>
     reset()
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (!ops_->trivial)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -102,6 +107,8 @@ class SmallFunction<R(Args...), InlineBytes>
         R (*invoke)(void *, Args &&...);
         void (*relocate)(void *dst, void *src); ///< move into dst; destroy src
         void (*destroy)(void *);
+        /** Relocate by copying the buffer; destruction is a no-op. */
+        bool trivial;
     };
 
     template <typename D>
@@ -109,6 +116,11 @@ class SmallFunction<R(Args...), InlineBytes>
         sizeof(D) <= InlineBytes &&
         alignof(D) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<D>;
+
+    template <typename D>
+    static constexpr bool kTrivial =
+        std::is_trivially_copyable_v<D> &&
+        std::is_trivially_destructible_v<D>;
 
     template <typename D>
     static constexpr Ops kInlineOps = {
@@ -122,6 +134,7 @@ class SmallFunction<R(Args...), InlineBytes>
             s->~D();
         },
         [](void *obj) { std::launder(static_cast<D *>(obj))->~D(); },
+        kTrivial<D>,
     };
 
     template <typename D>
@@ -134,13 +147,17 @@ class SmallFunction<R(Args...), InlineBytes>
             ::new (dst) D *(*std::launder(static_cast<D **>(src)));
         },
         [](void *obj) { delete *std::launder(static_cast<D **>(obj)); },
+        false,
     };
 
     void
     moveFrom(SmallFunction &other) noexcept
     {
         if (other.ops_) {
-            other.ops_->relocate(buf_, other.buf_);
+            if (other.ops_->trivial)
+                std::memcpy(buf_, other.buf_, InlineBytes);
+            else
+                other.ops_->relocate(buf_, other.buf_);
             ops_ = other.ops_;
             other.ops_ = nullptr;
         }

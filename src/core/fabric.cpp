@@ -296,7 +296,8 @@ CycleFabric::commitTrain(TxPump &p, Train t, std::size_t run,
 }
 
 void
-CycleFabric::topUpFrames(phy::PreemptionMux &mux, phy::BlockFifo &backlog)
+CycleFabric::topUpFrames(phy::PreemptionMux &mux,
+                         common::Ring<phy::PhyBlock> &backlog)
 {
     // Models the MAC reacting to freed staging-buffer space (costs no
     // time). The per-slot path, the train refill hook and the switch
@@ -310,8 +311,8 @@ CycleFabric::topUpFrames(phy::PreemptionMux &mux, phy::BlockFifo &backlog)
 
 std::size_t
 CycleFabric::takeFrameTrain(phy::PreemptionMux &mux,
-                            phy::BlockFifo &backlog, Picoseconds now,
-                            Train &t)
+                            common::Ring<phy::PhyBlock> &backlog,
+                            Picoseconds now, Train &t)
 {
     // The staging buffer holds at most 4 blocks; the refill hook tops it
     // up from the backlog between runs exactly as the per-slot path

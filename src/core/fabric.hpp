@@ -24,12 +24,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "core/config.hpp"
 #include "core/host_stack.hpp"
 #include "core/switch_stack.hpp"
 #include "net/topology.hpp"
-#include "phy/block_fifo.hpp"
 #include "sim/simulation.hpp"
 
 namespace edm {
@@ -298,7 +298,7 @@ class CycleFabric
 
     std::vector<TxPump> host_pumps_;
     std::vector<TxPump> switch_pumps_;
-    std::vector<phy::BlockFifo> frame_backlog_;
+    std::vector<common::Ring<phy::PhyBlock>> frame_backlog_;
     std::vector<LinkHealth> uplink_health_;
     LinkHealthHook link_health_hook_;
 
@@ -319,15 +319,15 @@ class CycleFabric
     void installTrunkHooks();
     std::size_t trainCap(std::size_t knob) const;
     static void topUpFrames(phy::PreemptionMux &mux,
-                            phy::BlockFifo &backlog);
+                            common::Ring<phy::PhyBlock> &backlog);
     Train acquireTrain();
     void releaseTrain(Train t);
     void pumpWake(TxPump &p, Picoseconds ready, EventQueue::Callback emit);
     void commitTrain(TxPump &p, Train t, std::size_t run, Picoseconds now,
                      EventQueue::Callback deliver, EventQueue::Callback emit);
     std::size_t takeFrameTrain(phy::PreemptionMux &mux,
-                               phy::BlockFifo &backlog, Picoseconds now,
-                               Train &t);
+                               common::Ring<phy::PhyBlock> &backlog,
+                               Picoseconds now, Train &t);
     void trimFrameTrain(NodeId port, TxPump &p, Train &t,
                         phy::PreemptionMux &mux);
     /** Emit a TrainEmit/TrainTrim record when the event log is attached. */

@@ -214,10 +214,13 @@ HostStack::rxBlockTrain(const phy::PhyBlock *blocks, std::size_t count)
 {
     EDM_ASSERT(demux_.inMemoryMessage(),
                "host %u received a train outside a memory message", id_);
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i)
         EDM_ASSERT(blocks[i].isData(), "control block in a train");
-        demux_.feed(blocks[i]);
-    }
+    // Mid-message data blocks leave the demux state alone and only
+    // buffer into the assembler, so the run skips the per-block demux
+    // dispatch and goes straight there.
+    stats_.mem_blocks_received += count;
+    assembler_.feedData(blocks, count);
 }
 
 void

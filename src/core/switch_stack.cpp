@@ -40,7 +40,7 @@ SwitchStack::egressMux(NodeId port)
     return ports_[port]->egress;
 }
 
-phy::BlockFifo &
+common::Ring<phy::PhyBlock> &
 SwitchStack::egressFrameBacklog(NodeId port)
 {
     EDM_ASSERT(port < ports_.size(), "egress port %u out of range", port);
@@ -156,19 +156,30 @@ SwitchStack::stagePush(Port &ep, NodeId ingress, std::uint64_t seq,
     // when its *first* block arrives, which can precede the per-block
     // /MS/ still paying the forwarding crossing; ordering the stage by
     // semantic arrival keeps the /MS/ ahead of the data that follows it.
-    StagedList &q = ep.staged[stagedIndex(ingress)];
-    StagedBlock *pos = q.back();
-    while (pos != nullptr && pos->at > at)
-        pos = pos->prev;
-    StagedBlock *node = ep.staged_pool.acquire();
-    node->block = block;
-    node->at = at;
-    node->seq = seq;
-    if (pos == nullptr)
-        q.push_front(node);
-    else
-        q.insert_before(pos->next, node);
+    StagedQueue &q = ep.staged[stagedIndex(ingress)];
+    std::size_t pos = q.size();
+    while (pos > 0 && q[pos - 1].at > at)
+        --pos;
+    q.insert(pos, StagedBlock{block, at, seq});
     ++ep.staged_count;
+    ep.noteDepth();
+}
+
+void
+SwitchStack::stageRun(Port &ep, NodeId ingress, std::uint64_t seq,
+                      const phy::PhyBlock *blocks, std::size_t count,
+                      Picoseconds first_avail, Picoseconds stride)
+{
+    // Stamps are non-decreasing, so the whole run appends behind what
+    // is already staged.
+    StagedQueue &q = ep.staged[stagedIndex(ingress)];
+    EDM_ASSERT(q.empty() || q.back().at <= first_avail,
+               "train staged out of order");
+    for (std::size_t i = 0; i < count; ++i)
+        q.push_back(StagedBlock{
+            blocks[i], first_avail + static_cast<Picoseconds>(i) * stride,
+            seq});
+    ep.staged_count += count;
     ep.noteDepth();
 }
 
@@ -179,17 +190,17 @@ SwitchStack::adoptStaged(NodeId egress, NodeId ingress, std::uint64_t seq)
     // stream that a train delivered early. Later streams of the same
     // ingress (strictly later stamps, different seq) stay staged.
     Port &ep = *ports_[egress];
-    StagedList &q = ep.staged[stagedIndex(ingress)];
+    StagedQueue &q = ep.staged[stagedIndex(ingress)];
     const Picoseconds now = events_.now();
     scratch_blocks_.clear();
     scratch_avails_.clear();
-    while (!q.empty() && q.front()->seq == seq) {
-        StagedBlock *sb = q.pop_front();
-        EDM_ASSERT(sb->block.isData(),
+    while (!q.empty() && q.front().seq == seq) {
+        const StagedBlock &sb = q.front();
+        EDM_ASSERT(sb.block.isData(),
                    "control block staged behind its own /MS/");
-        scratch_blocks_.push_back(sb->block);
-        scratch_avails_.push_back(std::max(sb->at, now));
-        ep.staged_pool.release(sb);
+        scratch_blocks_.push_back(sb.block);
+        scratch_avails_.push_back(std::max(sb.at, now));
+        q.pop_front();
         --ep.staged_count;
     }
     if (!scratch_blocks_.empty()) {
@@ -253,7 +264,7 @@ SwitchStack::drainStaged(NodeId egress)
     const Picoseconds now = events_.now();
     std::size_t idx = 0;
     while (idx < ep.staged.size() &&
-           (ep.staged[idx].empty() || ep.staged[idx].front()->at > now))
+           (ep.staged[idx].empty() || ep.staged[idx].front().at > now))
         ++idx;
     if (idx == ep.staged.size())
         return;
@@ -263,7 +274,7 @@ SwitchStack::drainStaged(NodeId egress)
     const NodeId ingress = idx == cfg_.num_nodes
         ? kSchedulerIngress
         : static_cast<NodeId>(idx);
-    StagedList blocks = std::move(ep.staged[idx]);
+    StagedQueue &blocks = ep.staged[idx];
     ep.stream_owner = ingress;
     // The drain adopts exactly one stream epoch. Blocks of a *later*
     // epoch can already sit behind it (a train delivers the next
@@ -272,22 +283,19 @@ SwitchStack::drainStaged(NodeId egress)
     // popping across that boundary would put the next stream's data on
     // the wire without its /MS/ and claim ownership for a stream whose
     // start is still in flight, interleaving /MS/../MT/ sequences.
-    ep.owner_seq = blocks.front()->seq;
+    ep.owner_seq = blocks.front().seq;
     while (!blocks.empty()) {
-        if (blocks.front()->seq != ep.owner_seq) {
-            // Next epoch's blocks, staged before this epoch's /MT/ has
-            // been accepted. Keep them staged: the /MT/ will cut
-            // through on arrival, release ownership, and re-drain.
-            ep.staged[idx] = std::move(blocks);
+        // Next epoch's blocks, staged before this epoch's /MT/ has been
+        // accepted, stay staged: the /MT/ will cut through on arrival,
+        // release ownership, and re-drain.
+        if (blocks.front().seq != ep.owner_seq)
             return;
-        }
-        StagedBlock *sb = blocks.pop_front();
-        const phy::PhyBlock b = sb->block;
+        const phy::PhyBlock b = blocks.front().block;
         // Blocks that arrived while another stream held the egress went
         // on the wire at adoption; train blocks staged ahead of their
         // arrival stay available at that (future) arrival instant.
-        const Picoseconds at = std::max(sb->at, now);
-        ep.staged_pool.release(sb);
+        const Picoseconds at = std::max(blocks.front().at, now);
+        blocks.pop_front();
         --ep.staged_count;
         ep.egress.enqueueMemory(b, at);
         ep.noteDepth();
@@ -296,14 +304,11 @@ SwitchStack::drainStaged(NodeId egress)
             (b.type() == phy::BlockType::MemTerm ||
              b.type() == phy::BlockType::MemSingle);
         if (terminates) {
+            // Whatever of this ingress's *next* message piled up behind
+            // the /MT/ while the egress was owned (or was delivered
+            // early by a train) stays staged as a fresh contender for
+            // the now-free egress.
             ep.stream_owner = Port::kNoOwner;
-            if (!blocks.empty()) {
-                // This ingress's *next* message piled up behind the
-                // /MT/ while the egress was owned (or was delivered
-                // early by a train): it re-enters staging as a fresh
-                // contender for the now-free egress.
-                ep.staged[idx] = std::move(blocks);
-            }
             drainStaged(egress);
             return;
         }
@@ -453,8 +458,7 @@ SwitchStack::rxBlockTrain(NodeId ingress, const phy::PhyBlock *blocks,
     if (port.absorbing) {
         // Buffering into the ingress assembler has no side effects
         // until /MT/ (which arrives per-block, after the train).
-        for (std::size_t i = 0; i < count; ++i)
-            port.assembler.feed(blocks[i]);
+        port.assembler.feedData(blocks, count);
         return;
     }
     if (port.forwarding) {
@@ -484,21 +488,8 @@ SwitchStack::rxBlockTrain(NodeId ingress, const phy::PhyBlock *blocks,
             // Our /MS/ is still in the forwarding pipeline behind this
             // early train, or a competing stream owns the egress: stage
             // with arrival stamps; the /MS/ accept or the adoption
-            // drain releases them. Stamps are non-decreasing, so the
-            // whole train appends behind what is already staged.
-            StagedList &q = ep.staged[stagedIndex(ingress)];
-            EDM_ASSERT(q.empty() || q.back()->at <= first_avail,
-                       "train staged out of order");
-            for (std::size_t i = 0; i < count; ++i) {
-                StagedBlock *node = ep.staged_pool.acquire();
-                node->block = blocks[i];
-                node->at = first_avail +
-                    static_cast<Picoseconds>(i) * stride;
-                node->seq = seq;
-                q.push_back(node);
-            }
-            ep.staged_count += count;
-            ep.noteDepth();
+            // drain releases them.
+            stageRun(ep, ingress, seq, blocks, count, first_avail, stride);
         }
         return;
     }
@@ -626,18 +617,8 @@ SwitchStack::acceptTrunkRun(NodeId egress, NodeId ingress,
     // Our /MS/ is still crossing the trunk behind this train, or a
     // competing stream owns the egress: stage with arrival stamps, as
     // rxBlockTrain does for a local early train.
-    StagedList &q = ep.staged[stagedIndex(ingress)];
-    EDM_ASSERT(q.empty() || q.back()->at <= first_avail,
-               "trunk train staged out of order");
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        StagedBlock *node = ep.staged_pool.acquire();
-        node->block = blocks[i];
-        node->at = first_avail + static_cast<Picoseconds>(i) * stride;
-        node->seq = seq;
-        q.push_back(node);
-    }
-    ep.staged_count += blocks.size();
-    ep.noteDepth();
+    stageRun(ep, ingress, seq, blocks.data(), blocks.size(), first_avail,
+             stride);
 }
 
 void

@@ -22,8 +22,8 @@
  * downstream event keeps its exact per-block schedule.
  *
  * Hot-path state (egress mux entries, frame backlogs, staged circuit
- * blocks) lives in fixed-slab pools with dense per-port indexing — the
- * steady-state dataplane never touches the heap.
+ * blocks) lives in contiguous rings (common::Ring) with dense per-port
+ * indexing — the steady-state dataplane never touches the heap.
  */
 
 #ifndef EDM_CORE_SWITCH_STACK_HPP
@@ -34,12 +34,10 @@
 #include <memory>
 #include <vector>
 
-#include "common/object_pool.hpp"
+#include "common/ring.hpp"
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
 #include "core/wire.hpp"
-#include "hw/intrusive_list.hpp"
-#include "phy/block_fifo.hpp"
 #include "phy/preemption.hpp"
 #include "sim/event_queue.hpp"
 
@@ -199,7 +197,7 @@ class SwitchStack
      * staging buffer. The fabric's TX pump tops the mux up from here,
      * modelling the MAC reacting to freed buffer space.
      */
-    phy::BlockFifo &egressFrameBacklog(NodeId port);
+    common::Ring<phy::PhyBlock> &egressFrameBacklog(NodeId port);
 
     Scheduler &scheduler() { return *scheduler_; }
     const SwitchStats &stats() const { return stats_; }
@@ -220,17 +218,15 @@ class SwitchStack
     std::size_t peakEgressStaging() const;
 
   private:
-    /** A staged block awaiting egress stream ownership (pooled node). */
+    /** A staged block awaiting egress stream ownership. */
     struct StagedBlock
     {
-        StagedBlock *prev = nullptr;
-        StagedBlock *next = nullptr;
         phy::PhyBlock block;
         Picoseconds at = 0;
         std::uint64_t seq = 0;
     };
 
-    using StagedList = hw::IntrusiveList<StagedBlock>;
+    using StagedQueue = common::Ring<StagedBlock>;
 
     /** Per-ingress streaming state. */
     struct Port
@@ -265,7 +261,7 @@ class SwitchStack
         // net::L2Switch).
         bool in_l2_frame = false;
         std::vector<phy::PhyBlock> l2_buf;
-        phy::BlockFifo frame_backlog;
+        common::Ring<phy::PhyBlock> frame_backlog;
 
         // Egress stream ownership: virtual circuits are cut-through
         // while one (ingress, stream) owns the egress; a competing
@@ -283,10 +279,9 @@ class SwitchStack
          * Staging queues, densely indexed by ingress: [0, N) the ports,
          * [N] the scheduler pseudo-ingress (kSchedulerIngress sorts
          * after every real port, as it did under the old map's key
-         * order). Nodes come from staged_pool.
+         * order).
          */
-        std::vector<StagedList> staged;
-        common::ObjectPool<StagedBlock> staged_pool;
+        std::vector<StagedQueue> staged;
 
         /** Live staged blocks across every ingress queue. */
         std::size_t staged_count = 0;
@@ -356,6 +351,10 @@ class SwitchStack
                       const phy::PhyBlock &block);
     void stagePush(Port &ep, NodeId ingress, std::uint64_t seq,
                    const phy::PhyBlock &block, Picoseconds at);
+    /** Stage a train: block i arrives at @p first_avail + i * @p stride. */
+    void stageRun(Port &ep, NodeId ingress, std::uint64_t seq,
+                  const phy::PhyBlock *blocks, std::size_t count,
+                  Picoseconds first_avail, Picoseconds stride);
     void adoptStaged(NodeId egress, NodeId ingress, std::uint64_t seq);
     void drainStaged(NodeId egress);
     void floodFrame(NodeId ingress, std::vector<phy::PhyBlock> frame);

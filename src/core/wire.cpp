@@ -1,11 +1,21 @@
 #include "wire.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/logging.hpp"
 
 namespace edm {
 namespace core {
 
 namespace {
+
+// Body blocks carry payload bytes little-endian (byte i in bits 8i..8i+7),
+// so on a little-endian host a block's word *is* its byte image and the
+// pack/unpack paths copy whole words.
+static_assert(std::endian::native == std::endian::little,
+              "wire body packing assumes a little-endian host");
 
 constexpr std::uint64_t kMask4 = 0xF;
 constexpr std::uint64_t kMask5 = 0x1F;
@@ -17,8 +27,7 @@ std::uint64_t
 packLeBytes(const std::uint8_t *p, std::size_t n)
 {
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    std::memcpy(&v, p, n);
     return v;
 }
 
@@ -140,32 +149,27 @@ serialize(const MemMessage &m)
 void
 MessageAssembler::finishBody(std::uint64_t payload, std::size_t idx)
 {
-    switch (cur_.type) {
-      case MemMsgType::RREQ:
+    // Request words: the target address, then an RMW's two operands.
+    if (cur_.type == MemMsgType::RMWREQ && idx == 1)
+        cur_.arg0 = payload;
+    else if (cur_.type == MemMsgType::RMWREQ && idx > 1)
+        cur_.arg1 = payload;
+    else
         cur_.addr = payload;
-        break;
-      case MemMsgType::RMWREQ:
-        if (idx == 0)
-            cur_.addr = payload;
-        else if (idx == 1)
-            cur_.arg0 = payload;
-        else
-            cur_.arg1 = payload;
-        break;
-      case MemMsgType::WREQ:
-        if (idx == 0) {
-            cur_.addr = payload;
-            break;
-        }
-        [[fallthrough]];
-      case MemMsgType::RRES:
-        for (int b = 0; b < 8 &&
-                 cur_.payload.size() < cur_.len; ++b) {
-            cur_.payload.push_back(
-                static_cast<std::uint8_t>(payload >> (8 * b)));
-        }
-        break;
-    }
+}
+
+void
+MessageAssembler::appendBody(const phy::PhyBlock *blocks, std::size_t count)
+{
+    // Bytes past the header's length (the last block's padding) drop.
+    const std::size_t have = cur_.payload.size();
+    const std::size_t room = cur_.len > have ? cur_.len - have : 0;
+    const std::size_t n = std::min<std::size_t>(8 * count, room);
+    cur_.payload.resize(have + n);
+    std::uint8_t *dst = cur_.payload.data() + have;
+    for (std::size_t off = 0; off < n; off += 8, ++blocks)
+        std::memcpy(dst + off, &blocks->payload,
+                    std::min<std::size_t>(8, n - off));
 }
 
 std::optional<MemMessage>
@@ -195,8 +199,7 @@ MessageAssembler::feed(const phy::PhyBlock &b)
     }
 
     if (b.isData()) {
-        finishBody(b.payload, body_blocks_);
-        ++body_blocks_;
+        feedData(&b, 1);
         return std::nullopt;
     }
 
@@ -207,6 +210,35 @@ MessageAssembler::feed(const phy::PhyBlock &b)
 
     ++violations_;
     return std::nullopt;
+}
+
+void
+MessageAssembler::feedData(const phy::PhyBlock *blocks, std::size_t count)
+{
+    if (!in_message_) {
+        violations_ += count;
+        return;
+    }
+    switch (cur_.type) {
+      case MemMsgType::RREQ:
+      case MemMsgType::RMWREQ:
+        // Address and RMW operands: a few words, decoded one at a time.
+        for (std::size_t i = 0; i < count; ++i)
+            finishBody(blocks[i].payload, body_blocks_++);
+        return;
+      case MemMsgType::WREQ:
+        // The first body block is the target address.
+        if (body_blocks_ == 0 && count > 0) {
+            finishBody(blocks->payload, body_blocks_++);
+            ++blocks;
+            --count;
+        }
+        [[fallthrough]];
+      case MemMsgType::RRES:
+        appendBody(blocks, count);
+        body_blocks_ += count;
+        return;
+    }
 }
 
 } // namespace core

@@ -92,6 +92,13 @@ class MessageAssembler
      */
     std::optional<MemMessage> feed(const phy::PhyBlock &b);
 
+    /**
+     * Consume a run of @p count memory *data* blocks (a received
+     * train); equivalent to feed() on each. None of them can complete
+     * a message, and outside a message each counts as a violation.
+     */
+    void feedData(const phy::PhyBlock *blocks, std::size_t count);
+
     /** True while a message is partially assembled. */
     bool inMessage() const { return in_message_; }
 
@@ -104,7 +111,11 @@ class MessageAssembler
     std::size_t body_blocks_ = 0;
     std::uint64_t violations_ = 0;
 
+    /** Decode request body word @p idx (address, RMW operands). */
     void finishBody(std::uint64_t payload, std::size_t idx);
+
+    /** Append @p count data blocks' bytes, up to the header's length. */
+    void appendBody(const phy::PhyBlock *blocks, std::size_t count);
 };
 
 } // namespace core

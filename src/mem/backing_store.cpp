@@ -31,10 +31,8 @@ BackingStore::read(std::uint64_t addr, Bytes len) const
         const std::uint64_t a = addr + i;
         const std::uint64_t in_page = kPageBytes - (a % kPageBytes);
         const Bytes n = std::min<Bytes>(len - i, in_page);
-        if (const std::uint8_t *p = peek(a)) {
-            for (Bytes j = 0; j < n; ++j)
-                out[i + j] = p[j];
-        }
+        if (const std::uint8_t *p = peek(a))
+            std::memcpy(out.data() + i, p, n);
         i += n;
     }
     return out;

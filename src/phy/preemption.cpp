@@ -1,5 +1,7 @@
 #include "preemption.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "trace/event_log.hpp"
 
@@ -10,8 +12,15 @@ void
 PreemptionMux::enqueueMemory(const std::vector<PhyBlock> &blocks,
                              Picoseconds ready)
 {
+    // Every block shares one stamp: when it sorts at the tail the whole
+    // message appends, as enqueueMemoryRun() does for a burst.
+    if (!mem_q_.empty() && mem_q_.back().ready > ready) {
+        for (const auto &b : blocks)
+            enqueueMemory(b, ready);
+        return;
+    }
     for (const auto &b : blocks)
-        enqueueMemory(b, ready);
+        mem_q_.push_back(MemEntry{b, ready});
 }
 
 void
@@ -22,14 +31,10 @@ PreemptionMux::enqueueMemory(const PhyBlock &block, Picoseconds ready)
     // the order FIFO produced when every arrival was its own event. In
     // the common case (no in-flight burst ahead) this is a plain
     // push_back; bursts are short, so the backward scan is a few steps.
-    Entry *pos = mem_q_.back();
-    while (pos != nullptr && pos->ready > ready)
-        pos = pos->prev;
-    Entry *e = entry(block, ready);
-    if (pos == nullptr)
-        mem_q_.push_front(e);
-    else
-        mem_q_.insert_before(pos->next, e);
+    std::size_t pos = mem_q_.size();
+    while (pos > 0 && mem_q_[pos - 1].ready > ready)
+        --pos;
+    mem_q_.insert(pos, MemEntry{block, ready});
 }
 
 void
@@ -40,7 +45,7 @@ PreemptionMux::enqueueMemoryRun(const PhyBlock *blocks, std::size_t count,
     // at the tail the whole run appends; an out-of-order head (rare:
     // something with a later stamp already queued) falls back to the
     // per-block ordered insert.
-    if (!mem_q_.empty() && mem_q_.back()->ready > first_avail) {
+    if (!mem_q_.empty() && mem_q_.back().ready > first_avail) {
         for (std::size_t i = 0; i < count; ++i)
             enqueueMemory(blocks[i],
                           first_avail +
@@ -48,8 +53,8 @@ PreemptionMux::enqueueMemoryRun(const PhyBlock *blocks, std::size_t count,
         return;
     }
     for (std::size_t i = 0; i < count; ++i)
-        mem_q_.push_back(entry(
-            blocks[i], first_avail + static_cast<Picoseconds>(i) * stride));
+        mem_q_.push_back(MemEntry{
+            blocks[i], first_avail + static_cast<Picoseconds>(i) * stride});
 }
 
 void
@@ -59,13 +64,13 @@ PreemptionMux::enqueueMemoryList(const PhyBlock *blocks,
 {
     if (count == 0)
         return;
-    if (!mem_q_.empty() && mem_q_.back()->ready > avails[0]) {
+    if (!mem_q_.empty() && mem_q_.back().ready > avails[0]) {
         for (std::size_t i = 0; i < count; ++i)
             enqueueMemory(blocks[i], avails[i]);
         return;
     }
     for (std::size_t i = 0; i < count; ++i)
-        mem_q_.push_back(entry(blocks[i], avails[i]));
+        mem_q_.push_back(MemEntry{blocks[i], avails[i]});
 }
 
 bool
@@ -73,7 +78,7 @@ PreemptionMux::offerFrameBlock(const PhyBlock &block)
 {
     if (!frameSpace())
         return false;
-    frame_q_.push_back(entry(block, 0));
+    frame_q_.push_back(block);
     return true;
 }
 
@@ -83,7 +88,7 @@ PreemptionMux::readyAt(Picoseconds now) const
     if (!frame_q_.empty())
         return now;
     if (!mem_q_.empty())
-        return mem_q_.front()->ready > now ? mem_q_.front()->ready : now;
+        return mem_q_.front().ready > now ? mem_q_.front().ready : now;
     return kNever;
 }
 
@@ -111,9 +116,8 @@ PhyBlock
 PreemptionMux::next(Picoseconds now)
 {
     if (pickMemory(now)) {
-        Entry *e = mem_q_.pop_front();
-        const PhyBlock b = e->block;
-        pool_.release(e);
+        const PhyBlock b = mem_q_.front().block;
+        mem_q_.pop_front();
         ++memory_slots_;
         // A memory message claiming a slot while frame blocks wait in
         // staging is a preemption entry; mid-message continuation
@@ -129,9 +133,8 @@ PreemptionMux::next(Picoseconds now)
         return b;
     }
     if (!frame_q_.empty()) {
-        Entry *e = frame_q_.pop_front();
-        const PhyBlock b = e->block;
-        pool_.release(e);
+        const PhyBlock b = frame_q_.front();
+        frame_q_.pop_front();
         ++frame_slots_;
         // The frame stream taking the slot back right after memory
         // traffic is the re-entry slot kPreemptionReentryBlocks models.
@@ -156,23 +159,23 @@ PreemptionMux::takeTrainRun(Picoseconds start, Picoseconds cycle,
     // policy alternation can claim one of the train's slots.
     if (!mid_memory_message_)
         return 0;
+    const std::size_t limit = std::min(max, mem_q_.size());
     std::size_t n = 0;
     Picoseconds slot = start;
-    for (const Entry &tb : mem_q_) {
-        if (n >= max || !tb.block.isData() || tb.ready > slot)
+    while (n < limit) {
+        const MemEntry &e = mem_q_[n];
+        if (!e.block.isData() || e.ready > slot)
             break;
-        blocks.push_back(tb.block);
-        avails.push_back(tb.ready);
         ++n;
         slot += cycle;
     }
-    if (n < min_run) {
-        blocks.resize(blocks.size() - n);
-        avails.resize(avails.size() - n);
+    if (n < min_run)
         return 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        blocks.push_back(mem_q_[i].block);
+        avails.push_back(mem_q_[i].ready);
     }
-    for (std::size_t i = 0; i < n; ++i)
-        pool_.release(mem_q_.pop_front());
+    mem_q_.pop_front(n);
     memory_slots_ += n;
     last_was_memory_ = true;
     return n;
@@ -201,11 +204,11 @@ PreemptionMux::restoreMemoryRun(const PhyBlock *blocks,
     // not-yet-available blocks. On the fault-abort path every entry
     // ahead shares the restored blocks' enqueue stamp, so the merge
     // degenerates to the old push_front.
-    Entry *it = mem_q_.front();
+    std::size_t pos = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        while (it != nullptr && it->ready < avails[i])
-            it = it->next;
-        mem_q_.insert_before(it, entry(blocks[i], avails[i]));
+        while (pos < mem_q_.size() && mem_q_[pos].ready < avails[i])
+            ++pos;
+        mem_q_.insert(pos++, MemEntry{blocks[i], avails[i]});
     }
     EDM_ASSERT(memory_slots_ >= count, "restoring more slots than taken");
     memory_slots_ -= count;
@@ -215,7 +218,7 @@ void
 PreemptionMux::restoreFrameRun(const PhyBlock *blocks, std::size_t count)
 {
     for (std::size_t i = count; i-- > 0;)
-        frame_q_.push_front(entry(blocks[i], 0));
+        frame_q_.push_front(blocks[i]);
     EDM_ASSERT(frame_slots_ >= count, "restoring more slots than taken");
     frame_slots_ -= count;
 }

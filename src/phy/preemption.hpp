@@ -21,8 +21,9 @@
  * whenever its head is available by a slot, so a frame run is only safe
  * while the memory queue sleeps past it).
  *
- * Queue entries live in a fixed-slab object pool threaded through
- * intrusive lists, so the per-slot hot path never touches the heap.
+ * Both queues are contiguous rings (common::Ring): a train is an
+ * indexed scan plus one bulk pop, and steady-state traffic never
+ * touches the heap.
  *
  * RX side: blocks of a preempted frame arrive in order but in
  * non-consecutive slots. The decoder and MAC require consecutive delivery,
@@ -39,9 +40,8 @@
 #include <functional>
 #include <vector>
 
-#include "common/object_pool.hpp"
+#include "common/ring.hpp"
 #include "common/time.hpp"
-#include "hw/intrusive_list.hpp"
 #include "phy/block.hpp"
 
 namespace edm {
@@ -201,9 +201,9 @@ class PreemptionMux
             // has reached (it preempts the frame there in every policy
             // once a frame block has gone out), so the run ends at the
             // first slot the memory stream can contest.
-            if (!mem_q_.empty() && mem_q_.front()->ready <= slot)
+            if (!mem_q_.empty() && mem_q_.front().ready <= slot)
                 break;
-            const PhyBlock b = frame_q_.front()->block;
+            const PhyBlock b = frame_q_.front();
             // Frame-end blocks keep their own per-block emission and
             // delivery event: /Tn/ processing schedules downstream
             // work (flood, handler) whose ordering must stay exactly
@@ -211,13 +211,13 @@ class PreemptionMux
             if (b.isControl() && isTerminate(b.type()))
                 break;
             blocks.push_back(b);
-            pool_.release(frame_q_.pop_front());
+            frame_q_.pop_front();
             ++n;
             slot += cycle;
         }
         if (n < min_run) {
             for (std::size_t i = n; i-- > 0;)
-                frame_q_.push_front(entry(blocks[base + i], 0));
+                frame_q_.push_front(blocks[base + i]);
             blocks.resize(base);
             return 0;
         }
@@ -253,7 +253,7 @@ class PreemptionMux
     Picoseconds
     headAvail() const
     {
-        return mem_q_.empty() ? kNever : mem_q_.front()->ready;
+        return mem_q_.empty() ? kNever : mem_q_.front().ready;
     }
 
     /** Pending memory blocks (including not-yet-available ones). */
@@ -271,32 +271,18 @@ class PreemptionMux
     std::uint64_t idleSlots() const { return idle_slots_; }
 
   private:
-    /** A queued block and (memory stream) the time it becomes emittable. */
-    struct Entry
+    /** A queued memory block and the time it becomes emittable. */
+    struct MemEntry
     {
-        Entry *prev = nullptr;
-        Entry *next = nullptr;
         PhyBlock block;
         Picoseconds ready = 0;
     };
 
-    using EntryList = hw::IntrusiveList<Entry>;
-
-    Entry *
-    entry(const PhyBlock &block, Picoseconds ready)
-    {
-        Entry *e = pool_.acquire();
-        e->block = block;
-        e->ready = ready;
-        return e;
-    }
-
     TxPolicy policy_;
     trace::EventLog *trace_ = nullptr; ///< optional; not owned
     std::uint16_t trace_port_ = 0;
-    common::ObjectPool<Entry> pool_; ///< backs both queues
-    EntryList mem_q_;                ///< availability-sorted, stable ties
-    EntryList frame_q_;              ///< FIFO staging buffer
+    common::Ring<MemEntry> mem_q_;   ///< availability-sorted, stable ties
+    common::Ring<PhyBlock> frame_q_; ///< FIFO staging buffer
     bool last_was_memory_ = false; ///< fair-policy alternation state
     bool mid_memory_message_ = false;
     std::uint64_t memory_slots_ = 0;
@@ -306,7 +292,7 @@ class PreemptionMux
     bool
     memoryEligible(Picoseconds now) const
     {
-        return !mem_q_.empty() && mem_q_.front()->ready <= now;
+        return !mem_q_.empty() && mem_q_.front().ready <= now;
     }
 
     bool pickMemory(Picoseconds now) const;

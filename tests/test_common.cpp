@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "common/cdf.hpp"
-#include "common/object_pool.hpp"
 #include "common/random.hpp"
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -326,57 +328,131 @@ TEST(UnitsEdge, TransmissionDelaySuperadditive)
     }
 }
 
-TEST(ObjectPool, RecyclesStorageWithoutGrowth)
+TEST(Ring, PushPopBothEndsAndIndex)
 {
-    struct Node
-    {
-        int value;
-    };
-    common::ObjectPool<Node, 8> pool;
-    EXPECT_EQ(pool.capacity(), 0u);
-
-    Node *a = pool.acquire(Node{1});
-    Node *b = pool.acquire(Node{2});
-    EXPECT_EQ(pool.live(), 2u);
-    EXPECT_EQ(pool.capacity(), 8u);
-    EXPECT_EQ(a->value, 1);
-    EXPECT_EQ(b->value, 2);
-
-    pool.release(b);
-    // LIFO free list: the next acquire reuses b's slot.
-    Node *c = pool.acquire(Node{3});
-    EXPECT_EQ(c, b);
-    EXPECT_EQ(pool.capacity(), 8u);
-    pool.release(a);
-    pool.release(c);
-    EXPECT_EQ(pool.live(), 0u);
+    common::Ring<int> r;
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 0u);
+    r.push_back(2);
+    r.push_front(1);
+    r.push_back(3);
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_EQ(r.front(), 1);
+    EXPECT_EQ(r.back(), 3);
+    EXPECT_EQ(r[1], 2);
+    r.pop_front();
+    r.pop_back();
+    EXPECT_EQ(r.front(), 2);
+    EXPECT_EQ(r.back(), 2);
+    r.pop_front();
+    EXPECT_TRUE(r.empty());
 }
 
-TEST(ObjectPool, GrowsByWholeSlabs)
+TEST(Ring, CapacityFollowsHighWaterMark)
 {
-    struct Node
-    {
-        std::uint64_t v;
-    };
-    common::ObjectPool<Node, 4> pool;
-    std::vector<Node *> nodes;
-    for (std::uint64_t i = 0; i < 10; ++i)
-        nodes.push_back(pool.acquire(Node{i}));
-    EXPECT_EQ(pool.capacity(), 12u); // three 4-object slabs
-    EXPECT_EQ(pool.live(), 10u);
-    for (std::uint64_t i = 0; i < 10; ++i)
-        EXPECT_EQ(nodes[i]->v, i);
-    for (Node *n : nodes)
-        pool.release(n);
-    // Churn at the high-water mark never grows the pool again.
-    for (int round = 0; round < 50; ++round) {
-        std::vector<Node *> batch;
-        for (std::uint64_t i = 0; i < 10; ++i)
-            batch.push_back(pool.acquire(Node{i}));
-        for (Node *n : batch)
-            pool.release(n);
+    common::Ring<std::uint64_t> r;
+    for (std::uint64_t i = 0; i < 9; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 16u); // powers of two, starting at 8
+    // Churn at the high-water mark (wrapping the head around the
+    // buffer many times) never grows the ring again.
+    for (std::uint64_t round = 0; round < 100; ++round) {
+        r.pop_front(3);
+        const std::uint64_t more[3] = {round, round + 1, round + 2};
+        r.append(more, 3);
+        EXPECT_EQ(r.size(), 9u);
     }
-    EXPECT_EQ(pool.capacity(), 12u);
+    EXPECT_EQ(r.capacity(), 16u);
+    EXPECT_EQ(r.back(), 101u);
+}
+
+TEST(Ring, MoveTransfersElements)
+{
+    common::Ring<int> r;
+    r.push_back(1);
+    r.push_back(2);
+    common::Ring<int> other = std::move(r);
+    EXPECT_TRUE(r.empty());
+    ASSERT_EQ(other.size(), 2u);
+    EXPECT_EQ(other[0], 1);
+    EXPECT_EQ(other[1], 2);
+    r = std::move(other);
+    EXPECT_TRUE(other.empty());
+    EXPECT_EQ(r.size(), 2u);
+}
+
+TEST(RingDeathTest, PopOnEmptyRingPanics)
+{
+    common::Ring<int> r;
+    EXPECT_DEATH(r.pop_front(), "empty ring");
+    EXPECT_DEATH(r.pop_back(), "empty ring");
+    r.push_back(1);
+    EXPECT_DEATH(r.pop_front(2), "pop_front");
+}
+
+TEST(Ring, RandomizedAgainstDeque)
+{
+    // Alternating grow and shrink phases: the head wraps the buffer
+    // constantly, bulk appends force growth mid-wrap, and inserts land
+    // in both halves so both shift directions run.
+    common::Ring<std::uint32_t> r;
+    std::deque<std::uint32_t> model;
+    Rng rng(123);
+    std::uint32_t next = 0;
+    std::size_t max_size = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const bool growing = (step / 2000) % 2 == 0;
+        const std::uint64_t op = rng.uniformInt(std::uint64_t{10});
+        if (op == 0) {
+            r.push_front(next);
+            model.push_front(next++);
+        } else if (op == 1 || (op >= 7 && growing)) {
+            r.push_back(next);
+            model.push_back(next++);
+        } else if (op == 2) {
+            std::uint32_t burst[13];
+            const std::size_t n = rng.uniformInt(std::uint64_t{14});
+            for (std::size_t i = 0; i < n; ++i)
+                burst[i] = next++;
+            r.append(burst, n);
+            model.insert(model.end(), burst, burst + n);
+        } else if (op == 3) {
+            const std::size_t i = rng.uniformInt(model.size() + 1);
+            r.insert(i, next);
+            model.insert(model.begin() + static_cast<std::ptrdiff_t>(i),
+                         next++);
+        } else if (model.empty()) {
+            continue;
+        } else if (op == 4) {
+            r.pop_front();
+            model.pop_front();
+        } else if (op == 5) {
+            r.pop_back();
+            model.pop_back();
+        } else {
+            const std::size_t bound =
+                op == 6 ? std::min<std::size_t>(model.size(), 12)
+                        : model.size();
+            const std::size_t n = rng.uniformInt(bound + 1);
+            r.pop_front(n);
+            model.erase(model.begin(),
+                        model.begin() + static_cast<std::ptrdiff_t>(n));
+        }
+        max_size = std::max(max_size, model.size());
+        ASSERT_EQ(r.size(), model.size());
+        if (model.empty())
+            continue;
+        ASSERT_EQ(r.front(), model.front()) << "step " << step;
+        ASSERT_EQ(r.back(), model.back()) << "step " << step;
+        if (step % 64 == 0) {
+            for (std::size_t i = 0; i < model.size(); ++i)
+                ASSERT_EQ(r[i], model[i])
+                    << "step " << step << " index " << i;
+        }
+    }
+    // The walk grew the ring well past its first allocation.
+    EXPECT_GE(max_size, 256u);
+    EXPECT_GE(r.capacity(), max_size);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.hpp"
 #include "core/message.hpp"
 #include "core/wire.hpp"
@@ -192,6 +194,99 @@ TEST(Assembler, ViolationOnOrphanData)
     MessageAssembler assembler;
     EXPECT_FALSE(assembler.feed(phy::PhyBlock::data(0x1)).has_value());
     EXPECT_EQ(assembler.violations(), 1u);
+}
+
+// feedData over a message body must assemble exactly what per-block
+// feed() does, however the body is split into runs.
+class FeedDataMatchesFeed
+    : public ::testing::TestWithParam<std::tuple<MemMsgType, int>>
+{
+};
+
+TEST_P(FeedDataMatchesFeed, ForEverySplitOfTheBody)
+{
+    const auto [type, payload_len] = GetParam();
+    MemMessage m;
+    m.type = type;
+    m.src = 5;
+    m.dst = 9;
+    m.id = 17;
+    m.addr = 0x0123456789ABCDEFULL;
+    m.opcode = mem::RmwOp::CompareAndSwap;
+    m.arg0 = 0xAAAA;
+    m.arg1 = 0xBBBB;
+    Rng rng(7);
+    if (type == MemMsgType::WREQ || type == MemMsgType::RRES) {
+        m.payload.resize(static_cast<std::size_t>(payload_len));
+        for (auto &b : m.payload)
+            b = static_cast<std::uint8_t>(rng.next());
+        m.len = m.payload.size();
+    } else {
+        m.len = 64;
+    }
+    const auto blocks = serialize(m);
+    ASSERT_GE(blocks.size(), 3u);
+    const std::size_t body = blocks.size() - 2; // between /MS/ and /MT/
+
+    MessageAssembler per_block;
+    std::optional<MemMessage> want;
+    for (const auto &b : blocks) {
+        if (auto r = per_block.feed(b))
+            want = std::move(r);
+    }
+    ASSERT_TRUE(want.has_value());
+
+    // Runs of every length from 1 to the whole body.
+    for (std::size_t run = 1; run <= body; ++run) {
+        MessageAssembler trains;
+        EXPECT_FALSE(trains.feed(blocks.front()).has_value());
+        for (std::size_t i = 0; i < body; i += run)
+            trains.feedData(blocks.data() + 1 + i, std::min(run, body - i));
+        const auto got = trains.feed(blocks.back());
+        ASSERT_TRUE(got.has_value()) << "run " << run;
+        EXPECT_EQ(got->type, want->type);
+        EXPECT_EQ(got->src, want->src);
+        EXPECT_EQ(got->dst, want->dst);
+        EXPECT_EQ(got->id, want->id);
+        EXPECT_EQ(got->len, want->len);
+        EXPECT_EQ(got->addr, want->addr) << "run " << run;
+        EXPECT_EQ(got->opcode, want->opcode);
+        EXPECT_EQ(got->arg0, want->arg0) << "run " << run;
+        EXPECT_EQ(got->arg1, want->arg1) << "run " << run;
+        EXPECT_EQ(got->last_chunk, want->last_chunk);
+        EXPECT_EQ(got->payload, want->payload) << "run " << run;
+        EXPECT_EQ(trains.violations(), 0u);
+    }
+    if (type == MemMsgType::WREQ || type == MemMsgType::RRES) {
+        EXPECT_EQ(want->payload, m.payload);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Types, FeedDataMatchesFeed,
+    ::testing::Values(std::make_tuple(MemMsgType::WREQ, 100),
+                      std::make_tuple(MemMsgType::RRES, 61),
+                      std::make_tuple(MemMsgType::RREQ, 0),
+                      std::make_tuple(MemMsgType::RMWREQ, 0)));
+
+TEST(Assembler, FeedDataOutsideAMessageCountsViolations)
+{
+    const phy::PhyBlock data[3] = {phy::PhyBlock::data(1),
+                                   phy::PhyBlock::data(2),
+                                   phy::PhyBlock::data(3)};
+    MessageAssembler assembler;
+    assembler.feedData(data, 3);
+    EXPECT_EQ(assembler.violations(), 3u);
+    EXPECT_FALSE(assembler.inMessage());
+
+    // After a message completes the assembler is outside one again.
+    MemMessage m;
+    m.type = MemMsgType::RREQ;
+    m.len = 8;
+    for (const auto &b : serialize(m))
+        assembler.feed(b);
+    assembler.feedData(data, 2);
+    EXPECT_EQ(assembler.violations(), 5u);
 }
 
 TEST(Message, ToStringContainsType)

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -191,6 +192,80 @@ TEST(EventQueueCallback, LargeCaptureFallsBackToHeap)
     });
     q.run();
     EXPECT_DOUBLE_EQ(sum, 48.0);
+}
+
+TEST(EventQueueCallback, CountedInlineCaptureIsDestroyedOnce)
+{
+    // Counts destructions of the live object only: moved-from shells
+    // left behind by relocation do not count.
+    struct Counted
+    {
+        int *destroyed;
+        bool live = true;
+        explicit Counted(int *d) : destroyed(d) {}
+        Counted(Counted &&o) noexcept
+            : destroyed(o.destroyed), live(std::exchange(o.live, false))
+        {
+        }
+        Counted(const Counted &) = delete;
+        ~Counted()
+        {
+            if (live)
+                ++*destroyed;
+        }
+    };
+
+    EventQueue q;
+    int fired = 0;
+    int fired_destroyed = 0;
+    q.schedule(10, [c = Counted(&fired_destroyed), &fired] { ++fired; });
+    // Growing the slot table relocates the pending callback.
+    for (int i = 0; i < 100; ++i)
+        q.schedule(20 + i, [] {});
+    EXPECT_EQ(fired_destroyed, 0);
+    q.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(fired_destroyed, 1);
+
+    int cancelled_destroyed = 0;
+    const EventId id = q.schedule(
+        q.now() + 10, [c = Counted(&cancelled_destroyed)] { ADD_FAILURE(); });
+    EXPECT_EQ(cancelled_destroyed, 0);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(cancelled_destroyed, 1);
+    q.run();
+    EXPECT_EQ(cancelled_destroyed, 1);
+}
+
+TEST(EventQueueCallback, TriviallyCopyableCaptureSurvivesSlotReuse)
+{
+    struct Word
+    {
+        std::uint64_t value;
+        std::uint64_t check;
+    };
+    EventQueue q;
+    std::vector<std::uint64_t> seen;
+    std::vector<std::uint64_t> want;
+    // Each round schedules enough events to grow the slot table while
+    // they are pending, then fires them all, freeing the slots the next
+    // round reuses with different values.
+    for (std::uint64_t round = 0; round < 3; ++round) {
+        for (std::uint64_t i = 0; i < 200; ++i) {
+            const Word w{round * 1000 + i, ~(round * 1000 + i)};
+            const std::uint32_t tag = static_cast<std::uint32_t>(i * 7);
+            auto fn = [&seen, w, tag, i] {
+                EXPECT_EQ(w.check, ~w.value);
+                EXPECT_EQ(tag, i * 7);
+                seen.push_back(w.value);
+            };
+            static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+            q.schedule(q.now() + 1 + static_cast<Picoseconds>(i), fn);
+            want.push_back(w.value);
+        }
+        q.run();
+    }
+    EXPECT_EQ(seen, want);
 }
 
 TEST(EventQueueCounters, ExecutedAccumulatesAcrossRuns)

@@ -3,15 +3,10 @@
  * Unit tests for the hardware-structure models.
  */
 
-#include <deque>
-#include <memory>
-#include <vector>
-
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
 #include "hw/cdc_fifo.hpp"
-#include "hw/intrusive_list.hpp"
 #include "hw/ordered_list.hpp"
 #include "hw/priority_encoder.hpp"
 
@@ -172,110 +167,6 @@ TEST(CdcFifo, UnboundedMode)
         EXPECT_TRUE(f.push(i));
     EXPECT_EQ(f.size(), 1000u);
     EXPECT_EQ(CdcFifo<int>::kCrossingCycles, 4);
-}
-
-struct LinkNode
-{
-    LinkNode *prev = nullptr;
-    LinkNode *next = nullptr;
-    int value = 0;
-};
-
-TEST(IntrusiveList, PushPopBothEnds)
-{
-    IntrusiveList<LinkNode> list;
-    LinkNode a{nullptr, nullptr, 1}, b{nullptr, nullptr, 2},
-        c{nullptr, nullptr, 3};
-    EXPECT_TRUE(list.empty());
-    list.push_back(&b);
-    list.push_front(&a);
-    list.push_back(&c);
-    EXPECT_EQ(list.size(), 3u);
-    EXPECT_EQ(list.front()->value, 1);
-    EXPECT_EQ(list.back()->value, 3);
-    EXPECT_EQ(list.pop_front()->value, 1);
-    EXPECT_EQ(list.pop_back()->value, 3);
-    EXPECT_EQ(list.pop_front()->value, 2);
-    EXPECT_TRUE(list.empty());
-}
-
-TEST(IntrusiveList, InsertBeforeAndErase)
-{
-    IntrusiveList<LinkNode> list;
-    LinkNode n[5];
-    for (int i = 0; i < 5; ++i)
-        n[i].value = i;
-    list.push_back(&n[0]);
-    list.push_back(&n[2]);
-    list.push_back(&n[4]);
-    list.insert_before(&n[2], &n[1]);   // mid-list
-    list.insert_before(nullptr, &n[3]); // nullptr = append
-    list.erase(&n[3]);
-    list.insert_before(&n[4], &n[3]);   // back into order
-    int expect = 0;
-    for (const LinkNode &node : list)
-        EXPECT_EQ(node.value, expect++);
-    EXPECT_EQ(expect, 5);
-    list.erase(&n[0]); // head
-    list.erase(&n[4]); // tail
-    list.erase(&n[2]); // middle
-    EXPECT_EQ(list.size(), 2u);
-    EXPECT_EQ(list.front()->value, 1);
-    EXPECT_EQ(list.back()->value, 3);
-}
-
-TEST(IntrusiveList, MoveTransfersNodes)
-{
-    IntrusiveList<LinkNode> list;
-    LinkNode a{nullptr, nullptr, 1}, b{nullptr, nullptr, 2};
-    list.push_back(&a);
-    list.push_back(&b);
-    IntrusiveList<LinkNode> other = std::move(list);
-    EXPECT_TRUE(list.empty());
-    EXPECT_EQ(other.size(), 2u);
-    EXPECT_EQ(other.pop_front()->value, 1);
-    EXPECT_EQ(other.pop_front()->value, 2);
-}
-
-TEST(IntrusiveList, RandomizedAgainstDeque)
-{
-    IntrusiveList<LinkNode> list;
-    std::vector<std::unique_ptr<LinkNode>> storage;
-    std::deque<LinkNode *> model;
-    Rng rng(123);
-    int next_value = 0;
-    for (int step = 0; step < 2000; ++step) {
-        const std::uint64_t op = rng.uniformInt(std::uint64_t{4});
-        if (op < 2 || model.empty()) {
-            storage.push_back(std::make_unique<LinkNode>());
-            storage.back()->value = next_value++;
-            if (op == 0) {
-                list.push_front(storage.back().get());
-                model.push_front(storage.back().get());
-            } else {
-                list.push_back(storage.back().get());
-                model.push_back(storage.back().get());
-            }
-        } else if (op == 2) {
-            EXPECT_EQ(list.pop_front(), model.front());
-            model.pop_front();
-        } else {
-            EXPECT_EQ(list.pop_back(), model.back());
-            model.pop_back();
-        }
-        EXPECT_EQ(list.size(), model.size());
-        if (!model.empty()) {
-            EXPECT_EQ(list.front(), model.front());
-            EXPECT_EQ(list.back(), model.back());
-        }
-    }
-    auto it = list.begin();
-    for (LinkNode *expected : model) {
-        ASSERT_NE(it, list.end());
-        EXPECT_EQ(&*it, expected);
-        ++it;
-    }
-    EXPECT_EQ(it, list.end());
 }
 
 } // namespace

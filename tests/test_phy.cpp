@@ -275,6 +275,207 @@ TEST(PreemptionMux, MemoryMessageNotInterleaved)
     }
 }
 
+// Memory-queue contract: the order blocks leave in, each with the
+// availability stamp it was queued under.
+struct Queued
+{
+    std::uint64_t payload;
+    Picoseconds ready;
+    bool operator==(const Queued &) const = default;
+};
+
+std::vector<Queued>
+drainMemory(PreemptionMux &mux)
+{
+    std::vector<Queued> out;
+    while (mux.memoryBacklog() > 0) {
+        const Picoseconds ready = mux.headAvail();
+        out.push_back({mux.next().payload, ready});
+    }
+    return out;
+}
+
+PhyBlock
+notify(std::uint64_t tag)
+{
+    return PhyBlock::control(BlockType::Notify, tag);
+}
+
+TEST(PreemptionMux, EnqueueMemoryOrdersByStampWithStableTies)
+{
+    PreemptionMux mux;
+    mux.enqueueMemory(notify(1), 10);
+    mux.enqueueMemory(notify(2), 30);
+    mux.enqueueMemory(notify(3), 20); // ahead of the later stamp
+    mux.enqueueMemory(notify(4), 20); // behind the equal stamp
+    mux.enqueueMemory(notify(5), 5);  // to the head
+    // A message sorting mid-queue keeps its blocks together, in order.
+    mux.enqueueMemory({notify(6), notify(7)}, 20);
+    // One sorting at the tail appends.
+    mux.enqueueMemory({notify(8), notify(9)}, 30);
+    EXPECT_EQ(mux.headAvail(), 5);
+    EXPECT_EQ(drainMemory(mux),
+              (std::vector<Queued>{{notify(5).payload, 5},
+                                   {notify(1).payload, 10},
+                                   {notify(3).payload, 20},
+                                   {notify(4).payload, 20},
+                                   {notify(6).payload, 20},
+                                   {notify(7).payload, 20},
+                                   {notify(2).payload, 30},
+                                   {notify(8).payload, 30},
+                                   {notify(9).payload, 30}}));
+    EXPECT_EQ(mux.headAvail(), PreemptionMux::kNever);
+}
+
+TEST(PreemptionMux, RunAndListFallBackToOrderedInsert)
+{
+    PreemptionMux mux;
+    // An empty queue takes a run by plain append.
+    const PhyBlock run[3] = {PhyBlock::data(10), PhyBlock::data(11),
+                             PhyBlock::data(12)};
+    mux.enqueueMemoryRun(run, 3, 0, 10);
+    EXPECT_EQ(drainMemory(mux),
+              (std::vector<Queued>{{10, 0}, {11, 10}, {12, 20}}));
+
+    // The tail (100) is later than the run's first stamp (90): each
+    // block sorts in on its own, behind equal stamps.
+    mux.enqueueMemory(notify(1), 100);
+    mux.enqueueMemoryRun(run, 3, 90, 10); // stamps 90, 100, 110
+    const PhyBlock list[2] = {PhyBlock::data(20), PhyBlock::data(21)};
+    const Picoseconds avails[2] = {95, 120};
+    mux.enqueueMemoryList(list, avails, 2); // tail 110 > 95
+    EXPECT_EQ(drainMemory(mux),
+              (std::vector<Queued>{{10, 90},
+                                   {20, 95},
+                                   {notify(1).payload, 100},
+                                   {11, 100},
+                                   {12, 110},
+                                   {21, 120}}));
+}
+
+TEST(PreemptionMux, TakeTrainRunStopsAtItsLimits)
+{
+    constexpr Picoseconds kCycle = 10;
+    PreemptionMux mux;
+    std::vector<PhyBlock> blocks;
+    std::vector<Picoseconds> avails;
+
+    // Outside a message nothing is taken, however ready the data.
+    for (std::uint64_t i = 0; i < 3; ++i)
+        mux.enqueueMemory(PhyBlock::data(i), 0);
+    EXPECT_EQ(mux.takeTrainRun(0, kCycle, 8, 2, blocks, avails), 0u);
+    EXPECT_TRUE(blocks.empty());
+    EXPECT_EQ(mux.memoryBacklog(), 3u);
+    drainMemory(mux);
+
+    // Inside a message: a control block ends the run.
+    mux.enqueueMemory(PhyBlock::control(BlockType::MemStart, 1), 0);
+    ASSERT_EQ(mux.next(0).type(), BlockType::MemStart);
+    ASSERT_TRUE(mux.midMemoryMessage());
+    mux.enqueueMemory(PhyBlock::data(1), 0);
+    mux.enqueueMemory(PhyBlock::data(2), 0);
+    mux.enqueueMemory(notify(3), 0);
+    const std::uint64_t slots = mux.memorySlots();
+    EXPECT_EQ(mux.takeTrainRun(10, kCycle, 8, 2, blocks, avails), 2u);
+    EXPECT_EQ(blocks, (std::vector<PhyBlock>{PhyBlock::data(1),
+                                             PhyBlock::data(2)}));
+    EXPECT_EQ(avails, (std::vector<Picoseconds>{0, 0}));
+    EXPECT_EQ(mux.memorySlots(), slots + 2);
+    EXPECT_EQ(mux.next(30).type(), BlockType::Notify);
+
+    // A block not ready by its slot ends the run: slots 40, 50, 60
+    // against stamps 0, 50, 65.
+    blocks.clear();
+    avails.clear();
+    mux.enqueueMemory(PhyBlock::data(4), 0);
+    mux.enqueueMemory(PhyBlock::data(5), 50);
+    mux.enqueueMemory(PhyBlock::data(6), 65);
+    EXPECT_EQ(mux.takeTrainRun(40, kCycle, 8, 2, blocks, avails), 2u);
+    EXPECT_EQ(avails, (std::vector<Picoseconds>{0, 50}));
+    EXPECT_EQ(mux.headAvail(), 65);
+
+    // max caps the run.
+    blocks.clear();
+    avails.clear();
+    for (std::uint64_t i = 7; i < 12; ++i)
+        mux.enqueueMemory(PhyBlock::data(i), 65);
+    EXPECT_EQ(mux.takeTrainRun(70, kCycle, 3, 2, blocks, avails), 3u);
+    EXPECT_EQ(blocks.front(), PhyBlock::data(6));
+    EXPECT_EQ(mux.memoryBacklog(), 3u);
+
+    // A run shorter than min_run pops nothing and leaves the outputs
+    // alone: one ready block, then one in flight past its slot.
+    drainMemory(mux);
+    mux.enqueueMemory(PhyBlock::control(BlockType::MemStart, 2), 0);
+    mux.next(100);
+    mux.enqueueMemory(PhyBlock::data(20), 100);
+    mux.enqueueMemory(PhyBlock::data(21), 500);
+    const auto blocks_before = blocks;
+    const auto avails_before = avails;
+    const std::uint64_t slots_before = mux.memorySlots();
+    EXPECT_EQ(mux.takeTrainRun(110, kCycle, 8, 2, blocks, avails), 0u);
+    EXPECT_EQ(blocks, blocks_before);
+    EXPECT_EQ(avails, avails_before);
+    EXPECT_EQ(mux.memoryBacklog(), 2u);
+    EXPECT_EQ(mux.memorySlots(), slots_before);
+}
+
+TEST(PreemptionMux, RestoreMemoryRunGoesAheadOfEqualStamps)
+{
+    constexpr Picoseconds kCycle = 10;
+    PreemptionMux mux;
+    mux.enqueueMemory(PhyBlock::control(BlockType::MemStart, 1), 0);
+    mux.next(0);
+    const PhyBlock run[4] = {PhyBlock::data(0), PhyBlock::data(1),
+                             PhyBlock::data(2), PhyBlock::data(3)};
+    mux.enqueueMemoryRun(run, 4, 0, kCycle); // stamps 0, 10, 20, 30
+    std::vector<PhyBlock> blocks;
+    std::vector<Picoseconds> avails;
+    ASSERT_EQ(mux.takeTrainRun(0, kCycle, 8, 2, blocks, avails), 4u);
+    EXPECT_EQ(mux.memorySlots(), 5u);
+
+    // Work queued after the take: an earlier-stamped grant and an
+    // entry sharing a restored block's stamp.
+    mux.enqueueMemory(PhyBlock::control(BlockType::Grant, 7), 5);
+    mux.enqueueMemory(notify(8), 20);
+    mux.restoreMemoryRun(blocks.data() + 1, avails.data() + 1, 3);
+    EXPECT_EQ(mux.memorySlots(), 2u);
+    EXPECT_EQ(drainMemory(mux),
+              (std::vector<Queued>{
+                  {PhyBlock::control(BlockType::Grant, 7).payload, 5},
+                  {1, 10},
+                  {2, 20},
+                  {notify(8).payload, 20},
+                  {3, 30}}));
+}
+
+TEST(PreemptionMux, RestoreFrameRunMayOverfillTheStagingBuffer)
+{
+    PreemptionMux mux;
+    for (std::uint64_t i = 0; i < PreemptionMux::kFrameBufferBlocks; ++i)
+        ASSERT_TRUE(mux.offerFrameBlock(PhyBlock::data(i)));
+    std::vector<PhyBlock> blocks;
+    ASSERT_EQ(mux.takeFrameTrainRun(0, 10, 8, 2, [] {}, blocks),
+              PreemptionMux::kFrameBufferBlocks);
+    EXPECT_EQ(mux.frameSlots(), PreemptionMux::kFrameBufferBlocks);
+    for (std::uint64_t i = 10; i < 14; ++i)
+        ASSERT_TRUE(mux.offerFrameBlock(PhyBlock::data(i)));
+
+    // Pulled-back blocks re-enter at the head past the 4-block bound.
+    mux.restoreFrameRun(blocks.data() + 1, 3);
+    EXPECT_EQ(mux.frameBacklog(), 7u);
+    EXPECT_EQ(mux.frameSlots(), 1u);
+    const std::uint64_t expect[] = {1, 2, 3, 10};
+    for (std::uint64_t e : expect) {
+        EXPECT_FALSE(mux.frameSpace());
+        EXPECT_FALSE(mux.offerFrameBlock(PhyBlock::data(99)));
+        EXPECT_EQ(mux.next().payload, e);
+    }
+    // Backpressure holds until the buffer drains below its bound.
+    EXPECT_EQ(mux.frameBacklog(), 3u);
+    EXPECT_TRUE(mux.frameSpace());
+}
+
 TEST(PreemptionDemux, ExtractsMemoryAndReassemblesFrame)
 {
     std::vector<PhyBlock> mem_blocks;
