@@ -10,13 +10,9 @@
 #ifndef EDM_BENCH_BENCH_UTIL_HPP
 #define EDM_BENCH_BENCH_UTIL_HPP
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "proto/cxl.hpp"
@@ -118,93 +114,6 @@ struct RunResult
     double norm_p99 = 0;
     double mean_ns = 0;
     std::uint64_t completed = 0;
-};
-
-/**
- * Machine-readable benchmark results: every record is one (name, config)
- * measurement with a few numeric metrics. Writing BENCH_*.json files
- * from each harness lets CI archive the perf trajectory across PRs.
- *
- *   BenchJson out("fabric_hotpath", BenchJson::pathFromArgs(argc, argv));
- *   out.record("bulk-read", "train=24", {{"ns_per_op", 12.3},
- *                                        {"blocks_per_sec", 8.1e7}});
- *   // written on destruction (or call write() explicitly)
- */
-class BenchJson
-{
-  public:
-    using Metrics = std::vector<std::pair<std::string, double>>;
-
-    /**
-     * Extract the value of a `--json <path>` argument pair; empty string
-     * (no file written) when absent.
-     */
-    static std::string
-    pathFromArgs(int argc, char **argv)
-    {
-        for (int i = 1; i + 1 < argc; ++i)
-            if (std::strcmp(argv[i], "--json") == 0)
-                return argv[i + 1];
-        return {};
-    }
-
-    BenchJson(std::string bench_name, std::string path)
-        : bench_name_(std::move(bench_name)), path_(std::move(path))
-    {
-    }
-
-    BenchJson(const BenchJson &) = delete;
-    BenchJson &operator=(const BenchJson &) = delete;
-
-    ~BenchJson() { write(); }
-
-    void
-    record(const std::string &name, const std::string &config,
-           const Metrics &metrics)
-    {
-        records_.push_back(Record{name, config, metrics});
-    }
-
-    /** Write (once) to the --json path; no-op without one. */
-    void
-    write()
-    {
-        if (written_ || path_.empty())
-            return;
-        written_ = true;
-        std::FILE *f = std::fopen(path_.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
-            return;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [",
-                     bench_name_.c_str());
-        for (std::size_t i = 0; i < records_.size(); ++i) {
-            const Record &r = records_[i];
-            std::fprintf(f, "%s\n    {\"name\": \"%s\", \"config\": \"%s\"",
-                         i ? "," : "", r.name.c_str(), r.config.c_str());
-            for (const auto &[key, value] : r.metrics)
-                std::fprintf(f, ", \"%s\": %.17g", key.c_str(), value);
-            std::fprintf(f, "}");
-        }
-        std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s (%zu results)\n", path_.c_str(),
-                    records_.size());
-    }
-
-  private:
-    struct Record
-    {
-        std::string name;
-        std::string config;
-        Metrics metrics;
-    };
-
-    std::string bench_name_;
-    std::string path_;
-    std::vector<Record> records_;
-    bool written_ = false;
 };
 
 /** Global message-count scaling from EDM_BENCH_SCALE. */

@@ -161,7 +161,7 @@ EventQueue::placeEvent(std::uint32_t slot)
     const Picoseconds when = slots_[slot].when;
     const std::uint64_t delta_bits =
         static_cast<std::uint64_t>(when) ^ static_cast<std::uint64_t>(now_);
-    if (!wheel_enabled_ || (delta_bits >> kWheelBits)) {
+    if (delta_bits >> kWheelBits) {
         // Beyond the wheel's current top-level window: overflow heap.
         heap_.push_back(HeapEntry{when, slots_[slot].seq, slot});
         siftUp(static_cast<std::uint32_t>(heap_.size() - 1));

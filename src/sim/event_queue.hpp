@@ -12,11 +12,11 @@
  * (Varghese & Lauck's hashed hierarchical wheel, adapted to the exact
  * (time, sequence) ordering a deterministic simulator needs).
  *
- * Ordering contract (identical to the pure-heap engine): events fire in
- * (time, schedule-sequence) order, so same-timestamp events run in
- * scheduling order regardless of which structure held them — level-0
- * buckets are 1 ps wide, making every bucket a single-timestamp FIFO
- * list, and wheel/heap candidates are tie-broken by sequence on pop.
+ * Ordering contract: events fire in (time, schedule-sequence) order, so
+ * same-timestamp events run in scheduling order regardless of which
+ * structure held them — level-0 buckets are 1 ps wide, making every
+ * bucket a single-timestamp FIFO list, and wheel/heap candidates are
+ * tie-broken by sequence on pop.
  *
  * Events can be cancelled or rescheduled via the EventId handle: the
  * handle encodes a slot index plus a generation counter, so stale
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "common/small_function.hpp"
 #include "common/time.hpp"
 
@@ -109,22 +108,6 @@ class EventQueue
 
     /** Request run() to return after the current event completes. */
     void stop() { stop_requested_ = true; }
-
-    /**
-     * Route every future event through the overflow heap, disabling the
-     * timing-wheel fast path. This restores the engine the PR 1
-     * baseline shipped (indexed 4-ary heap for everything) so
-     * benchmarks can measure the wheel's contribution honestly; it is
-     * not meant for production use.
-     * @pre no events pending.
-     */
-    void
-    disableWheelForBenchmarking()
-    {
-        EDM_ASSERT(pending() == 0,
-                   "wheel can only be disabled on an empty queue");
-        wheel_enabled_ = false;
-    }
 
   private:
     static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
@@ -241,7 +224,6 @@ class EventQueue
     /** Events resident per level: lets the peek skip empty levels. */
     std::array<std::uint32_t, kWheelLevels> level_count_{};
     std::size_t wheel_count_ = 0;
-    bool wheel_enabled_ = true;
     std::uint32_t free_head_ = kNpos;
     Picoseconds now_ = 0;
     std::uint64_t next_seq_ = 0;

@@ -1,9 +1,13 @@
 #include "sim/scenario_config.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "mac/frame.hpp"
 
 namespace edm {
 
@@ -37,11 +41,48 @@ parseDouble(const std::string &v, double &out)
 {
     char *end = nullptr;
     const double r = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
+    if (end == v.c_str() || *end != '\0' || !std::isfinite(r))
         return false;
     out = r;
     return true;
 }
+
+/** " in [lo, hi]", " >= lo" or nothing, as far as the range is bounded. */
+std::string
+rangeText(long lo, long hi)
+{
+    if (hi != std::numeric_limits<long>::max())
+        return " in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+            "]";
+    if (lo != std::numeric_limits<long>::min())
+        return " >= " + std::to_string(lo);
+    return "";
+}
+
+/** getInt into a narrower field, which keeps its value when absent. */
+template <typename T>
+bool
+readInt(const ScenarioSection &s, const std::string &key, T &field,
+        std::string &error, long lo,
+        long hi = std::numeric_limits<long>::max())
+{
+    long v = static_cast<long>(field);
+    if (!s.getInt(key, v, error, lo, hi))
+        return false;
+    field = static_cast<T>(v);
+    return true;
+}
+
+/** Node ids are 16-bit (core::NodeId). */
+constexpr long kMaxNodes = 65536;
+/** Memory message lengths ride a 16-bit wire field. */
+constexpr long kMaxMessageBytes = 0xFFFF;
+/** Largest payload of a 9 KB jumbo frame. */
+constexpr long kMaxFramePayload = static_cast<long>(
+    mac::kJumboFrame - mac::kHeaderBytes - mac::kFcsBytes);
+constexpr long kIntMax = std::numeric_limits<int>::max();
+/** Nanosecond keys convert to picoseconds without overflow. */
+constexpr long kMaxNs = std::numeric_limits<long>::max() / kNanosecond;
 
 bool
 parseBool(const std::string &v, bool &out)
@@ -77,51 +118,62 @@ ScenarioSection::getString(const std::string &key,
     return v ? *v : def;
 }
 
-long
-ScenarioSection::getInt(const std::string &key, long def) const
+bool
+ScenarioSection::getInt(const std::string &key, long &out,
+                        std::string &error, long lo, long hi) const
 {
     const std::string *v = find(key);
-    long out = def;
-    if (v && !parseLong(*v, out))
-        return def;
-    return out;
-}
-
-double
-ScenarioSection::getDouble(const std::string &key, double def) const
-{
-    const std::string *v = find(key);
-    double out = def;
-    if (v && !parseDouble(*v, out))
-        return def;
-    return out;
+    long n = 0;
+    if (!v)
+        return true;
+    if (!parseLong(*v, n) || n < lo || n > hi)
+        return reject(key, "an integer" + rangeText(lo, hi), error);
+    out = n;
+    return true;
 }
 
 bool
-ScenarioSection::getBool(const std::string &key, bool def) const
+ScenarioSection::getPositive(const std::string &key, double &out,
+                             std::string &error) const
 {
     const std::string *v = find(key);
-    bool out = def;
-    if (v && !parseBool(*v, out))
-        return def;
-    return out;
+    double d = 0;
+    if (!v)
+        return true;
+    if (!parseDouble(*v, d) || d <= 0)
+        return reject(key, "a number > 0", error);
+    out = d;
+    return true;
 }
 
-std::vector<std::size_t>
-ScenarioSection::getSizeList(const std::string &key) const
+bool
+ScenarioSection::getSizeList(const std::string &key,
+                             std::vector<std::size_t> &out,
+                             std::string &error, long lo, long hi) const
 {
-    std::vector<std::size_t> out;
+    out.clear();
     const std::string *v = find(key);
     if (!v)
-        return out;
+        return true;
     std::stringstream ss(*v);
     std::string item;
     while (std::getline(ss, item, ',')) {
         long n = 0;
-        if (parseLong(trim(item), n) && n >= 0)
-            out.push_back(static_cast<std::size_t>(n));
+        if (!parseLong(trim(item), n) || n < lo || n > hi)
+            return reject(key, "integers" + rangeText(lo, hi), error);
+        out.push_back(static_cast<std::size_t>(n));
     }
-    return out;
+    return true;
+}
+
+bool
+ScenarioSection::reject(const std::string &key, const std::string &want,
+                        std::string &error) const
+{
+    const std::string *v = find(key);
+    error = "bad value '" + (v ? *v : std::string()) + "' for [" + name +
+        "] key '" + key + "' (want " + want + ")";
+    return false;
 }
 
 const ScenarioSection *
@@ -319,6 +371,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
     ScenarioDoc doc;
     if (!loadScenarioDoc(path, doc, error))
         return false;
+    spec = ScenarioSpec{};
 
     const ScenarioSection *sc = doc.section("scenario");
     if (!sc) {
@@ -342,34 +395,30 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             spec.kind + "'";
         return false;
     }
-    spec.base_seed = static_cast<std::uint64_t>(sc->getInt("base_seed", 1));
-    spec.rounds = static_cast<int>(sc->getInt("rounds", 20));
-    if (spec.rounds <= 0) {
-        error = "rounds must be positive";
+    // Absent keys keep the defaults of ScenarioSpec and its members.
+    IncastWorkload &wl = spec.workload;
+    InterferenceSetup &inter = spec.interference;
+    if (!readInt(*sc, "base_seed", spec.base_seed, error, 0) ||
+        !readInt(*sc, "rounds", spec.rounds, error, 1, kIntMax) ||
+        !readInt(*sc, "chains_per_node", wl.chains_per_node, error, 1,
+                 kIntMax) ||
+        !readInt(*sc, "read_bytes", wl.read_bytes, error, 1,
+                 kMaxMessageBytes) ||
+        !readInt(*sc, "write_bytes", wl.write_bytes, error, 0,
+                 kMaxMessageBytes) ||
+        !readInt(*sc, "nodes", inter.nodes, error, 2, kMaxNodes) ||
+        !readInt(*sc, "memory_node", inter.memory_node, error, 1,
+                 kMaxNodes - 1) ||
+        !sc->getPositive("link_gbps", inter.link_gbps, error) ||
+        !readInt(*sc, "read_bytes", inter.read_bytes, error, 1,
+                 kMaxMessageBytes) ||
+        !readInt(*sc, "frame_payload", inter.frame_payload, error, 0,
+                 kMaxFramePayload) ||
+        !readInt(*sc, "max_frames", spec.max_frames, error, 0, kIntMax))
         return false;
-    }
-    spec.workload.chains_per_node =
-        static_cast<int>(sc->getInt("chains_per_node", 6));
-    spec.workload.read_bytes =
-        static_cast<Bytes>(sc->getInt("read_bytes", 900));
-    spec.workload.write_bytes =
-        static_cast<Bytes>(sc->getInt("write_bytes", 700));
-    spec.interference.nodes =
-        static_cast<std::size_t>(sc->getInt("nodes", 2));
-    spec.interference.memory_node =
-        static_cast<core::NodeId>(sc->getInt("memory_node", 1));
-    spec.interference.link_gbps = sc->getDouble("link_gbps", 25.0);
-    spec.interference.read_bytes =
-        static_cast<Bytes>(sc->getInt("read_bytes", 64));
-    spec.interference.frame_payload =
-        static_cast<std::size_t>(sc->getInt("frame_payload", 8900));
-    spec.max_frames = static_cast<int>(sc->getInt("max_frames", 8));
 
-    spec.n_to_1.clear();
-    spec.all_to_all.clear();
-    spec.quick_n_to_1.clear();
-    spec.quick_all_to_all.clear();
-    if (const ScenarioSection *sw = doc.section("sweep")) {
+    const ScenarioSection *sw = doc.section("sweep");
+    if (sw) {
         for (const auto &kv : sw->entries) {
             const std::string &k = kv.first;
             if (k != "n_to_1" && k != "all_to_all" && k != "quick_n_to_1" &&
@@ -378,10 +427,14 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 return false;
             }
         }
-        spec.n_to_1 = sw->getSizeList("n_to_1");
-        spec.all_to_all = sw->getSizeList("all_to_all");
-        spec.quick_n_to_1 = sw->getSizeList("quick_n_to_1");
-        spec.quick_all_to_all = sw->getSizeList("quick_all_to_all");
+        if (!sw->getSizeList("n_to_1", spec.n_to_1, error, 2, kMaxNodes) ||
+            !sw->getSizeList("all_to_all", spec.all_to_all, error, 2,
+                             kMaxNodes) ||
+            !sw->getSizeList("quick_n_to_1", spec.quick_n_to_1, error, 2,
+                             kMaxNodes) ||
+            !sw->getSizeList("quick_all_to_all", spec.quick_all_to_all,
+                             error, 2, kMaxNodes))
+            return false;
     }
     if (spec.kind == "incast" && spec.n_to_1.empty() &&
         spec.all_to_all.empty()) {
@@ -391,7 +444,6 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
     }
 
     // Validate every EdmConfig key now so configFor() cannot fail later.
-    spec.config.clear();
     if (const ScenarioSection *cs = doc.section("config")) {
         core::EdmConfig probe;
         for (const auto &kv : cs->entries) {
@@ -400,7 +452,6 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             spec.config.push_back(kv);
         }
     }
-    spec.topology = core::TopologySpec{};
     if (const ScenarioSection *ts = doc.section("topology")) {
         for (const auto &kv : ts->entries) {
             const std::string &k = kv.first;
@@ -420,25 +471,20 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                     "got '" + tiers + "'";
             return false;
         }
-        const long hpl = ts->getInt("hosts_per_leaf", 0);
-        const long width = ts->getInt("trunk_width", 1);
-        const long seed = ts->getInt("ecmp_seed", 1);
-        if (spec.topology.tiers == core::TopologySpec::Tiers::LeafSpine &&
-            hpl < 1) {
+        core::TopologySpec &topo = spec.topology;
+        if (!readInt(*ts, "hosts_per_leaf", topo.hosts_per_leaf, error, 0,
+                     kMaxNodes - 1) ||
+            !readInt(*ts, "trunk_width", topo.trunk_width, error, 1,
+                     kMaxNodes - 1) ||
+            !readInt(*ts, "ecmp_seed", topo.ecmp_seed, error, 0))
+            return false;
+        if (topo.tiers == core::TopologySpec::Tiers::LeafSpine &&
+            topo.hosts_per_leaf < 1) {
             error = "[topology] leaf_spine needs hosts_per_leaf >= 1";
             return false;
         }
-        if (hpl < 0 || width < 1 || seed < 0) {
-            error = "[topology] values must be non-negative "
-                    "(trunk_width >= 1)";
-            return false;
-        }
-        spec.topology.hosts_per_leaf = static_cast<std::size_t>(hpl);
-        spec.topology.trunk_width = static_cast<std::size_t>(width);
-        spec.topology.ecmp_seed = static_cast<std::uint64_t>(seed);
     }
 
-    spec.tenants = core::TenantSpec{};
     if (const ScenarioSection *tn = doc.section("tenants")) {
         const std::string *names = tn->find("pools");
         if (!names) {
@@ -550,8 +596,8 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             }
     }
 
-    spec.faults = FaultCampaignSpec{};
-    if (const ScenarioSection *fs = doc.section("faults")) {
+    const ScenarioSection *fs = doc.section("faults");
+    if (fs) {
         for (const auto &kv : fs->entries) {
             const std::string &k = kv.first;
             if (k != "storm_at_ns" && k != "storm_nodes" &&
@@ -561,29 +607,63 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 return false;
             }
         }
-        spec.faults.active = true;
-        const long at = fs->getInt("storm_at_ns", 0);
-        const long blocks = fs->getInt("storm_blocks", 32);
-        const long jitter = fs->getInt("storm_jitter_ns", 0);
-        const long repair = fs->getInt("repair_after_ns", 0);
-        if (at < 0 || blocks < 1 || jitter < 0 || repair < 0) {
-            error = "[faults] values must be non-negative (storm_blocks "
-                    ">= 1)";
+        FaultCampaignSpec &f = spec.faults;
+        f.active = true;
+        long at = 0;
+        long jitter = 0;
+        long repair = 0;
+        std::vector<std::size_t> nodes;
+        if (!fs->getInt("storm_at_ns", at, error, 0, kMaxNs) ||
+            !readInt(*fs, "storm_blocks", f.storm_blocks, error, 1,
+                     kIntMax) ||
+            !fs->getInt("storm_jitter_ns", jitter, error, 0, kMaxNs) ||
+            !readInt(*fs, "storm_seed", f.storm_seed, error, 0) ||
+            !fs->getInt("repair_after_ns", repair, error, 0, kMaxNs) ||
+            !fs->getSizeList("storm_nodes", nodes, error, 0,
+                             kMaxNodes - 1))
             return false;
-        }
-        spec.faults.storm_at = at * kNanosecond;
-        spec.faults.storm_blocks = static_cast<int>(blocks);
-        spec.faults.storm_jitter = jitter * kNanosecond;
-        spec.faults.storm_seed =
-            static_cast<std::uint64_t>(fs->getInt("storm_seed", 1));
-        spec.faults.repair_after = repair * kNanosecond;
-        spec.faults.storm_nodes.clear();
-        for (const std::size_t n : fs->getSizeList("storm_nodes"))
-            spec.faults.storm_nodes.push_back(
-                static_cast<core::NodeId>(n));
+        f.storm_at = at * kNanosecond;
+        f.storm_jitter = jitter * kNanosecond;
+        f.repair_after = repair * kNanosecond;
+        f.storm_nodes.assign(nodes.begin(), nodes.end());
     }
 
-    spec.modes.clear();
+    // Every fabric the scenario builds must exist: a leaf-spine needs
+    // two leaves, and every named node must be one of the fabric's.
+    const bool leaf_spine =
+        spec.topology.tiers == core::TopologySpec::Tiers::LeafSpine;
+    const std::string two_leaves = "more nodes than [topology] "
+        "hosts_per_leaf = " +
+        std::to_string(spec.topology.hosts_per_leaf);
+    if (spec.kind == "interference") {
+        if (leaf_spine && inter.nodes <= spec.topology.hosts_per_leaf)
+            return sc->reject("nodes", two_leaves, error);
+        if (inter.memory_node >= inter.nodes)
+            return sc->reject("memory_node",
+                              "a node below nodes = " +
+                                  std::to_string(inter.nodes),
+                              error);
+    } else {
+        const std::pair<const char *, const std::vector<std::size_t> *>
+            sweeps[] = {{"n_to_1", &spec.n_to_1},
+                        {"all_to_all", &spec.all_to_all},
+                        {"quick_n_to_1", &spec.quick_n_to_1},
+                        {"quick_all_to_all", &spec.quick_all_to_all}};
+        std::size_t fewest = static_cast<std::size_t>(kMaxNodes);
+        for (const auto &[key, points] : sweeps)
+            for (const std::size_t n : *points) {
+                if (leaf_spine && n <= spec.topology.hosts_per_leaf)
+                    return sw->reject(key, two_leaves, error);
+                fewest = std::min(fewest, n);
+            }
+        for (const core::NodeId n : spec.faults.storm_nodes)
+            if (n >= fewest)
+                return fs->reject("storm_nodes",
+                                  "nodes below the smallest sweep point, " +
+                                      std::to_string(fewest),
+                                  error);
+    }
+
     for (const ScenarioSection *ms : doc.sectionsWithPrefix("mode")) {
         ScenarioModeSpec mode;
         mode.name = trim(ms->name.substr(4));

@@ -38,13 +38,16 @@
  *   wire_charged_occupancy = true
  *
  * Unknown keys are hard errors: a typo must fail loudly, never
- * silently fall back to a default schedule.
+ * silently fall back to a default schedule. So are numbers that do not
+ * parse or fall outside their range, and node counts or node ids that
+ * name no node of the fabric the scenario builds.
  */
 
 #ifndef EDM_SIM_SCENARIO_CONFIG_HPP
 #define EDM_SIM_SCENARIO_CONFIG_HPP
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,12 +68,35 @@ struct ScenarioSection
 
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    long getInt(const std::string &key, long def) const;
-    double getDouble(const std::string &key, double def) const;
-    bool getBool(const std::string &key, bool def) const;
 
-    /** Comma-separated list of non-negative integers. */
-    std::vector<std::size_t> getSizeList(const std::string &key) const;
+    /**
+     * Integer value of @p key, within [@p lo, @p hi], into @p out; an
+     * absent key leaves @p out as it was. A value that does not parse
+     * or is out of range fails: false, with @p error naming the
+     * section, the key and the value.
+     */
+    bool getInt(const std::string &key, long &out, std::string &error,
+                long lo = std::numeric_limits<long>::min(),
+                long hi = std::numeric_limits<long>::max()) const;
+
+    /** Positive finite number of @p key; otherwise as getInt. */
+    bool getPositive(const std::string &key, double &out,
+                     std::string &error) const;
+
+    /**
+     * Comma-separated integers of @p key, each within [@p lo, @p hi];
+     * otherwise as getInt (empty when the key is absent).
+     */
+    bool getSizeList(const std::string &key, std::vector<std::size_t> &out,
+                     std::string &error, long lo = 0,
+                     long hi = std::numeric_limits<long>::max()) const;
+
+    /**
+     * Reject @p key's value: false, with @p error naming the section,
+     * the key, the value and what was wanted.
+     */
+    bool reject(const std::string &key, const std::string &want,
+                std::string &error) const;
 };
 
 /** A parsed scenario file: sections in file order. */

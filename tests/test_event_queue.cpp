@@ -4,8 +4,9 @@
  * indexed 4-ary overflow heap): FIFO tie-breaking, cancellation life
  * cycle, rescheduling, wheel-specific behaviour (level wrap-around,
  * far-future heap overflow, wheel-to-heap migration, same-tick FIFO),
- * SBO callback semantics, and a 1M-event randomized stress that checks
- * the ordering invariants end to end.
+ * SBO callback semantics, a randomized run against an independent
+ * ordered-set model, and a 1M-event randomized stress that checks the
+ * ordering invariants end to end.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -279,12 +282,6 @@ TEST(EventQueueCounters, ExecutedAccumulatesAcrossRuns)
     EXPECT_EQ(q.executed(), 5u);
 }
 
-/**
- * 1M-event randomized stress. Mixes schedule / cancel / reschedule and
- * verifies the two heap invariants observable from outside:
- *  - fire times are monotonically non-decreasing,
- *  - exactly the never-cancelled events fire, each exactly once.
- */
 // ---------------------------------------------------------------------------
 // Timing-wheel specifics. The wheel files events below ~2^32 ps of the
 // current time across four 256-slot levels; everything farther overflows
@@ -357,10 +354,10 @@ TEST(EventQueueWheel, HeapAndWheelTieBreakBySequence)
     // order.
     EventQueue q;
     std::vector<int> order;
-    const Picoseconds when = (Picoseconds{1} << 32) + 500;
+    const Picoseconds when = (Picoseconds{1} << 32) + (1 << 21) + 500;
     q.schedule(when, [&] { order.push_back(0); }); // heap resident
     q.schedule(when - (1 << 20), [&, when] {
-        // now within the wheel span of `when`.
+        // now shares `when`'s top-level wheel window.
         q.schedule(when, [&] { order.push_back(1); }); // wheel resident
     });
     q.run();
@@ -413,46 +410,117 @@ TEST(EventQueueWheel, FifoWithinOneTickAcrossCascades)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueueWheel, DisableWheelKeepsIdenticalOrdering)
+TEST(EventQueueWheel, MatchesOrderedSetModel)
 {
-    // The heap-only benchmarking mode must replay the exact same
-    // schedule: run one randomized workload under both engines.
-    auto workload = [](EventQueue &q) {
-        Rng rng(77);
-        std::vector<std::pair<Picoseconds, int>> fired;
-        std::vector<EventId> live;
-        for (int i = 0; i < 5000; ++i) {
-            const auto d =
-                static_cast<Picoseconds>(rng.uniformInt(std::uint64_t{1}
-                                                        << 22));
-            live.push_back(q.schedule(
-                q.now() + d, [&fired, &q, i] {
-                    fired.emplace_back(q.now(), i);
-                }));
-            const double roll = rng.uniform();
-            if (roll < 0.2) {
-                const std::size_t pick = rng.uniformInt(live.size());
-                q.cancel(live[pick]);
-            } else if (roll < 0.3) {
-                const std::size_t pick = rng.uniformInt(live.size());
-                q.reschedule(live[pick],
-                             q.now() + static_cast<Picoseconds>(
-                                           rng.uniformInt(
-                                               std::uint64_t{1} << 22)));
-            } else if (roll < 0.4) {
-                for (int k = 0; k < 8; ++k)
-                    q.step();
+    // An independent oracle: a std::set of (when, seq, tag) with its own
+    // sequence counter, updated on every schedule, cancel and
+    // reschedule. After each step() the fired (time, tag) must be the
+    // model's minimum. About one target time in ten lies 2^32 ps or more
+    // ahead, so those events live in the overflow heap and reschedules
+    // migrate between wheel and heap both ways. Half land on the
+    // 2560 ps block-slot grid, as fabric events do, so same-timestamp
+    // ties are common: within a wheel bucket, across cascades, and
+    // between a heap event and a later wheel event.
+    using Key = std::tuple<Picoseconds, std::uint64_t, std::size_t>;
+    constexpr Picoseconds kSlot = 2560;
+    EventQueue q;
+    Rng rng(77);
+    std::set<Key> model;
+    std::uint64_t model_seq = 0;
+    std::vector<EventId> ids; // by tag
+    std::vector<Key> keys;    // by tag: its entry, in the model if pending
+    std::pair<Picoseconds, std::size_t> fired{-1, 0};
+    std::uint64_t popped = 0;
+
+    auto on_grid = [](Picoseconds t) {
+        return (t + kSlot - 1) / kSlot * kSlot;
+    };
+    auto draw = [&]() -> Picoseconds {
+        const Picoseconds now = q.now();
+        const double roll = rng.uniform();
+        if (roll < 0.1)
+            return on_grid(now + (Picoseconds{1} << 32)) +
+                kSlot * static_cast<Picoseconds>(rng.uniformInt(64));
+        if (roll < 0.6)
+            return on_grid(now) +
+                kSlot * static_cast<Picoseconds>(rng.uniformInt(64));
+        // Anywhere within one of the four wheel levels' spans.
+        const auto bits = 8 * (1 + static_cast<int>(rng.uniformInt(4)));
+        return now +
+            static_cast<Picoseconds>(
+                rng.uniformInt(std::uint64_t{1} << (bits - 1)));
+    };
+    auto file = [&](std::size_t tag, Picoseconds when) {
+        keys[tag] = Key{when, model_seq++, tag};
+        model.insert(keys[tag]);
+    };
+    // One step; false (after recording a failure) on any divergence.
+    auto step = [&]() {
+        const bool ran = q.step();
+        if (ran != !model.empty()) {
+            ADD_FAILURE() << "step() returned " << ran << " with "
+                          << model.size() << " events in the model";
+            return false;
+        }
+        if (!ran)
+            return true;
+        const auto [when, seq, tag] = *model.begin();
+        model.erase(model.begin());
+        ++popped;
+        if (fired != std::make_pair(when, tag)) {
+            ADD_FAILURE() << "fired tag " << fired.second << " at "
+                          << fired.first << ", model expected tag " << tag
+                          << " (seq " << seq << ") at " << when;
+            return false;
+        }
+        return true;
+    };
+
+    bool ok = true;
+    for (std::size_t i = 0; i < 20000 && ok; ++i) {
+        const std::size_t tag = ids.size();
+        const Picoseconds when = draw();
+        ids.push_back(q.schedule(when, [&fired, &q, tag] {
+            fired = {q.now(), tag};
+        }));
+        keys.emplace_back();
+        file(tag, when);
+
+        // Cancel or reschedule any tag, fired and cancelled ones
+        // included: the queue must reject exactly the ones the model no
+        // longer holds.
+        const double roll = rng.uniform();
+        const std::size_t pick = rng.uniformInt(ids.size());
+        const bool pending = model.count(keys[pick]) != 0;
+        if (roll < 0.15) {
+            ASSERT_EQ(q.cancel(ids[pick]), pending) << "tag " << pick;
+            model.erase(keys[pick]);
+        } else if (roll < 0.35) {
+            const Picoseconds to = draw();
+            ASSERT_EQ(q.reschedule(ids[pick], to), pending)
+                << "tag " << pick;
+            if (pending) {
+                model.erase(keys[pick]);
+                file(pick, to);
             }
         }
-        q.run();
-        return fired;
-    };
-    EventQueue with_wheel;
-    EventQueue heap_only;
-    heap_only.disableWheelForBenchmarking();
-    EXPECT_EQ(workload(with_wheel), workload(heap_only));
+        if (rng.uniform() < 0.35)
+            for (std::uint64_t k = 1 + rng.uniformInt(8); k > 0 && ok; --k)
+                ok = step();
+    }
+    while (ok && !model.empty())
+        ok = step();
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.executed(), popped);
 }
 
+/**
+ * 1M-event randomized stress. Mixes schedule / cancel / reschedule and
+ * verifies the two heap invariants observable from outside:
+ *  - fire times are monotonically non-decreasing,
+ *  - exactly the never-cancelled events fire, each exactly once.
+ */
 TEST(EventQueueStress, MillionRandomEventsFireInOrder)
 {
     constexpr int kEvents = 1'000'000;

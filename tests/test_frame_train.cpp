@@ -11,6 +11,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,104 @@ TEST(FrameTrain, ContendedMixedTrafficBitIdentical)
     // Frame trains must add savings beyond what memory trains provide.
     EXPECT_LT(both.events, mem_only.events)
         << "frame-train path added no event savings";
+}
+
+/** Closed-loop loads that keep MTU frames flooding to every port. */
+enum class FrameLoad
+{
+    /** 2 KiB ops alternating read and write, an MTU frame every 4th. */
+    MixedFrames,
+    /** Two MTU frames per 64 B read: the line is frame-dominated. */
+    FramesHeavy,
+};
+
+/**
+ * One closed loop per client against the last node, which serves
+ * memory: a client posts its next op when the previous one completes,
+ * so every completion instant feeds back into the schedule while each
+ * injected frame floods to all other ports.
+ */
+Outcome
+runClosedLoop(const EdmConfig &cfg, FrameLoad load,
+              std::uint64_t ops_per_node)
+{
+    const auto mem = static_cast<NodeId>(cfg.num_nodes - 1);
+    mac::Frame f;
+    f.payload.assign(1400, 0x7B);
+    const auto mtu = mac::serialize(f);
+    std::vector<std::uint64_t> remaining(mem, ops_per_node);
+    // Declared out here so it outlives sim.run() inside runScenario;
+    // completion callbacks refer to it and never own a copy.
+    std::function<void(NodeId)> issue;
+    return runScenario(cfg, [&](Simulation &, CycleFabric &fab) {
+        fab.host(mem).store()->write(
+            0x10000, std::vector<std::uint8_t>(2048, 0x5A));
+        issue = [&](NodeId n) {
+            if (remaining[n] == 0)
+                return;
+            const std::uint64_t left = --remaining[n];
+            auto on_read = [&issue, n](std::vector<std::uint8_t>,
+                                       Picoseconds, bool) { issue(n); };
+            if (load == FrameLoad::FramesHeavy) {
+                fab.injectFrame(n, mtu);
+                fab.injectFrame(n, mtu);
+                fab.read(n, mem, 0x10000, 64, on_read);
+                return;
+            }
+            if (left & 1)
+                fab.write(n, mem,
+                          0x20000 + static_cast<std::uint64_t>(n) * 0x10000,
+                          std::vector<std::uint8_t>(
+                              2048, static_cast<std::uint8_t>(n)),
+                          [&issue, n](Picoseconds) { issue(n); });
+            else
+                fab.read(n, mem, 0x10000, 2048, on_read);
+            if (left % 4 == 0)
+                fab.injectFrame(n, mtu);
+        };
+        for (NodeId n = 0; n < mem; ++n)
+            issue(n);
+    });
+}
+
+TEST(FrameTrain, ClosedLoopFrameFloodsBitIdentical)
+{
+    // Seven clients and one memory node under closed-loop feedback,
+    // with MTU frames flooding to every port: memory trains, frame
+    // trains and both together must each reproduce the fully per-block
+    // engine.
+    constexpr std::size_t kNodes = 8;
+    const struct
+    {
+        FrameLoad load;
+        const char *name;
+        std::uint64_t ops;
+        std::uint64_t frames_per_node;
+    } loads[] = {{FrameLoad::MixedFrames, "mixed+frames", 8, 2},
+                 {FrameLoad::FramesHeavy, "frames-heavy", 4, 8}};
+    for (const auto &l : loads) {
+        const Outcome baseline =
+            runClosedLoop(config(kNodes, 1, 1), l.load, l.ops);
+        const Outcome mem_only =
+            runClosedLoop(config(kNodes, 1, 64), l.load, l.ops);
+        const Outcome frames_only =
+            runClosedLoop(config(kNodes, 64, 1), l.load, l.ops);
+        const Outcome both =
+            runClosedLoop(config(kNodes, 64, 64), l.load, l.ops);
+        const std::string name = l.name;
+        expectIdentical(baseline, mem_only, name + ": memory trains only");
+        expectIdentical(baseline, frames_only,
+                        name + ": frame trains only");
+        expectIdentical(baseline, both, name + ": both train kinds");
+        EXPECT_EQ(both.reads + both.writes, (kNodes - 1) * l.ops) << name;
+        EXPECT_EQ(both.frames_flooded, (kNodes - 1) * l.frames_per_node)
+            << name;
+        EXPECT_EQ(both.frames_received,
+                  (kNodes - 1) * l.frames_per_node * (kNodes - 1))
+            << name;
+        EXPECT_LT(both.events, baseline.events / 2)
+            << name << ": train paths did not engage";
+    }
 }
 
 TEST(FrameTrain, MidStreamFaultInjectionBitIdentical)

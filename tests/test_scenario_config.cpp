@@ -42,18 +42,39 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
     ASSERT_EQ(doc.sections.size(), 2u);
     const ScenarioSection *sc = doc.section("scenario");
     ASSERT_NE(sc, nullptr);
+    std::string error;
     EXPECT_EQ(sc->getString("name", ""), "incast");
-    EXPECT_EQ(sc->getInt("rounds", -1), 20);
-    EXPECT_DOUBLE_EQ(sc->getDouble("scale", 0.0), 0.25);
-    EXPECT_TRUE(sc->getBool("flag", false));
-    EXPECT_EQ(sc->getInt("absent", 42), 42);
+    EXPECT_EQ(sc->getString("flag", ""), "true");
+    long rounds = -1;
+    EXPECT_TRUE(sc->getInt("rounds", rounds, error)) << error;
+    EXPECT_EQ(rounds, 20);
+    double scale = 0.0;
+    EXPECT_TRUE(sc->getPositive("scale", scale, error)) << error;
+    EXPECT_DOUBLE_EQ(scale, 0.25);
+    long absent = 42;
+    EXPECT_TRUE(sc->getInt("absent", absent, error)) << error;
+    EXPECT_EQ(absent, 42);
     const ScenarioSection *sw = doc.section("sweep");
     ASSERT_NE(sw, nullptr);
-    const auto list = sw->getSizeList("n_to_1");
+    std::vector<std::size_t> list;
+    EXPECT_TRUE(sw->getSizeList("n_to_1", list, error)) << error;
     ASSERT_EQ(list.size(), 3u);
     EXPECT_EQ(list[0], 5u);
     EXPECT_EQ(list[1], 9u);
     EXPECT_EQ(list[2], 13u);
+
+    // A value that does not parse or is out of range fails, naming the
+    // section, the key and the value.
+    EXPECT_FALSE(sc->getInt("name", rounds, error));
+    EXPECT_EQ(error, "bad value 'incast' for [scenario] key 'name' (want "
+                     "an integer)");
+    EXPECT_FALSE(sc->getInt("rounds", rounds, error, 1, 10));
+    EXPECT_EQ(error, "bad value '20' for [scenario] key 'rounds' (want "
+                     "an integer in [1, 10])");
+    EXPECT_EQ(rounds, 20);
+    EXPECT_FALSE(sw->getSizeList("n_to_1", list, error, 6));
+    EXPECT_EQ(error, "bad value '5, 9, 13' for [sweep] key 'n_to_1' "
+                     "(want integers >= 6)");
 }
 
 TEST(ScenarioParser, ModeSectionsSelectableByPrefix)
@@ -160,26 +181,72 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
     ScenarioDoc doc;
     ScenarioSpec spec;
     std::string error;
-    // Parseable but not loadable: bogus keys in each section kind.
-    for (const char *bad :
-         {"[scenario]\nname = x\nkind = incast\nchains = 6\n"
-          "[sweep]\nn_to_1 = 2\n",
-          "[scenario]\nname = x\nkind = incast\n"
-          "[sweep]\nn_to_1 = 2\nincast = 3\n",
-          "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n"
-          "[config]\nstrict = true\n",
-          "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n"
-          "[mode m]\nwire_charged = true\n"}) {
-        ASSERT_TRUE(parseScenarioText(bad, doc, error)) << error;
+    // Parseable but not loadable: bogus keys in each section kind, and
+    // malformed or out-of-range numbers, which must never fall back to
+    // a default or reach the fabric. The error names the key and value.
+    const char *interference = "[scenario]\nname = x\nkind = interference\n";
+    const struct
+    {
+        std::string text;
+        const char *key;
+        const char *value;
+    } bads[] = {
+        {"[scenario]\nname = x\nkind = incast\nchains = 6\n"
+         "[sweep]\nn_to_1 = 2\n",
+         "chains", ""},
+        {"[scenario]\nname = x\nkind = incast\n"
+         "[sweep]\nn_to_1 = 2\nincast = 3\n",
+         "incast", ""},
+        {base + "[config]\nstrict = true\n", "strict", ""},
+        {base + "[mode m]\nwire_charged = true\n", "wire_charged", ""},
+        {"[scenario]\nname = x\nkind = incast\nrounds = 2O\n"
+         "[sweep]\nn_to_1 = 2\n",
+         "rounds", "2O"},
+        {"[scenario]\nname = x\nkind = incast\n"
+         "[sweep]\nn_to_1 = 3, x, -4\n",
+         "n_to_1", "3, x, -4"},
+        {"[scenario]\nname = x\nkind = incast\nrounds = 6\n"
+         "write_bytes = -1\n[sweep]\nn_to_1 = 2\n",
+         "write_bytes", "-1"},
+        {"[scenario]\nname = x\nkind = incast\nread_bytes = 0\n"
+         "[sweep]\nn_to_1 = 2\n",
+         "read_bytes", "0"},
+        {"[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 1\n",
+         "n_to_1", "1"},
+        {"[scenario]\nname = x\nkind = incast\n"
+         "[sweep]\nn_to_1 = 9\nquick_all_to_all = 1\n",
+         "quick_all_to_all", "1"},
+        {base + "[faults]\nstorm_blocks = lots\n", "storm_blocks", "lots"},
+        {"[scenario]\nname = x\nkind = incast\n"
+         "[sweep]\nn_to_1 = 9\nquick_n_to_1 = 3\n"
+         "[faults]\nstorm_nodes = 1, 5\n",
+         "storm_nodes", "1, 5"},
+        {std::string(interference) + "nodes = 1\n", "nodes", "1"},
+        {std::string(interference) + "nodes = 2\nmemory_node = 7\n",
+         "memory_node", "7"},
+        {std::string(interference) + "link_gbps = fast\n", "link_gbps",
+         "fast"},
+        {std::string(interference) + "max_frames = -1\n", "max_frames",
+         "-1"},
+        {std::string(interference) + "frame_payload = -8900\n",
+         "frame_payload", "-8900"},
+    };
+    for (const auto &bad : bads) {
+        ASSERT_TRUE(parseScenarioText(bad.text, doc, error)) << error;
         // Write the text to a temp file and load it as a spec.
         const std::string path =
             std::string(::testing::TempDir()) + "bad.edm";
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);
-        std::fputs(bad, f);
+        std::fputs(bad.text.c_str(), f);
         std::fclose(f);
         error.clear();
-        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << bad;
+        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << bad.text;
+        EXPECT_NE(error.find(std::string("'") + bad.key + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(std::string("'") + bad.value), std::string::npos)
+            << error;
         std::remove(path.c_str());
     }
     // Sanity: the minimal valid scenario does load.
@@ -439,6 +506,16 @@ TEST(ScenarioSpecTest, BadTopologySectionsAreHardErrors)
         "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n"
         "[topology]\ntiers = leaf_spine\nhosts_per_leaf = 4\n"
         "trunk_width = 0\n",
+        // Malformed trunk_width.
+        "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 9\n"
+        "[topology]\ntiers = leaf_spine\nhosts_per_leaf = 4\n"
+        "trunk_width = 2O\n",
+        // A sweep point that fits on one leaf.
+        "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 9, 3\n"
+        "[topology]\ntiers = leaf_spine\nhosts_per_leaf = 4\n",
+        // The same for an interference fabric.
+        "[scenario]\nname = x\nkind = interference\nnodes = 4\n"
+        "[topology]\ntiers = leaf_spine\nhosts_per_leaf = 4\n",
     };
     for (const char *bad : bads) {
         const std::string path =

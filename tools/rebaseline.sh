@@ -5,18 +5,15 @@
 # schedule change is legitimate and how to review the output.
 #
 # What it does:
-#   1. builds test_golden_figs (and the quick benches),
+#   1. builds test_golden_figs,
 #   2. regenerates the golden arrays via EDM_GOLDEN_REGEN=1,
 #   3. rewrites tests/golden_figs_values.inc for the selected mode set
 #      (arrays outside the set keep their previous values),
 #   4. prints a before/after schedule-diff summary per array,
-#   5. re-runs test_golden_figs to prove the new baselines pass,
-#   6. refreshes the quick-scale BENCH_*.json snapshots at the repo
-#      root (EDM_BENCH_SCALE=0.2, the scale every prior snapshot used).
+#   5. re-runs test_golden_figs to prove the new baselines pass.
 #
 # Usage:
 #   tools/rebaseline.sh [--build-dir <dir>] [--modes legacy,wire]
-#                       [--skip-bench]
 #
 #   --build-dir   CMake build tree holding the binaries (default: build)
 #   --modes       which baseline mode set to refresh (default: all).
@@ -26,7 +23,6 @@
 #                              kGoldenChunkSweepWire
 #                   leafspine  kGoldenLeafSpine
 #                   fairshare  kGoldenFairShare
-#   --skip-bench  leave the BENCH_*.json snapshots alone
 #
 # Also available as a build target: cmake --build build -t rebaseline
 
@@ -34,15 +30,13 @@ set -euo pipefail
 
 BUILD_DIR=build
 MODES=legacy,wire,leafspine,fairshare
-SKIP_BENCH=0
 while [[ $# -gt 0 ]]; do
     case "$1" in
       --build-dir) BUILD_DIR=$2; shift 2 ;;
       --modes) MODES=$2; shift 2 ;;
-      --skip-bench) SKIP_BENCH=1; shift ;;
       *)
         echo "usage: $0 [--build-dir <dir>]" \
-             "[--modes legacy,wire,leafspine,fairshare] [--skip-bench]" >&2
+             "[--modes legacy,wire,leafspine,fairshare]" >&2
         exit 2 ;;
     esac
 done
@@ -171,18 +165,6 @@ cmake --build "$BUILD_DIR" -j --target test_golden_figs > /dev/null
 "$BUILD_DIR/test_golden_figs" > "$TMP/verify.out" ||
     { tail -40 "$TMP/verify.out"; exit 1; }
 tail -1 "$TMP/verify.out"
-
-if [[ "$SKIP_BENCH" == 0 ]]; then
-    echo
-    echo "== rebaseline: refreshing quick-scale BENCH_*.json =="
-    cmake --build "$BUILD_DIR" -j --target bench_event_queue \
-        bench_fabric_hotpath > /dev/null
-    EDM_BENCH_SCALE=0.2 "$BUILD_DIR/bench_event_queue" \
-        --json BENCH_event_queue.json > /dev/null
-    EDM_BENCH_SCALE=0.2 "$BUILD_DIR/bench_fabric_hotpath" \
-        --json BENCH_fabric_hotpath.json > /dev/null
-    echo "   wrote BENCH_event_queue.json BENCH_fabric_hotpath.json"
-fi
 
 echo
 echo "rebaseline complete. Review the diff summary above and follow the"
