@@ -168,11 +168,9 @@ struct EdmConfig
 
     /**
      * Errors tolerated on an uplink before the PHY monitor declares the
-     * link damaged and disables it (§3.3). The default matches the
-     * historical CycleFabric::kLinkErrorThreshold constant, so legacy
-     * schedules are unchanged; fault campaigns lower it to tune
-     * detection sensitivity (time-to-disable) without needing longer
-     * corruption bursts.
+     * link damaged and disables it (§3.3). Fault campaigns lower it to
+     * tune detection sensitivity (time-to-disable) without needing
+     * longer corruption bursts.
      */
     std::uint64_t link_error_threshold = 16;
 
@@ -227,7 +225,11 @@ struct EdmConfig
      * the fabric additionally caps trains at hop-latency/cycle + 2 so a
      * train's delivery event never fires before its last block left the
      * transmitter (keeping mid-train fault injection exact). Observable
-     * timing is identical for every value.
+     * timing is identical for every value on a single switch and on a
+     * leaf-spine without L2 floods (tests/test_block_train.cpp). With
+     * floods on a leaf-spine it is not: a grant can tie a cut-through
+     * block's stamp on an egress mux and leave one slot later than
+     * per-block (ROADMAP item 4).
      */
     std::size_t max_train_blocks = 64;
 
@@ -238,7 +240,9 @@ struct EdmConfig
      * memory stream cannot claim their slots. 1 restores per-block
      * frame emission (the timing-equivalence baseline); the same
      * hop-latency safety cap as max_train_blocks applies. Observable
-     * timing is identical for every value.
+     * timing is identical for every value on the single-switch shapes
+     * of tests/test_frame_train.cpp and on the leaf-spine flood repro
+     * of ROADMAP item 4; no test covers frame trains on a leaf-spine.
      */
     std::size_t max_frame_train_blocks = 64;
 

@@ -13,8 +13,7 @@ namespace core {
 CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
                          std::vector<NodeId> memory_nodes)
     : cfg_(cfg), sim_(sim), topo_(cfg.topology, cfg.num_nodes),
-      host_pumps_(cfg.num_nodes), switch_pumps_(cfg.num_nodes),
-      frame_backlog_(cfg.num_nodes), uplink_health_(cfg.num_nodes)
+      links_(2 * cfg.num_nodes), frame_backlog_(cfg.num_nodes)
 {
     EDM_ASSERT(cfg_.num_nodes >= 2, "fabric needs at least two nodes");
 
@@ -24,18 +23,30 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
                 memory_nodes.end();
     };
 
-    hosts_.reserve(cfg_.num_nodes);
-    for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
+    const std::size_t n = cfg_.num_nodes;
+    hosts_.reserve(n);
+    for (NodeId i = 0; i < n; ++i) {
         hosts_.push_back(std::make_unique<HostStack>(
             i, cfg_, sim_.events(), is_memory(i),
-            [this, i] { pumpHost(i); }));
+            [this, lp = &links_[i]] { pump(*lp); }));
     }
     switches_.reserve(topo_.numLeaves());
     for (std::uint16_t l = 0; l < topo_.numLeaves(); ++l) {
         switches_.push_back(std::make_unique<SwitchStack>(
             cfg_, sim_.events(),
-            [this](NodeId port) { pumpSwitchPort(port); },
+            [this, n](NodeId port) { pump(links_[n + port]); },
             topo_.isSingle() ? nullptr : &topo_, l));
+    }
+    for (NodeId i = 0; i < n; ++i) {
+        Link &up = links_[i];
+        up.node = i;
+        up.mux = &hosts_[i]->mux();
+        up.backlog = &frame_backlog_[i];
+        Link &down = links_[n + i];
+        down.node = i;
+        down.uplink = false;
+        down.mux = &leafSw(i).egressMux(i);
+        down.backlog = &leafSw(i).egressFrameBacklog(i);
     }
     if (!topo_.isSingle())
         installTrunkHooks();
@@ -60,10 +71,8 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
     // Attach the (purely observational) event log to every preemption
     // mux so enter/re-enter decisions are recorded with their port.
     if (cfg_.event_log) {
-        for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
-            hosts_[i]->mux().attachTrace(cfg_.event_log, i);
-            leafSw(i).egressMux(i).attachTrace(cfg_.event_log, i);
-        }
+        for (Link &l : links_)
+            l.mux->attachTrace(cfg_.event_log, l.node);
     }
 
     // Route write-delivery reports from memory nodes back to the writer
@@ -277,76 +286,46 @@ CycleFabric::noteTrainEvent(trace::EventType type, NodeId port,
 }
 
 void
-CycleFabric::commitTrain(TxPump &p, Train t, std::size_t run,
-                         Picoseconds now, EventQueue::Callback deliver,
-                         EventQueue::Callback emit)
-{
-    EventQueue &q = sim_.events();
-    t.start = now;
-    // Same call order as the per-block path (delivery first, then
-    // emit): same-instant sequence numbers depend on it.
-    q.schedule(now + cfg_.cycle + hopLatency(), std::move(deliver));
-    EDM_ASSERT(p.trains.size() < kMaxTrainsInFlight,
-               "more than %zu trains in flight on one pump",
-               kMaxTrainsInFlight);
-    p.trains.push_back(std::move(t));
-    p.next_slot = now + static_cast<Picoseconds>(run) * cfg_.cycle;
-    p.emit_at = now + static_cast<Picoseconds>(run - 1) * cfg_.cycle;
-    p.emit_ev = q.schedule(p.emit_at, std::move(emit));
-}
-
-void
 CycleFabric::topUpFrames(phy::PreemptionMux &mux,
                          common::Ring<phy::PhyBlock> &backlog)
 {
     // Models the MAC reacting to freed staging-buffer space (costs no
-    // time). The per-slot path, the train refill hook and the switch
-    // egress all share this exact rule — the train path's timing
-    // equivalence depends on them never diverging.
+    // time). The per-slot path and the frame-train refill hook both
+    // call it, so a frame train tops up exactly as per-slot emission
+    // would have.
     while (!backlog.empty() && mux.frameSpace()) {
         mux.offerFrameBlock(backlog.front());
         backlog.pop_front();
     }
 }
 
-std::size_t
-CycleFabric::takeFrameTrain(phy::PreemptionMux &mux,
-                            common::Ring<phy::PhyBlock> &backlog,
-                            Picoseconds now, Train &t)
-{
-    // The staging buffer holds at most 4 blocks; the refill hook tops it
-    // up from the backlog between runs exactly as the per-slot path
-    // would have.
-    t.kind = Train::Kind::Frame;
-    return mux.takeFrameTrainRun(now, cfg_.cycle, frame_train_cap_, 2,
-                                 [&mux, &backlog] {
-                                     topUpFrames(mux, backlog);
-                                 },
-                                 t.blocks);
-}
-
 // ---------------------------------------------------------------------------
-// TX pumps
+// Links
 //
-// Each pump owns one emit event. While blocks flow it self-reschedules
-// every cycle (or every train); when queued work is still in flight
-// upstream it parks at the head block's availability; with nothing
-// queued it deactivates and pumpWake restarts it, exactly like the
-// original activate-on-work design.
+// Every link runs the same transmit pump; the direction only decides
+// where blocks land (receive, deliverTrain). Each pump owns one emit
+// event. While blocks flow it self-reschedules every cycle (or every
+// train); when queued work is still in flight upstream it parks at the
+// head block's availability; with nothing queued it deactivates and
+// pump() restarts it, exactly like the original activate-on-work design.
 // ---------------------------------------------------------------------------
 
 void
-CycleFabric::pumpWake(TxPump &p, Picoseconds ready,
-                      EventQueue::Callback emit)
+CycleFabric::pump(Link &l)
 {
+    trim(l);
     EventQueue &q = sim_.events();
-    Picoseconds start = std::max(q.now(), p.next_slot);
-    if (ready > start)
-        start = ready;
+    const Picoseconds now = q.now();
+    const Picoseconds ready =
+        l.backlog->empty() ? l.mux->readyAt(now) : now;
+    if (ready == phy::PreemptionMux::kNever)
+        return;
+    TxPump &p = l.pump;
+    const Picoseconds start = std::max({now, p.next_slot, ready});
     if (!p.active) {
         p.active = true;
         p.emit_at = start;
-        p.emit_ev = q.schedule(start, std::move(emit));
+        p.emit_ev = q.schedule(start, [this, lp = &l] { emit(*lp); });
     } else if (p.emit_ev != kInvalidEvent && start < p.emit_at) {
         // Parked waiting on in-flight blocks, but fresher work (e.g. a
         // grant) is emittable sooner. Rescheduling re-sequences the
@@ -357,28 +336,16 @@ CycleFabric::pumpWake(TxPump &p, Picoseconds ready,
 }
 
 void
-CycleFabric::pumpHost(NodeId id)
+CycleFabric::emit(Link &l)
 {
-    trimUplinkTrain(id);
-    const Picoseconds ready = frame_backlog_[id].empty()
-        ? hosts_[id]->mux().readyAt(sim_.now())
-        : sim_.now();
-    if (ready == phy::PreemptionMux::kNever)
-        return;
-    pumpWake(host_pumps_[id], ready, [this, id] { emitHost(id); });
-}
-
-void
-CycleFabric::emitHost(NodeId id)
-{
-    TxPump &p = host_pumps_[id];
-    auto &mux = hosts_[id]->mux();
+    TxPump &p = l.pump;
+    phy::PreemptionMux &mux = *l.mux;
     EventQueue &q = sim_.events();
+    const auto again = [this, lp = &l] { emit(*lp); };
     p.emit_ev = kInvalidEvent;
 
     // Top up the mux's bounded frame staging buffer from the backlog.
-    auto &backlog = frame_backlog_[id];
-    topUpFrames(mux, backlog);
+    topUpFrames(mux, *l.backlog);
 
     const Picoseconds now = q.now();
     if (now < p.next_slot) {
@@ -387,8 +354,7 @@ CycleFabric::emitHost(NodeId id)
         // where baseline's per-slot chain would have scheduled it —
         // keeping same-timestamp ordering against enqueue events.
         p.emit_at = p.next_slot;
-        p.emit_ev = q.schedule(p.next_slot,
-                               [this, id] { emitHost(id); });
+        p.emit_ev = q.schedule(p.next_slot, again);
         return;
     }
     const Picoseconds ready = mux.readyAt(now);
@@ -400,56 +366,16 @@ CycleFabric::emitHost(NodeId id)
         // Queued blocks are still in flight upstream: park until the
         // head becomes emittable.
         p.emit_at = std::max(ready, p.next_slot);
-        p.emit_ev = q.schedule(p.emit_at,
-                               [this, id] { emitHost(id); });
+        p.emit_ev = q.schedule(p.emit_at, again);
         return;
     }
 
-    LinkHealth &health = uplink_health_[id];
-
-    // Train path: mid-message the mux is committed to the memory stream,
-    // so a run of ready data blocks can leave back-to-back as one unit —
-    // no mux refill, preemption decision or backlog top-up can claim any
-    // of its slots. Fault injection falls back to per-block emission
-    // (and aborts in-flight trains) so corruption lands on exactly the
-    // blocks it would have.
-    const bool trains_ok = health.corrupt_next == 0 && !health.disabled;
-    if (train_cap_ > 1 && trains_ok) {
-        Train t = acquireTrain();
-        const std::size_t run = mux.takeTrainRun(now, cfg_.cycle,
-                                                 train_cap_, 2, t.blocks,
-                                                 t.avails);
-        if (run >= 2) {
-            noteTrainEvent(trace::EventType::TrainEmit, id, t.kind, run);
-            commitTrain(p, std::move(t), run, now,
-                        [this, id] { deliverHostTrain(id); },
-                        [this, id] { emitHost(id); });
-            return;
-        }
-        releaseTrain(std::move(t));
-    }
-
-    // Frame-train path: outside a memory message, a run of staged L2
-    // blocks can leave back-to-back while the memory queue sleeps past
-    // their slots (memory preempts a frame the instant its head becomes
-    // available, so a memory arrival mid-train trims the tail —
-    // trimUplinkTrain). Gated off inside memory messages so a train
-    // never carries frame blocks the receive side would classify by
-    // /MS/../MT/ state, and skipped outright when no frame work is
-    // queued (memory-only traffic must not pay for the attempt).
-    if (frame_train_cap_ > 1 && trains_ok && !mux.midMemoryMessage() &&
-        (mux.frameBacklog() > 0 || !backlog.empty())) {
-        Train t = acquireTrain();
-        const std::size_t run = takeFrameTrain(mux, backlog, now, t);
-        if (run >= 2) {
-            noteTrainEvent(trace::EventType::TrainEmit, id, t.kind, run);
-            commitTrain(p, std::move(t), run, now,
-                        [this, id] { deliverHostTrain(id); },
-                        [this, id] { emitHost(id); });
-            return;
-        }
-        releaseTrain(std::move(t));
-    }
+    // Fault injection falls back to per-block emission (and aborts
+    // in-flight trains) so corruption lands on exactly the blocks it
+    // would have.
+    LinkHealth &health = l.health;
+    if (health.corrupt_next == 0 && !health.disabled && emitTrain(l, now))
+        return;
 
     const phy::PhyBlock block = mux.next(now);
     p.next_slot = now + cfg_.cycle;
@@ -457,7 +383,8 @@ CycleFabric::emitHost(NodeId id)
     // Fault handling (§3.3): a damaged link corrupts blocks; the
     // scrambler-side monitor detects them and, past the threshold, EDM
     // disables the link rather than retransmitting (the errors are not
-    // transient). Corrupt or disabled-link blocks never reach the switch.
+    // transient). Corrupt or disabled-link blocks never reach the peer.
+    const NodeId id = l.node;
     bool deliver = !health.disabled;
     if (deliver && health.corrupt_next > 0) {
         --health.corrupt_next;
@@ -486,43 +413,204 @@ CycleFabric::emitHost(NodeId id)
     }
 
     if (deliver) {
-        q.schedule(now + cfg_.cycle + hopLatency(), [this, id, block] {
-            leafSw(id).rxBlock(id, block);
-        });
+        q.schedule(now + cfg_.cycle + hopLatency(),
+                   [this, lp = &l, block] { receive(*lp, block); });
     }
 
     p.emit_at = p.next_slot;
-    p.emit_ev = q.schedule(p.next_slot,
-                           [this, id] { emitHost(id); });
+    p.emit_ev = q.schedule(p.next_slot, again);
+}
+
+bool
+CycleFabric::emitTrain(Link &l, Picoseconds now)
+{
+    // Memory train: mid-message the mux is committed to the memory
+    // stream, so a run of data blocks available by their slots can
+    // leave back-to-back as one unit — no mux refill, preemption
+    // decision or backlog top-up can claim any of its slots. Blocks
+    // still in flight upstream may join (a cut-through stream reaches
+    // an egress mux ahead of time with future availability stamps);
+    // trim() un-commits them if a block that sorts ahead arrives.
+    //
+    // Frame train: outside a memory message, a run of staged L2 blocks
+    // can leave back-to-back while the memory queue sleeps past their
+    // slots (memory preempts a frame the instant its head becomes
+    // available, so a memory arrival mid-train trims the tail). Gated
+    // off inside memory messages so a train never carries frame blocks
+    // the receive side would classify by /MS/../MT/ state, and skipped
+    // outright when no frame work is queued (memory-only traffic must
+    // not pay for the attempt).
+    phy::PreemptionMux &mux = *l.mux;
+    common::Ring<phy::PhyBlock> &backlog = *l.backlog;
+    const bool frames = frame_train_cap_ > 1 && !mux.midMemoryMessage() &&
+        (mux.frameBacklog() > 0 || !backlog.empty());
+    if (train_cap_ == 1 && !frames)
+        return false;
+    Train t = acquireTrain();
+    std::size_t run = train_cap_ > 1
+        ? mux.takeTrainRun(now, cfg_.cycle, train_cap_, 2, t.blocks,
+                           t.avails)
+        : 0;
+    if (run == 0 && frames) {
+        // The staging buffer holds at most 4 blocks; the refill hook
+        // tops it up from the backlog between runs exactly as the
+        // per-slot path would have.
+        t.kind = Train::Kind::Frame;
+        run = mux.takeFrameTrainRun(
+            now, cfg_.cycle, frame_train_cap_, 2,
+            [&mux, &backlog] { topUpFrames(mux, backlog); }, t.blocks);
+    }
+    if (run == 0) {
+        releaseTrain(std::move(t));
+        return false;
+    }
+    noteTrainEvent(trace::EventType::TrainEmit, l.node, t.kind, run);
+    commitTrain(l, std::move(t), run, now);
+    return true;
 }
 
 void
-CycleFabric::deliverHostTrain(NodeId id)
+CycleFabric::commitTrain(Link &l, Train t, std::size_t run, Picoseconds now)
 {
-    TxPump &p = host_pumps_[id];
+    TxPump &p = l.pump;
+    EventQueue &q = sim_.events();
+    t.start = now;
+    // Same call order as the per-block path (delivery first, then
+    // emit): same-instant sequence numbers depend on it.
+    q.schedule(now + cfg_.cycle + hopLatency(),
+               [this, lp = &l] { deliverTrain(*lp); });
+    EDM_ASSERT(p.trains.size() < kMaxTrainsInFlight,
+               "more than %zu trains in flight on one pump",
+               kMaxTrainsInFlight);
+    p.trains.push_back(std::move(t));
+    p.next_slot = now + static_cast<Picoseconds>(run) * cfg_.cycle;
+    p.emit_at = now + static_cast<Picoseconds>(run - 1) * cfg_.cycle;
+    p.emit_ev = q.schedule(p.emit_at, [this, lp = &l] { emit(*lp); });
+}
+
+void
+CycleFabric::deliverTrain(Link &l)
+{
+    TxPump &p = l.pump;
     EDM_ASSERT(!p.trains.empty(), "train delivery without a train");
     Train t = std::move(p.trains.front());
     p.trains.pop_front();
-    // now() is the first block's arrival; later blocks arrive (and are
-    // timestamped) one serialization slot apart.
-    if (t.kind == Train::Kind::Memory)
-        leafSw(id).rxBlockTrain(id, t.blocks.data(), t.blocks.size(),
-                                sim_.now(), cfg_.cycle);
-    else
-        leafSw(id).rxFrameTrain(id, t.blocks.data(), t.blocks.size());
+    const NodeId n = l.node;
+    const phy::PhyBlock *blocks = t.blocks.data();
+    const std::size_t count = t.blocks.size();
+    if (t.kind == Train::Kind::Frame) {
+        if (l.uplink)
+            leafSw(n).rxFrameTrain(n, blocks, count);
+        else
+            hosts_[n]->rxFrameTrain(blocks, count);
+    } else if (l.uplink) {
+        // now() is the first block's arrival; later blocks arrive (and
+        // are timestamped) one serialization slot apart.
+        leafSw(n).rxBlockTrain(n, blocks, count, sim_.now(), cfg_.cycle);
+    } else {
+        hosts_[n]->rxBlockTrain(blocks, count);
+    }
     releaseTrain(std::move(t));
 }
 
 void
-CycleFabric::abortUplinkTrain(NodeId id)
+CycleFabric::receive(Link &l, const phy::PhyBlock &block)
 {
-    TxPump &p = host_pumps_[id];
+    if (l.uplink)
+        leafSw(l.node).rxBlock(l.node, block);
+    else
+        hosts_[l.node]->rxBlock(block);
+}
+
+void
+CycleFabric::trim(Link &l)
+{
+    // A train commits its slots on a bet about the mux queue. A block
+    // enqueued (or made available) since that would have claimed one of
+    // those slots per-block un-commits the overtaken tail.
+    TxPump &p = l.pump;
+    if (p.trains.empty())
+        return;
+    Train &t = p.trains.back();
     const Picoseconds now = sim_.now();
+    const auto len = static_cast<Picoseconds>(t.blocks.size());
+    // Strict >: a block landing exactly on the *last* slot still wins
+    // it (the tie rules below) — only past the last slot is every block
+    // irrevocably on the wire.
+    if (now > t.start + (len - 1) * cfg_.cycle)
+        return;
+    const Picoseconds head = l.mux->headAvail();
+    if (head == phy::PreemptionMux::kNever)
+        return;
+    std::size_t keep;
+    if (t.kind == Train::Kind::Memory) {
+        // Slots up to now are committed. A queued block with an earlier
+        // availability than a not-yet-emitted train block — a grant /G/
+        // behind a cut-through stream on a switch egress is the
+        // canonical case — would have gone on the wire before it, so
+        // the tail from there re-queues behind that block. Never fires
+        // on an uplink: every host mux enqueue is stamped with its
+        // event time, so nothing queued sorts ahead of a train block.
+        keep = static_cast<std::size_t>((now - t.start) / cfg_.cycle) + 1;
+        while (keep < t.blocks.size() && t.avails[keep] <= head)
+            ++keep;
+    } else {
+        // Memory preempts a frame at every slot its availability
+        // reaches (after a frame slot the mux always prefers eligible
+        // memory). Slots strictly before now are gone. A slot exactly
+        // at now is the tie case: every memory enqueue event is
+        // scheduled at least one full cycle ahead, so in the per-block
+        // engine it runs before the slot's emit event and wins the
+        // slot — except at the train's own start, where the forming
+        // emit demonstrably ran first.
+        const Picoseconds delta = now - t.start;
+        keep = delta == 0
+            ? 1
+            : static_cast<std::size_t>(delta / cfg_.cycle) +
+                (delta % cfg_.cycle != 0 ? 1 : 0);
+        while (keep < t.blocks.size() &&
+               t.start + static_cast<Picoseconds>(keep) * cfg_.cycle < head)
+            ++keep;
+    }
+    if (keep < t.blocks.size())
+        untrain(l, t, keep);
+}
+
+void
+CycleFabric::untrain(Link &l, Train &t, std::size_t keep)
+{
+    // Give blocks [keep, end) back to the head of the mux in order
+    // (memory blocks with their availability stamps), then move the
+    // pump's next slot and pending emit to the cut.
+    const std::size_t back = t.blocks.size() - keep;
+    if (back > 0)
+        noteTrainEvent(trace::EventType::TrainTrim, l.node, t.kind, back);
+    if (t.kind == Train::Kind::Memory) {
+        l.mux->restoreMemoryRun(t.blocks.data() + keep,
+                                t.avails.data() + keep, back);
+        t.avails.resize(keep);
+    } else {
+        l.mux->restoreFrameRun(t.blocks.data() + keep, back);
+    }
+    t.blocks.resize(keep);
+    TxPump &p = l.pump;
+    p.next_slot = t.start + static_cast<Picoseconds>(keep) * cfg_.cycle;
+    if (p.emit_ev != kInvalidEvent) {
+        p.emit_at = std::max(sim_.now(), p.next_slot);
+        sim_.events().reschedule(p.emit_ev, p.emit_at);
+    }
+}
+
+void
+CycleFabric::abortUplinkTrain(Link &l)
+{
+    TxPump &p = l.pump;
     if (p.trains.empty())
         return;
     // Only the newest train can still be mid-emission: trains earlier in
     // the FIFO finished their slots before this one started.
     Train &t = p.trains.back();
+    const Picoseconds now = sim_.now();
     const auto len = static_cast<Picoseconds>(t.blocks.size());
     if (now > t.start + (len - 1) * cfg_.cycle)
         return; // every block already left the transmitter
@@ -530,249 +618,13 @@ CycleFabric::abortUplinkTrain(NodeId id)
     // Blocks whose emission slot has passed (slot <= now: the emit ran
     // before this abort in event order) stay committed; the rest go back
     // to the head of the mux so the per-block path re-emits them under
-    // the fault model.
-    const auto committed = std::min<std::size_t>(
-        static_cast<std::size_t>((now - t.start) / cfg_.cycle) + 1,
-        t.blocks.size());
-    if (committed < t.blocks.size())
-        noteTrainEvent(trace::EventType::TrainTrim, id, t.kind,
-                       t.blocks.size() - committed);
-    if (t.kind == Train::Kind::Memory) {
-        hosts_[id]->mux().restoreMemoryRun(t.blocks.data() + committed,
-                                           t.avails.data() + committed,
-                                           t.blocks.size() - committed);
-        t.avails.resize(committed);
-    } else {
-        hosts_[id]->mux().restoreFrameRun(t.blocks.data() + committed,
-                                          t.blocks.size() - committed);
-    }
-    // committed >= 1 always: the emit event that formed the train ran
-    // at t.start before any same-instant abort, so the delivery event
-    // survives with a non-empty prefix.
-    t.blocks.resize(committed);
-    p.next_slot = t.start +
-        static_cast<Picoseconds>(committed) * cfg_.cycle;
-    if (p.emit_ev != kInvalidEvent) {
-        p.emit_at = std::max(now, p.next_slot);
-        sim_.events().reschedule(p.emit_ev, p.emit_at);
-    }
-}
-
-void
-CycleFabric::trimFrameTrain(NodeId port, TxPump &p, Train &t,
-                            phy::PreemptionMux &mux)
-{
-    // A frame train committed slots on the bet that the memory queue
-    // sleeps past them; a memory block that has just arrived (or been
-    // made available) claims every slot its availability reaches —
-    // after a frame slot the mux always prefers eligible memory — so
-    // the overtaken tail un-commits and returns to the staging head.
-    const Picoseconds now = sim_.now();
-    const auto len = static_cast<Picoseconds>(t.blocks.size());
-    // Strict >: a memory block landing exactly on the *last* slot still
-    // wins it (same tie rule as mid-train, below) — only past the last
-    // slot is every block irrevocably on the wire.
-    if (now > t.start + (len - 1) * cfg_.cycle)
-        return;
-    const Picoseconds head = mux.headAvail();
-    if (head == phy::PreemptionMux::kNever)
-        return;
-    // Slots strictly before now are gone. A slot exactly at now is the
-    // tie case: every memory enqueue event is scheduled at least one
-    // full cycle ahead, so in the per-block engine it runs before the
-    // slot's emit event and wins the slot — except at the train's own
-    // start, where the forming emit demonstrably ran first.
-    const Picoseconds delta = now - t.start;
-    std::size_t emitted;
-    if (delta == 0)
-        emitted = 1;
-    else
-        emitted = static_cast<std::size_t>(delta / cfg_.cycle) +
-            (delta % cfg_.cycle != 0 ? 1 : 0);
-    std::size_t keep = emitted;
-    while (keep < t.blocks.size() &&
-           t.start + static_cast<Picoseconds>(keep) * cfg_.cycle < head)
-        ++keep;
-    if (keep >= t.blocks.size())
-        return;
-    noteTrainEvent(trace::EventType::TrainTrim, port, t.kind,
-                   t.blocks.size() - keep);
-    mux.restoreFrameRun(t.blocks.data() + keep, t.blocks.size() - keep);
-    t.blocks.resize(keep);
-    p.next_slot = t.start + static_cast<Picoseconds>(keep) * cfg_.cycle;
-    if (p.emit_ev != kInvalidEvent) {
-        p.emit_at = std::max(now, p.next_slot);
-        sim_.events().reschedule(p.emit_ev, p.emit_at);
-    }
-}
-
-void
-CycleFabric::trimUplinkTrain(NodeId id)
-{
-    // Host-side memory trains need no trim: every host mux enqueue is
-    // stamped with its event time, so the availability-sorted queue
-    // never lets fresh work overtake an in-flight train. Frame trains
-    // do: a memory arrival preempts their remaining slots.
-    TxPump &p = host_pumps_[id];
-    if (p.trains.empty())
-        return;
-    Train &t = p.trains.back();
-    if (t.kind != Train::Kind::Frame)
-        return;
-    trimFrameTrain(id, p, t, hosts_[id]->mux());
-}
-
-void
-CycleFabric::trimEgressTrain(NodeId port)
-{
-    // An egress train may commit blocks that are still in flight from
-    // the ingress (available by their slot, not yet at formation time).
-    // A block enqueued meanwhile with an earlier availability — a grant
-    // /G/ is the canonical case — would have gone on the wire *before*
-    // those, so the overtaken tail un-commits and re-queues behind it.
-    TxPump &p = switch_pumps_[port];
-    const Picoseconds now = sim_.now();
-    if (p.trains.empty())
-        return;
-    Train &t = p.trains.back();
-    auto &mux = leafSw(port).egressMux(port);
-    if (t.kind == Train::Kind::Frame) {
-        trimFrameTrain(port, p, t, mux);
-        return;
-    }
-    const auto len = static_cast<Picoseconds>(t.blocks.size());
-    if (now > t.start + (len - 1) * cfg_.cycle)
-        return; // every block already on the wire
-    const Picoseconds head = mux.headAvail();
-    if (head == phy::PreemptionMux::kNever)
-        return;
-    const auto committed = static_cast<std::size_t>(
-        (now - t.start) / cfg_.cycle) + 1;
-    std::size_t keep = committed;
-    while (keep < t.blocks.size() && t.avails[keep] <= head)
-        ++keep;
-    if (keep >= t.blocks.size())
-        return;
-    noteTrainEvent(trace::EventType::TrainTrim, port, t.kind,
-                   t.blocks.size() - keep);
-    mux.restoreMemoryRun(t.blocks.data() + keep, t.avails.data() + keep,
-                         t.blocks.size() - keep);
-    t.blocks.resize(keep);
-    t.avails.resize(keep);
-    p.next_slot = t.start + static_cast<Picoseconds>(keep) * cfg_.cycle;
-    if (p.emit_ev != kInvalidEvent) {
-        p.emit_at = std::max(now, p.next_slot);
-        sim_.events().reschedule(p.emit_ev, p.emit_at);
-    }
-}
-
-void
-CycleFabric::pumpSwitchPort(NodeId port)
-{
-    trimEgressTrain(port);
-    const Picoseconds ready = leafSw(port).egressFrameBacklog(port).empty()
-        ? leafSw(port).egressMux(port).readyAt(sim_.now())
-        : sim_.now();
-    if (ready == phy::PreemptionMux::kNever)
-        return;
-    pumpWake(switch_pumps_[port], ready,
-             [this, port] { emitSwitchPort(port); });
-}
-
-void
-CycleFabric::emitSwitchPort(NodeId port)
-{
-    TxPump &p = switch_pumps_[port];
-    auto &mux = leafSw(port).egressMux(port);
-    EventQueue &q = sim_.events();
-    p.emit_ev = kInvalidEvent;
-
-    // Top up the bounded frame staging buffer from the L2 backlog.
-    auto &backlog = leafSw(port).egressFrameBacklog(port);
-    topUpFrames(mux, backlog);
-
-    const Picoseconds now = q.now();
-    if (now < p.next_slot) {
-        // Train-continuation sentinel (see emitHost).
-        p.emit_at = p.next_slot;
-        p.emit_ev = q.schedule(
-            p.next_slot, [this, port] { emitSwitchPort(port); });
-        return;
-    }
-    const Picoseconds ready = mux.readyAt(now);
-    if (ready == phy::PreemptionMux::kNever) {
-        p.active = false;
-        return;
-    }
-    if (ready > now) {
-        p.emit_at = std::max(ready, p.next_slot);
-        p.emit_ev = q.schedule(
-            p.emit_at, [this, port] { emitSwitchPort(port); });
-        return;
-    }
-
-    // Train path (downlinks have no fault model). Only already-available
-    // blocks join a train: a cut-through stream is delivered to this mux
-    // ahead of time with future availability stamps, and a grant /G/ may
-    // still lawfully slot in between those future blocks.
-    if (train_cap_ > 1) {
-        Train t = acquireTrain();
-        const std::size_t run = mux.takeTrainRun(now, cfg_.cycle,
-                                                 train_cap_, 2, t.blocks,
-                                                 t.avails);
-        if (run >= 2) {
-            noteTrainEvent(trace::EventType::TrainEmit, port, t.kind, run);
-            commitTrain(p, std::move(t), run, now,
-                        [this, port] { deliverSwitchTrain(port); },
-                        [this, port] { emitSwitchPort(port); });
-            return;
-        }
-        releaseTrain(std::move(t));
-    }
-
-    // Frame-train path (see emitHost): flooded L2 bursts leave
-    // back-to-back while no queued memory block can claim a slot; a
-    // memory enqueue mid-train trims the overtaken tail
-    // (trimEgressTrain dispatches to trimFrameTrain).
-    if (frame_train_cap_ > 1 && !mux.midMemoryMessage() &&
-        (mux.frameBacklog() > 0 || !backlog.empty())) {
-        Train t = acquireTrain();
-        const std::size_t run = takeFrameTrain(mux, backlog, now, t);
-        if (run >= 2) {
-            noteTrainEvent(trace::EventType::TrainEmit, port, t.kind, run);
-            commitTrain(p, std::move(t), run, now,
-                        [this, port] { deliverSwitchTrain(port); },
-                        [this, port] { emitSwitchPort(port); });
-            return;
-        }
-        releaseTrain(std::move(t));
-    }
-
-    const phy::PhyBlock block = mux.next(now);
-    p.next_slot = now + cfg_.cycle;
-
-    q.schedule(now + cfg_.cycle + hopLatency(), [this, port, block] {
-        hosts_[port]->rxBlock(block);
-    });
-
-    p.emit_at = p.next_slot;
-    p.emit_ev = q.schedule(p.next_slot, [this, port] {
-        emitSwitchPort(port);
-    });
-}
-
-void
-CycleFabric::deliverSwitchTrain(NodeId port)
-{
-    TxPump &p = switch_pumps_[port];
-    EDM_ASSERT(!p.trains.empty(), "train delivery without a train");
-    Train t = std::move(p.trains.front());
-    p.trains.pop_front();
-    if (t.kind == Train::Kind::Memory)
-        hosts_[port]->rxBlockTrain(t.blocks.data(), t.blocks.size());
-    else
-        hosts_[port]->rxFrameTrain(t.blocks.data(), t.blocks.size());
-    releaseTrain(std::move(t));
+    // the fault model. At least one block stays: the emit event that
+    // formed the train ran at t.start before any same-instant abort, so
+    // the delivery event survives with a non-empty prefix. An abort on
+    // the train's last slot gives nothing back but still reschedules
+    // the pending emit, re-sequencing it among same-instant events.
+    untrain(l, t,
+            static_cast<std::size_t>((now - t.start) / cfg_.cycle) + 1);
 }
 
 void
@@ -820,8 +672,8 @@ CycleFabric::rmw(NodeId from, NodeId to, std::uint64_t addr, mem::RmwOp op,
 void
 CycleFabric::corruptUplink(NodeId src, int blocks)
 {
-    EDM_ASSERT(src < uplink_health_.size(), "node %u out of range", src);
-    uplink_health_[src].corrupt_next += blocks;
+    EDM_ASSERT(src < cfg_.num_nodes, "node %u out of range", src);
+    links_[src].health.corrupt_next += blocks;
     if (auto *log = cfg_.event_log)
         log->log(trace::EventType::FaultInject, sim_.now(), src, src, 0, 0,
                  false, trace::Detail::None,
@@ -829,14 +681,14 @@ CycleFabric::corruptUplink(NodeId src, int blocks)
     // Corruption must land on the blocks that have not yet left the
     // transmitter, including any already committed to an in-flight
     // train: pull those back so the per-block path re-emits them.
-    abortUplinkTrain(src);
+    abortUplinkTrain(links_[src]);
 }
 
 void
 CycleFabric::repairUplink(NodeId src)
 {
-    EDM_ASSERT(src < uplink_health_.size(), "node %u out of range", src);
-    LinkHealth &health = uplink_health_[src];
+    EDM_ASSERT(src < cfg_.num_nodes, "node %u out of range", src);
+    LinkHealth &health = links_[src].health;
     if (!health.disabled && health.corrupt_next == 0 && health.errors == 0)
         return;
     const bool was_disabled = health.disabled;
@@ -856,7 +708,7 @@ CycleFabric::repairUplink(NodeId src)
         link_health_hook_(src, LinkEvent::Repaired, 0);
     // Restart the pump: queued work parked behind the dead link (or new
     // work admitted by the reopened gate) flows again from this instant.
-    pumpHost(src);
+    pump(links_[src]);
 }
 
 CycleFabric::GrantAccounting
@@ -913,21 +765,24 @@ CycleFabric::peakEgressStaging() const
 std::uint64_t
 CycleFabric::linkErrors(NodeId src) const
 {
-    return uplink_health_.at(src).errors;
+    EDM_ASSERT(src < cfg_.num_nodes, "node %u out of range", src);
+    return links_[src].health.errors;
 }
 
 bool
 CycleFabric::linkDisabled(NodeId src) const
 {
-    return uplink_health_.at(src).disabled;
+    EDM_ASSERT(src < cfg_.num_nodes, "node %u out of range", src);
+    return links_[src].health.disabled;
 }
 
 void
 CycleFabric::injectFrame(NodeId src, const std::vector<std::uint8_t> &frame)
 {
+    EDM_ASSERT(src < cfg_.num_nodes, "node %u out of range", src);
     const auto blocks = phy::encodeFrame(frame);
     frame_backlog_[src].append(blocks.data(), blocks.size());
-    pumpHost(src);
+    pump(links_[src]);
 }
 
 } // namespace core

@@ -8,11 +8,16 @@
  * the peer's demux. Latency constants are shared with the analytic
  * Table-1 model through EdmConfig::costs.
  *
+ * Each direction of a host attachment is one Link (the host's uplink,
+ * the leaf switch's downlink), and one transmit pump drives them all:
+ * the same emit, train, trim and give-back path runs the PHY mux at
+ * either end, and the direction only decides where blocks land.
  * Transmission is payload-agnostic: memory-stream data and L2 frame
  * bursts both travel as pooled, kind-tagged block trains (one emit +
  * one delivery event per train) whenever the mux's scheduling decisions
- * cannot change mid-run, with per-block emission as the exact fallback
- * and the timing-equivalence baseline.
+ * cannot change mid-run, with per-block emission as the fallback and
+ * the timing-equivalence baseline (see EdmConfig::max_train_blocks for
+ * where the equivalence is known to hold).
  */
 
 #ifndef EDM_CORE_FABRIC_HPP
@@ -24,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "core/config.hpp"
@@ -67,7 +73,12 @@ class CycleFabric
     SwitchStack &switchStack() { return *switches_[0]; }
 
     /** Leaf switch @p leaf (0 <= leaf < topology().numLeaves()). */
-    SwitchStack &switchAt(std::uint16_t leaf) { return *switches_[leaf]; }
+    SwitchStack &
+    switchAt(std::uint16_t leaf)
+    {
+        EDM_ASSERT(leaf < switches_.size(), "leaf %u out of range", leaf);
+        return *switches_[leaf];
+    }
 
     /** The fabric's wiring (single-switch unless configured otherwise). */
     const net::Topology &topology() const { return topo_; }
@@ -132,12 +143,6 @@ class CycleFabric
      * on a healthy link with no injected corruption.
      */
     void repairUplink(NodeId src);
-
-    /**
-     * Default errors tolerated before a link is declared damaged and
-     * disabled (EdmConfig::link_error_threshold overrides per fabric).
-     */
-    static constexpr std::uint64_t kLinkErrorThreshold = 16;
 
     /** Uplink health transitions, observable without polling. */
     enum class LinkEvent
@@ -278,6 +283,37 @@ class CycleFabric
         std::deque<Train> trains;
     };
 
+    struct LinkHealth
+    {
+        int corrupt_next = 0;       ///< pending injected corruptions
+        std::uint64_t errors = 0;   ///< detected corrupt blocks
+        bool disabled = false;      ///< tripped the damage threshold
+    };
+
+    /**
+     * One direction of a host attachment, the fabric's unit of
+     * transmission: the uplink drains host `node`'s mux toward its leaf
+     * switch, the downlink drains that switch's egress mux toward the
+     * host. Only uplinks are ever corrupted, so a downlink's health
+     * stays pristine and the fault code is a no-op there.
+     */
+    struct Link
+    {
+        Link() = default;
+        // Event callbacks hold Link pointers: no copy or move, so
+        // links_ cannot be resized under them.
+        Link(const Link &) = delete;
+        Link &operator=(const Link &) = delete;
+
+        NodeId node = 0;
+        bool uplink = true;
+        phy::PreemptionMux *mux = nullptr;
+        /** Frame blocks waiting behind the mux's staging buffer. */
+        common::Ring<phy::PhyBlock> *backlog = nullptr;
+        TxPump pump;
+        LinkHealth health;
+    };
+
     EdmConfig cfg_;
     Simulation &sim_;
 
@@ -289,17 +325,10 @@ class CycleFabric
     /** One switch per leaf; exactly one element in single mode. */
     std::vector<std::unique_ptr<SwitchStack>> switches_;
 
-    struct LinkHealth
-    {
-        int corrupt_next = 0;       ///< pending injected corruptions
-        std::uint64_t errors = 0;   ///< detected corrupt blocks
-        bool disabled = false;      ///< tripped the damage threshold
-    };
-
-    std::vector<TxPump> host_pumps_;
-    std::vector<TxPump> switch_pumps_;
+    /** Host i's uplink at index i, the downlink to host i at N + i. */
+    std::vector<Link> links_;
+    /** Hosts' frame backlogs (injectFrame); switch ports keep their own. */
     std::vector<common::Ring<phy::PhyBlock>> frame_backlog_;
-    std::vector<LinkHealth> uplink_health_;
     LinkHealthHook link_health_hook_;
 
     Samples read_lat_;
@@ -322,26 +351,20 @@ class CycleFabric
                             common::Ring<phy::PhyBlock> &backlog);
     Train acquireTrain();
     void releaseTrain(Train t);
-    void pumpWake(TxPump &p, Picoseconds ready, EventQueue::Callback emit);
-    void commitTrain(TxPump &p, Train t, std::size_t run, Picoseconds now,
-                     EventQueue::Callback deliver, EventQueue::Callback emit);
-    std::size_t takeFrameTrain(phy::PreemptionMux &mux,
-                               common::Ring<phy::PhyBlock> &backlog,
-                               Picoseconds now, Train &t);
-    void trimFrameTrain(NodeId port, TxPump &p, Train &t,
-                        phy::PreemptionMux &mux);
     /** Emit a TrainEmit/TrainTrim record when the event log is attached. */
     void noteTrainEvent(trace::EventType type, NodeId port, Train::Kind kind,
                         std::size_t blocks);
-    void pumpHost(NodeId id);
-    void emitHost(NodeId id);
-    void deliverHostTrain(NodeId id);
-    void abortUplinkTrain(NodeId id);
-    void trimUplinkTrain(NodeId id);
-    void pumpSwitchPort(NodeId port);
-    void trimEgressTrain(NodeId port);
-    void emitSwitchPort(NodeId port);
-    void deliverSwitchTrain(NodeId port);
+
+    // The transmit path, identical for every link (fabric.cpp).
+    void pump(Link &l);
+    void emit(Link &l);
+    bool emitTrain(Link &l, Picoseconds now);
+    void commitTrain(Link &l, Train t, std::size_t run, Picoseconds now);
+    void deliverTrain(Link &l);
+    void receive(Link &l, const phy::PhyBlock &block);
+    void trim(Link &l);
+    void untrain(Link &l, Train &t, std::size_t keep);
+    void abortUplinkTrain(Link &l);
 };
 
 } // namespace core

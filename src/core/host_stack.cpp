@@ -12,7 +12,6 @@ HostStack::HostStack(NodeId id, const EdmConfig &cfg, EventQueue &events,
                      bool has_memory, std::function<void()> on_tx_work)
     : id_(id), cfg_(cfg), events_(events),
       on_tx_work_(std::move(on_tx_work)),
-      mux_(phy::TxPolicy::Fair),
       demux_([this](const phy::PhyBlock &b) { onMemoryBlock(b); },
              [this](std::vector<phy::PhyBlock> frame) {
                  ++stats_.frames_received;

@@ -89,10 +89,11 @@ chunkLineTime(MemMsgType type, Bytes payload, Gbps rate)
 }
 
 /**
- * Preemption re-entry overhead, in block slots: under the fair TX
- * policy one staged frame block may claim the slot between two memory
- * messages (the mux re-alternates at every /MT/ boundary), so on a port
- * that also carries L2 frames a chunk's first block can slip one slot.
+ * Preemption re-entry overhead, in block slots: the TX mux alternates
+ * its two streams, so one staged frame block may claim the slot between
+ * two memory messages (it re-alternates at every /MT/ boundary), and on
+ * a port that also carries L2 frames a chunk's first block can slip one
+ * slot.
  * It is a staging estimate, not a port charge: grantOccupancy never
  * adds it, and staging-depth estimates for mixed traffic add it per
  * chunk (stagingGrowthBlocksPerChunk's @p with_frames).

@@ -231,7 +231,7 @@ class SwitchStack
     /** Per-ingress streaming state. */
     struct Port
     {
-        phy::PreemptionMux egress{phy::TxPolicy::Fair};
+        phy::PreemptionMux egress;
         MessageAssembler assembler; ///< for absorbed RREQ/RMWREQ
         bool absorbing = false;     ///< mid-RREQ/RMWREQ assembly
         bool forwarding = false;    ///< mid-WREQ/RRES stream

@@ -100,16 +100,8 @@ PreemptionMux::pickMemory(Picoseconds now) const
     if (frame_q_.empty())
         return true;
     // A memory message in flight finishes contiguously before the frame
-    // stream gets another slot.
-    if (mid_memory_message_)
-        return true;
-    switch (policy_) {
-      case TxPolicy::MemoryFirst:
-        return true;
-      case TxPolicy::Fair:
-        return !last_was_memory_;
-    }
-    return true;
+    // stream gets another slot; otherwise the two streams alternate.
+    return mid_memory_message_ || !last_was_memory_;
 }
 
 PhyBlock
@@ -156,7 +148,7 @@ PreemptionMux::takeTrainRun(Picoseconds start, Picoseconds cycle,
 {
     // Only mid-message is a burst commitment safe: /MS/ pinned the line
     // to the memory stream until /MT/, so neither frame arrivals nor
-    // policy alternation can claim one of the train's slots.
+    // slot alternation can claim one of the train's slots.
     if (!mid_memory_message_)
         return 0;
     const std::size_t limit = std::min(max, mem_q_.size());

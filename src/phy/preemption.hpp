@@ -52,15 +52,10 @@ class EventLog;
 
 namespace phy {
 
-/** TX scheduling policy between memory and non-memory blocks. */
-enum class TxPolicy
-{
-    Fair,        ///< alternate when both streams have work (paper default)
-    MemoryFirst, ///< strict priority to memory blocks
-};
-
 /**
- * TX multiplexer: one block per line slot from two streams.
+ * TX multiplexer: one block per line slot from two streams. Outside a
+ * memory message the streams alternate slots while both have work;
+ * once /MS/ claims a slot the message finishes contiguously.
  */
 class PreemptionMux
 {
@@ -70,11 +65,6 @@ class PreemptionMux
 
     /** readyAt() result when no block is queued at all. */
     static constexpr Picoseconds kNever = INT64_MAX;
-
-    explicit PreemptionMux(TxPolicy policy = TxPolicy::Fair)
-        : policy_(policy)
-    {
-    }
 
     /**
      * Attach a fabric event log (see docs/EVENT_LOG.md): the mux then
@@ -198,8 +188,8 @@ class PreemptionMux
             if (frame_q_.empty())
                 break;
             // A queued memory block claims any slot its availability
-            // has reached (it preempts the frame there in every policy
-            // once a frame block has gone out), so the run ends at the
+            // has reached (after a frame block has gone out the mux
+            // always prefers eligible memory), so the run ends at the
             // first slot the memory stream can contest.
             if (!mem_q_.empty() && mem_q_.front().ready <= slot)
                 break;
@@ -278,12 +268,11 @@ class PreemptionMux
         Picoseconds ready = 0;
     };
 
-    TxPolicy policy_;
     trace::EventLog *trace_ = nullptr; ///< optional; not owned
     std::uint16_t trace_port_ = 0;
     common::Ring<MemEntry> mem_q_;   ///< availability-sorted, stable ties
     common::Ring<PhyBlock> frame_q_; ///< FIFO staging buffer
-    bool last_was_memory_ = false; ///< fair-policy alternation state
+    bool last_was_memory_ = false; ///< slot alternation state
     bool mid_memory_message_ = false;
     std::uint64_t memory_slots_ = 0;
     std::uint64_t frame_slots_ = 0;

@@ -1,11 +1,10 @@
 /**
  * @file
  * Shared execution bodies for the incast-contention and
- * preemption-interference experiments. examples/incast_stress.cpp,
- * examples/preemption_interference.cpp and examples/run_scenario.cpp
- * all call these — the declarative scenario runner reproduces the
- * example tables bit-exactly *by construction*, because there is only
- * one implementation of each experiment.
+ * preemption-interference experiments. examples/incast_stress.cpp and
+ * examples/run_scenario.cpp both call these — the declarative scenario
+ * runner reproduces the example tables bit-exactly *by construction*,
+ * because there is only one implementation of each experiment.
  */
 
 #ifndef EDM_SIM_SCENARIO_EXEC_HPP

@@ -20,13 +20,20 @@ namespace edm {
 namespace core {
 namespace {
 
+/** @p hosts_per_leaf > 0 builds a leaf-spine with two trunk lanes. */
 EdmConfig
-config(std::size_t nodes, std::size_t max_train)
+config(std::size_t nodes, std::size_t max_train,
+       std::size_t hosts_per_leaf = 0)
 {
     EdmConfig cfg;
     cfg.num_nodes = nodes;
     cfg.link_rate = Gbps{25.0};
     cfg.max_train_blocks = max_train;
+    if (hosts_per_leaf > 0) {
+        cfg.topology.tiers = TopologySpec::Tiers::LeafSpine;
+        cfg.topology.hosts_per_leaf = hosts_per_leaf;
+        cfg.topology.trunk_width = 2;
+    }
     return cfg;
 }
 
@@ -69,10 +76,11 @@ expectIdentical(const Outcome &per_block, const Outcome &trains)
 
 template <typename Scenario>
 Outcome
-runScenario(std::size_t nodes, std::size_t max_train, Scenario scenario)
+runScenario(std::size_t nodes, std::size_t max_train, Scenario scenario,
+            std::size_t hosts_per_leaf = 0)
 {
     Simulation sim;
-    CycleFabric fab(config(nodes, max_train), sim,
+    CycleFabric fab(config(nodes, max_train, hosts_per_leaf), sim,
                     {static_cast<NodeId>(nodes - 1)});
     scenario(sim, fab);
     sim.run();
@@ -89,9 +97,12 @@ runScenario(std::size_t nodes, std::size_t max_train, Scenario scenario)
         o.link_errors += fab.linkErrors(n);
         o.link_disabled = o.link_disabled || fab.linkDisabled(n);
     }
-    o.frames_flooded = fab.switchStack().stats().frames_flooded;
-    o.grants_sent = fab.switchStack().stats().grants_sent;
-    o.blocks_forwarded = fab.switchStack().stats().blocks_forwarded;
+    for (std::uint16_t l = 0; l < fab.topology().numLeaves(); ++l) {
+        const SwitchStats &st = fab.switchAt(l).stats();
+        o.frames_flooded += st.frames_flooded;
+        o.grants_sent += st.grants_sent;
+        o.blocks_forwarded += st.blocks_forwarded;
+    }
     o.events = sim.events().executed();
     o.end_time = sim.now();
     return o;
@@ -159,11 +170,23 @@ TEST(BlockTrain, OutstandingMixedOpsBitIdentical)
     // Many concurrently outstanding reads and writes with *no* frame
     // traffic: RRES cut-through streams and grant deliveries contend
     // for the same egresses, so grants routinely overtake in-flight
-    // train tails (the trimEgressTrain path). A trim that re-queues the
-    // overtaken blocks ahead of the grant that displaced them inverts
-    // the wire order — this exact shape once lost a read completion at
-    // 2 nodes and paniced with nested /MS/ at 3.
-    for (std::size_t nodes : {2u, 3u, 4u}) {
+    // train tails (the egress memory-train trim). A trim that re-queues
+    // the overtaken blocks ahead of the grant that displaced them
+    // inverts the wire order — this exact shape once lost a read
+    // completion at 2 nodes and paniced with nested /MS/ at 3. The
+    // leaf-spine shapes (2-host leaves, 2 trunk lanes) add the trunk
+    // path: cross-leaf streams travel as runs (acceptTrunkRun) with
+    // trains and as single blocks (acceptTrunkBlock) per-block. They
+    // stay memory-only: with L2 floods on a leaf-spine, trains are not
+    // yet identical to per-block (see EdmConfig::max_train_blocks).
+    struct Shape
+    {
+        std::size_t nodes;
+        std::size_t hosts_per_leaf; ///< 0 = single switch
+    };
+    for (const Shape shape : {Shape{2, 0}, Shape{3, 0}, Shape{4, 0},
+                              Shape{3, 2}, Shape{4, 2}, Shape{9, 2}}) {
+        const std::size_t nodes = shape.nodes;
         auto scenario = [nodes](Simulation &, CycleFabric &fab) {
             const NodeId mem = static_cast<NodeId>(nodes - 1);
             fab.host(mem).store()->write(
@@ -179,12 +202,17 @@ TEST(BlockTrain, OutstandingMixedOpsBitIdentical)
                           {});
             }
         };
-        const Outcome per_block = runScenario(nodes, 1, scenario);
-        const Outcome trains = runScenario(nodes, 64, scenario);
+        const Outcome per_block =
+            runScenario(nodes, 1, scenario, shape.hosts_per_leaf);
+        const Outcome trains =
+            runScenario(nodes, 64, scenario, shape.hosts_per_leaf);
+        SCOPED_TRACE(::testing::Message()
+                     << nodes << " nodes, " << shape.hosts_per_leaf
+                     << " hosts per leaf");
         expectIdentical(per_block, trains);
-        EXPECT_EQ(trains.write_lat.size(), 12u) << nodes << " nodes";
+        EXPECT_EQ(trains.write_lat.size(), 12u);
         EXPECT_LT(trains.events, per_block.events * 2 / 3)
-            << "train path did not engage at " << nodes << " nodes";
+            << "train path did not engage";
     }
 }
 

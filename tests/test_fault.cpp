@@ -96,7 +96,7 @@ TEST(Fault, PersistentDamageDisablesLink)
     }
     EXPECT_EQ(timeouts, 8);
     EXPECT_TRUE(fab.linkDisabled(0));
-    EXPECT_GE(fab.linkErrors(0), core::CycleFabric::kLinkErrorThreshold);
+    EXPECT_GE(fab.linkErrors(0), core::EdmConfig{}.link_error_threshold);
 }
 
 TEST(Fault, OtherLinksUnaffectedByDisable)
@@ -124,6 +124,23 @@ TEST(Fault, OtherLinksUnaffectedByDisable)
                              bool to) { ok = !to && d[0] == 7; });
     sim.run();
     EXPECT_TRUE(ok);
+}
+
+TEST(FaultDeathTest, IdsPastTheFabricPanic)
+{
+    // Uplink state lives beside the downlinks' (a 2-node fabric keeps
+    // four links), so an unchecked id past the host count would read a
+    // downlink's health or write past the hosts' frame backlogs; a leaf
+    // past the switch count would read past the switch table.
+    Simulation sim;
+    core::CycleFabric fab(faultConfig(), sim, {1});
+    const std::vector<std::uint8_t> frame(64, 0x5A);
+    EXPECT_DEATH(fab.injectFrame(5, frame), "out of range");
+    EXPECT_DEATH(fab.linkErrors(2), "out of range");
+    EXPECT_DEATH(fab.linkDisabled(3), "out of range");
+    EXPECT_DEATH(fab.switchAt(1), "out of range");
+    EXPECT_EQ(fab.linkErrors(1), 0u);
+    EXPECT_FALSE(fab.linkDisabled(1));
 }
 
 // ---- conservation properties for every flow model ----

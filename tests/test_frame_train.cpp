@@ -127,7 +127,7 @@ TEST(FrameTrain, PureFrameFloodBitIdenticalAndFewerEvents)
 
 TEST(FrameTrain, PreemptionInterferenceBitIdentical)
 {
-    // The §3.2.3 experiment shape (examples/preemption_interference):
+    // The §3.2.3 experiment shape (scenarios/interference.edm):
     // a 64 B read posted while 0..6 queued jumbo frames serialize on
     // the same uplink. The read's memory blocks must preempt an
     // in-flight frame train at exactly the per-block instants, so the

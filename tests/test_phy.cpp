@@ -231,7 +231,7 @@ TEST(PreemptionMux, FrameBufferBackpressure)
 
 TEST(PreemptionMux, FairPolicyAlternates)
 {
-    PreemptionMux mux(TxPolicy::Fair);
+    PreemptionMux mux;
     mux.enqueueMemory(PhyBlock::control(BlockType::Notify, 1));
     mux.enqueueMemory(PhyBlock::control(BlockType::Notify, 2));
     mux.offerFrameBlock(PhyBlock::data(0xF0));
@@ -243,22 +243,11 @@ TEST(PreemptionMux, FairPolicyAlternates)
     EXPECT_TRUE(mux.next().isData());
 }
 
-TEST(PreemptionMux, MemoryFirstPolicyStarvesFrames)
-{
-    PreemptionMux mux(TxPolicy::MemoryFirst);
-    mux.enqueueMemory(PhyBlock::control(BlockType::Notify, 1));
-    mux.enqueueMemory(PhyBlock::control(BlockType::Notify, 2));
-    mux.offerFrameBlock(PhyBlock::data(0xF0));
-    EXPECT_EQ(mux.next().type(), BlockType::Notify);
-    EXPECT_EQ(mux.next().type(), BlockType::Notify);
-    EXPECT_TRUE(mux.next().isData());
-}
-
 TEST(PreemptionMux, MemoryMessageNotInterleaved)
 {
     // Once an /MS/ goes out, the whole message streams contiguously even
-    // under the fair policy.
-    PreemptionMux mux(TxPolicy::Fair);
+    // though the two streams otherwise alternate slots.
+    PreemptionMux mux;
     mux.enqueueMemory(memoryMessage(3)); // MS D D D MT
     for (int i = 0; i < 5; ++i)
         mux.offerFrameBlock(PhyBlock::data(0xF0 + static_cast<unsigned>(i)));

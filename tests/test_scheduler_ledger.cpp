@@ -190,7 +190,7 @@ TEST(SchedulerLedger, RetiresOnFaultAbort)
               [](Picoseconds) { ADD_FAILURE() << "dead write completed"; });
     sim.events().scheduleAfter(200 * kNanosecond, [&] {
         fab.corruptUplink(
-            2, static_cast<int>(CycleFabric::kLinkErrorThreshold));
+            2, static_cast<int>(EdmConfig{}.link_error_threshold));
     });
     bool read_ok = false;
     fab.read(0, 1, 0x100, 256,
