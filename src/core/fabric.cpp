@@ -30,13 +30,20 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
             i, cfg_, sim_.events(), is_memory(i),
             [this, lp = &links_[i]] { pump(*lp); }));
     }
+    // Each leaf reaches its peers (and each scheduler shard the other
+    // shards) directly, one fixed trunk traversal away.
+    const Picoseconds trunk = trunkLatency();
     switches_.reserve(topo_.numLeaves());
+    std::vector<Scheduler *> shards;
     for (std::uint16_t l = 0; l < topo_.numLeaves(); ++l) {
         switches_.push_back(std::make_unique<SwitchStack>(
             cfg_, sim_.events(),
-            [this, n](NodeId port) { pump(links_[n + port]); },
-            topo_.isSingle() ? nullptr : &topo_, l));
+            [this, n](NodeId port) { pump(links_[n + port]); }, topo_, l,
+            switches_, trunk));
+        shards.push_back(&switches_.back()->scheduler());
     }
+    for (Scheduler *shard : shards)
+        shard->connectShards(shards, trunk);
     for (NodeId i = 0; i < n; ++i) {
         Link &up = links_[i];
         up.node = i;
@@ -48,8 +55,6 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
         down.mux = &leafSw(i).egressMux(i);
         down.backlog = &leafSw(i).egressFrameBacklog(i);
     }
-    if (!topo_.isSingle())
-        installTrunkHooks();
 
     train_cap_ = trainCap(cfg_.max_train_blocks);
     frame_train_cap_ = trainCap(cfg_.max_frame_train_blocks);
@@ -130,112 +135,6 @@ CycleFabric::trunkLatency() const
         static_cast<Picoseconds>(cfg_.costs.sw_classify +
                                  cfg_.costs.sw_forward) *
         cfg_.cycle;
-}
-
-void
-CycleFabric::installTrunkHooks()
-{
-    // Every hook fires on the *source* leaf at decision time; the action
-    // lands on the destination leaf exactly one trunk traversal (plus
-    // the source switch's local processing) later. The spine itself is
-    // contention-free transport — trunk *contention* is modeled by the
-    // scheduler shards' ECMP-lane busy timers — so the traversal is a
-    // fixed latency and the hooks carry no queueing state.
-    const Picoseconds T = trunkLatency();
-    for (std::uint16_t l = 0; l < topo_.numLeaves(); ++l) {
-        SwitchStack::TrunkHooks hooks;
-        hooks.route_grant = [this, T](NodeId target,
-                                      const phy::PhyBlock &grant,
-                                      Picoseconds local) {
-            sim_.events().schedule(
-                sim_.now() + local + T, [this, target, grant] {
-                    leafSw(target).deliverGrant(target, grant);
-                });
-        };
-        hooks.route_request = [this, T](NodeId target,
-                                        const MemMessage &request,
-                                        Picoseconds local) {
-            sim_.events().schedule(
-                sim_.now() + local + T, [this, target, request] {
-                    leafSw(target).acceptForwardedRequest(target, request);
-                });
-        };
-        hooks.route_block = [this, T](NodeId egress, NodeId ingress,
-                                      std::uint64_t seq,
-                                      const phy::PhyBlock &block,
-                                      Picoseconds local) {
-            sim_.events().schedule(
-                sim_.now() + local + T,
-                [this, egress, ingress, seq, block] {
-                    leafSw(egress).acceptTrunkBlock(egress, ingress, seq,
-                                                    block);
-                });
-        };
-        hooks.route_run = [this, T](NodeId egress, NodeId ingress,
-                                    std::uint64_t seq,
-                                    std::vector<phy::PhyBlock> blocks,
-                                    Picoseconds first_avail,
-                                    Picoseconds stride) {
-            // first_avail already includes the source switch's forward
-            // latency; the whole availability ladder shifts by T.
-            const Picoseconds arrive = first_avail + T;
-            sim_.events().schedule(
-                arrive, [this, egress, ingress, seq,
-                         blocks = std::move(blocks), arrive, stride] {
-                    leafSw(egress).acceptTrunkRun(egress, ingress, seq,
-                                                  blocks, arrive, stride);
-                });
-        };
-        hooks.route_notify = [this, T](const ControlInfo &notify,
-                                       Picoseconds local) {
-            sim_.events().schedule(sim_.now() + local + T, [this, notify] {
-                leafSw(notify.dst).scheduler().addWriteDemand(notify);
-            });
-        };
-        hooks.route_chunk_note = [this, T](NodeId src, NodeId dst,
-                                           MsgId id, bool response,
-                                           Bytes bytes, bool last_chunk) {
-            sim_.events().schedule(
-                sim_.now() + T,
-                [this, src, dst, id, response, bytes, last_chunk] {
-                    leafSw(dst).scheduler().onChunkForwarded(
-                        src, dst, id, response, bytes, last_chunk);
-                });
-        };
-        hooks.route_flood = [this, l, T](std::vector<phy::PhyBlock> frame,
-                                         Picoseconds local) {
-            const Picoseconds at = sim_.now() + local + T;
-            for (std::uint16_t dl = 0; dl < topo_.numLeaves(); ++dl) {
-                if (dl == l)
-                    continue;
-                sim_.events().schedule(at, [this, dl, frame] {
-                    switches_[dl]->acceptTrunkFlood(frame);
-                });
-            }
-        };
-        switches_[l]->setTrunkHooks(std::move(hooks));
-
-        // Shard-coordination notes (remote src busy / remote dst busy /
-        // lane release, plus the granted flow's fair-share pool id and
-        // line-time charge) ride the same trunk at the same fixed
-        // latency.
-        switches_[l]->scheduler().setRemoteNoteSink(
-            [this, T](std::uint16_t leaf, NodeId port, std::size_t lane,
-                      Picoseconds release, bool dst_side, int pool,
-                      Picoseconds charge) {
-                sim_.events().schedule(
-                    sim_.now() + T, [this, leaf, port, lane, release,
-                                     dst_side, pool, charge] {
-                        Scheduler &sch = switches_[leaf]->scheduler();
-                        if (dst_side)
-                            sch.noteRemoteForward(port, lane, release);
-                        else
-                            sch.noteRemoteGrant(port, lane, release);
-                        if (charge > 0)
-                            sch.noteRemotePoolCharge(pool, charge);
-                    });
-            });
-    }
 }
 
 CycleFabric::Train

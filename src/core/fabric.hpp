@@ -344,8 +344,6 @@ class CycleFabric
 
     /** The switch serving node @p port (the only one in single mode). */
     SwitchStack &leafSw(NodeId port) { return *switches_[topo_.leafOf(port)]; }
-    /** Wire cross-leaf routing (leaf-spine only; no-op wiring cost). */
-    void installTrunkHooks();
     std::size_t trainCap(std::size_t knob) const;
     static void topUpFrames(phy::PreemptionMux &mux,
                             common::Ring<phy::PhyBlock> &backlog);

@@ -61,13 +61,6 @@ Scheduler::releaseLedgerBacklog(const FlowKey &key, const LedgerEntry &e)
 }
 
 void
-Scheduler::noteRemotePoolCharge(int pool, Picoseconds charge)
-{
-    if (fair_tree_ && pool >= 0)
-        fair_tree_->chargeRemote(pool, charge, events_.now());
-}
-
-void
 Scheduler::refreshPoolShares()
 {
     share_changes_.clear();
@@ -123,11 +116,14 @@ Scheduler::markAllPorts()
 
 void
 Scheduler::noteRemoteGrant(NodeId src, std::size_t lane,
-                           Picoseconds release)
+                           Picoseconds release, int pool,
+                           Picoseconds charge)
 {
     EDM_ASSERT(topo_, "remote notes need a sharded scheduler");
     raiseBusyUntil(remote_src_busy_until_, src, release);
     raiseBusyUntil(lane_busy_until_[0], lane, release);
+    if (fair_tree_ && pool >= 0)
+        fair_tree_->chargeRemote(pool, charge, events_.now());
 }
 
 void
@@ -596,10 +592,11 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
             const std::size_t lane =
                 topo_->ecmpLane(d.src, d.dst, d.id, d.response);
             raiseBusyUntil(lane_busy_until_[0], lane, fwd_release);
-            if (note_sink_)
-                note_sink_(topo_->leafOf(mem_port), mem_port, lane,
-                           fwd_release, /*dst_side=*/true, d.pool,
-                           /*charge=*/0);
+            events_.scheduleAfter(
+                trunk_, [peer = shards_[topo_->leafOf(mem_port)], mem_port,
+                         lane, fwd_release] {
+                    peer->noteRemoteForward(mem_port, lane, fwd_release);
+                });
         }
         action.forward_request = std::move(d.buffered_request);
         d.buffered_request.reset();
@@ -657,11 +654,13 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         // remote tree books its tenant's cross-leaf consumption.
         const std::size_t lane =
             topo_->ecmpLane(d.src, d.dst, d.id, d.response);
-        raiseBusyUntil(lane_busy_until_[1], lane, when + occupancy);
-        if (note_sink_)
-            note_sink_(topo_->leafOf(d.src), d.src, lane,
-                       when + occupancy, /*dst_side=*/false, d.pool,
-                       occupancy);
+        const Picoseconds release = when + occupancy;
+        raiseBusyUntil(lane_busy_until_[1], lane, release);
+        events_.scheduleAfter(
+            trunk_, [peer = shards_[topo_->leafOf(d.src)], src = d.src, lane,
+                     release, pool = d.pool, occupancy] {
+                peer->noteRemoteGrant(src, lane, release, pool, occupancy);
+            });
     }
     if (topo_) {
         // Per-tier occupancy accounting (docs/TOPOLOGY.md): edge tiers

@@ -149,28 +149,11 @@ class Scheduler
     using AbortSink = std::function<void(const FlowKey &)>;
 
     /**
-     * Cross-shard coordination note (leaf-spine only): this shard just
-     * reserved @p port's uplink for granted data (@p dst_side false) or
-     * its downlink for a request forward (@p dst_side true) until
-     * @p release, over trunk lane @p lane. The fabric delivers the note
-     * to shard @p leaf one trunk traversal later, where it lands as
-     * noteRemoteGrant() resp. noteRemoteForward(). @p pool and
-     * @p charge carry the fair-share tenancy of the decision (pool id
-     * of the granted flow and the line-time charged): the remote shard
-     * books them via noteRemotePoolCharge() so each shard's tree sees
-     * its tenants' cross-leaf consumption too. pool is -1 (and charge
-     * ignored) when fair_share is off.
-     */
-    using RemoteNoteSink =
-        std::function<void(std::uint16_t leaf, NodeId port,
-                           std::size_t lane, Picoseconds release,
-                           bool dst_side, int pool, Picoseconds charge)>;
-
-    /**
      * @p topo / @p leaf make this instance one leaf's scheduler shard:
      * it proposes only for that leaf's hosts and coordinates cross-leaf
-     * reservations via the note sink. Defaults construct the classic
-     * whole-fabric scheduler (and edm_model's flow-level clone).
+     * reservations with the other shards (connectShards()). Defaults
+     * construct the classic whole-fabric scheduler (and edm_model's
+     * flow-level clone).
      */
     Scheduler(const EdmConfig &cfg, EventQueue &events, GrantSink sink,
               const net::Topology *topo = nullptr,
@@ -183,36 +166,18 @@ class Scheduler
         abort_sink_ = std::move(sink);
     }
 
-    /** Install the cross-shard note sink (see RemoteNoteSink). */
+    /**
+     * Give this shard every leaf's shard (@p shards, indexed by leaf,
+     * itself included). A reservation for a port on another leaf
+     * reaches that leaf's shard as a coordination note @p trunk (the
+     * leaf-to-leaf traversal latency) after the decision.
+     */
     void
-    setRemoteNoteSink(RemoteNoteSink sink)
+    connectShards(std::vector<Scheduler *> shards, Picoseconds trunk)
     {
-        note_sink_ = std::move(sink);
+        shards_ = std::move(shards);
+        trunk_ = trunk;
     }
-
-    /**
-     * A remote shard granted local host @p src's uplink until
-     * @p release (data heading up trunk lane @p lane). Arrives one
-     * trunk traversal after the grant was issued.
-     */
-    void noteRemoteGrant(NodeId src, std::size_t lane,
-                         Picoseconds release);
-
-    /**
-     * A remote shard forwarded a buffered RREQ/RMWREQ to local host
-     * @p dst, reserving its downlink until @p release (the request
-     * arrives down trunk lane @p lane).
-     */
-    void noteRemoteForward(NodeId dst, std::size_t lane,
-                           Picoseconds release);
-
-    /**
-     * A remote shard charged @p charge of line-time to fair-share pool
-     * @p pool on behalf of a cross-leaf grant (carried on the same
-     * coordination note as the busy reservation). No-op when this
-     * shard runs without a fair-share tree or @p pool is -1.
-     */
-    void noteRemotePoolCharge(int pool, Picoseconds charge);
 
     /**
      * Register an explicit WREQ demand (arrival of an /N/ block).
@@ -333,7 +298,10 @@ class Scheduler
     EventQueue &events_;
     GrantSink sink_;
     AbortSink abort_sink_;
-    RemoteNoteSink note_sink_;
+
+    /** Every leaf's shard and the trunk latency (connectShards()). */
+    std::vector<Scheduler *> shards_;
+    Picoseconds trunk_ = 0;
 
     /** Null = whole-fabric scheduler; set = one leaf's shard. */
     const net::Topology *topo_ = nullptr;
@@ -522,6 +490,25 @@ class Scheduler
 
     /** True when demand @p d's data sender sits on another leaf. */
     bool isCrossLeaf(const Demand &d) const;
+
+    /**
+     * Coordination note from a remote shard, one trunk traversal after
+     * its grant: it reserved local host @p src's uplink until
+     * @p release (data heading up trunk lane @p lane) and charged
+     * @p charge of line-time to fair-share pool @p pool, which this
+     * shard's tree books too so it sees its tenants' cross-leaf
+     * consumption (no-op without a tree or when @p pool is -1).
+     */
+    void noteRemoteGrant(NodeId src, std::size_t lane, Picoseconds release,
+                         int pool, Picoseconds charge);
+
+    /**
+     * Coordination note from a remote shard: it forwarded a buffered
+     * RREQ/RMWREQ to local host @p dst, reserving its downlink until
+     * @p release (the request arrives down trunk lane @p lane).
+     */
+    void noteRemoteForward(NodeId dst, std::size_t lane,
+                           Picoseconds release);
 
     /**
      * Raise a busy-until entry to @p release and schedule a matching

@@ -10,10 +10,11 @@ namespace edm {
 namespace core {
 
 SwitchStack::SwitchStack(const EdmConfig &cfg, EventQueue &events,
-                         TxWork on_tx_work, const net::Topology *topo,
-                         std::uint16_t leaf)
+                         TxWork on_tx_work, const net::Topology &topo,
+                         std::uint16_t leaf, const Leaves &leaves,
+                         Picoseconds trunk)
     : cfg_(cfg), events_(events), on_tx_work_(std::move(on_tx_work)),
-      topo_(topo), leaf_(leaf)
+      topo_(topo), leaf_(leaf), leaves_(leaves), trunk_(trunk)
 {
     EDM_ASSERT(on_tx_work_, "switch needs a TX-work callback");
     ports_.reserve(cfg_.num_nodes);
@@ -22,15 +23,10 @@ SwitchStack::SwitchStack(const EdmConfig &cfg, EventQueue &events,
         // One staging queue per possible ingress + the scheduler.
         ports_.back()->staged.resize(cfg_.num_nodes + 1);
     }
+    // A single switch's scheduler runs unsharded (no tier charges).
     scheduler_ = std::make_unique<Scheduler>(
         cfg_, events_, [this](const GrantAction &a) { onGrantAction(a); },
-        topo_, leaf_);
-}
-
-bool
-SwitchStack::remoteLeaf(NodeId port) const
-{
-    return topo_ && topo_->leafOf(port) != leaf_;
+        topo_.isSingle() ? nullptr : &topo_, leaf_);
 }
 
 phy::PreemptionMux &
@@ -57,61 +53,35 @@ SwitchStack::peakEgressStaging() const
 }
 
 void
-SwitchStack::emitToEgress(NodeId port, std::vector<phy::PhyBlock> blocks,
-                          Picoseconds delay)
-{
-    events_.scheduleAfter(delay,
-                          [this, port, blocks = std::move(blocks)] {
-                              ports_[port]->egress.enqueueMemory(
-                                  blocks, events_.now());
-                              ports_[port]->noteDepth();
-                              on_tx_work_(port);
-                          });
-}
-
-void
 SwitchStack::onGrantAction(const GrantAction &action)
 {
+    // Either action lands on the target's leaf: here, or one trunk
+    // traversal later on a peer leaf.
+    const NodeId target = action.target;
+    SwitchStack *sw = &leafFor(target);
     if (action.forward_request) {
         // First grant of a response: the buffered RREQ/RMWREQ travels to
         // the memory node through the forwarding clock crossing. It is a
         // multi-block message, so it claims the egress stream like any
         // virtual circuit (pseudo-ingress: the scheduler itself).
         ++stats_.requests_forwarded;
-        const NodeId target = action.target;
-        if (remoteLeaf(target)) {
-            // The memory node hangs off another leaf: the request rides
-            // a trunk lane and claims the egress stream over there,
-            // under *that* leaf's scheduler pseudo-ingress epoch.
-            hooks_.route_request(target, *action.forward_request,
-                                 cycles(cfg_.costs.sw_forward));
-            return;
-        }
-        const auto blocks = serialize(*action.forward_request);
-        const std::uint64_t seq = ++sched_fwd_seq_;
-        events_.scheduleAfter(cycles(cfg_.costs.sw_forward),
-                              [this, target, seq, blocks] {
-                                  for (const auto &b : blocks)
-                                      egressAccept(target,
-                                                   kSchedulerIngress, seq,
-                                                   b);
-                              });
-    } else {
-        EDM_ASSERT(action.grant_block.has_value(),
-                   "grant action with neither request nor /G/");
-        ++stats_.grants_sent;
-        if (remoteLeaf(action.target)) {
-            hooks_.route_grant(action.target,
-                               makeGrant(*action.grant_block),
-                               cycles(cfg_.costs.sw_pim_iteration +
-                                      cfg_.costs.sw_gen_grant));
-            return;
-        }
-        // One visible PIM iteration + grant generation (§3.2.2).
-        emitToEgress(action.target, {makeGrant(*action.grant_block)},
-                     cycles(cfg_.costs.sw_pim_iteration +
-                            cfg_.costs.sw_gen_grant));
+        events_.scheduleAfter(
+            cycles(cfg_.costs.sw_forward) + trunkTo(target),
+            [sw, target, request = *action.forward_request] {
+                sw->acceptForwardedRequest(target, request);
+            });
+        return;
     }
+    EDM_ASSERT(action.grant_block.has_value(),
+               "grant action with neither request nor /G/");
+    ++stats_.grants_sent;
+    // One visible PIM iteration + grant generation (§3.2.2).
+    events_.scheduleAfter(
+        cycles(cfg_.costs.sw_pim_iteration + cfg_.costs.sw_gen_grant) +
+            trunkTo(target),
+        [sw, target, grant = makeGrant(*action.grant_block)] {
+            sw->deliverGrant(target, grant);
+        });
 }
 
 void
@@ -120,15 +90,10 @@ SwitchStack::forwardBlock(NodeId ingress, Port &port,
 {
     ++stats_.blocks_forwarded;
     const NodeId egress = port.egress_port;
-    const std::uint64_t seq = port.fwd_seq;
-    if (remoteLeaf(egress)) {
-        hooks_.route_block(egress, ingress, seq, block,
-                           cycles(cfg_.costs.sw_forward));
-        return;
-    }
-    events_.scheduleAfter(cycles(cfg_.costs.sw_forward),
-                          [this, egress, ingress, seq, block] {
-                              egressAccept(egress, ingress, seq, block);
+    events_.scheduleAfter(cycles(cfg_.costs.sw_forward) + trunkTo(egress),
+                          [sw = &leafFor(egress), egress, ingress,
+                           seq = port.fwd_seq, block] {
+                              sw->egressAccept(egress, ingress, seq, block);
                           });
 }
 
@@ -139,13 +104,16 @@ SwitchStack::noteChunkForwarded(NodeId src, NodeId dst, MsgId id,
 {
     // The demand's shard is the receiver's leaf; a chunk transiting a
     // different leaf reports its lifecycle across the trunk.
-    if (remoteLeaf(dst)) {
-        hooks_.route_chunk_note(src, dst, id, response, bytes,
-                                last_chunk);
+    const Picoseconds trunk = trunkTo(dst);
+    if (trunk == 0) {
+        scheduler_->onChunkForwarded(src, dst, id, response, bytes,
+                                     last_chunk);
         return;
     }
-    scheduler_->onChunkForwarded(src, dst, id, response, bytes,
-                                 last_chunk);
+    events_.scheduleAfter(trunk, [shard = &leafFor(dst).scheduler(), src,
+                                  dst, id, response, bytes, last_chunk] {
+        shard->onChunkForwarded(src, dst, id, response, bytes, last_chunk);
+    });
 }
 
 void
@@ -327,20 +295,14 @@ SwitchStack::rxBlock(NodeId ingress, const phy::PhyBlock &block)
           case phy::BlockType::Notify: {
             ++stats_.notify_blocks;
             const ControlInfo n = unpackControl(block.controlPayload());
-            if (remoteLeaf(n.dst)) {
-                // The demand queue for n.dst lives on its leaf's shard;
-                // the /N/ pays classification + insert there, after one
-                // trunk traversal.
-                hooks_.route_notify(n,
-                                    cycles(cfg_.costs.sw_classify +
-                                           cfg_.costs.sw_insert_notif));
-                return;
-            }
-            // Classification + ordered-list insert.
+            // Classification + ordered-list insert, into the demand
+            // queue of n.dst's shard (one trunk traversal away when
+            // n.dst hangs off another leaf).
             events_.scheduleAfter(cycles(cfg_.costs.sw_classify +
-                                         cfg_.costs.sw_insert_notif),
-                                  [this, n] {
-                                      scheduler_->addWriteDemand(n);
+                                         cfg_.costs.sw_insert_notif) +
+                                      trunkTo(n.dst),
+                                  [shard = &leafFor(n.dst).scheduler(), n] {
+                                      shard->addWriteDemand(n);
                                   });
             return;
           }
@@ -467,30 +429,23 @@ SwitchStack::rxBlockTrain(NodeId ingress, const phy::PhyBlock *blocks,
         const std::uint64_t seq = port.fwd_seq;
         const Picoseconds first_avail =
             first_at + cycles(cfg_.costs.sw_forward);
-        if (remoteLeaf(egress)) {
-            hooks_.route_run(
-                egress, ingress, seq,
-                std::vector<phy::PhyBlock>(blocks, blocks + count),
-                first_avail, stride);
+        const Picoseconds trunk = trunkTo(egress);
+        if (trunk == 0) {
+            acceptRun(egress, ingress, seq, blocks, count, first_avail,
+                      stride);
             return;
         }
-        Port &ep = *ports_[egress];
-        if (ep.stream_owner == ingress && ep.owner_seq == seq) {
-            // Cut through with each block's true arrival instant: the
-            // egress mux is handed the whole train early, but block i
-            // only becomes emittable when its per-block accept event
-            // would have enqueued it.
-            ep.egress.enqueueMemoryRun(blocks, count, first_avail,
-                                       stride);
-            ep.noteDepth();
-            on_tx_work_(egress);
-        } else {
-            // Our /MS/ is still in the forwarding pipeline behind this
-            // early train, or a competing stream owns the egress: stage
-            // with arrival stamps; the /MS/ accept or the adoption
-            // drain releases them.
-            stageRun(ep, ingress, seq, blocks, count, first_avail, stride);
-        }
+        // A run bound for another leaf lands there one trunk traversal
+        // later, its whole availability ladder shifted by the same.
+        const Picoseconds arrive = first_avail + trunk;
+        events_.schedule(arrive,
+                         [sw = &leafFor(egress), egress, ingress, seq,
+                          run = std::vector<phy::PhyBlock>(blocks,
+                                                           blocks + count),
+                          arrive, stride] {
+                             sw->acceptRun(egress, ingress, seq, run.data(),
+                                           run.size(), arrive, stride);
+                         });
         return;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -542,29 +497,34 @@ SwitchStack::floodFrame(NodeId ingress, std::vector<phy::PhyBlock> frame)
         log->log(trace::EventType::FrameFlood, events_.now(), ingress,
                  ingress, 0, 0, false, trace::Detail::None, frame.size(),
                  leaf_);
-    if (topo_)
-        // Replicate across the trunk: every other leaf appends the
-        // frame to its own hosts' backlogs after the same forwarding
-        // pipeline plus one trunk traversal (added by the fabric).
-        hooks_.route_flood(frame, cfg_.l2_pipeline);
+    // Replicate across the trunk: every other leaf floods its own
+    // hosts after the same pipeline plus one trunk traversal. The
+    // replica never re-floods: leaf-to-leaf fan-out happens once, here.
+    for (const auto &leaf : leaves_) {
+        if (leaf.get() != this)
+            events_.scheduleAfter(cfg_.l2_pipeline + trunk_,
+                                  [sw = leaf.get(), ingress, frame] {
+                                      sw->floodLocal(ingress, frame);
+                                  });
+    }
     events_.scheduleAfter(cfg_.l2_pipeline,
                           [this, ingress, frame = std::move(frame)] {
-        NodeId lo = 0;
-        auto hi = static_cast<NodeId>(ports_.size());
-        if (topo_) {
-            // Only this leaf's hosts flood locally; remote ports' muxes
-            // are drained by their own leaf (fed via route_flood).
-            const auto range = topo_->hostsOfLeaf(leaf_);
-            lo = range.first;
-            hi = range.second;
-        }
-        for (NodeId p = lo; p < hi; ++p) {
-            if (p == ingress)
-                continue;
-            ports_[p]->frame_backlog.append(frame.data(), frame.size());
-            on_tx_work_(p);
-        }
-    });
+                              floodLocal(ingress, frame);
+                          });
+}
+
+void
+SwitchStack::floodLocal(NodeId ingress,
+                        const std::vector<phy::PhyBlock> &frame)
+{
+    // Other leaves' ports are drained by their own switch.
+    const auto [lo, hi] = topo_.hostsOfLeaf(leaf_);
+    for (NodeId p = lo; p < hi; ++p) {
+        if (p == ingress)
+            continue;
+        ports_[p]->frame_backlog.append(frame.data(), frame.size());
+        on_tx_work_(p);
+    }
 }
 
 void
@@ -589,50 +549,26 @@ SwitchStack::acceptForwardedRequest(NodeId target,
 }
 
 void
-SwitchStack::acceptTrunkBlock(NodeId egress, NodeId ingress,
-                              std::uint64_t seq,
-                              const phy::PhyBlock &block)
+SwitchStack::acceptRun(NodeId egress, NodeId ingress, std::uint64_t seq,
+                       const phy::PhyBlock *blocks, std::size_t count,
+                       Picoseconds first_avail, Picoseconds stride)
 {
-    EDM_ASSERT(egress < ports_.size(), "trunk egress %u out of range",
-               egress);
-    egressAccept(egress, ingress, seq, block);
-}
-
-void
-SwitchStack::acceptTrunkRun(NodeId egress, NodeId ingress,
-                            std::uint64_t seq,
-                            const std::vector<phy::PhyBlock> &blocks,
-                            Picoseconds first_avail, Picoseconds stride)
-{
-    EDM_ASSERT(egress < ports_.size(), "trunk egress %u out of range",
-               egress);
     Port &ep = *ports_[egress];
     if (ep.stream_owner == ingress && ep.owner_seq == seq) {
-        ep.egress.enqueueMemoryRun(blocks.data(), blocks.size(),
-                                   first_avail, stride);
+        // Cut through with each block's true arrival instant: the
+        // egress mux is handed the whole train early, but block i only
+        // becomes emittable when its per-block accept event would have
+        // enqueued it.
+        ep.egress.enqueueMemoryRun(blocks, count, first_avail, stride);
         ep.noteDepth();
         on_tx_work_(egress);
         return;
     }
-    // Our /MS/ is still crossing the trunk behind this train, or a
-    // competing stream owns the egress: stage with arrival stamps, as
-    // rxBlockTrain does for a local early train.
-    stageRun(ep, ingress, seq, blocks.data(), blocks.size(), first_avail,
-             stride);
-}
-
-void
-SwitchStack::acceptTrunkFlood(const std::vector<phy::PhyBlock> &frame)
-{
-    EDM_ASSERT(topo_, "trunk flood on a single-switch stack");
-    // Every local host receives the replica (the original ingress sits
-    // on another leaf, so there is nothing to exclude); the frame never
-    // re-floods — leaf-to-leaf replication fans out once at the origin.
-    const auto [lo, hi] = topo_->hostsOfLeaf(leaf_);
-    for (NodeId p = lo; p < hi; ++p) {
-        ports_[p]->frame_backlog.append(frame.data(), frame.size());
-        on_tx_work_(p);
-    }
+    // Our /MS/ is still in the forwarding pipeline (or crossing the
+    // trunk) behind this early train, or a competing stream owns the
+    // egress: stage with arrival stamps; the /MS/ accept or the
+    // adoption drain releases them.
+    stageRun(ep, ingress, seq, blocks, count, first_avail, stride);
 }
 
 } // namespace core

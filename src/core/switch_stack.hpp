@@ -38,6 +38,7 @@
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
 #include "core/wire.hpp"
+#include "net/topology.hpp"
 #include "phy/preemption.hpp"
 #include "sim/event_queue.hpp"
 
@@ -65,73 +66,21 @@ class SwitchStack
     /** Invoked with an egress port number whenever its mux gains work. */
     using TxWork = std::function<void(NodeId port)>;
 
-    /**
-     * Cross-leaf routing hooks (leaf-spine only, docs/TOPOLOGY.md).
-     * When a port's counterpart lives on another leaf, the stack hands
-     * the block/decision to the fabric instead of acting locally; the
-     * fabric adds the trunk traversal latency and invokes the matching
-     * trunk-side accept method on the destination leaf's stack.
-     * @p local_delay is the switch-internal processing the stack would
-     * have charged before acting (classify, forward crossing, grant
-     * generation) — the fabric schedules at now + local_delay + trunk.
-     */
-    struct TrunkHooks
-    {
-        /** /G/ for a host on another leaf -> deliverGrant there. */
-        std::function<void(NodeId target, const phy::PhyBlock &grant,
-                           Picoseconds local_delay)>
-            route_grant;
-
-        /** Buffered RREQ/RMWREQ forward -> acceptForwardedRequest. */
-        std::function<void(NodeId target, const MemMessage &request,
-                           Picoseconds local_delay)>
-            route_request;
-
-        /** One cut-through stream block -> acceptTrunkBlock. */
-        std::function<void(NodeId egress, NodeId ingress,
-                           std::uint64_t seq, const phy::PhyBlock &block,
-                           Picoseconds local_delay)>
-            route_block;
-
-        /** A mid-stream data train -> acceptTrunkRun. */
-        std::function<void(NodeId egress, NodeId ingress,
-                           std::uint64_t seq,
-                           std::vector<phy::PhyBlock> blocks,
-                           Picoseconds first_avail, Picoseconds stride)>
-            route_run;
-
-        /** /N/ owned by another leaf's shard -> addWriteDemand there. */
-        std::function<void(const ControlInfo &notify,
-                           Picoseconds local_delay)>
-            route_notify;
-
-        /** Chunk-lifecycle report owned by another leaf's shard. */
-        std::function<void(NodeId src, NodeId dst, MsgId id,
-                           bool response, Bytes bytes, bool last_chunk)>
-            route_chunk_note;
-
-        /** L2 flood replica for every other leaf -> acceptTrunkFlood. */
-        std::function<void(std::vector<phy::PhyBlock> frame,
-                           Picoseconds local_delay)>
-            route_flood;
-    };
+    /** The fabric's leaf switches, indexed by leaf. */
+    using Leaves = std::vector<std::unique_ptr<SwitchStack>>;
 
     /**
-     * @p topo / @p leaf make this stack one leaf switch of a multi-tier
-     * fabric: its scheduler becomes that leaf's shard and every
-     * cross-leaf action detours through the trunk hooks. Defaults
-     * construct the classic whole-fabric switch.
+     * The stack is leaf @p leaf of @p topo (the single switch is the
+     * one-leaf topology) and its scheduler is that leaf's shard. A
+     * cross-leaf action is the local action scheduled on the peer leaf
+     * in @p leaves, @p trunk (the leaf-to-leaf traversal latency) later
+     * than it would run here. @p leaves is read only at event time
+     * (never during construction), so it may fill up after
+     * construction.
      */
     SwitchStack(const EdmConfig &cfg, EventQueue &events, TxWork on_tx_work,
-                const net::Topology *topo = nullptr,
-                std::uint16_t leaf = 0);
-
-    /** Install trunk routing (fabric, leaf-spine only). */
-    void
-    setTrunkHooks(TrunkHooks hooks)
-    {
-        hooks_ = std::move(hooks);
-    }
+                const net::Topology &topo, std::uint16_t leaf,
+                const Leaves &leaves, Picoseconds trunk);
 
     /** Deliver one received block on @p ingress (post PCS-RX). */
     void rxBlock(NodeId ingress, const phy::PhyBlock &block);
@@ -161,33 +110,6 @@ class SwitchStack
      */
     void rxFrameTrain(NodeId ingress, const phy::PhyBlock *blocks,
                       std::size_t count);
-
-    // Trunk-side accept entry points (leaf-spine only): each runs at
-    // the arrival event the fabric scheduled one trunk traversal after
-    // the remote leaf's decision, and performs exactly the local action
-    // the remote stack would have taken on a single switch.
-
-    /** A remote shard's /G/ arrives for local host @p port. */
-    void deliverGrant(NodeId port, const phy::PhyBlock &grant);
-
-    /**
-     * A remote shard's buffered RREQ/RMWREQ arrives for local memory
-     * node @p target. Claims the egress stream under this leaf's own
-     * scheduler pseudo-ingress epoch (remote epochs would collide).
-     */
-    void acceptForwardedRequest(NodeId target, const MemMessage &request);
-
-    /** One stream block from remote @p ingress cuts through here. */
-    void acceptTrunkBlock(NodeId egress, NodeId ingress,
-                          std::uint64_t seq, const phy::PhyBlock &block);
-
-    /** A mid-stream data train from remote @p ingress arrives. */
-    void acceptTrunkRun(NodeId egress, NodeId ingress, std::uint64_t seq,
-                        const std::vector<phy::PhyBlock> &blocks,
-                        Picoseconds first_avail, Picoseconds stride);
-
-    /** A flooded L2 frame replica arrives from another leaf. */
-    void acceptTrunkFlood(const std::vector<phy::PhyBlock> &frame);
 
     /** Egress mux for @p port (drained by the fabric, one block/slot). */
     phy::PreemptionMux &egressMux(NodeId port);
@@ -308,11 +230,10 @@ class SwitchStack
     EdmConfig cfg_;
     EventQueue &events_;
     TxWork on_tx_work_;
-    TrunkHooks hooks_;
-
-    /** Null = whole-fabric switch; set = leaf @p leaf_ of a topology. */
-    const net::Topology *topo_ = nullptr;
+    const net::Topology &topo_;
     std::uint16_t leaf_ = 0;
+    const Leaves &leaves_;
+    Picoseconds trunk_ = 0;
 
     std::vector<std::unique_ptr<Port>> ports_;
     std::unique_ptr<Scheduler> scheduler_;
@@ -338,17 +259,44 @@ class SwitchStack
         return ingress == kSchedulerIngress ? cfg_.num_nodes : ingress;
     }
 
-    /** True when @p port terminates on another leaf switch. */
-    bool remoteLeaf(NodeId port) const;
+    /** The leaf switch that owns @p port (this one when local). */
+    SwitchStack &
+    leafFor(NodeId port) const
+    {
+        return *leaves_[topo_.leafOf(port)];
+    }
+
+    /** Trunk traversal to reach @p port: 0 when it is on this leaf. */
+    Picoseconds
+    trunkTo(NodeId port) const
+    {
+        return topo_.leafOf(port) == leaf_ ? 0 : trunk_;
+    }
 
     void onGrantAction(const GrantAction &action);
+    /** A /G/ reaches local host @p port's egress mux. */
+    void deliverGrant(NodeId port, const phy::PhyBlock &grant);
+    /**
+     * A buffered RREQ/RMWREQ reaches local memory node @p target. It
+     * claims the egress stream under this leaf's own scheduler
+     * pseudo-ingress epoch, drawn on arrival (two leaves' epochs would
+     * collide).
+     */
+    void acceptForwardedRequest(NodeId target, const MemMessage &request);
     void forwardBlock(NodeId ingress, Port &port,
                       const phy::PhyBlock &block);
-    /** Chunk-lifecycle report, routed to the owning shard if remote. */
+    /** Chunk-lifecycle report, routed to the receiver's shard. */
     void noteChunkForwarded(NodeId src, NodeId dst, MsgId id,
                             bool response, Bytes bytes, bool last_chunk);
     void egressAccept(NodeId egress, NodeId ingress, std::uint64_t seq,
                       const phy::PhyBlock &block);
+    /**
+     * A mid-stream data run reaches local @p egress: block i becomes
+     * available at @p first_avail + i * @p stride.
+     */
+    void acceptRun(NodeId egress, NodeId ingress, std::uint64_t seq,
+                   const phy::PhyBlock *blocks, std::size_t count,
+                   Picoseconds first_avail, Picoseconds stride);
     void stagePush(Port &ep, NodeId ingress, std::uint64_t seq,
                    const phy::PhyBlock &block, Picoseconds at);
     /** Stage a train: block i arrives at @p first_avail + i * @p stride. */
@@ -358,8 +306,8 @@ class SwitchStack
     void adoptStaged(NodeId egress, NodeId ingress, std::uint64_t seq);
     void drainStaged(NodeId egress);
     void floodFrame(NodeId ingress, std::vector<phy::PhyBlock> frame);
-    void emitToEgress(NodeId port, std::vector<phy::PhyBlock> blocks,
-                      Picoseconds delay);
+    /** Append @p frame to every local host's backlog but @p ingress's. */
+    void floodLocal(NodeId ingress, const std::vector<phy::PhyBlock> &frame);
 };
 
 } // namespace core

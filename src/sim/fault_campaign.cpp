@@ -123,8 +123,6 @@ FaultCampaign::stats() const
         out.ops_recovered += hs.reads_recovered;
         out.ops_abandoned += hs.reads_abandoned;
     }
-    out.ops_stranded =
-        fabric_.switchStack().scheduler().pendingLedgerEntries();
     return out;
 }
 

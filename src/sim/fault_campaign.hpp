@@ -48,7 +48,6 @@ struct FaultStats
     std::uint64_t ops_retried = 0;   ///< read re-issues (backoff path)
     std::uint64_t ops_recovered = 0; ///< reads completed after a retry
     std::uint64_t ops_abandoned = 0; ///< retry budget exhausted → NULL
-    std::uint64_t ops_stranded = 0;  ///< live ledger entries at stats()
 
     Samples detect_ns;  ///< injection → first detected error, per link
     Samples disable_ns; ///< injection → link disabled, per link
@@ -108,8 +107,7 @@ class FaultCampaign
     /**
      * Snapshot the campaign's recovery metrics. Phase samples and fault
      * counters accumulate as transitions happen; the host-side op
-     * counters and the stranded-flow gauge are collected from the
-     * fabric at call time.
+     * counters are collected from the fabric at call time.
      */
     FaultStats stats() const;
 

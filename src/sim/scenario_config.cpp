@@ -516,6 +516,9 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             error = "[tenants] pools list is empty";
             return false;
         }
+        // Host 0 is a valid range end, so a set 'hosts' key is recorded
+        // rather than inferred from a zero range.
+        std::vector<bool> has_hosts(spec.tenants.pools.size(), false);
         for (const auto &kv : tn->entries) {
             const std::string &k = kv.first;
             if (k == "pools")
@@ -527,15 +530,16 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             }
             const std::string pname = k.substr(0, dot);
             const std::string attr = k.substr(dot + 1);
-            core::TenantPoolSpec *pool = nullptr;
-            for (auto &p : spec.tenants.pools)
-                if (p.name == pname)
-                    pool = &p;
-            if (!pool) {
+            std::size_t pool_idx = 0;
+            while (pool_idx < spec.tenants.pools.size() &&
+                   spec.tenants.pools[pool_idx].name != pname)
+                ++pool_idx;
+            if (pool_idx == spec.tenants.pools.size()) {
                 error = "[tenants] key '" + k + "' names a pool not in "
                         "'pools'";
                 return false;
             }
+            core::TenantPoolSpec *pool = &spec.tenants.pools[pool_idx];
             const std::string &v = kv.second;
             const auto bad = [&]() {
                 error = "bad value for [tenants] key '" + k + "': '" + v +
@@ -562,6 +566,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 }
                 pool->host_lo = static_cast<std::uint16_t>(lo);
                 pool->host_hi = static_cast<std::uint16_t>(hi);
+                has_hosts[pool_idx] = true;
             } else if (attr == "weight") {
                 double d = 0.0;
                 if (!parseDouble(v, d) || d <= 0.0)
@@ -588,12 +593,23 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 return false;
             }
         }
-        for (const auto &p : spec.tenants.pools)
-            if (p.host_lo == 0 && p.host_hi == 0) {
-                error = "[tenants] pool '" + p.name +
+        // A host belongs to at most one pool: poolOf() would silently
+        // hand a shared host to the first pool declared.
+        const auto &pools = spec.tenants.pools;
+        for (std::size_t i = 0; i < pools.size(); ++i) {
+            if (!has_hosts[i]) {
+                error = "[tenants] pool '" + pools[i].name +
                     "' needs a 'hosts' range";
                 return false;
             }
+            for (std::size_t j = 0; j < i; ++j)
+                if (pools[j].host_lo <= pools[i].host_hi &&
+                    pools[i].host_lo <= pools[j].host_hi) {
+                    error = "[tenants] pools '" + pools[j].name +
+                        "' and '" + pools[i].name + "' overlap in 'hosts'";
+                    return false;
+                }
+        }
     }
 
     const ScenarioSection *fs = doc.section("faults");

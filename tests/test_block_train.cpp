@@ -175,8 +175,8 @@ TEST(BlockTrain, OutstandingMixedOpsBitIdentical)
     // inverts the wire order — this exact shape once lost a read
     // completion at 2 nodes and paniced with nested /MS/ at 3. The
     // leaf-spine shapes (2-host leaves, 2 trunk lanes) add the trunk
-    // path: cross-leaf streams travel as runs (acceptTrunkRun) with
-    // trains and as single blocks (acceptTrunkBlock) per-block. They
+    // path: cross-leaf streams reach the peer leaf as runs (acceptRun)
+    // with trains and as single blocks (egressAccept) per-block. They
     // stay memory-only: with L2 floods on a leaf-spine, trains are not
     // yet identical to per-block (see EdmConfig::max_train_blocks).
     struct Shape

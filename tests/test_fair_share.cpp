@@ -366,6 +366,28 @@ TEST(FairShareScenario, TenantsSectionParsesAndReachesConfig)
     EXPECT_EQ(cfg.tenants.pools[1].name, "ls");
 }
 
+TEST(FairShareScenario, TenantPoolMayStartAtHostZero)
+{
+    // Host 0 is a real host: a pool holding only it must load.
+    for (const char *hosts : {"0", "0-0"}) {
+        const std::string path = writeTemp(
+            "tenants0.edm",
+            std::string("[scenario]\nname = t\nkind = incast\n"
+                        "[sweep]\nall_to_all = 4\n[tenants]\n"
+                        "pools = a, b\na.hosts = ") +
+                hosts + "\nb.hosts = 1-3\n");
+        ScenarioSpec spec;
+        std::string error;
+        ASSERT_TRUE(loadScenarioSpec(path, spec, error))
+            << hosts << " -> " << error;
+        std::remove(path.c_str());
+        EXPECT_EQ(spec.tenants.pools[0].host_lo, 0);
+        EXPECT_EQ(spec.tenants.pools[0].host_hi, 0);
+        EXPECT_EQ(spec.tenants.poolOf(0), 0);
+        EXPECT_EQ(spec.tenants.poolOf(1), 1);
+    }
+}
+
 TEST(FairShareScenario, BadTenantSectionsAreHardErrors)
 {
     const char *head =
@@ -383,6 +405,8 @@ TEST(FairShareScenario, BadTenantSectionsAreHardErrors)
         {"[tenants]\npools = a\na.hosts = 1-2\nstray = 1\n",
          "unknown"},                                   // undotted key
         {"[tenants]\npools = a\na.hosts = 6-3\n", "range"},
+        {"[tenants]\npools = a, b\na.hosts = 1-4\nb.hosts = 4-6\n",
+         "'a' and 'b' overlap"},                       // shared host 4
         {"[tenants]\npools = a\na.hosts = 1-2\na.weight = 0\n", "bad"},
         {"[tenants]\npools = a\na.hosts = 1-2\na.limit = 1.5\n", "bad"},
         {"[tenants]\npools = a\na.hosts = 1-2\na.min_share = -1\n",

@@ -124,35 +124,68 @@ TEST(LeafSpineFabric, CrossLeafReadReturnsStoredData)
     EXPECT_EQ(fab.grantAccounting().wasted_grant_slots, 0u);
 }
 
+enum class Op
+{
+    Read,
+    Write,
+    Rmw,
+};
+
+/**
+ * Latency of one @p op of @p len bytes from node 0 to memory node
+ * @p to, alone on a fresh 8-host fabric with 4-host leaves (node 1
+ * shares node 0's leaf, node 5 does not).
+ */
+Picoseconds
+soloLatency(Op op, core::NodeId to, std::size_t len)
+{
+    Simulation sim;
+    core::CycleFabric fab(leafSpineConfig(8, 4), sim, {1, 5});
+    fab.host(to).store()->write(0x1000, pattern(len));
+    Picoseconds lat = 0;
+    switch (op) {
+      case Op::Read:
+        fab.read(0, to, 0x1000, len,
+                 [&](std::vector<std::uint8_t>, Picoseconds l,
+                     bool timed_out) {
+                     EXPECT_FALSE(timed_out);
+                     lat = l;
+                 });
+        break;
+      case Op::Write:
+        fab.write(0, to, 0x1000, pattern(len, 7),
+                  [&](Picoseconds l) { lat = l; });
+        break;
+      case Op::Rmw:
+        fab.rmw(0, to, 0x1000, mem::RmwOp::FetchAndAdd, 5, 0,
+                [&](mem::RmwResult, Picoseconds l) { lat = l; });
+        break;
+    }
+    fab.run();
+    EXPECT_GT(lat, 0);
+    return lat;
+}
+
 TEST(LeafSpineFabric, CrossLeafReadIsOneTrunkTraversalSlower)
 {
-    // Same read intra-leaf vs cross-leaf: the cross-leaf flavour pays
-    // trunk traversals (request + response directions) on top.
-    Picoseconds intra = 0, cross = 0;
-    {
-        Simulation sim;
-        core::CycleFabric fab(leafSpineConfig(8, 4), sim, {1, 5});
-        fab.host(1).store()->write(0x1000, pattern(64));
-        fab.read(0, 1, 0x1000, 64,
-                 [&](std::vector<std::uint8_t>, Picoseconds lat, bool) {
-                     intra = lat;
-                 });
-        fab.run();
+    // The same op intra-leaf vs cross-leaf: every leaf-to-leaf crossing
+    // costs exactly one trunkLatency(). A read or RMW crosses twice (the
+    // forwarded request, the response data); a write three times (its
+    // /N/, the grant back, the data).
+    Simulation sim;
+    const Picoseconds trunk =
+        core::CycleFabric(leafSpineConfig(8, 4), sim).trunkLatency();
+    ASSERT_GT(trunk, 0);
+    for (const std::size_t len : {64u, 1024u}) {
+        EXPECT_EQ(soloLatency(Op::Read, 5, len),
+                  soloLatency(Op::Read, 1, len) + 2 * trunk)
+            << len << " B read";
+        EXPECT_EQ(soloLatency(Op::Write, 5, len),
+                  soloLatency(Op::Write, 1, len) + 3 * trunk)
+            << len << " B write";
     }
-    {
-        Simulation sim;
-        core::CycleFabric fab(leafSpineConfig(8, 4), sim, {1, 5});
-        fab.host(5).store()->write(0x1000, pattern(64));
-        fab.read(0, 5, 0x1000, 64,
-                 [&](std::vector<std::uint8_t>, Picoseconds lat, bool) {
-                     cross = lat;
-                 });
-        fab.run();
-    }
-    ASSERT_GT(intra, 0);
-    ASSERT_GT(cross, 0);
-    EXPECT_GE(cross, intra + 2 * (intra > 0 ? 1 : 0));
-    EXPECT_GT(cross, intra);
+    EXPECT_EQ(soloLatency(Op::Rmw, 5, 8),
+              soloLatency(Op::Rmw, 1, 8) + 2 * trunk);
 }
 
 TEST(LeafSpineFabric, CrossLeafWriteAndRmwComplete)
@@ -205,6 +238,35 @@ TEST(LeafSpineFabric, ManyToOneAcrossLeavesStaysStrict)
                         .tierChargedPs()[static_cast<std::size_t>(
                             core::LinkTier::Trunk)];
     EXPECT_GT(trunk_ps, 0u);
+}
+
+TEST(LeafSpineFabric, CrossLeafFloodReachesEveryOtherHostOnce)
+{
+    // 10 hosts at 4 per leaf (the last leaf ragged): a frame flooded
+    // from host 5 reaches its leaf-mates after the L2 pipeline and
+    // every host on another leaf exactly one trunk traversal later.
+    Simulation sim;
+    core::CycleFabric fab(leafSpineConfig(10, 4), sim, {0});
+    std::vector<std::vector<Picoseconds>> got(10);
+    for (core::NodeId n = 0; n < 10; ++n)
+        fab.host(n).setFrameHandler(
+            [&got, &sim, n](std::vector<phy::PhyBlock>) {
+                got[n].push_back(sim.now());
+            });
+    fab.injectFrame(5, pattern(64));
+    fab.run();
+
+    EXPECT_TRUE(got[5].empty());
+    ASSERT_EQ(got[4].size(), 1u);
+    const Picoseconds t0 = got[4][0];
+    for (core::NodeId n = 0; n < 10; ++n) {
+        if (n == 5)
+            continue;
+        ASSERT_EQ(got[n].size(), 1u) << "host " << n;
+        const bool mate = fab.topology().leafOf(n) == 1;
+        EXPECT_EQ(got[n][0], mate ? t0 : t0 + fab.trunkLatency())
+            << "host " << n;
+    }
 }
 
 } // namespace
