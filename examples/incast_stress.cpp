@@ -110,8 +110,11 @@ modeName(const Point &pt)
  *              weighted remainder.
  *
  * Isolation holds when the fairshare ls p99 stays within 2x of solo
- * while the bulk pools keep the fabric saturated
- * (tests/test_fair_share.cpp pins the same ratio).
+ * while the bulk pools keep the fabric saturated. Only this table
+ * shows that ratio: no test runs the solo row.
+ * tests/test_fair_share.cpp checks that the fairshare ls p99 beats
+ * legacy, and kGoldenFairShare (tests/test_golden_figs.cpp) freezes
+ * the legacy and fairshare rows.
  */
 int
 runTenantSweep(int rounds)

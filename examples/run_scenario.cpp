@@ -21,9 +21,9 @@
  *   ./build/run_scenario scenarios/incast.edm --trace incast.trace
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -210,7 +210,12 @@ main(int argc, char **argv)
             trace_path = argv[++i];
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
                    i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            // A whole decimal count only; 0 keeps the runner's default.
+            const char *v = argv[++i];
+            const char *end = v + std::strlen(v);
+            const auto [ptr, ec] = std::from_chars(v, end, threads);
+            if (ec != std::errc() || ptr != end)
+                return usage(argv[0]);
         } else if (argv[i][0] == '-') {
             return usage(argv[0]);
         } else if (path.empty()) {

@@ -117,60 +117,4 @@ Samples::max() const
     return data_.empty() ? 0.0 : data_.back();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    EDM_ASSERT(hi > lo && bins > 0, "degenerate histogram [%f, %f) x %zu",
-               lo, hi, bins);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return 0.0;
-    const double target = p / 100.0 * static_cast<double>(total_);
-    double cum = static_cast<double>(underflow_);
-    if (cum >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double next = cum + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            const double frac = (target - cum) /
-                static_cast<double>(counts_[i]);
-            return lo_ + (static_cast<double>(i) + frac) * width_;
-        }
-        cum = next;
-    }
-    return hi_;
-}
-
-std::string
-Histogram::summary() const
-{
-    return detail::format(
-        "histogram: n=%llu p50=%.3g p99=%.3g under=%llu over=%llu",
-        static_cast<unsigned long long>(total_), percentile(50.0),
-        percentile(99.0), static_cast<unsigned long long>(underflow_),
-        static_cast<unsigned long long>(overflow_));
-}
-
 } // namespace edm

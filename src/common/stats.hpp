@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics collection: running moments, percentile histograms.
+ * Statistics collection: running moments and sample percentiles.
  */
 
 #ifndef EDM_COMMON_STATS_HPP
@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace edm {
@@ -83,38 +82,6 @@ class Samples
     mutable bool sorted_ = true;
 
     void ensureSorted() const;
-};
-
-/**
- * Fixed-bin histogram over [lo, hi) with overflow/underflow bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::uint64_t count() const { return total_; }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    /** Approximate percentile from bin boundaries. */
-    double percentile(double p) const;
-
-    /** Render a short textual summary (for experiment logs). */
-    std::string summary() const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace edm

@@ -240,9 +240,9 @@ struct EdmConfig
      * memory stream cannot claim their slots. 1 restores per-block
      * frame emission (the timing-equivalence baseline); the same
      * hop-latency safety cap as max_train_blocks applies. Observable
-     * timing is identical for every value on the single-switch shapes
-     * of tests/test_frame_train.cpp and on the leaf-spine flood repro
-     * of ROADMAP item 4; no test covers frame trains on a leaf-spine.
+     * timing is identical for every value on a single switch and on
+     * leaf-spines with L2 floods, at either max_train_blocks
+     * (tests/test_frame_train.cpp, LeafSpineFloodsBitIdentical).
      */
     std::size_t max_frame_train_blocks = 64;
 

@@ -248,12 +248,10 @@ HostStack::onMemoryBlock(const phy::PhyBlock &block)
         ++stats_.grant_blocks_received;
         const ControlInfo g = unpackControl(block.controlPayload());
         // Parse + enqueue to the grant queue (2 cycles, §3.2.1); the
-        // queue read happens on the TX side of the clock crossing.
+        // queue read on the TX side of the clock crossing is charged as
+        // host_read_grant when the granted blocks are emitted.
         events_.scheduleAfter(cycles(cfg_.costs.host_proc_grant),
-                              [this, g] {
-                                  grant_queue_.push(g);
-                                  onGrant(g);
-                              });
+                              [this, g] { onGrant(g); });
         return;
     }
     if (block.isControl() && block.type() == phy::BlockType::Notify) {
@@ -286,7 +284,6 @@ HostStack::onMemoryBlock(const phy::PhyBlock &block)
 void
 HostStack::onGrant(const ControlInfo &g)
 {
-    grant_queue_.pop();
     const auto req_key = std::make_pair(g.dst, g.id);
     // Route by the grant's direction bit: a host can hold a WREQ toward
     // a peer *and* serve that peer's read under the same (dst, id), and

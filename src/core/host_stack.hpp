@@ -24,7 +24,6 @@
 #include "core/config.hpp"
 #include "core/message.hpp"
 #include "core/wire.hpp"
-#include "hw/cdc_fifo.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/dram.hpp"
 #include "phy/preemption.hpp"
@@ -284,7 +283,6 @@ class HostStack
     phy::PreemptionMux mux_;
     phy::PreemptionDemux demux_;
     MessageAssembler assembler_;
-    hw::CdcFifo<ControlInfo> grant_queue_;
 
     std::map<std::pair<NodeId, MsgId>, RequestState> requests_;
     std::map<std::pair<NodeId, MsgId>, ResponseState> responses_;

@@ -178,9 +178,9 @@ class SwitchStack
 
         // Conventional (non-memory) Ethernet traffic takes the layer-2
         // path: frames reassemble at ingress, pay the forwarding
-        // pipeline latency, and flood to the other ports (a ToR with an
-        // empty FDB — enough to model coexistence; MAC learning lives in
-        // net::L2Switch).
+        // pipeline latency (EdmConfig::l2_pipeline), and flood to the
+        // other ports (a ToR with an empty FDB: enough to model
+        // coexistence; no MAC learning is modelled).
         bool in_l2_frame = false;
         std::vector<phy::PhyBlock> l2_buf;
         common::Ring<phy::PhyBlock> frame_backlog;

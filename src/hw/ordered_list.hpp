@@ -6,8 +6,8 @@
  *
  * The hardware performs inserts/deletes in 2 clock cycles (fully
  * pipelined, one new operation per cycle) and reads the head in 1 cycle.
- * This model preserves those *timing annotations* as constants the
- * cycle-level simulator charges, while providing functionally equivalent
+ * The cycle fabric charges the insert as CycleCosts::sw_insert_notif
+ * (core/config.hpp); this model provides functionally equivalent
  * ordered storage. Capacity is bounded, as in hardware.
  */
 
@@ -15,7 +15,6 @@
 #define EDM_HW_ORDERED_LIST_HPP
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -23,14 +22,6 @@
 
 namespace edm {
 namespace hw {
-
-/** Cycle costs of the ordered-list hardware (paper §3.1.2). */
-struct OrderedListTiming
-{
-    static constexpr int kInsertCycles = 2; ///< pipelined, 1 op/cycle
-    static constexpr int kDeleteCycles = 2; ///< pipelined, 1 op/cycle
-    static constexpr int kPeekCycles = 1;   ///< read highest priority
-};
 
 /**
  * Bounded list of (priority, value) entries ordered by descending
@@ -124,28 +115,6 @@ class OrderedList
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
             if (pred(it->value)) {
                 entries_.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /**
-     * Update the priority of the first entry satisfying @p pred,
-     * re-sorting it into position (hardware: delete + re-insert, still
-     * constant-time). Returns true if an entry was updated.
-     */
-    template <typename Pred>
-    bool
-    reprioritizeIf(Pred pred, Priority new_priority)
-    {
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (pred(it->value)) {
-                Entry e = std::move(*it);
-                entries_.erase(it);
-                e.priority = new_priority;
-                const bool ok = insert(e.priority, std::move(e.value));
-                EDM_ASSERT(ok, "reinsert into list we just erased from");
                 return true;
             }
         }

@@ -41,8 +41,6 @@ class Topology
         return spec_.tiers == core::TopologySpec::Tiers::Single;
     }
 
-    std::size_t numNodes() const { return num_nodes_; }
-
     /** Leaf switches (1 when single). */
     std::size_t numLeaves() const { return num_leaves_; }
 

@@ -50,9 +50,6 @@ class FrameDecoder
      */
     std::optional<std::vector<std::uint8_t>> feed(const PhyBlock &b);
 
-    /** True while mid-frame (between /S/ and /T/). */
-    bool inFrame() const { return in_frame_; }
-
     /** Count of protocol violations observed (e.g. /D/ outside a frame). */
     std::uint64_t violations() const { return violations_; }
 

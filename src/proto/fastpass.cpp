@@ -24,12 +24,6 @@ FastpassModel::slotQuantum() const
 }
 
 Picoseconds
-FastpassModel::controlBacklog() const
-{
-    return std::max<Picoseconds>(0, server_in_free_ - sim_.now());
-}
-
-Picoseconds
 FastpassModel::idealLatency(Bytes size, bool is_write) const
 {
     // Control round trip to the arbiter + the data path.

@@ -49,9 +49,6 @@ class FastpassModel : public FabricModel
 
     Picoseconds idealLatency(Bytes size, bool is_write) const override;
 
-    /** Current backlog delay of the arbiter's request link. */
-    Picoseconds controlBacklog() const;
-
   private:
     struct Host
     {

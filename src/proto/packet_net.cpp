@@ -21,12 +21,6 @@ PacketNet::PacketNet(Simulation &sim, const ClusterConfig &cluster,
     }
 }
 
-Bytes
-PacketNet::egressQueueBytes(NodeId port) const
-{
-    return egresses_.at(port).bytes;
-}
-
 void
 PacketNet::send(const Packet &p)
 {

@@ -88,7 +88,6 @@ class PacketNet
     std::uint64_t dropped() const { return dropped_; }
     std::uint64_t ecnMarked() const { return ecn_marked_; }
     std::uint64_t pauseEvents() const { return pause_events_; }
-    Bytes egressQueueBytes(NodeId port) const;
 
   private:
     struct Egress

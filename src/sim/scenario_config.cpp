@@ -651,13 +651,14 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
     const std::string two_leaves = "more nodes than [topology] "
         "hosts_per_leaf = " +
         std::to_string(spec.topology.hosts_per_leaf);
+    // Node count of the smallest fabric, and how the errors name it.
+    std::size_t fewest = inter.nodes;
+    std::string below = "nodes = " + std::to_string(inter.nodes);
     if (spec.kind == "interference") {
         if (leaf_spine && inter.nodes <= spec.topology.hosts_per_leaf)
             return sc->reject("nodes", two_leaves, error);
         if (inter.memory_node >= inter.nodes)
-            return sc->reject("memory_node",
-                              "a node below nodes = " +
-                                  std::to_string(inter.nodes),
+            return sc->reject("memory_node", "a node below " + below,
                               error);
     } else {
         const std::pair<const char *, const std::vector<std::size_t> *>
@@ -665,20 +666,25 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                         {"all_to_all", &spec.all_to_all},
                         {"quick_n_to_1", &spec.quick_n_to_1},
                         {"quick_all_to_all", &spec.quick_all_to_all}};
-        std::size_t fewest = static_cast<std::size_t>(kMaxNodes);
+        fewest = static_cast<std::size_t>(kMaxNodes);
         for (const auto &[key, points] : sweeps)
             for (const std::size_t n : *points) {
                 if (leaf_spine && n <= spec.topology.hosts_per_leaf)
                     return sw->reject(key, two_leaves, error);
                 fewest = std::min(fewest, n);
             }
+        below = "the smallest sweep point, " + std::to_string(fewest);
         for (const core::NodeId n : spec.faults.storm_nodes)
             if (n >= fewest)
-                return fs->reject("storm_nodes",
-                                  "nodes below the smallest sweep point, " +
-                                      std::to_string(fewest),
+                return fs->reject("storm_nodes", "nodes below " + below,
                                   error);
     }
+    // A pool reaching past the fabric would arbitrate for hosts that
+    // do not exist.
+    for (const core::TenantPoolSpec &pool : spec.tenants.pools)
+        if (pool.host_hi >= fewest)
+            return doc.section("tenants")->reject(
+                pool.name + ".hosts", "hosts below " + below, error);
 
     for (const ScenarioSection *ms : doc.sectionsWithPrefix("mode")) {
         ScenarioModeSpec mode;

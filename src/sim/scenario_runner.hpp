@@ -129,20 +129,6 @@ class ScenarioRunner
     /** Register a scenario; returns its index in registration order. */
     std::size_t add(std::string name, ScenarioFn fn);
 
-    /**
-     * Convenience for sweeps: register one scenario per element of
-     * @p points, naming each "<prefix>[i]".
-     */
-    template <typename T, typename MakeFn>
-    void
-    addSweep(const std::string &prefix, const std::vector<T> &points,
-             MakeFn make)
-    {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            add(prefix + "[" + std::to_string(i) + "]",
-                make(points[i], i));
-    }
-
     std::size_t size() const { return scenarios_.size(); }
 
     /**

@@ -129,20 +129,6 @@ TEST(Samples, SingleValue)
     EXPECT_DOUBLE_EQ(s.percentile(99), 42.0);
 }
 
-TEST(Histogram, BinningAndPercentile)
-{
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    h.add(-5.0);
-    h.add(1000.0);
-    EXPECT_EQ(h.count(), 102u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 10u);
-    EXPECT_NEAR(h.percentile(50), 50.0, 2.0);
-}
-
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(42), b(42);

@@ -393,24 +393,29 @@ TEST(FairShareScenario, BadTenantSectionsAreHardErrors)
     const char *head =
         "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n";
     const std::pair<const char *, const char *> bads[] = {
-        {"[tenants]\na.hosts = 1-2\n", "pools"},      // no pools list
+        {"[tenants]\na.hosts = 0-1\n", "pools"},      // no pools list
         {"[tenants]\npools = a\n", "hosts"},          // hosts required
-        {"[tenants]\npools = a, a\na.hosts = 1-2\n", "duplicate"},
-        {"[tenants]\npools = default\ndefault.hosts = 1-2\n",
+        {"[tenants]\npools = a, a\na.hosts = 0-1\n", "duplicate"},
+        {"[tenants]\npools = default\ndefault.hosts = 0-1\n",
          "reserved"},
-        {"[tenants]\npools = a\na.hosts = 1-2\nb.hosts = 3-4\n",
+        {"[tenants]\npools = a\na.hosts = 0\nb.hosts = 1\n",
          "not in"},                                    // unknown pool
-        {"[tenants]\npools = a\na.hosts = 1-2\na.wieght = 2\n",
+        {"[tenants]\npools = a\na.hosts = 0-1\na.wieght = 2\n",
          "attribute"},                                 // typo'd attr
-        {"[tenants]\npools = a\na.hosts = 1-2\nstray = 1\n",
+        {"[tenants]\npools = a\na.hosts = 0-1\nstray = 1\n",
          "unknown"},                                   // undotted key
-        {"[tenants]\npools = a\na.hosts = 6-3\n", "range"},
-        {"[tenants]\npools = a, b\na.hosts = 1-4\nb.hosts = 4-6\n",
-         "'a' and 'b' overlap"},                       // shared host 4
-        {"[tenants]\npools = a\na.hosts = 1-2\na.weight = 0\n", "bad"},
-        {"[tenants]\npools = a\na.hosts = 1-2\na.limit = 1.5\n", "bad"},
-        {"[tenants]\npools = a\na.hosts = 1-2\na.min_share = -1\n",
-         "bad"},
+        {"[tenants]\npools = a\na.hosts = 1-0\n", "range"},
+        {"[tenants]\npools = a, b\na.hosts = 0-1\nb.hosts = 1\n",
+         "'a' and 'b' overlap"},                       // shared host 1
+        {"[tenants]\npools = a\na.hosts = 0-1\na.weight = 0\n",
+         "key 'a.weight'"},
+        {"[tenants]\npools = a\na.hosts = 0-1\na.limit = 1.5\n",
+         "key 'a.limit'"},
+        {"[tenants]\npools = a\na.hosts = 0-1\na.min_share = -1\n",
+         "key 'a.min_share'"},
+        // The only row whose pool reaches past the 2-node fabric.
+        {"[tenants]\npools = a\na.hosts = 1-2\n",
+         "'a.hosts' (want hosts below the smallest sweep point, 2)"},
     };
     for (const auto &[body, needle] : bads) {
         const std::string path =

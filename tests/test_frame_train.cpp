@@ -24,15 +24,21 @@ namespace edm {
 namespace core {
 namespace {
 
+/** @p hosts_per_leaf > 0 builds a leaf-spine with two trunk lanes. */
 EdmConfig
 config(std::size_t nodes, std::size_t max_frame_train,
-       std::size_t max_mem_train = 64)
+       std::size_t max_mem_train = 64, std::size_t hosts_per_leaf = 0)
 {
     EdmConfig cfg;
     cfg.num_nodes = nodes;
     cfg.link_rate = Gbps{25.0};
     cfg.max_train_blocks = max_mem_train;
     cfg.max_frame_train_blocks = max_frame_train;
+    if (hosts_per_leaf > 0) {
+        cfg.topology.tiers = TopologySpec::Tiers::LeafSpine;
+        cfg.topology.hosts_per_leaf = hosts_per_leaf;
+        cfg.topology.trunk_width = 2;
+    }
     return cfg;
 }
 
@@ -97,9 +103,12 @@ runScenario(const EdmConfig &cfg, Scenario scenario)
         o.link_errors += fab.linkErrors(n);
         o.link_disabled = o.link_disabled || fab.linkDisabled(n);
     }
-    o.frames_flooded = fab.switchStack().stats().frames_flooded;
-    o.grants_sent = fab.switchStack().stats().grants_sent;
-    o.blocks_forwarded = fab.switchStack().stats().blocks_forwarded;
+    for (std::uint16_t l = 0; l < fab.topology().numLeaves(); ++l) {
+        const SwitchStats &st = fab.switchAt(l).stats();
+        o.frames_flooded += st.frames_flooded;
+        o.grants_sent += st.grants_sent;
+        o.blocks_forwarded += st.blocks_forwarded;
+    }
     o.events = sim.events().executed();
     o.end_time = sim.now();
     return o;
@@ -235,6 +244,67 @@ TEST(FrameTrain, ContendedMixedTrafficBitIdentical)
     // Frame trains must add savings beyond what memory trains provide.
     EXPECT_LT(both.events, mem_only.events)
         << "frame-train path added no event savings";
+}
+
+TEST(FrameTrain, LeafSpineFloodsBitIdentical)
+{
+    // MTU frames flood across the spine beside reads, writes and RMWs
+    // onto the last node, on 2-lane leaf-spines whose last leaf may be
+    // ragged. Frame trains are compared with per-block frames at each
+    // memory-train cap, never one memory cap with the other: with
+    // floods on a leaf-spine, memory trains can move a grant by one
+    // slot (EdmConfig::max_train_blocks).
+    struct Shape
+    {
+        std::size_t nodes;
+        std::size_t hosts_per_leaf;
+    };
+    for (const Shape shape :
+         {Shape{6, 2}, Shape{8, 4}, Shape{9, 3}, Shape{10, 4}}) {
+        const std::size_t nodes = shape.nodes;
+        auto scenario = [nodes](Simulation &, CycleFabric &fab) {
+            const auto server = static_cast<NodeId>(nodes - 1);
+            const auto client = [server](int i) {
+                return static_cast<NodeId>(i % server);
+            };
+            for (int i = 0; i < 64; ++i)
+                fab.host(server).store()->write64(
+                    0x1000 + static_cast<std::uint64_t>(i) * 8,
+                    static_cast<std::uint64_t>(i) * 3 + 1);
+            mac::Frame f;
+            f.payload.assign(1400, 0x7B);
+            const auto frame = mac::serialize(f);
+            for (int i = 0; i < 32; ++i) {
+                fab.injectFrame(client(i), frame);
+                fab.read(client(i), server,
+                         0x1000 + static_cast<std::uint64_t>(i % 64) * 8,
+                         900, {});
+                fab.write(client(i + 3), server,
+                          0x8000 + static_cast<std::uint64_t>(i) * 2048,
+                          std::vector<std::uint8_t>(
+                              2048, static_cast<std::uint8_t>(i)),
+                          {});
+                fab.rmw(client(i + 5), server, 0x1000,
+                        mem::RmwOp::FetchAndAdd, 1, 0, {});
+            }
+        };
+        for (const std::size_t mem_cap : {1, 64}) {
+            const std::string label = std::to_string(nodes) + " nodes, " +
+                std::to_string(shape.hosts_per_leaf) +
+                " hosts per leaf, memory cap " + std::to_string(mem_cap);
+            const Outcome per_block = runScenario(
+                config(nodes, 1, mem_cap, shape.hosts_per_leaf), scenario);
+            const Outcome trains = runScenario(
+                config(nodes, 64, mem_cap, shape.hosts_per_leaf), scenario);
+            expectIdentical(per_block, trains, label);
+            EXPECT_EQ(trains.reads, 32u) << label;
+            EXPECT_EQ(trains.writes, 32u) << label;
+            EXPECT_EQ(trains.rmw_lat.size(), 32u) << label;
+            EXPECT_EQ(trains.frames_flooded, 32u) << label;
+            EXPECT_LT(trains.events, per_block.events * 2 / 3)
+                << label << ": frame-train path did not engage";
+        }
+    }
 }
 
 /** Closed-loop loads that keep MTU frames flooding to every port. */

@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for the hardware-structure models.
+ * Unit tests for the ordered-list hardware model.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
-#include "hw/cdc_fifo.hpp"
 #include "hw/ordered_list.hpp"
-#include "hw/priority_encoder.hpp"
 
 namespace edm {
 namespace hw {
@@ -66,24 +64,6 @@ TEST(OrderedList, EraseIf)
     EXPECT_EQ(list.size(), 1u);
 }
 
-TEST(OrderedList, ReprioritizeMovesEntry)
-{
-    OrderedList<int, char> list(8);
-    list.insert(5, 'a');
-    list.insert(3, 'b');
-    EXPECT_TRUE(list.reprioritizeIf([](char v) { return v == 'b'; }, 9));
-    EXPECT_EQ(list.peek()->value, 'b');
-    EXPECT_EQ(list.peek()->priority, 9);
-}
-
-TEST(OrderedList, TimingConstantsMatchPaper)
-{
-    // §3.1.2: inserts/deletes 2 cycles, head read 1 cycle.
-    EXPECT_EQ(OrderedListTiming::kInsertCycles, 2);
-    EXPECT_EQ(OrderedListTiming::kDeleteCycles, 2);
-    EXPECT_EQ(OrderedListTiming::kPeekCycles, 1);
-}
-
 class OrderedListProperty : public ::testing::TestWithParam<int>
 {
 };
@@ -104,70 +84,6 @@ TEST_P(OrderedListProperty, PopsAreSortedDescending)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderedListProperty,
                          ::testing::Range(1, 9));
-
-TEST(PriorityEncoder, MostSignificantBit)
-{
-    PriorityEncoder enc(144);
-    EXPECT_FALSE(enc.encode().has_value());
-    enc.set(3);
-    enc.set(77);
-    enc.set(140);
-    EXPECT_EQ(enc.encode().value(), 140u);
-    enc.clear(140);
-    EXPECT_EQ(enc.encode().value(), 77u);
-    EXPECT_TRUE(enc.test(3));
-    enc.reset();
-    EXPECT_TRUE(enc.none());
-}
-
-class EncoderWidths : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(EncoderWidths, BoundaryBits)
-{
-    const auto width = static_cast<std::size_t>(GetParam());
-    PriorityEncoder enc(width);
-    enc.set(0);
-    EXPECT_EQ(enc.encode().value(), 0u);
-    enc.set(width - 1);
-    EXPECT_EQ(enc.encode().value(), width - 1);
-    enc.clear(width - 1);
-    if (width == 1) {
-        // Clearing bit width-1 cleared the only bit.
-        EXPECT_FALSE(enc.encode().has_value());
-    } else {
-        EXPECT_EQ(enc.encode().value(), 0u);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, EncoderWidths,
-                         ::testing::Values(1, 2, 63, 64, 65, 128, 144,
-                                           512));
-
-TEST(CdcFifo, FifoOrderAndBound)
-{
-    CdcFifo<int> f(3);
-    EXPECT_TRUE(f.push(1));
-    EXPECT_TRUE(f.push(2));
-    EXPECT_TRUE(f.push(3));
-    EXPECT_FALSE(f.push(4));
-    EXPECT_TRUE(f.full());
-    EXPECT_EQ(*f.front(), 1);
-    EXPECT_EQ(f.pop().value(), 1);
-    EXPECT_EQ(f.pop().value(), 2);
-    EXPECT_EQ(f.pop().value(), 3);
-    EXPECT_FALSE(f.pop().has_value());
-}
-
-TEST(CdcFifo, UnboundedMode)
-{
-    CdcFifo<int> f;
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_TRUE(f.push(i));
-    EXPECT_EQ(f.size(), 1000u);
-    EXPECT_EQ(CdcFifo<int>::kCrossingCycles, 4);
-}
 
 } // namespace
 } // namespace hw

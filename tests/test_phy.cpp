@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the PHY layer: blocks, scrambler, PCS framing,
+ * Unit tests for the PHY layer: blocks, PCS framing,
  * intra-frame preemption.
  */
 
@@ -12,7 +12,6 @@
 #include "phy/block.hpp"
 #include "phy/pcs.hpp"
 #include "phy/preemption.hpp"
-#include "phy/scrambler.hpp"
 #include "phy/serdes.hpp"
 
 namespace edm {
@@ -73,49 +72,6 @@ TEST(Block, EdmTypeCodesAvoidStandardCodes)
         for (auto s : standard)
             EXPECT_NE(c, s);
     }
-}
-
-class ScramblerRoundTrip : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(ScramblerRoundTrip, MatchedSeedsRecoverData)
-{
-    Scrambler tx;
-    Descrambler rx(tx.state());
-    Rng rng(GetParam());
-    for (int i = 0; i < 200; ++i) {
-        const std::uint64_t data = rng.next();
-        EXPECT_EQ(rx.descramble(tx.scramble(data)), data);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScramblerRoundTrip,
-                         ::testing::Values(1u, 2u, 3u, 0xFFFFu, 0xDEADu));
-
-TEST(Scrambler, SelfSynchronizing)
-{
-    // A descrambler starting from a wrong state recovers after 58 bits
-    // (one 64-bit block) of line data.
-    Scrambler tx;
-    Descrambler rx(0); // wrong seed
-    Rng rng(77);
-    (void)rx.descramble(tx.scramble(rng.next())); // sync-up block
-    for (int i = 0; i < 50; ++i) {
-        const std::uint64_t data = rng.next();
-        EXPECT_EQ(rx.descramble(tx.scramble(data)), data);
-    }
-}
-
-TEST(Scrambler, OutputLooksRandom)
-{
-    // All-zero input must not produce all-zero line bits (the whole
-    // point of scrambling: transition density).
-    Scrambler tx(0x155555555555555ULL);
-    int nonzero = 0;
-    for (int i = 0; i < 16; ++i)
-        nonzero += tx.scramble(0) != 0;
-    EXPECT_GE(nonzero, 15);
 }
 
 TEST(Pcs, MinFrameIsNineBlocks)
