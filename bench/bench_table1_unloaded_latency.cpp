@@ -10,6 +10,7 @@
 
 #include "analytic/latency_model.hpp"
 #include "core/fabric.hpp"
+#include "core/occupancy.hpp"
 
 using namespace edm;
 using analytic::FabricLatency;
@@ -94,15 +95,13 @@ main()
                 "(legacy payload l/B -> wire-charged blocks):\n",
                 static_cast<unsigned long long>(occ.chunk_bytes));
     std::printf("  read  (RRES framing) %7.2f ns -> %7.2f ns\n",
-                toNs(analytic::chunkOccupancy(occ, true,
-                                              occ.chunk_bytes)),
-                toNs(analytic::chunkOccupancy(occ_wire, true,
-                                              occ.chunk_bytes)));
+                toNs(core::grantOccupancy(occ, true, occ.chunk_bytes)),
+                toNs(core::grantOccupancy(occ_wire, true,
+                                          occ.chunk_bytes)));
     std::printf("  write (WREQ framing) %7.2f ns -> %7.2f ns\n\n",
-                toNs(analytic::chunkOccupancy(occ, false,
-                                              occ.chunk_bytes)),
-                toNs(analytic::chunkOccupancy(occ_wire, false,
-                                              occ.chunk_bytes)));
+                toNs(core::grantOccupancy(occ, false, occ.chunk_bytes)),
+                toNs(core::grantOccupancy(occ_wire, false,
+                                          occ.chunk_bytes)));
 
     // Cross-check: the cycle-level simulator measures the same EDM
     // fabric plus serialization and DRAM, which we report separately.

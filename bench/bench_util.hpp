@@ -10,7 +10,6 @@
 #ifndef EDM_BENCH_BENCH_UTIL_HPP
 #define EDM_BENCH_BENCH_UTIL_HPP
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "proto/fastpass.hpp"
 #include "proto/ird.hpp"
 #include "proto/window_model.hpp"
+#include "sim/scenario_exec.hpp"
 #include "sim/scenario_runner.hpp"
 #include "workload/synthetic.hpp"
 
@@ -116,18 +116,6 @@ struct RunResult
     std::uint64_t completed = 0;
 };
 
-/** Global message-count scaling from EDM_BENCH_SCALE. */
-inline double
-benchScale()
-{
-    if (const char *s = std::getenv("EDM_BENCH_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0)
-            return v;
-    }
-    return 1.0;
-}
-
 /** Fully-specified experiment point of the §4.3 simulations. */
 struct PointSpec
 {
@@ -160,7 +148,7 @@ runPoint(const PointSpec &p)
     cfg.load = p.load;
     cfg.write_fraction = p.write_fraction;
     cfg.messages =
-        static_cast<std::uint64_t>(p.messages * benchScale());
+        static_cast<std::uint64_t>(p.messages * benchScaleEnv(1.0));
     cfg.size_cdf = p.size_cdf;
 
     Rng rng(p.seed * 77 + 1);

@@ -5,9 +5,8 @@
  * The scenario file names the experiment kind (incast contention or
  * preemption interference), its topology/workload parameters, the
  * sweep points and the EdmConfig flag set per mode; the experiment
- * bodies are the shared sim/scenario_exec.cpp functions the
- * hand-written examples also call, so a scenario run reproduces the
- * example tables bit-exactly.
+ * bodies are the shared sim/scenario_exec.cpp functions the tests
+ * also call, so a scenario run prints the values they pin.
  *
  * With --trace, every fabric decision (grants, ledger lifecycle,
  * trains, preemption, faults, id-wrap stalls) is recorded to a binary
@@ -169,6 +168,7 @@ runInterference(const ScenarioSpec &spec, bool quick,
     opts.base_seed = spec.base_seed;
     opts.threads = threads;
     ScenarioRunner runner(opts);
+    // The loader admits one mode for this kind.
     const ScenarioModeSpec &mode = spec.modes.front();
     core::EdmConfig cfg = spec.configFor(mode);
     cfg.event_log = log;

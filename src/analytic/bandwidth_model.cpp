@@ -42,16 +42,15 @@ requestCost(Framing framing, workload::YcsbWorkload w)
 
     RequestCost c;
     if (framing == Framing::Edm) {
-        // Per-message wire budgets come from the shared wire-occupancy
-        // model (core/occupancy.hpp): 66-bit blocks including /MS/,
+        // Per-message wire budgets are the block counts of the wire
+        // format (core::wireBytes): 66-bit blocks including /MS/,
         // address and /MT/ framing — the same block counts the
         // scheduler's wire-charged port timers reserve.
-        const double rreq =
-            core::wireOccupancyBytes(core::MemMsgType::RREQ, 0);
+        const double rreq = core::wireBytes(core::MemMsgType::RREQ, 0);
         const double rres =
-            core::wireOccupancyBytes(core::MemMsgType::RRES, read_bytes);
+            core::wireBytes(core::MemMsgType::RRES, read_bytes);
         const double wreq =
-            core::wireOccupancyBytes(core::MemMsgType::WREQ, write_bytes);
+            core::wireBytes(core::MemMsgType::WREQ, write_bytes);
         const double notify = core::kBlockWireBytes;
         const double grant = core::kBlockWireBytes;
         // Uplink: read requests + write notifications + write data.

@@ -1,7 +1,6 @@
 #include "latency_model.hpp"
 
 #include "common/logging.hpp"
-#include "core/occupancy.hpp"
 #include "phy/serdes.hpp"
 
 namespace edm {
@@ -117,12 +116,6 @@ fabricLatency(Stack stack, bool read, const core::CycleCosts &costs)
         r.memory_mac + r.memory_pcs;
     r.total = r.network_stack + r.serdes + r.propagation;
     return r;
-}
-
-Picoseconds
-chunkOccupancy(const core::EdmConfig &cfg, bool read, Bytes chunk)
-{
-    return core::grantOccupancy(cfg, /*response=*/read, chunk);
 }
 
 std::vector<BreakdownStage>

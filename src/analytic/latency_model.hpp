@@ -77,17 +77,6 @@ struct BreakdownStage
 std::vector<BreakdownStage> edmBreakdown(bool read,
                                          const core::CycleCosts &costs = {});
 
-/**
- * Per-chunk line occupancy under @p cfg — the serialization term loaded
- * operation adds on top of the unloaded Table-1 latency, once per chunk
- * of a multi-chunk message. @p read selects RRES chunk framing (no
- * address block), else WREQ. Delegates to the shared wire-occupancy
- * model (core/occupancy.hpp), so the analytic figure and the
- * simulator's port timers always charge the same time.
- */
-Picoseconds chunkOccupancy(const core::EdmConfig &cfg, bool read,
-                           Bytes chunk);
-
 } // namespace analytic
 } // namespace edm
 

@@ -193,8 +193,8 @@ class CycleFabric
      * Deepest combined egress staging seen on any switch port
      * (blocks): circuit-staged blocks plus the egress mux's memory
      * backlog, sampled at every push (SwitchStack::peakEgressStaging).
-     * Grows with the payload charge's per-chunk under-charge
-     * (core::stagingGrowthBlocksPerChunk); wire-charged occupancy
+     * Grows with the payload charge's per-chunk under-charge of the
+     * framing blocks (docs/WIRE_FORMAT.md); wire-charged occupancy
      * (EdmConfig::wire_charged_occupancy) keeps it shallow.
      */
     std::size_t peakEgressStaging() const;

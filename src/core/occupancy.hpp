@@ -17,10 +17,9 @@
  * Everything that reasons about per-chunk line occupancy goes through
  * this header: the scheduler's port-occupancy timers
  * (`grantOccupancy`, `requestForwardOccupancy`), the flow-level EDM
- * latency model's chunk serialization, the analytic bandwidth model's
- * per-message byte budgets (`wireOccupancyBytes`, `kBlockWireBytes`),
- * and the egress staging-depth estimates
- * (`stagingGrowthBlocksPerChunk`). The charging policy is selected by
+ * latency model's chunk serialization and the analytic bandwidth
+ * model's per-message byte budgets (`kBlockWireBytes`, beside
+ * core::wireBytes). The charging policy is selected by
  * `EdmConfig::wire_charged_occupancy`:
  *
  *   off (default)  bit-exact legacy schedules: ports are charged the
@@ -86,29 +85,6 @@ inline Picoseconds
 chunkLineTime(MemMsgType type, Bytes payload, Gbps rate)
 {
     return lineTime(wireBlocks(type, payload), rate);
-}
-
-/**
- * Preemption re-entry overhead, in block slots: the TX mux alternates
- * its two streams, so one staged frame block may claim the slot between
- * two memory messages (it re-alternates at every /MT/ boundary), and on
- * a port that also carries L2 frames a chunk's first block can slip one
- * slot.
- * It is a staging estimate, not a port charge: grantOccupancy never
- * adds it, and staging-depth estimates for mixed traffic add it per
- * chunk (stagingGrowthBlocksPerChunk's @p with_frames).
- */
-inline constexpr std::size_t kPreemptionReentryBlocks = 1;
-
-/**
- * Wire bytes of one message of @p type with @p payload bytes — the
- * byte-denominated view of the same block count, used by link byte
- * budgets (analytic bandwidth model, workload load calibration).
- */
-inline double
-wireOccupancyBytes(MemMsgType type, Bytes payload)
-{
-    return wireBytes(type, payload);
 }
 
 /** Wire bytes of one control block (/N/, /G/): 66 bits. */
@@ -184,32 +160,6 @@ toString(LinkTier tier)
     case LinkTier::LeafEgress: return "leaf-egress";
     }
     return "unknown";
-}
-
-/**
- * Estimated egress-staging growth, in blocks, contributed by one
- * granted chunk: the gap between the chunk's true line-time and the
- * occupancy the scheduler charged for it, expressed in block slots
- * (plus the preemption re-entry slot when the port also carries frame
- * traffic). Under legacy charging this is positive — every chunk
- * through a saturated egress leaves this many blocks behind in the
- * staging queues, which is why incast staging depth grows with the
- * grant count — and exactly zero under wire-charged occupancy on a
- * frame-free port.
- */
-inline double
-stagingGrowthBlocksPerChunk(const EdmConfig &cfg, bool response,
-                            Bytes chunk, bool with_frames = false)
-{
-    const Picoseconds true_time = chunkLineTime(
-        response ? MemMsgType::RRES : MemMsgType::WREQ, chunk,
-        cfg.link_rate);
-    const Picoseconds charged = grantOccupancy(cfg, response, chunk);
-    double growth = static_cast<double>(true_time - charged) /
-        static_cast<double>(wireBlockTime(cfg.link_rate));
-    if (with_frames)
-        growth += static_cast<double>(kPreemptionReentryBlocks);
-    return growth;
 }
 
 } // namespace core

@@ -130,12 +130,11 @@ class SwitchStack
      * egress mux's memory backlog, sampled at every push so the value
      * is a depth that really occurred. The mux backlog includes blocks
      * a train handed over early with future availability stamps, so
-     * compare runs at the same max_train_blocks. This is the quantity
-     * the wire-occupancy model's per-chunk growth estimate
-     * (core::stagingGrowthBlocksPerChunk) predicts — the payload
-     * charge under-reserves every chunk and the peak climbs with the
-     * grant count; wire-charged occupancy keeps it near one chunk per
-     * contending flow.
+     * compare runs at the same max_train_blocks. The payload charge
+     * under-reserves every chunk by its unpaid framing blocks
+     * (docs/WIRE_FORMAT.md), so the peak climbs with the grant count;
+     * wire-charged occupancy keeps it near one chunk per contending
+     * flow.
      */
     std::size_t peakEgressStaging() const;
 

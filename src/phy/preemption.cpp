@@ -129,7 +129,7 @@ PreemptionMux::next(Picoseconds now)
         frame_q_.pop_front();
         ++frame_slots_;
         // The frame stream taking the slot back right after memory
-        // traffic is the re-entry slot kPreemptionReentryBlocks models.
+        // traffic is the preemption re-entry slot (docs/WIRE_FORMAT.md).
         if (trace_ && last_was_memory_)
             notePreempt(/*enter=*/false, now, 1);
         last_was_memory_ = false;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "mac/frame.hpp"
@@ -378,16 +379,6 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         error = "missing [scenario] section";
         return false;
     }
-    for (const auto &kv : sc->entries) {
-        const std::string &k = kv.first;
-        if (k != "name" && k != "kind" && k != "base_seed" &&
-            k != "rounds" && k != "chains_per_node" && k != "read_bytes" &&
-            k != "write_bytes" && k != "nodes" && k != "memory_node" &&
-            k != "link_gbps" && k != "frame_payload" && k != "max_frames") {
-            error = "unknown [scenario] key '" + k + "'";
-            return false;
-        }
-    }
     spec.name = sc->getString("name", "unnamed");
     spec.kind = sc->getString("kind", "");
     if (spec.kind != "incast" && spec.kind != "interference") {
@@ -395,6 +386,48 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             spec.kind + "'";
         return false;
     }
+    // Each [scenario] key and the kind that reads it (nullptr: both).
+    // The other kind would drop the key unread, so it is an error too.
+    static const std::pair<const char *, const char *> kScenarioKeys[] = {
+        {"name", nullptr},
+        {"kind", nullptr},
+        {"base_seed", nullptr},
+        {"read_bytes", nullptr},
+        {"rounds", "incast"},
+        {"chains_per_node", "incast"},
+        {"write_bytes", "incast"},
+        {"nodes", "interference"},
+        {"memory_node", "interference"},
+        {"link_gbps", "interference"},
+        {"frame_payload", "interference"},
+        {"max_frames", "interference"},
+    };
+    for (const auto &kv : sc->entries) {
+        const std::string &k = kv.first;
+        const auto *key = std::find_if(
+            std::begin(kScenarioKeys), std::end(kScenarioKeys),
+            [&k](const auto &entry) { return k == entry.first; });
+        if (key == std::end(kScenarioKeys)) {
+            error = "unknown [scenario] key '" + k + "'";
+            return false;
+        }
+        if (key->second && spec.kind != key->second) {
+            error = "[scenario] key '" + k + "' is read only by kind = " +
+                key->second + " scenarios";
+            return false;
+        }
+    }
+    const bool interference_kind = spec.kind == "interference";
+    // An interference scenario runs one fabric per frame count under a
+    // single mode: a sweep, a fault campaign or a second mode would be
+    // dropped unread.
+    if (interference_kind)
+        for (const char *section : {"sweep", "faults"})
+            if (doc.section(section)) {
+                error = std::string("[") + section + "] section is read "
+                        "only by kind = incast scenarios";
+                return false;
+            }
     // Absent keys keep the defaults of ScenarioSpec and its members.
     IncastWorkload &wl = spec.workload;
     InterferenceSetup &inter = spec.interference;
@@ -436,7 +469,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                              error, 2, kMaxNodes))
             return false;
     }
-    if (spec.kind == "incast" && spec.n_to_1.empty() &&
+    if (!interference_kind && spec.n_to_1.empty() &&
         spec.all_to_all.empty()) {
         error = "incast scenario needs a [sweep] with n_to_1 and/or "
                 "all_to_all";
@@ -654,7 +687,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
     // Node count of the smallest fabric, and how the errors name it.
     std::size_t fewest = inter.nodes;
     std::string below = "nodes = " + std::to_string(inter.nodes);
-    if (spec.kind == "interference") {
+    if (interference_kind) {
         if (leaf_spine && inter.nodes <= spec.topology.hosts_per_leaf)
             return sc->reject("nodes", two_leaves, error);
         if (inter.memory_node >= inter.nodes)
@@ -687,6 +720,11 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 pool.name + ".hosts", "hosts below " + below, error);
 
     for (const ScenarioSection *ms : doc.sectionsWithPrefix("mode")) {
+        if (interference_kind && !spec.modes.empty()) {
+            error = "[" + ms->name + "] is a second mode section; a kind "
+                    "= interference scenario runs only one";
+            return false;
+        }
         ScenarioModeSpec mode;
         mode.name = trim(ms->name.substr(4));
         if (mode.name.empty()) {

@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared execution bodies for the incast-contention and
- * preemption-interference experiments. examples/incast_stress.cpp and
- * examples/run_scenario.cpp both call these — the declarative scenario
- * runner reproduces the example tables bit-exactly *by construction*,
- * because there is only one implementation of each experiment.
+ * Execution bodies for the incast-contention and
+ * preemption-interference experiments: examples/run_scenario.cpp runs
+ * every scenario file under scenarios/ through them, and the tests
+ * that pin scenario results call the same functions, so there is one
+ * implementation of each experiment.
  */
 
 #ifndef EDM_SIM_SCENARIO_EXEC_HPP
@@ -22,8 +22,8 @@ struct FaultCampaignSpec;
 
 /**
  * EDM_BENCH_SCALE as a factor, or @p fallback when the variable is
- * unset or not a positive number. The examples' --quick paths and the
- * benches sample at this one consistent scale.
+ * unset or not a positive number. run_scenario --quick and the
+ * paper-figure benches sample at this one consistent scale.
  */
 double benchScaleEnv(double fallback);
 

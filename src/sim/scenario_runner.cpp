@@ -1,9 +1,11 @@
 #include "scenario_runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -118,9 +120,16 @@ ScenarioRunner::runAll()
 
     unsigned threads = opts_.threads;
     if (threads == 0) {
-        // One knob for every runner-based binary.
-        if (const char *t = std::getenv("EDM_SWEEP_THREADS"))
-            threads = static_cast<unsigned>(std::atoi(t));
+        // One knob for every runner-based binary: a whole decimal
+        // count, where unset or 0 keeps the default below.
+        if (const char *t = std::getenv("EDM_SWEEP_THREADS")) {
+            const char *end = t + std::strlen(t);
+            const auto [ptr, ec] = std::from_chars(t, end, threads);
+            if (ec != std::errc() || ptr != end)
+                EDM_FATAL("EDM_SWEEP_THREADS='%s' is not a whole decimal "
+                          "thread count",
+                          t);
+        }
     }
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();

@@ -115,7 +115,11 @@ class ScenarioRunner
 
     struct Options
     {
-        /** Worker threads; 0 means std::thread::hardware_concurrency(). */
+        /**
+         * Worker threads; 0 takes EDM_SWEEP_THREADS (a whole decimal
+         * count, anything else is fatal), or when that is unset or 0,
+         * std::thread::hardware_concurrency().
+         */
         unsigned threads = 0;
         /** Root of every per-scenario seed derivation. */
         std::uint64_t base_seed = 1;

@@ -32,6 +32,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -348,23 +349,19 @@ leafSpineValues()
 }
 
 /**
- * Multi-tenant fair-share tier: both modes of the shipped
- * scenarios/tenant_isolation.edm (17-node incast, three tenant pools:
- * weighted bulk0, rate-limited bulk1, latency-sensitive ls) on the
- * full fan-in, pinning completed / grants / read_p99 and each pool's
- * read p99 per row. The legacy row doubles as the frozen proof that a
- * parsed-but-disabled pool tree leaves the schedule untouched; the
- * fairshare row freezes the noisy-neighbor isolation headline.
+ * Every row of the shipped tenant scenario @p file (under scenarios/)
+ * at full rounds: completed / grants / read_p99 and the bulk0, bulk1
+ * and ls pools' read p99 per row (0 for a pool the file does not
+ * declare).
  */
 std::vector<double>
-fairShareValues()
+tenantValues(const std::string &file)
 {
     ScenarioSpec spec;
     std::string error;
-    if (!loadScenarioSpec(
-            EDM_SOURCE_DIR "/scenarios/tenant_isolation.edm", spec,
-            error)) {
-        ADD_FAILURE() << "tenant_isolation.edm: " << error;
+    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/" + file, spec,
+                          error)) {
+        ADD_FAILURE() << file << ": " << error;
         return {};
     }
     ScenarioRunner::Options opts;
@@ -388,6 +385,20 @@ fairShareValues()
         out.push_back(r.metricStat("pool_ls_p99_ns").mean());
     }
     return out;
+}
+
+/**
+ * Multi-tenant fair-share tier: both modes of the shipped
+ * scenarios/tenant_isolation.edm (17-node incast, three tenant pools:
+ * weighted bulk0, rate-limited bulk1, latency-sensitive ls) on the
+ * full fan-in. The legacy row doubles as the frozen proof that a
+ * parsed-but-disabled pool tree leaves the schedule untouched; the
+ * fairshare row freezes the noisy-neighbor isolation headline.
+ */
+std::vector<double>
+fairShareValues()
+{
+    return tenantValues("tenant_isolation.edm");
 }
 
 // ---------------------------------------------------------------------------
@@ -474,12 +485,18 @@ TEST(GoldenFigs, FairShareIsolatesLatencySensitivePool)
     // holds through regeneration: turning the pool tree on must keep
     // every job completing while cutting the latency-sensitive pool's
     // read p99 to less than half of what it suffers under legacy FCFS
-    // arbitration. Row layout: 6 metrics per mode, legacy then
-    // fairshare (see fairShareValues()).
+    // arbitration. The yardstick is the same pool running alone
+    // (scenarios/tenant_solo.edm): fairshare holds the ls p99 within 2x
+    // of it, legacy does not. Row layout: 6 metrics per mode, legacy
+    // then fairshare (see tenantValues()).
     const auto v = fairShareValues();
     ASSERT_EQ(v.size(), 12u);
     EXPECT_EQ(v[0], v[6]);            // completed: no work lost
     EXPECT_LT(v[6 + 5], v[5] / 2.0);  // ls pool p99 at least halved
+    const auto solo = tenantValues("tenant_solo.edm");
+    ASSERT_EQ(solo.size(), 6u);
+    EXPECT_LE(v[6 + 5], 2.0 * solo[5]); // fairshare near the solo floor
+    EXPECT_GT(v[5], 2.0 * solo[5]);     // legacy well above it
 }
 
 TEST(GoldenFigs, WireChargedDiffersFromLegacy)

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analytic/latency_model.hpp"
 #include "core/occupancy.hpp"
 
 namespace edm {
@@ -121,43 +120,13 @@ TEST(Occupancy, RequestForwardOccupancyBothModes)
     EXPECT_EQ(requestForwardOccupancy(cfg, rmw), 5 * 2560);
 }
 
-TEST(Occupancy, StagingGrowthEstimate)
-{
-    EdmConfig cfg;
-    // Legacy under-charge per 256 B write chunk: 89.6 - 81.92 ns
-    // = 3 block slots left behind in egress staging per chunk.
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, false, 256), 3.0);
-    // RRES chunks leave 2 effective... (87.04 - 81.92) / 2.56 = 2.
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, true, 256), 2.0);
-    // Frame coexistence adds the preemption re-entry slot.
-    EXPECT_DOUBLE_EQ(
-        stagingGrowthBlocksPerChunk(cfg, false, 256, true), 4.0);
-
-    // Wire-charged occupancy eliminates the growth by construction.
-    cfg.wire_charged_occupancy = true;
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, false, 256), 0.0);
-    EXPECT_DOUBLE_EQ(stagingGrowthBlocksPerChunk(cfg, true, 700), 0.0);
-}
-
 TEST(Occupancy, WireByteBudgetsMatchBlockCounts)
 {
     // The analytic bandwidth model's byte budgets are the same block
     // counts denominated in 66-bit bytes.
-    EXPECT_DOUBLE_EQ(wireOccupancyBytes(MemMsgType::RREQ, 0),
-                     3 * 66.0 / 8.0);
-    EXPECT_DOUBLE_EQ(wireOccupancyBytes(MemMsgType::WREQ, 256),
-                     35 * 66.0 / 8.0);
+    EXPECT_DOUBLE_EQ(wireBytes(MemMsgType::RREQ, 0), 3 * 66.0 / 8.0);
+    EXPECT_DOUBLE_EQ(wireBytes(MemMsgType::WREQ, 256), 35 * 66.0 / 8.0);
     EXPECT_DOUBLE_EQ(kBlockWireBytes, 8.25);
-}
-
-TEST(Occupancy, AnalyticChunkOccupancyDelegates)
-{
-    EdmConfig cfg;
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, /*read=*/true, 256),
-              transmissionDelay(256, cfg.link_rate));
-    cfg.wire_charged_occupancy = true;
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, true, 256), 34 * 2560);
-    EXPECT_EQ(analytic::chunkOccupancy(cfg, false, 256), 35 * 2560);
 }
 
 } // namespace

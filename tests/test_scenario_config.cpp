@@ -1,10 +1,10 @@
 /**
  * @file
  * Scenario-file tests: the key/value parser, EdmConfig key application
- * (unknown keys are hard errors), loading the shipped scenario files,
- * and — the load-bearing guarantee — that running a sweep point through
- * a parsed scenarios/incast.edm spec reproduces the hand-built
- * examples/incast_stress.cpp configuration metric-for-metric.
+ * (unknown keys, and keys or sections the scenario's kind never reads,
+ * are hard errors), loading the shipped scenario files, and that a
+ * sweep point run under a config parsed from scenarios/incast.edm
+ * matches the same config built by hand metric-for-metric.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,25 @@ parseOk(const std::string &text)
     std::string error;
     EXPECT_TRUE(parseScenarioText(text, doc, error)) << error;
     return doc;
+}
+
+/** loadScenarioSpec on @p text, through a temporary file. */
+bool
+loadSpecText(const std::string &text, ScenarioSpec &spec,
+             std::string &error)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "spec_text.edm";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        ADD_FAILURE() << "cannot write " << path;
+        return false;
+    }
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    const bool ok = loadScenarioSpec(path, spec, error);
+    std::remove(path.c_str());
+    return ok;
 }
 
 TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
@@ -144,21 +163,14 @@ TEST(ScenarioConfig, RemovedKeysAreHardErrors)
                   std::string::npos)
             << error;
 
-        const std::string path =
-            std::string(::testing::TempDir()) + "removed_key.edm";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs(("[scenario]\nname = x\nkind = incast\n"
-                    "[sweep]\nn_to_1 = 2\n[mode par2]\n" +
-                    key + " = 2\n")
-                       .c_str(),
-                   f);
-        std::fclose(f);
         ScenarioSpec spec;
         error.clear();
-        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << key;
+        EXPECT_FALSE(loadSpecText("[scenario]\nname = x\nkind = incast\n"
+                                  "[sweep]\nn_to_1 = 2\n[mode par2]\n" +
+                                      key + " = 2\n",
+                                  spec, error))
+            << key;
         EXPECT_NE(error.find(key), std::string::npos) << error;
-        std::remove(path.c_str());
     }
 }
 
@@ -185,6 +197,11 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
     // malformed or out-of-range numbers, which must never fall back to
     // a default or reach the fabric. The error names the key and value.
     const char *interference = "[scenario]\nname = x\nkind = interference\n";
+    // An incast [scenario] section ending in @p line, then a sweep.
+    const auto incast = [](const char *line) {
+        return std::string("[scenario]\nname = x\nkind = incast\n") +
+            line + "[sweep]\nn_to_1 = 2\n";
+    };
     const struct
     {
         std::string text;
@@ -230,34 +247,66 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
          "-1"},
         {std::string(interference) + "frame_payload = -8900\n",
          "frame_payload", "-8900"},
+        // Keys only the other kind reads, with values that kind takes:
+        // they would be dropped unread.
+        {std::string(interference) + "rounds = 3\n", "rounds", ""},
+        {std::string(interference) + "chains_per_node = 2\n",
+         "chains_per_node", ""},
+        {std::string(interference) + "write_bytes = 100\n", "write_bytes",
+         ""},
+        {incast("nodes = 5\n"), "nodes", ""},
+        {incast("memory_node = 1\n"), "memory_node", ""},
+        {incast("link_gbps = 100\n"), "link_gbps", ""},
+        {incast("frame_payload = 100\n"), "frame_payload", ""},
+        {incast("max_frames = 3\n"), "max_frames", ""},
     };
     for (const auto &bad : bads) {
         ASSERT_TRUE(parseScenarioText(bad.text, doc, error)) << error;
-        // Write the text to a temp file and load it as a spec.
-        const std::string path =
-            std::string(::testing::TempDir()) + "bad.edm";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs(bad.text.c_str(), f);
-        std::fclose(f);
         error.clear();
-        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << bad.text;
+        EXPECT_FALSE(loadSpecText(bad.text, spec, error)) << bad.text;
         EXPECT_NE(error.find(std::string("'") + bad.key + "'"),
                   std::string::npos)
             << error;
         EXPECT_NE(error.find(std::string("'") + bad.value), std::string::npos)
             << error;
-        std::remove(path.c_str());
     }
     // Sanity: the minimal valid scenario does load.
-    const std::string path = std::string(::testing::TempDir()) + "ok.edm";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(base.c_str(), f);
-    std::fclose(f);
     error.clear();
-    EXPECT_TRUE(loadScenarioSpec(path, spec, error)) << error;
-    std::remove(path.c_str());
+    EXPECT_TRUE(loadSpecText(base, spec, error)) << error;
+}
+
+TEST(ScenarioSpecTest, InterferenceRejectsSectionsItNeverReads)
+{
+    // An interference scenario runs one fabric per frame count under a
+    // single mode: a sweep, a fault campaign or a second mode would be
+    // dropped unread. The error names the section.
+    const std::string interference =
+        "[scenario]\nname = x\nkind = interference\n";
+    const struct
+    {
+        std::string text;
+        const char *section;
+    } bads[] = {
+        {interference + "[sweep]\nn_to_1 = 99\n", "[sweep]"},
+        {interference + "[faults]\nstorm_at_ns = 0\nstorm_nodes = 0, 1\n",
+         "[faults]"},
+        {interference + "[mode a]\n[mode b]\nwire_charged_occupancy = true\n",
+         "[mode b]"},
+    };
+    ScenarioSpec spec;
+    std::string error;
+    for (const auto &bad : bads) {
+        error.clear();
+        EXPECT_FALSE(loadSpecText(bad.text, spec, error)) << bad.text;
+        EXPECT_NE(error.find(bad.section), std::string::npos) << error;
+    }
+    // One mode is read: it overlays every frame count's config.
+    ASSERT_TRUE(loadSpecText(
+        interference + "[mode a]\nwire_charged_occupancy = true\n", spec,
+        error))
+        << error;
+    ASSERT_EQ(spec.modes.size(), 1u);
+    EXPECT_TRUE(spec.configFor(spec.modes.front()).wire_charged_occupancy);
 }
 
 TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
@@ -280,7 +329,7 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     ASSERT_EQ(spec.quick_n_to_1.size(), 1u);
     EXPECT_EQ(spec.quick_n_to_1[0], 9u);
 
-    // The two modes mirror examples/incast_stress.cpp exactly.
+    // Two modes that differ only in the port charge.
     ASSERT_EQ(spec.modes.size(), 2u);
     EXPECT_EQ(spec.modes[0].name, "base");
     EXPECT_EQ(spec.modes[1].name, "wire");
@@ -329,7 +378,8 @@ TEST(ScenarioSpecTest, ParsedSpecReproducesHandBuiltConfigExactly)
         << error;
     ASSERT_EQ(spec.modes.size(), 2u);
 
-    // Hand-built configs exactly as examples/incast_stress.cpp sets them.
+    // Hand-built configs: the default EdmConfig and its wire-charged
+    // twin.
     const core::EdmConfig base_cfg;
     core::EdmConfig wire_cfg;
     wire_cfg.wire_charged_occupancy = true;
@@ -426,17 +476,10 @@ TEST(ScenarioSpecTest, UnknownFaultKeysAreHardErrors)
     const char *bad = "[scenario]\nname = x\nkind = incast\n"
                       "[sweep]\nn_to_1 = 2\n"
                       "[faults]\nstorm_att_ns = 4000\n";
-    const std::string path =
-        std::string(::testing::TempDir()) + "badfaults.edm";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(bad, f);
-    std::fclose(f);
     ScenarioSpec spec;
     std::string error;
-    EXPECT_FALSE(loadScenarioSpec(path, spec, error));
+    EXPECT_FALSE(loadSpecText(bad, spec, error));
     EXPECT_NE(error.find("faults"), std::string::npos) << error;
-    std::remove(path.c_str());
 }
 
 TEST(ScenarioSpecTest, TopologySectionParsesAndReachesConfig)
@@ -448,16 +491,9 @@ TEST(ScenarioSpecTest, TopologySectionParsesAndReachesConfig)
                        "hosts_per_leaf = 4\n"
                        "trunk_width = 2\n"
                        "ecmp_seed = 7\n";
-    const std::string path =
-        std::string(::testing::TempDir()) + "topo.edm";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(text, f);
-    std::fclose(f);
     ScenarioSpec spec;
     std::string error;
-    ASSERT_TRUE(loadScenarioSpec(path, spec, error)) << error;
-    std::remove(path.c_str());
+    ASSERT_TRUE(loadSpecText(text, spec, error)) << error;
     EXPECT_EQ(spec.topology.tiers, core::TopologySpec::Tiers::LeafSpine);
     EXPECT_EQ(spec.topology.hosts_per_leaf, 4u);
     EXPECT_EQ(spec.topology.trunk_width, 2u);
@@ -475,16 +511,9 @@ TEST(ScenarioSpecTest, TopologySectionDefaultsToSingleSwitch)
 {
     const char *text = "[scenario]\nname = x\nkind = incast\n"
                        "[sweep]\nn_to_1 = 2\n";
-    const std::string path =
-        std::string(::testing::TempDir()) + "notopo.edm";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(text, f);
-    std::fclose(f);
     ScenarioSpec spec;
     std::string error;
-    ASSERT_TRUE(loadScenarioSpec(path, spec, error)) << error;
-    std::remove(path.c_str());
+    ASSERT_TRUE(loadSpecText(text, spec, error)) << error;
     EXPECT_EQ(spec.topology.tiers, core::TopologySpec::Tiers::Single);
     const core::EdmConfig cfg = spec.configFor(spec.modes.front());
     EXPECT_EQ(cfg.topology.tiers, core::TopologySpec::Tiers::Single);
@@ -518,17 +547,10 @@ TEST(ScenarioSpecTest, BadTopologySectionsAreHardErrors)
         "[topology]\ntiers = leaf_spine\nhosts_per_leaf = 4\n",
     };
     for (const char *bad : bads) {
-        const std::string path =
-            std::string(::testing::TempDir()) + "badtopo.edm";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs(bad, f);
-        std::fclose(f);
         ScenarioSpec spec;
         std::string error;
-        EXPECT_FALSE(loadScenarioSpec(path, spec, error)) << bad;
+        EXPECT_FALSE(loadSpecText(bad, spec, error)) << bad;
         EXPECT_NE(error.find("topology"), std::string::npos) << error;
-        std::remove(path.c_str());
     }
 }
 
