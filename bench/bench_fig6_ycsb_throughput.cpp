@@ -8,10 +8,6 @@
  * writes (§4.2.2). EDM saturates the link with 66-bit block framing and
  * repurposed IFG; RDMA pays MAC minimum frames, RoCE headers, ACKs, and
  * its measured 230.2 ns per-message stack occupancy.
- *
- * Every (framing, workload) figure point runs as an independent
- * scenario on a ScenarioRunner pool, so the figure's points execute in
- * parallel and the table is assembled from the merged results.
  */
 
 #include <cstdio>
@@ -19,7 +15,6 @@
 
 #include "analytic/bandwidth_model.hpp"
 #include "core/message.hpp"
-#include "sim/scenario_runner.hpp"
 
 using namespace edm;
 using analytic::Framing;
@@ -34,36 +29,22 @@ main()
 
     const std::vector<YcsbWorkload> workloads = {
         YcsbWorkload::A, YcsbWorkload::B, YcsbWorkload::F};
-    const std::vector<Framing> framings = {Framing::Edm, Framing::Rdma};
-
-    // One scenario per (framing, workload) point, framing-major.
-    ScenarioRunner runner;
-    for (Framing fr : framings)
-        for (YcsbWorkload w : workloads)
-            runner.add(workload::ycsbName(w),
-                       [fr, w, rate](ScenarioContext &ctx) {
-                           ctx.record("mrps",
-                                      analytic::throughputMrps(fr, w,
-                                                               rate));
-                       });
-    const auto results = runner.runAll();
-    const std::size_t n = workloads.size();
 
     std::printf("  %-9s %10s %10s %8s\n", "workload", "EDM", "RDMA",
                 "ratio");
     double ratio_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (YcsbWorkload w : workloads) {
         const double edm_mrps =
-            results[i].metricStat("mrps").mean();
+            analytic::throughputMrps(Framing::Edm, w, rate);
         const double rdma_mrps =
-            results[n + i].metricStat("mrps").mean();
+            analytic::throughputMrps(Framing::Rdma, w, rate);
         std::printf("  %-9s %10.2f %10.2f %7.2fx\n",
-                    results[i].name.c_str(), edm_mrps, rdma_mrps,
+                    workload::ycsbName(w).c_str(), edm_mrps, rdma_mrps,
                     edm_mrps / rdma_mrps);
         ratio_sum += edm_mrps / rdma_mrps;
     }
     std::printf("\n  average gain: %.2fx (paper: ~2.7x)\n\n",
-                ratio_sum / static_cast<double>(n));
+                ratio_sum / static_cast<double>(workloads.size()));
 
     // The §2.4 framing-overhead arithmetic behind the gap.
     std::printf("framing overheads (Limitations 1-2, §2.4):\n");

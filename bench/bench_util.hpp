@@ -133,9 +133,12 @@ struct PointSpec
     bool edm_wire_charged = false;
 };
 
-/** Run one experiment point. A new knob only touches PointSpec here. */
+/**
+ * Run one experiment point, its message count scaled by @p scale. A new
+ * knob only touches PointSpec here.
+ */
 inline RunResult
-runPoint(const PointSpec &p)
+runPoint(const PointSpec &p, double scale)
 {
     Simulation sim(p.seed);
     proto::ClusterConfig cluster;
@@ -147,8 +150,7 @@ runPoint(const PointSpec &p)
     cfg.num_nodes = cluster.num_nodes;
     cfg.load = p.load;
     cfg.write_fraction = p.write_fraction;
-    cfg.messages =
-        static_cast<std::uint64_t>(p.messages * benchScaleEnv(1.0));
+    cfg.messages = static_cast<std::uint64_t>(p.messages * scale);
     cfg.size_cdf = p.size_cdf;
 
     Rng rng(p.seed * 77 + 1);
@@ -166,29 +168,6 @@ runPoint(const PointSpec &p)
     return r;
 }
 
-/** Positional convenience wrapper over runPoint(PointSpec). */
-inline RunResult
-runPoint(Fabric f, double load, double write_fraction,
-         std::uint64_t messages, const Cdf &size_cdf = {},
-         std::uint64_t seed = 42,
-         core::Priority edm_priority = core::Priority::Srpt,
-         Bytes edm_chunk = 256, int edm_x = 3,
-         bool edm_wire_charged = false)
-{
-    PointSpec p;
-    p.fabric = f;
-    p.load = load;
-    p.write_fraction = write_fraction;
-    p.messages = messages;
-    p.size_cdf = size_cdf;
-    p.seed = seed;
-    p.edm_priority = edm_priority;
-    p.edm_chunk = edm_chunk;
-    p.edm_x = edm_x;
-    p.edm_wire_charged = edm_wire_charged;
-    return runPoint(p);
-}
-
 /**
  * Run many experiment points concurrently on a ScenarioRunner pool.
  *
@@ -201,13 +180,16 @@ runPoint(Fabric f, double load, double write_fraction,
 inline std::vector<RunResult>
 runPointsParallel(const std::vector<PointSpec> &points)
 {
+    // Read here, not on the workers: a malformed EDM_BENCH_SCALE must
+    // stop the run once, from this thread.
+    const double scale = benchScaleEnv(1.0);
     ScenarioRunner runner;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointSpec &p = points[i];
         runner.add(std::string(fabricName(p.fabric)) + "#" +
                        std::to_string(i),
-                   [p](ScenarioContext &ctx) {
-                       const RunResult r = runPoint(p);
+                   [p, scale](ScenarioContext &ctx) {
+                       const RunResult r = runPoint(p, scale);
                        ctx.record("norm_mean", r.norm_mean);
                        ctx.record("norm_p99", r.norm_p99);
                        ctx.record("mean_ns", r.mean_ns);

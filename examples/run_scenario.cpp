@@ -20,8 +20,8 @@
  *   ./build/run_scenario scenarios/incast.edm --trace incast.trace
  */
 
+#include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -46,63 +46,20 @@ usage(const char *argv0)
     return 2;
 }
 
-struct IncastRow
-{
-    std::string pattern;
-    std::size_t nodes;
-    std::string mode;
-};
-
 int
 runIncast(const ScenarioSpec &spec, bool quick,
           trace::EventLog *log, unsigned threads)
 {
-    int rounds = spec.rounds;
-    if (quick)
-        rounds = static_cast<int>(
-            std::max(1L, std::lround(rounds * benchScaleEnv(0.5))));
-
-    const std::vector<std::size_t> &n_to_1 =
-        quick && !spec.quick_n_to_1.empty() ? spec.quick_n_to_1
-                                            : spec.n_to_1;
-    const std::vector<std::size_t> &all_to_all =
-        quick && !spec.quick_all_to_all.empty() ? spec.quick_all_to_all
-                                                : spec.all_to_all;
-
     std::printf("scenario %s (incast), %d rounds x %d chains/node, "
                 "mixed %llu B reads / %llu B writes\n\n",
-                spec.name.c_str(), rounds, spec.workload.chains_per_node,
+                spec.name.c_str(), incastRounds(spec, quick),
+                spec.workload.chains_per_node,
                 static_cast<unsigned long long>(spec.workload.read_bytes),
                 static_cast<unsigned long long>(
                     spec.workload.write_bytes));
 
-    std::vector<IncastRow> rows;
-    ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
-    opts.threads = threads;
-    ScenarioRunner runner(opts);
-    auto add_point = [&](const char *pattern, std::size_t nodes) {
-        for (const ScenarioModeSpec &mode : spec.modes) {
-            core::EdmConfig cfg = spec.configFor(mode);
-            cfg.event_log = log;
-            rows.push_back(IncastRow{pattern, nodes, mode.name});
-            runner.add(std::string(pattern) + "/" +
-                           std::to_string(nodes) + "/" + mode.name,
-                       [pattern, nodes, cfg, &spec,
-                        rounds](ScenarioContext &ctx) {
-                           runIncastPoint(ctx,
-                                          IncastPoint{pattern, nodes},
-                                          spec.workload, rounds, cfg,
-                                          &spec.faults);
-                       });
-        }
-    };
-    for (const std::size_t n : n_to_1)
-        add_point("N-to-1", n);
-    for (const std::size_t n : all_to_all)
-        add_point("all-to-all", n);
-
-    const auto results = runner.runAll();
+    const std::vector<IncastRow> rows =
+        runIncastScenario(spec, quick, log, threads);
 
     const bool faults = spec.faults.active;
     const bool tenanted = spec.tenants.active();
@@ -117,12 +74,12 @@ runIncast(const ScenarioSpec &spec, bool quick,
             std::printf(" %11s %11s", (pool.name + " p50").c_str(),
                         (pool.name + " p99").c_str());
     std::printf("\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        const IncastRow &row = rows[i];
+    for (const IncastRow &row : rows) {
+        const ScenarioResult &r = row.result;
         std::printf("  %-11s %6zu %-9s %8.0f %9.0f %8.0f %8.0f %9.0f "
                     "%9.0f %11.1f",
-                    row.pattern.c_str(), row.nodes, row.mode.c_str(),
+                    row.point.pattern.c_str(), row.point.nodes,
+                    row.mode.c_str(),
                     r.metricStat("offered").mean(),
                     r.metricStat("completed").mean(),
                     r.metricStat("wasted_slots").mean(),
@@ -155,6 +112,9 @@ runInterference(const ScenarioSpec &spec, bool quick,
 {
     const int max_frames = quick ? std::min(spec.max_frames, 2)
                                  : spec.max_frames;
+    // The loader reads one mode for this kind.
+    core::EdmConfig cfg = spec.modes.front().cfg;
+    cfg.event_log = log;
 
     std::printf("scenario %s (interference), %llu B reads vs 0..%d "
                 "x %zu B jumbo frames at %.0f G\n\n",
@@ -162,16 +122,11 @@ runInterference(const ScenarioSpec &spec, bool quick,
                 static_cast<unsigned long long>(
                     spec.interference.read_bytes),
                 max_frames, spec.interference.frame_payload,
-                spec.interference.link_gbps);
+                cfg.link_rate.value);
 
     ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
     opts.threads = threads;
     ScenarioRunner runner(opts);
-    // The loader admits one mode for this kind.
-    const ScenarioModeSpec &mode = spec.modes.front();
-    core::EdmConfig cfg = spec.configFor(mode);
-    cfg.event_log = log;
     for (int frames = 0; frames <= max_frames; ++frames)
         runner.add("jumbo x" + std::to_string(frames),
                    [frames, cfg, &spec](ScenarioContext &ctx) {

@@ -49,15 +49,6 @@ FaultCampaign::stormAt(Picoseconds at,
 }
 
 void
-FaultCampaign::repairAt(Picoseconds at, core::NodeId node)
-{
-    EDM_ASSERT(node < nodes_.size(), "campaign node %u out of range",
-               node);
-    sim_.events().schedule(
-        at, [this, node] { fabric_.repairUplink(node); });
-}
-
-void
 FaultCampaign::failSwitchAt(Picoseconds at, bool backup_network)
 {
     EDM_ASSERT(rep_, "switch actions need attachReplicated()");

@@ -88,9 +88,6 @@ class FaultCampaign
     void stormAt(Picoseconds at, const std::vector<core::NodeId> &nodes,
                  int blocks, Picoseconds jitter, std::uint64_t seed);
 
-    /** Repair @p node's uplink at time @p at. */
-    void repairAt(Picoseconds at, core::NodeId node);
-
     /**
      * Auto-repair policy: whenever a link trips the damage threshold,
      * schedule its repair @p delay after the disable (0 = off). Models

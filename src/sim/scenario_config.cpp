@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "mac/frame.hpp"
@@ -26,12 +26,14 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
+/** A whole decimal integer: `010` is ten, and `0x14` does not parse. */
 bool
 parseLong(const std::string &v, long &out)
 {
-    char *end = nullptr;
-    const long r = std::strtol(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0')
+    const char *end = v.data() + v.size();
+    long r = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), end, r);
+    if (ec != std::errc() || ptr != end)
         return false;
     out = r;
     return true;
@@ -99,16 +101,54 @@ parseBool(const std::string &v, bool &out)
     return false;
 }
 
+/** Apply every key of @p s onto @p cfg, marking each read. */
+bool
+applySection(const ScenarioSection &s, core::EdmConfig &cfg,
+             std::string &error)
+{
+    for (const ScenarioEntry &e : s.entries) {
+        e.read = true;
+        if (!applyEdmConfigKey(cfg, e.key, e.value, error)) {
+            error = "[" + s.name + "] " + error;
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Fail on the first section or key of @p doc the loader never read. */
+bool
+checkAllRead(const ScenarioDoc &doc, const std::string &kind,
+             std::string &error)
+{
+    for (const ScenarioSection &s : doc.sections) {
+        if (!s.read) {
+            error = "line " + std::to_string(s.line) + ": section [" +
+                s.name + "] is never read (unknown, repeated, or unused "
+                "by kind = " + kind + ")";
+            return false;
+        }
+        for (const ScenarioEntry &e : s.entries)
+            if (!e.read) {
+                error = "[" + s.name + "] key '" + e.key + "' is never "
+                        "read (unknown, or unused by kind = " + kind + ")";
+                return false;
+            }
+    }
+    return true;
+}
+
 } // namespace
 
 const std::string *
 ScenarioSection::find(const std::string &key) const
 {
-    const std::string *hit = nullptr;
-    for (const auto &kv : entries)
-        if (kv.first == key)
-            hit = &kv.second;
-    return hit;
+    for (const ScenarioEntry &e : entries)
+        if (e.key == key) {
+            e.read = true;
+            return &e.value;
+        }
+    return nullptr;
 }
 
 std::string
@@ -130,20 +170,6 @@ ScenarioSection::getInt(const std::string &key, long &out,
     if (!parseLong(*v, n) || n < lo || n > hi)
         return reject(key, "an integer" + rangeText(lo, hi), error);
     out = n;
-    return true;
-}
-
-bool
-ScenarioSection::getPositive(const std::string &key, double &out,
-                             std::string &error) const
-{
-    const std::string *v = find(key);
-    double d = 0;
-    if (!v)
-        return true;
-    if (!parseDouble(*v, d) || d <= 0)
-        return reject(key, "a number > 0", error);
-    out = d;
     return true;
 }
 
@@ -181,19 +207,11 @@ const ScenarioSection *
 ScenarioDoc::section(const std::string &name) const
 {
     for (const auto &s : sections)
-        if (s.name == name)
+        if (s.name == name) {
+            s.read = true;
             return &s;
+        }
     return nullptr;
-}
-
-std::vector<const ScenarioSection *>
-ScenarioDoc::sectionsWithPrefix(const std::string &prefix) const
-{
-    std::vector<const ScenarioSection *> out;
-    for (const auto &s : sections)
-        if (s.name.compare(0, prefix.size(), prefix) == 0)
-            out.push_back(&s);
-    return out;
 }
 
 bool
@@ -225,7 +243,7 @@ parseScenarioText(const std::string &text, ScenarioDoc &doc,
                     ": empty section name";
                 return false;
             }
-            doc.sections.push_back(ScenarioSection{name, {}});
+            doc.sections.push_back(ScenarioSection{name, lineno, {}});
             cur = &doc.sections.back();
             continue;
         }
@@ -246,7 +264,15 @@ parseScenarioText(const std::string &text, ScenarioDoc &doc,
             error = "line " + std::to_string(lineno) + ": empty key";
             return false;
         }
-        cur->entries.emplace_back(key, value);
+        if (std::any_of(cur->entries.begin(), cur->entries.end(),
+                        [&key](const ScenarioEntry &e) {
+                            return e.key == key;
+                        })) {
+            error = "line " + std::to_string(lineno) + ": key '" + key +
+                "' repeated in [" + cur->name + "]";
+            return false;
+        }
+        cur->entries.push_back(ScenarioEntry{key, value});
     }
     return true;
 }
@@ -276,11 +302,7 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
     long n = 0;
     double d = 0;
     bool b = false;
-    if (key == "num_nodes") {
-        if (!parseLong(value, n) || n < 2)
-            return bad_value();
-        cfg.num_nodes = static_cast<std::size_t>(n);
-    } else if (key == "link_gbps") {
+    if (key == "link_gbps") {
         if (!parseDouble(value, d) || d <= 0)
             return bad_value();
         cfg.link_rate = Gbps{d};
@@ -350,21 +372,6 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
     return true;
 }
 
-core::EdmConfig
-ScenarioSpec::configFor(const ScenarioModeSpec &mode) const
-{
-    core::EdmConfig cfg;
-    std::string error;
-    for (const auto &kv : config)
-        applyEdmConfigKey(cfg, kv.first, kv.second, error);
-    for (const auto &kv : mode.overrides)
-        applyEdmConfigKey(cfg, kv.first, kv.second, error);
-    // Keys were validated by loadScenarioSpec; errors cannot occur here.
-    cfg.topology = topology;
-    cfg.tenants = tenants;
-    return cfg;
-}
-
 bool
 loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                  std::string &error)
@@ -386,89 +393,43 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             spec.kind + "'";
         return false;
     }
-    // Each [scenario] key and the kind that reads it (nullptr: both).
-    // The other kind would drop the key unread, so it is an error too.
-    static const std::pair<const char *, const char *> kScenarioKeys[] = {
-        {"name", nullptr},
-        {"kind", nullptr},
-        {"base_seed", nullptr},
-        {"read_bytes", nullptr},
-        {"rounds", "incast"},
-        {"chains_per_node", "incast"},
-        {"write_bytes", "incast"},
-        {"nodes", "interference"},
-        {"memory_node", "interference"},
-        {"link_gbps", "interference"},
-        {"frame_payload", "interference"},
-        {"max_frames", "interference"},
-    };
-    for (const auto &kv : sc->entries) {
-        const std::string &k = kv.first;
-        const auto *key = std::find_if(
-            std::begin(kScenarioKeys), std::end(kScenarioKeys),
-            [&k](const auto &entry) { return k == entry.first; });
-        if (key == std::end(kScenarioKeys)) {
-            error = "unknown [scenario] key '" + k + "'";
-            return false;
-        }
-        if (key->second && spec.kind != key->second) {
-            error = "[scenario] key '" + k + "' is read only by kind = " +
-                key->second + " scenarios";
-            return false;
-        }
-    }
+    // Each kind reads only its own keys and sections; whatever it does
+    // not read fails the final check. Absent keys keep the defaults of
+    // ScenarioSpec and its members.
     const bool interference_kind = spec.kind == "interference";
-    // An interference scenario runs one fabric per frame count under a
-    // single mode: a sweep, a fault campaign or a second mode would be
-    // dropped unread.
-    if (interference_kind)
-        for (const char *section : {"sweep", "faults"})
-            if (doc.section(section)) {
-                error = std::string("[") + section + "] section is read "
-                        "only by kind = incast scenarios";
-                return false;
-            }
-    // Absent keys keep the defaults of ScenarioSpec and its members.
     IncastWorkload &wl = spec.workload;
     InterferenceSetup &inter = spec.interference;
-    if (!readInt(*sc, "base_seed", spec.base_seed, error, 0) ||
-        !readInt(*sc, "rounds", spec.rounds, error, 1, kIntMax) ||
-        !readInt(*sc, "chains_per_node", wl.chains_per_node, error, 1,
-                 kIntMax) ||
-        !readInt(*sc, "read_bytes", wl.read_bytes, error, 1,
-                 kMaxMessageBytes) ||
-        !readInt(*sc, "write_bytes", wl.write_bytes, error, 0,
-                 kMaxMessageBytes) ||
-        !readInt(*sc, "nodes", inter.nodes, error, 2, kMaxNodes) ||
-        !readInt(*sc, "memory_node", inter.memory_node, error, 1,
-                 kMaxNodes - 1) ||
-        !sc->getPositive("link_gbps", inter.link_gbps, error) ||
-        !readInt(*sc, "read_bytes", inter.read_bytes, error, 1,
-                 kMaxMessageBytes) ||
-        !readInt(*sc, "frame_payload", inter.frame_payload, error, 0,
-                 kMaxFramePayload) ||
-        !readInt(*sc, "max_frames", spec.max_frames, error, 0, kIntMax))
-        return false;
-
-    const ScenarioSection *sw = doc.section("sweep");
-    if (sw) {
-        for (const auto &kv : sw->entries) {
-            const std::string &k = kv.first;
-            if (k != "n_to_1" && k != "all_to_all" && k != "quick_n_to_1" &&
-                k != "quick_all_to_all") {
-                error = "unknown [sweep] key '" + k + "'";
-                return false;
-            }
-        }
-        if (!sw->getSizeList("n_to_1", spec.n_to_1, error, 2, kMaxNodes) ||
-            !sw->getSizeList("all_to_all", spec.all_to_all, error, 2,
-                             kMaxNodes) ||
-            !sw->getSizeList("quick_n_to_1", spec.quick_n_to_1, error, 2,
-                             kMaxNodes) ||
-            !sw->getSizeList("quick_all_to_all", spec.quick_all_to_all,
-                             error, 2, kMaxNodes))
+    if (interference_kind) {
+        if (!readInt(*sc, "nodes", inter.nodes, error, 2, kMaxNodes) ||
+            !readInt(*sc, "memory_node", inter.memory_node, error, 1,
+                     kMaxNodes - 1) ||
+            !readInt(*sc, "read_bytes", inter.read_bytes, error, 1,
+                     kMaxMessageBytes) ||
+            !readInt(*sc, "frame_payload", inter.frame_payload, error, 0,
+                     kMaxFramePayload) ||
+            !readInt(*sc, "max_frames", spec.max_frames, error, 0, kIntMax))
             return false;
+    } else if (!readInt(*sc, "rounds", spec.rounds, error, 1, kIntMax) ||
+               !readInt(*sc, "chains_per_node", wl.chains_per_node, error,
+                        1, kIntMax) ||
+               !readInt(*sc, "read_bytes", wl.read_bytes, error, 1,
+                        kMaxMessageBytes) ||
+               !readInt(*sc, "write_bytes", wl.write_bytes, error, 0,
+                        kMaxMessageBytes)) {
+        return false;
     }
+
+    const ScenarioSection *sw =
+        interference_kind ? nullptr : doc.section("sweep");
+    if (sw &&
+        (!sw->getSizeList("n_to_1", spec.n_to_1, error, 2, kMaxNodes) ||
+         !sw->getSizeList("all_to_all", spec.all_to_all, error, 2,
+                          kMaxNodes) ||
+         !sw->getSizeList("quick_n_to_1", spec.quick_n_to_1, error, 2,
+                          kMaxNodes) ||
+         !sw->getSizeList("quick_all_to_all", spec.quick_all_to_all, error,
+                          2, kMaxNodes)))
+        return false;
     if (!interference_kind && spec.n_to_1.empty() &&
         spec.all_to_all.empty()) {
         error = "incast scenario needs a [sweep] with n_to_1 and/or "
@@ -476,24 +437,12 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         return false;
     }
 
-    // Validate every EdmConfig key now so configFor() cannot fail later.
-    if (const ScenarioSection *cs = doc.section("config")) {
-        core::EdmConfig probe;
-        for (const auto &kv : cs->entries) {
-            if (!applyEdmConfigKey(probe, kv.first, kv.second, error))
-                return false;
-            spec.config.push_back(kv);
-        }
-    }
+    // [config] onto a default EdmConfig, once; each mode copies it.
+    core::EdmConfig base;
+    if (const ScenarioSection *cs = doc.section("config"))
+        if (!applySection(*cs, base, error))
+            return false;
     if (const ScenarioSection *ts = doc.section("topology")) {
-        for (const auto &kv : ts->entries) {
-            const std::string &k = kv.first;
-            if (k != "tiers" && k != "hosts_per_leaf" &&
-                k != "trunk_width" && k != "ecmp_seed") {
-                error = "unknown [topology] key '" + k + "'";
-                return false;
-            }
-        }
         const std::string tiers = ts->getString("tiers", "single");
         if (tiers == "single") {
             spec.topology.tiers = core::TopologySpec::Tiers::Single;
@@ -552,8 +501,9 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         // Host 0 is a valid range end, so a set 'hosts' key is recorded
         // rather than inferred from a zero range.
         std::vector<bool> has_hosts(spec.tenants.pools.size(), false);
-        for (const auto &kv : tn->entries) {
-            const std::string &k = kv.first;
+        for (const ScenarioEntry &e : tn->entries) {
+            e.read = true;
+            const std::string &k = e.key;
             if (k == "pools")
                 continue;
             const std::size_t dot = k.find('.');
@@ -573,7 +523,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 return false;
             }
             core::TenantPoolSpec *pool = &spec.tenants.pools[pool_idx];
-            const std::string &v = kv.second;
+            const std::string &v = e.value;
             const auto bad = [&]() {
                 error = "bad value for [tenants] key '" + k + "': '" + v +
                     "'";
@@ -645,17 +595,9 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         }
     }
 
-    const ScenarioSection *fs = doc.section("faults");
+    const ScenarioSection *fs =
+        interference_kind ? nullptr : doc.section("faults");
     if (fs) {
-        for (const auto &kv : fs->entries) {
-            const std::string &k = kv.first;
-            if (k != "storm_at_ns" && k != "storm_nodes" &&
-                k != "storm_blocks" && k != "storm_jitter_ns" &&
-                k != "storm_seed" && k != "repair_after_ns") {
-                error = "unknown [faults] key '" + k + "'";
-                return false;
-            }
-        }
         FaultCampaignSpec &f = spec.faults;
         f.active = true;
         long at = 0;
@@ -719,29 +661,29 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             return doc.section("tenants")->reject(
                 pool.name + ".hosts", "hosts below " + below, error);
 
-    for (const ScenarioSection *ms : doc.sectionsWithPrefix("mode")) {
-        if (interference_kind && !spec.modes.empty()) {
-            error = "[" + ms->name + "] is a second mode section; a kind "
-                    "= interference scenario runs only one";
-            return false;
-        }
-        ScenarioModeSpec mode;
-        mode.name = trim(ms->name.substr(4));
+    // Each mode copies the base config and applies its own keys on top.
+    // A mode header is exactly `mode` or `mode <name>`; an interference
+    // scenario reads only its first, so a second fails the final check.
+    base.topology = spec.topology;
+    base.tenants = spec.tenants;
+    for (const ScenarioSection &ms : doc.sections) {
+        if (ms.name != "mode" && ms.name.compare(0, 5, "mode ") != 0)
+            continue;
+        if (interference_kind && !spec.modes.empty())
+            break;
+        ms.read = true;
+        ScenarioModeSpec mode{trim(ms.name.substr(4)), base};
         if (mode.name.empty()) {
             error = "[mode] section needs a name: [mode <name>]";
             return false;
         }
-        core::EdmConfig probe;
-        for (const auto &kv : ms->entries) {
-            if (!applyEdmConfigKey(probe, kv.first, kv.second, error))
-                return false;
-            mode.overrides.push_back(kv);
-        }
+        if (!applySection(ms, mode.cfg, error))
+            return false;
         spec.modes.push_back(std::move(mode));
     }
     if (spec.modes.empty())
-        spec.modes.push_back(ScenarioModeSpec{"base", {}});
-    return true;
+        spec.modes.push_back(ScenarioModeSpec{"base", base});
+    return checkAllRead(doc, spec.kind, error);
 }
 
 } // namespace edm

@@ -3,44 +3,15 @@
  * Declarative scenario files (.edm under scenarios/): a small key/value +
  * `[section]` format describing a topology, EdmConfig flag set and
  * workload, so experiments live as data instead of bespoke main()s.
+ * docs/SCENARIOS.md describes the sections and keys.
  *
- * Format (see docs/SCENARIOS.md):
- *
- *   # comment
- *   [scenario]
- *   name = incast
- *   kind = incast            # or "interference"
- *   base_seed = 7
- *   rounds = 20
- *
- *   [sweep]
- *   n_to_1 = 5, 9, 13
- *
- *   [config]                 # base EdmConfig keys, applied to every mode
- *   max_train_blocks = 64
- *
- *   [topology]               # fabric wiring (default: single switch)
- *   tiers = leaf_spine       # or "single"
- *   hosts_per_leaf = 16
- *   trunk_width = 4
- *   ecmp_seed = 7
- *
- *   [tenants]                # fair-share pools (docs/FAIR_SHARE.md)
- *   pools = bulk, ls         # pool names; then dotted per-pool keys
- *   bulk.hosts = 1-12        # client-host range, inclusive
- *   bulk.weight = 3
- *   bulk.limit = 0.6
- *   ls.hosts = 13-16
- *   ls.min_share = 0.2
- *   ls.latency_sensitive = true
- *
- *   [mode wire]              # EdmConfig overlay, one table row per mode
- *   wire_charged_occupancy = true
- *
- * Unknown keys are hard errors: a typo must fail loudly, never
- * silently fall back to a default schedule. So are numbers that do not
- * parse or fall outside their range, and node counts or node ids that
- * name no node of the fabric the scenario builds.
+ * loadScenarioSpec is the one place that knows the format: every
+ * section and key it reads is legal, and a section or key it never
+ * read (unknown, repeated, or unused by the file's kind) fails the
+ * load, naming it. So do a key given twice in one section, numbers
+ * that do not parse or fall outside their range, and node counts or
+ * node ids that name no node of the fabric the scenario builds: a typo
+ * must fail loudly, never silently fall back to a default schedule.
  */
 
 #ifndef EDM_SIM_SCENARIO_CONFIG_HPP
@@ -49,7 +20,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -57,13 +27,23 @@
 
 namespace edm {
 
+/** One `key = value` line of a section. */
+struct ScenarioEntry
+{
+    std::string key;
+    std::string value;
+    mutable bool read = false; ///< looked up by the loader
+};
+
 /** One `[section]`: its header text and key/value pairs in file order. */
 struct ScenarioSection
 {
     std::string name; ///< full header, e.g. "scenario" or "mode wire"
-    std::vector<std::pair<std::string, std::string>> entries;
+    int line = 0;     ///< line number of the header
+    std::vector<ScenarioEntry> entries;
+    mutable bool read = false; ///< looked up by the loader
 
-    /** Value of @p key, or nullptr when absent (last wins on repeats). */
+    /** Value of @p key, or nullptr when absent; marks the key read. */
     const std::string *find(const std::string &key) const;
 
     std::string getString(const std::string &key,
@@ -78,10 +58,6 @@ struct ScenarioSection
     bool getInt(const std::string &key, long &out, std::string &error,
                 long lo = std::numeric_limits<long>::min(),
                 long hi = std::numeric_limits<long>::max()) const;
-
-    /** Positive finite number of @p key; otherwise as getInt. */
-    bool getPositive(const std::string &key, double &out,
-                     std::string &error) const;
 
     /**
      * Comma-separated integers of @p key, each within [@p lo, @p hi];
@@ -104,12 +80,14 @@ struct ScenarioDoc
 {
     std::vector<ScenarioSection> sections;
 
+    /** The first section named @p name, or nullptr; marks it read. */
     const ScenarioSection *section(const std::string &name) const;
-    std::vector<const ScenarioSection *>
-    sectionsWithPrefix(const std::string &prefix) const;
 };
 
-/** Parse scenario text. False + @p error on malformed input. */
+/**
+ * Parse scenario text. False + @p error, naming the line, on malformed
+ * input, including a key given twice in one section.
+ */
 bool parseScenarioText(const std::string &text, ScenarioDoc &doc,
                        std::string &error);
 
@@ -125,11 +103,14 @@ bool loadScenarioDoc(const std::string &path, ScenarioDoc &doc,
 bool applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
                        const std::string &value, std::string &error);
 
-/** One `[mode <name>]` overlay: EdmConfig keys for one table row. */
+/**
+ * One table row's configuration: `[config]`, the topology and tenants,
+ * then the `[mode <name>]` section's own keys on top.
+ */
 struct ScenarioModeSpec
 {
     std::string name;
-    std::vector<std::pair<std::string, std::string>> overrides;
+    core::EdmConfig cfg;
 };
 
 /**
@@ -159,8 +140,7 @@ struct ScenarioSpec
 {
     std::string name;
     std::string kind; ///< "incast" or "interference"
-    std::uint64_t base_seed = 1;
-    int rounds = 20; ///< closed-loop chain length (incast)
+    int rounds = 20;  ///< closed-loop chain length (incast)
 
     // ---- incast workload + sweep ----
     IncastWorkload workload;
@@ -179,16 +159,14 @@ struct ScenarioSpec
     /** Fair-share pools from [tenants] (empty when absent). */
     core::TenantSpec tenants;
 
-    /** Base EdmConfig keys (validated, applied before each mode). */
-    std::vector<std::pair<std::string, std::string>> config;
-    /** Mode overlays in file order; empty means one unnamed base mode. */
+    /**
+     * Modes in file order; a file without `[mode]` sections has one,
+     * named "base". An interference scenario has exactly one.
+     */
     std::vector<ScenarioModeSpec> modes;
 
     /** Declarative fault campaign (inactive unless [faults] present). */
     FaultCampaignSpec faults;
-
-    /** Base config + one mode's overlay, validated at load time. */
-    core::EdmConfig configFor(const ScenarioModeSpec &mode) const;
 };
 
 /** Load + validate a scenario file into a runnable spec. */

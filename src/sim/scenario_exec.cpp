@@ -1,10 +1,15 @@
 #include "sim/scenario_exec.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "core/fabric.hpp"
 #include "mac/frame.hpp"
 #include "sim/fault_campaign.hpp"
@@ -15,12 +20,15 @@ namespace edm {
 double
 benchScaleEnv(double fallback)
 {
-    if (const char *s = std::getenv("EDM_BENCH_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    const char *s = std::getenv("EDM_BENCH_SCALE");
+    if (!s)
+        return fallback;
+    const char *end = s + std::strlen(s);
+    double v = 0;
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v <= 0)
+        EDM_FATAL("EDM_BENCH_SCALE='%s' is not a positive number", s);
+    return v;
 }
 
 void
@@ -149,13 +157,62 @@ runIncastPoint(ScenarioContext &ctx, const IncastPoint &pt,
     }
 }
 
+int
+incastRounds(const ScenarioSpec &spec, bool quick)
+{
+    if (!quick)
+        return spec.rounds;
+    return static_cast<int>(
+        std::max(1L, std::lround(spec.rounds * benchScaleEnv(0.5))));
+}
+
+std::vector<IncastRow>
+runIncastScenario(const ScenarioSpec &spec, bool quick,
+                  trace::EventLog *log, unsigned threads)
+{
+    const int rounds = incastRounds(spec, quick);
+    const std::vector<std::size_t> &n_to_1 =
+        quick && !spec.quick_n_to_1.empty() ? spec.quick_n_to_1
+                                            : spec.n_to_1;
+    const std::vector<std::size_t> &all_to_all =
+        quick && !spec.quick_all_to_all.empty() ? spec.quick_all_to_all
+                                                : spec.all_to_all;
+
+    std::vector<IncastRow> rows;
+    ScenarioRunner::Options opts;
+    opts.threads = threads;
+    ScenarioRunner runner(opts);
+    const auto add_points = [&](const char *pattern,
+                                const std::vector<std::size_t> &points) {
+        for (const std::size_t nodes : points)
+            for (const ScenarioModeSpec &mode : spec.modes) {
+                const IncastPoint pt{pattern, nodes};
+                core::EdmConfig cfg = mode.cfg;
+                cfg.event_log = log;
+                rows.push_back(IncastRow{pt, mode.name, {}});
+                runner.add(std::string(pattern) + "/" +
+                               std::to_string(nodes) + "/" + mode.name,
+                           [pt, cfg, &spec, rounds](ScenarioContext &ctx) {
+                               runIncastPoint(ctx, pt, spec.workload,
+                                              rounds, cfg, &spec.faults);
+                           });
+            }
+    };
+    add_points("N-to-1", n_to_1);
+    add_points("all-to-all", all_to_all);
+
+    std::vector<ScenarioResult> results = runner.runAll();
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].result = std::move(results[i]);
+    return rows;
+}
+
 void
 runInterferencePoint(ScenarioContext &ctx, const InterferenceSetup &setup,
                      int frames, core::EdmConfig cfg)
 {
     Simulation &sim = ctx.sim();
     cfg.num_nodes = setup.nodes;
-    cfg.link_rate = Gbps{setup.link_gbps};
     core::CycleFabric fabric(cfg, sim, {setup.memory_node});
     fabric.host(setup.memory_node)
         .store()

@@ -359,7 +359,7 @@ TEST(FairShareScenario, TenantsSectionParsesAndReachesConfig)
     EXPECT_EQ(spec.tenants.poolOf(3), 0);
     EXPECT_EQ(spec.tenants.poolOf(7), 1);
     EXPECT_EQ(spec.tenants.poolOf(8), -1);
-    const EdmConfig cfg = spec.configFor(spec.modes.front());
+    const EdmConfig &cfg = spec.modes.front().cfg;
     EXPECT_TRUE(cfg.fair_share);
     EXPECT_EQ(cfg.fair_share_window_ns, 5000);
     ASSERT_TRUE(cfg.tenants.active());
@@ -584,22 +584,11 @@ TEST(FairShareFabric, RunnerResultsAreRerunAndThreadCountInvariant)
         "pool_bulk0_p99_ns", "pool_ls_p50_ns",  "pool_ls_p99_ns",
         "pool_ls_reads"};
     auto sweep = [&](unsigned threads) {
-        ScenarioRunner::Options opts;
-        opts.base_seed = spec.base_seed;
-        opts.threads = threads;
-        ScenarioRunner runner(opts);
-        for (const ScenarioModeSpec &mode : spec.modes) {
-            const EdmConfig cfg = spec.configFor(mode);
-            runner.add("17/" + mode.name, [&, cfg](ScenarioContext &ctx) {
-                runIncastPoint(ctx, IncastPoint{"N-to-1", 17},
-                               spec.workload, spec.rounds, cfg,
-                               nullptr);
-            });
-        }
         std::vector<double> out;
-        for (const auto &res : runner.runAll())
+        for (const IncastRow &row :
+             runIncastScenario(spec, false, nullptr, threads))
             for (const std::string &m : metrics)
-                out.push_back(res.metricStat(m).mean());
+                out.push_back(row.result.metricStat(m).mean());
         return out;
     };
     const std::vector<double> once = sweep(1);

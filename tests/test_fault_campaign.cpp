@@ -174,48 +174,30 @@ TEST(FaultCampaign, StormMetricsIdenticalForAnyRunnerThreadCount)
 {
     // The declarative path: failure_storm points run through the
     // ScenarioRunner pool must produce bit-identical metrics whether
-    // the pool has 1 worker or several (per-scenario seed streams, no
-    // shared mutable state).
+    // the pool has 1 worker or several (each row owns its Simulation,
+    // and rows share no mutable state).
     ScenarioSpec spec;
     std::string error;
     ASSERT_TRUE(loadScenarioSpec(
         EDM_SOURCE_DIR "/scenarios/failure_storm.edm", spec, error))
         << error;
 
-    auto run_all = [&](unsigned threads) {
-        ScenarioRunner::Options opts;
-        opts.base_seed = spec.base_seed;
-        opts.threads = threads;
-        ScenarioRunner runner(opts);
-        for (const std::size_t n : spec.n_to_1)
-            for (const ScenarioModeSpec &mode : spec.modes) {
-                const core::EdmConfig cfg = spec.configFor(mode);
-                runner.add("N-to-1/" + std::to_string(n) + "/" +
-                               mode.name,
-                           [n, cfg, &spec](ScenarioContext &ctx) {
-                               runIncastPoint(ctx,
-                                              IncastPoint{"N-to-1", n},
-                                              spec.workload, spec.rounds,
-                                              cfg, &spec.faults);
-                           });
-            }
-        return runner.runAll();
-    };
-
-    const auto serial = run_all(1);
-    const auto pooled = run_all(3);
+    const auto serial = runIncastScenario(spec, false, nullptr, 1);
+    const auto pooled = runIncastScenario(spec, false, nullptr, 3);
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(serial[i].metrics.size(), pooled[i].metrics.size());
-        for (const auto &kv : serial[i].metrics) {
-            const auto it = pooled[i].metrics.find(kv.first);
-            ASSERT_NE(it, pooled[i].metrics.end()) << kv.first;
+        const ScenarioResult &s = serial[i].result;
+        const ScenarioResult &p = pooled[i].result;
+        ASSERT_EQ(s.metrics.size(), p.metrics.size());
+        for (const auto &kv : s.metrics) {
+            const auto it = p.metrics.find(kv.first);
+            ASSERT_NE(it, p.metrics.end()) << kv.first;
             EXPECT_EQ(kv.second.raw(), it->second.raw())
                 << "point " << i << " metric " << kv.first;
         }
         // The acceptance bar holds at every point: nothing abandoned.
-        const auto ab = serial[i].metrics.find("abandoned");
-        ASSERT_NE(ab, serial[i].metrics.end());
+        const auto ab = s.metrics.find("abandoned");
+        ASSERT_NE(ab, s.metrics.end());
         for (const double v : ab->second.raw())
             EXPECT_EQ(v, 0.0);
     }

@@ -271,35 +271,35 @@ clusterSweepWireValues()
 }
 
 /**
+ * Every row of the shipped scenario @p file (under scenarios/) at full
+ * rounds: its sweep points, each under every mode. Loads the real
+ * scenario file, so the golden also notices edits to the .edm itself.
+ */
+std::vector<IncastRow>
+scenarioRows(const std::string &file)
+{
+    ScenarioSpec spec;
+    std::string error;
+    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/" + file, spec,
+                          error)) {
+        ADD_FAILURE() << file << ": " << error;
+        return {};
+    }
+    return runIncastScenario(spec, false, nullptr, 0);
+}
+
+/**
  * Grant-chunk sweep under wire-charged occupancy: every mode of the
  * shipped scenarios/chunk_sweep_wire.edm (chunk_bytes 128..1024) run
  * on its full 9-to-1 incast point, pinning completed / grants /
- * read_p99 per chunk size. Loads the real scenario file, so the golden
- * also notices edits to the .edm itself.
+ * read_p99 per chunk size.
  */
 std::vector<double>
 chunkSweepWireValues()
 {
-    ScenarioSpec spec;
-    std::string error;
-    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/chunk_sweep_wire.edm",
-                          spec, error)) {
-        ADD_FAILURE() << "chunk_sweep_wire.edm: " << error;
-        return {};
-    }
-    ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
-    ScenarioRunner runner(opts);
-    for (const ScenarioModeSpec &mode : spec.modes)
-        for (std::size_t nodes : spec.n_to_1)
-            runner.add(mode.name, [&spec, &mode, nodes](
-                                      ScenarioContext &ctx) {
-                runIncastPoint(ctx, IncastPoint{"N-to-1", nodes},
-                               spec.workload, spec.rounds,
-                               spec.configFor(mode));
-            });
     std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll()) {
+    for (const IncastRow &row : scenarioRows("chunk_sweep_wire.edm")) {
+        const ScenarioResult &r = row.result;
         out.push_back(r.metricStat("completed").mean());
         out.push_back(r.metricStat("grants").mean());
         out.push_back(r.metricStat("read_p99").mean());
@@ -312,32 +312,14 @@ chunkSweepWireValues()
  * scenarios/leaf_spine.edm (65 hosts over five leaves, strict sharded
  * scheduler, base/wire) on its full 64-to-1 incast point, pinning
  * completed / grants / wasted / parked / peak staging / read_p99 per
- * row. Loads the real scenario file, so the golden also notices edits
- * to the .edm itself.
+ * row.
  */
 std::vector<double>
 leafSpineValues()
 {
-    ScenarioSpec spec;
-    std::string error;
-    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/leaf_spine.edm",
-                          spec, error)) {
-        ADD_FAILURE() << "leaf_spine.edm: " << error;
-        return {};
-    }
-    ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
-    ScenarioRunner runner(opts);
-    for (const ScenarioModeSpec &mode : spec.modes)
-        for (std::size_t nodes : spec.n_to_1)
-            runner.add(mode.name, [&spec, &mode, nodes](
-                                      ScenarioContext &ctx) {
-                runIncastPoint(ctx, IncastPoint{"N-to-1", nodes},
-                               spec.workload, spec.rounds,
-                               spec.configFor(mode));
-            });
     std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll()) {
+    for (const IncastRow &row : scenarioRows("leaf_spine.edm")) {
+        const ScenarioResult &r = row.result;
         out.push_back(r.metricStat("completed").mean());
         out.push_back(r.metricStat("grants").mean());
         out.push_back(r.metricStat("wasted_slots").mean());
@@ -349,34 +331,16 @@ leafSpineValues()
 }
 
 /**
- * Every row of the shipped tenant scenario @p file (under scenarios/)
- * at full rounds: completed / grants / read_p99 and the bulk0, bulk1
- * and ls pools' read p99 per row (0 for a pool the file does not
- * declare).
+ * Every row of the shipped tenant scenario @p file at full rounds:
+ * completed / grants / read_p99 and the bulk0, bulk1 and ls pools'
+ * read p99 per row (0 for a pool the file does not declare).
  */
 std::vector<double>
 tenantValues(const std::string &file)
 {
-    ScenarioSpec spec;
-    std::string error;
-    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/" + file, spec,
-                          error)) {
-        ADD_FAILURE() << file << ": " << error;
-        return {};
-    }
-    ScenarioRunner::Options opts;
-    opts.base_seed = spec.base_seed;
-    ScenarioRunner runner(opts);
-    for (const ScenarioModeSpec &mode : spec.modes)
-        for (std::size_t nodes : spec.n_to_1)
-            runner.add(mode.name, [&spec, &mode, nodes](
-                                      ScenarioContext &ctx) {
-                runIncastPoint(ctx, IncastPoint{"N-to-1", nodes},
-                               spec.workload, spec.rounds,
-                               spec.configFor(mode));
-            });
     std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll()) {
+    for (const IncastRow &row : scenarioRows(file)) {
+        const ScenarioResult &r = row.result;
         out.push_back(r.metricStat("completed").mean());
         out.push_back(r.metricStat("grants").mean());
         out.push_back(r.metricStat("read_p99").mean());

@@ -1,8 +1,8 @@
 /**
  * @file
  * Scenario-file tests: the key/value parser, EdmConfig key application
- * (unknown keys, and keys or sections the scenario's kind never reads,
- * are hard errors), loading the shipped scenario files, and that a
+ * (unknown keys, repeated keys, and keys or sections the loader never
+ * reads are hard errors), loading the shipped scenario files, and that a
  * sweep point run under a config parsed from scenarios/incast.edm
  * matches the same config built by hand metric-for-metric.
  */
@@ -53,7 +53,6 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
                                     "[scenario]\n"
                                     "name = incast  # trailing comment\n"
                                     "rounds = 20\n"
-                                    "scale = 0.25\n"
                                     "flag = true\n"
                                     "\n"
                                     "[sweep]\n"
@@ -67,9 +66,6 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
     long rounds = -1;
     EXPECT_TRUE(sc->getInt("rounds", rounds, error)) << error;
     EXPECT_EQ(rounds, 20);
-    double scale = 0.0;
-    EXPECT_TRUE(sc->getPositive("scale", scale, error)) << error;
-    EXPECT_DOUBLE_EQ(scale, 0.25);
     long absent = 42;
     EXPECT_TRUE(sc->getInt("absent", absent, error)) << error;
     EXPECT_EQ(absent, 42);
@@ -96,19 +92,6 @@ TEST(ScenarioParser, SectionsKeysCommentsAndTypes)
                      "(want integers >= 6)");
 }
 
-TEST(ScenarioParser, ModeSectionsSelectableByPrefix)
-{
-    const ScenarioDoc doc = parseOk("[scenario]\nname = x\n"
-                                    "[mode base]\n"
-                                    "[mode wire]\n"
-                                    "wire_charged_occupancy = true\n");
-    const auto modes = doc.sectionsWithPrefix("mode ");
-    ASSERT_EQ(modes.size(), 2u);
-    EXPECT_EQ(modes[0]->name, "mode base");
-    EXPECT_EQ(modes[1]->name, "mode wire");
-    EXPECT_EQ(modes[1]->entries.size(), 1u);
-}
-
 TEST(ScenarioParser, ErrorsCarryLineNumbers)
 {
     ScenarioDoc doc;
@@ -131,13 +114,11 @@ TEST(ScenarioConfig, AppliesKnownKeys)
 {
     core::EdmConfig cfg;
     std::string error;
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "num_nodes", "9", error)) << error;
-    EXPECT_TRUE(applyEdmConfigKey(cfg, "link_gbps", "25", error));
+    EXPECT_TRUE(applyEdmConfigKey(cfg, "link_gbps", "25", error)) << error;
     EXPECT_TRUE(applyEdmConfigKey(cfg, "priority", "srpt", error));
     EXPECT_TRUE(
         applyEdmConfigKey(cfg, "wire_charged_occupancy", "true", error));
     EXPECT_TRUE(applyEdmConfigKey(cfg, "max_train_blocks", "4", error));
-    EXPECT_EQ(cfg.num_nodes, 9u);
     EXPECT_DOUBLE_EQ(cfg.link_rate.value, 25.0);
     EXPECT_EQ(cfg.priority, core::Priority::Srpt);
     EXPECT_TRUE(cfg.wire_charged_occupancy);
@@ -181,7 +162,7 @@ TEST(ScenarioConfig, UnknownKeysAndBadValuesAreHardErrors)
     EXPECT_FALSE(applyEdmConfigKey(cfg, "max_trian_blocks", "4", error));
     EXPECT_NE(error.find("max_trian_blocks"), std::string::npos);
     error.clear();
-    EXPECT_FALSE(applyEdmConfigKey(cfg, "num_nodes", "lots", error));
+    EXPECT_FALSE(applyEdmConfigKey(cfg, "chunk_bytes", "lots", error));
     error.clear();
     EXPECT_FALSE(applyEdmConfigKey(cfg, "priority", "fifo", error));
 }
@@ -241,8 +222,10 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
         {std::string(interference) + "nodes = 1\n", "nodes", "1"},
         {std::string(interference) + "nodes = 2\nmemory_node = 7\n",
          "memory_node", "7"},
-        {std::string(interference) + "link_gbps = fast\n", "link_gbps",
-         "fast"},
+        {std::string(interference) + "[config]\nlink_gbps = fast\n",
+         "link_gbps", "fast"},
+        // Decimal only: a hex spelling is not a number.
+        {incast("rounds = 0x14\n"), "rounds", "0x14"},
         {std::string(interference) + "max_frames = -1\n", "max_frames",
          "-1"},
         {std::string(interference) + "frame_payload = -8900\n",
@@ -259,6 +242,13 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
         {incast("link_gbps = 100\n"), "link_gbps", ""},
         {incast("frame_payload = 100\n"), "frame_payload", ""},
         {incast("max_frames = 3\n"), "max_frames", ""},
+        // Keys nothing reads: the sweep point or `nodes` sizes the
+        // fabric, the cycle fabric draws no random numbers, and the
+        // interference link rate lives in [config].
+        {base + "[config]\nnum_nodes = 7\n", "num_nodes", ""},
+        {base + "[mode m]\nnum_nodes = 3\n", "num_nodes", ""},
+        {incast("base_seed = 7\n"), "base_seed", ""},
+        {std::string(interference) + "link_gbps = 100\n", "link_gbps", ""},
     };
     for (const auto &bad : bads) {
         ASSERT_TRUE(parseScenarioText(bad.text, doc, error)) << error;
@@ -270,35 +260,54 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
         EXPECT_NE(error.find(std::string("'") + bad.value), std::string::npos)
             << error;
     }
-    // Sanity: the minimal valid scenario does load.
+    // Sanity: the minimal valid scenario does load, and a leading zero
+    // does not make a number octal.
     error.clear();
     EXPECT_TRUE(loadSpecText(base, spec, error)) << error;
+    ASSERT_TRUE(loadSpecText(incast("rounds = 010\n"), spec, error))
+        << error;
+    EXPECT_EQ(spec.rounds, 10);
 }
 
-TEST(ScenarioSpecTest, InterferenceRejectsSectionsItNeverReads)
+TEST(ScenarioSpecTest, SectionsTheLoaderNeverReadsAreRejected)
 {
-    // An interference scenario runs one fabric per frame count under a
-    // single mode: a sweep, a fault campaign or a second mode would be
-    // dropped unread. The error names the section.
+    // A section the loader never reads would be dropped: an unknown or
+    // misspelt one, a repeat (only the first is read), and for an
+    // interference scenario, which runs one fabric per frame count
+    // under a single mode, a sweep, a fault campaign or a second mode.
+    // The error names the section's header line. A key repeated in one
+    // section fails to parse, naming its line and the key.
+    const std::string incast =
+        "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n";
     const std::string interference =
         "[scenario]\nname = x\nkind = interference\n";
     const struct
     {
         std::string text;
-        const char *section;
+        const char *needle;
     } bads[] = {
-        {interference + "[sweep]\nn_to_1 = 99\n", "[sweep]"},
+        {incast + "[bogus]\nfoo = 1\n", "line 6: section [bogus]"},
+        {incast + "[sweep]\nn_to_1 = 99\n", "line 6: section [sweep]"},
+        {incast + "[scenario]\nrounds = 99\n", "line 6: section [scenario]"},
+        {incast + "[modes]\nwire_charged_occupancy = true\n",
+         "line 6: section [modes]"},
+        {incast + "[model]\nwire_charged_occupancy = true\n",
+         "line 6: section [model]"},
+        {"[scenario]\nname = x\nkind = incast\nrounds = 3\nrounds = 4\n"
+         "[sweep]\nn_to_1 = 2\n",
+         "line 5: key 'rounds' repeated in [scenario]"},
+        {interference + "[sweep]\nn_to_1 = 99\n", "line 4: section [sweep]"},
         {interference + "[faults]\nstorm_at_ns = 0\nstorm_nodes = 0, 1\n",
-         "[faults]"},
+         "line 4: section [faults]"},
         {interference + "[mode a]\n[mode b]\nwire_charged_occupancy = true\n",
-         "[mode b]"},
+         "line 5: section [mode b]"},
     };
     ScenarioSpec spec;
     std::string error;
     for (const auto &bad : bads) {
         error.clear();
         EXPECT_FALSE(loadSpecText(bad.text, spec, error)) << bad.text;
-        EXPECT_NE(error.find(bad.section), std::string::npos) << error;
+        EXPECT_NE(error.find(bad.needle), std::string::npos) << error;
     }
     // One mode is read: it overlays every frame count's config.
     ASSERT_TRUE(loadSpecText(
@@ -306,7 +315,7 @@ TEST(ScenarioSpecTest, InterferenceRejectsSectionsItNeverReads)
         error))
         << error;
     ASSERT_EQ(spec.modes.size(), 1u);
-    EXPECT_TRUE(spec.configFor(spec.modes.front()).wire_charged_occupancy);
+    EXPECT_TRUE(spec.modes.front().cfg.wire_charged_occupancy);
 }
 
 TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
@@ -318,7 +327,6 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
         << error;
     EXPECT_EQ(spec.name, "incast");
     EXPECT_EQ(spec.kind, "incast");
-    EXPECT_EQ(spec.base_seed, 7u);
     EXPECT_EQ(spec.rounds, 20);
     EXPECT_EQ(spec.workload.chains_per_node, 6);
     EXPECT_EQ(spec.workload.read_bytes, 900u);
@@ -333,8 +341,8 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     ASSERT_EQ(spec.modes.size(), 2u);
     EXPECT_EQ(spec.modes[0].name, "base");
     EXPECT_EQ(spec.modes[1].name, "wire");
-    EXPECT_FALSE(spec.configFor(spec.modes[0]).wire_charged_occupancy);
-    EXPECT_TRUE(spec.configFor(spec.modes[1]).wire_charged_occupancy);
+    EXPECT_FALSE(spec.modes[0].cfg.wire_charged_occupancy);
+    EXPECT_TRUE(spec.modes[1].cfg.wire_charged_occupancy);
 }
 
 TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
@@ -345,10 +353,10 @@ TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
         EDM_SOURCE_DIR "/scenarios/interference.edm", spec, error))
         << error;
     EXPECT_EQ(spec.kind, "interference");
-    EXPECT_EQ(spec.base_seed, 5u);
     EXPECT_EQ(spec.interference.nodes, 2u);
     EXPECT_EQ(spec.interference.memory_node, 1);
-    EXPECT_DOUBLE_EQ(spec.interference.link_gbps, 25.0);
+    ASSERT_EQ(spec.modes.size(), 1u);
+    EXPECT_DOUBLE_EQ(spec.modes.front().cfg.link_rate.value, 25.0);
     EXPECT_EQ(spec.interference.read_bytes, 64u);
     EXPECT_EQ(spec.interference.frame_payload, 8900u);
     EXPECT_EQ(spec.max_frames, 8);
@@ -356,10 +364,9 @@ TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
 
 /** Run one incast point under @p cfg and return its metrics. */
 ScenarioResult
-runOnePoint(const core::EdmConfig &cfg, std::uint64_t base_seed)
+runOnePoint(const core::EdmConfig &cfg)
 {
     ScenarioRunner::Options opts;
-    opts.base_seed = base_seed;
     opts.threads = 1;
     ScenarioRunner runner(opts);
     runner.add("point", [&cfg](ScenarioContext &ctx) {
@@ -390,10 +397,8 @@ TEST(ScenarioSpecTest, ParsedSpecReproducesHandBuiltConfigExactly)
         const ScenarioModeSpec *mode;
     } pairs[] = {{&base_cfg, &spec.modes[0]}, {&wire_cfg, &spec.modes[1]}};
     for (const auto &pair : pairs) {
-        const ScenarioResult hand =
-            runOnePoint(*pair.hand, spec.base_seed);
-        const ScenarioResult parsed =
-            runOnePoint(spec.configFor(*pair.mode), spec.base_seed);
+        const ScenarioResult hand = runOnePoint(*pair.hand);
+        const ScenarioResult parsed = runOnePoint(pair.mode->cfg);
         ASSERT_EQ(hand.metrics.size(), parsed.metrics.size());
         for (const auto &kv : hand.metrics) {
             const auto it = parsed.metrics.find(kv.first);
@@ -456,7 +461,7 @@ TEST(ScenarioSpecTest, LoadsShippedFailureStormScenario)
     EXPECT_EQ(spec.modes[0].name, "base");
     EXPECT_EQ(spec.modes[1].name, "wire");
     for (const ScenarioModeSpec &mode : spec.modes) {
-        const core::EdmConfig cfg = spec.configFor(mode);
+        const core::EdmConfig &cfg = mode.cfg;
         EXPECT_EQ(cfg.read_retry_limit, 5);
         EXPECT_EQ(cfg.link_error_threshold, 8u);
         EXPECT_GT(cfg.read_timeout, 0);
@@ -498,9 +503,9 @@ TEST(ScenarioSpecTest, TopologySectionParsesAndReachesConfig)
     EXPECT_EQ(spec.topology.hosts_per_leaf, 4u);
     EXPECT_EQ(spec.topology.trunk_width, 2u);
     EXPECT_EQ(spec.topology.ecmp_seed, 7u);
-    // configFor() carries the wiring into every mode's EdmConfig.
+    // Every mode's EdmConfig carries the wiring.
     ASSERT_FALSE(spec.modes.empty());
-    const core::EdmConfig cfg = spec.configFor(spec.modes.front());
+    const core::EdmConfig &cfg = spec.modes.front().cfg;
     EXPECT_EQ(cfg.topology.tiers, core::TopologySpec::Tiers::LeafSpine);
     EXPECT_EQ(cfg.topology.hosts_per_leaf, 4u);
     EXPECT_EQ(cfg.topology.trunk_width, 2u);
@@ -515,8 +520,7 @@ TEST(ScenarioSpecTest, TopologySectionDefaultsToSingleSwitch)
     std::string error;
     ASSERT_TRUE(loadSpecText(text, spec, error)) << error;
     EXPECT_EQ(spec.topology.tiers, core::TopologySpec::Tiers::Single);
-    const core::EdmConfig cfg = spec.configFor(spec.modes.front());
-    EXPECT_EQ(cfg.topology.tiers, core::TopologySpec::Tiers::Single);
+    EXPECT_EQ(spec.modes.front().cfg.topology.tiers, core::TopologySpec::Tiers::Single);
 }
 
 TEST(ScenarioSpecTest, BadTopologySectionsAreHardErrors)
