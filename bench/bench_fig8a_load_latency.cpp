@@ -14,49 +14,52 @@
  * Also includes the DESIGN.md ablations: grant chunk size and the
  * per-pair notification cap X (paper: X = 3 works best).
  *
- * Every sweep section dispatches its points through runPointsParallel
- * (ScenarioRunner), so the figure's 100+ simulations use all cores;
- * per-point seeds are fixed, so the numbers match a serial run exactly.
+ * Every sweep section dispatches its points through runFlowPoints
+ * (src/sim/scenario_exec.hpp), so the figure's 100+ simulations use all
+ * cores; per-point seeds are fixed, so the numbers match a serial run
+ * exactly. EDM_BENCH_SCALE (e.g. 0.2) shrinks every point's message
+ * count for quick runs.
  */
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
-#include "bench_util.hpp"
+#include "sim/scenario_exec.hpp"
 
 using namespace edm;
-using namespace edm::bench;
 
 namespace {
 
 constexpr std::uint64_t kMessages = 50000;
 
 void
-loadSweep(bool writes)
+loadSweep(bool writes, double scale)
 {
     std::printf("--- random 64 B %s, normalized avg latency vs load ---\n",
                 writes ? "writes (WREQ)" : "reads (RREQ->RRES)");
     std::printf("  %-5s", "load");
-    for (auto f : allFabrics())
-        std::printf(" %9s", fabricName(f));
+    for (auto f : kFlowFabrics)
+        std::printf(" %9s", flowFabricName(f));
     std::printf("\n");
 
     const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8, 0.9};
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (double load : loads)
-        for (auto f : allFabrics()) {
-            PointSpec p;
+        for (auto f : kFlowFabrics) {
+            FlowPoint p;
             p.fabric = f;
             p.load = load;
             p.write_fraction = writes ? 1.0 : 0.0;
             p.messages = kMessages;
             points.push_back(p);
         }
-    const auto results = runPointsParallel(points);
+    const auto results = runFlowPoints(points, scale);
 
     std::size_t i = 0;
     for (double load : loads) {
         std::printf("  %-5.1f", load);
-        for (auto f : allFabrics()) {
+        for (auto f : kFlowFabrics) {
             (void)f;
             std::printf(" %9.3f", results[i++].norm_mean);
         }
@@ -66,22 +69,22 @@ loadSweep(bool writes)
 }
 
 void
-mixSweep()
+mixSweep(double scale)
 {
     std::printf("--- mixed write:read at load 0.8, normalized avg latency"
                 " ---\n");
     std::printf("  %-7s", "W:R");
-    for (auto f : allFabrics())
-        std::printf(" %9s", fabricName(f));
+    for (auto f : kFlowFabrics)
+        std::printf(" %9s", flowFabricName(f));
     std::printf("\n");
     const std::pair<int, int> mixes[] = {
         {100, 0}, {80, 20}, {50, 50}, {20, 80}, {0, 100}};
 
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (const auto &[w, r] : mixes) {
         (void)r;
-        for (auto f : allFabrics()) {
-            PointSpec p;
+        for (auto f : kFlowFabrics) {
+            FlowPoint p;
             p.fabric = f;
             p.load = 0.8;
             p.write_fraction = w / 100.0;
@@ -89,12 +92,12 @@ mixSweep()
             points.push_back(p);
         }
     }
-    const auto results = runPointsParallel(points);
+    const auto results = runFlowPoints(points, scale);
 
     std::size_t i = 0;
     for (const auto &[w, r] : mixes) {
         std::printf("  %3d:%-3d", w, r);
-        for (auto f : allFabrics()) {
+        for (auto f : kFlowFabrics) {
             (void)f;
             std::printf(" %9.3f", results[i++].norm_mean);
         }
@@ -104,7 +107,7 @@ mixSweep()
 }
 
 void
-ablations()
+ablations(double scale)
 {
     std::printf("--- EDM ablations at load 0.8 (writes) ---\n");
     // Chunking only engages on multi-chunk messages, so the sweep uses a
@@ -113,23 +116,23 @@ ablations()
     const std::vector<Bytes> chunks = {64, 128, 256, 512, 1024, 4096};
     const std::vector<int> xs = {1, 2, 3, 6, 12};
 
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (Bytes chunk : chunks) {
-        PointSpec p;
+        FlowPoint p;
         p.load = 0.8;
         p.messages = kMessages;
         p.size_cdf = mixed_sizes;
-        p.edm_chunk = chunk;
+        p.edm.chunk_bytes = chunk;
         points.push_back(p);
     }
     for (int x : xs) {
-        PointSpec p;
+        FlowPoint p;
         p.load = 0.8;
         p.messages = kMessages;
-        p.edm_x = x;
+        p.edm.max_notifications = x;
         points.push_back(p);
     }
-    const auto results = runPointsParallel(points);
+    const auto results = runFlowPoints(points, scale);
 
     std::size_t i = 0;
     std::printf("  chunk size sweep (paper setup: 256 B; heavy-tailed "
@@ -155,9 +158,10 @@ main()
                 " ===\n");
     std::printf("(paper at load 0.9: EDM ~1.2-1.4, IRD ~1.4-1.6, "
                 "pFabric/PFC/DCTCP/CXL ~1.5-2.1, Fastpass 25-38)\n\n");
-    loadSweep(false); // reads
-    loadSweep(true);  // writes
-    mixSweep();
-    ablations();
+    const double scale = benchScaleEnv(1.0);
+    loadSweep(false, scale); // reads
+    loadSweep(true, scale);  // writes
+    mixSweep(scale);
+    ablations(scale);
     return 0;
 }

@@ -11,17 +11,19 @@
  * several times worse (FIFO + pause/credit head-of-line blocking);
  * Fastpass the worst. Includes the SRPT-vs-FCFS priority ablation.
  *
- * All (trace, fabric) points execute in parallel via runPointsParallel;
- * per-point seeds are fixed, so numbers match a serial run exactly.
+ * All (trace, fabric) points execute in parallel via runFlowPoints
+ * (src/sim/scenario_exec.hpp); per-point seeds are fixed, so numbers
+ * match a serial run exactly. EDM_BENCH_SCALE (e.g. 0.2) shrinks every
+ * point's message count for quick runs.
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "bench_util.hpp"
+#include "sim/scenario_exec.hpp"
 #include "workload/traces.hpp"
 
 using namespace edm;
-using namespace edm::bench;
 
 namespace {
 
@@ -38,13 +40,14 @@ main()
                 kLoad);
     std::printf("(paper: EDM 1.2-1.4x ideal; CXL up to 8x worse than "
                 "EDM; Fastpass worst)\n\n");
+    const double scale = benchScaleEnv(1.0);
 
     // Main grid: every (trace, fabric) point, trace-major.
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (auto trace : workload::allTraces()) {
         const Cdf cdf = workload::traceSizeCdf(trace);
-        for (auto f : allFabrics()) {
-            PointSpec p;
+        for (auto f : kFlowFabrics) {
+            FlowPoint p;
             p.fabric = f;
             p.load = kLoad;
             p.write_fraction = 0.5;
@@ -53,16 +56,16 @@ main()
             points.push_back(p);
         }
     }
-    const auto results = runPointsParallel(points);
+    const auto results = runFlowPoints(points, scale);
 
     std::printf("  %-22s", "trace");
-    for (auto f : allFabrics())
-        std::printf(" %9s", fabricName(f));
+    for (auto f : kFlowFabrics)
+        std::printf(" %9s", flowFabricName(f));
     std::printf("\n");
     std::size_t i = 0;
     for (auto trace : workload::allTraces()) {
         std::printf("  %-22s", workload::traceName(trace).c_str());
-        for (auto f : allFabrics()) {
+        for (auto f : kFlowFabrics) {
             (void)f;
             std::printf(" %9.3f", results[i++].norm_mean);
         }
@@ -72,13 +75,13 @@ main()
     // The paper also reports 99th-percentile MCT (its PCT99 panel).
     std::printf("\n--- normalized p99 MCT ---\n");
     std::printf("  %-22s", "trace");
-    for (auto f : allFabrics())
-        std::printf(" %9s", fabricName(f));
+    for (auto f : kFlowFabrics)
+        std::printf(" %9s", flowFabricName(f));
     std::printf("\n");
     i = 0;
     for (auto trace : workload::allTraces()) {
         std::printf("  %-22s", workload::traceName(trace).c_str());
-        for (auto f : allFabrics()) {
+        for (auto f : kFlowFabrics) {
             (void)f;
             std::printf(" %9.1f", results[i++].norm_p99);
         }
@@ -87,19 +90,19 @@ main()
 
     std::printf("\n--- EDM priority-policy ablation (heavy-tailed traces"
                 " are where SRPT matters) ---\n");
-    std::vector<PointSpec> abl;
+    std::vector<FlowPoint> abl;
     for (auto trace : workload::allTraces()) {
         for (auto prio : {core::Priority::Srpt, core::Priority::Fcfs}) {
-            PointSpec p;
+            FlowPoint p;
             p.load = kLoad;
             p.write_fraction = 0.5;
             p.messages = kMessages;
             p.size_cdf = workload::traceSizeCdf(trace);
-            p.edm_priority = prio;
+            p.edm.priority = prio;
             abl.push_back(p);
         }
     }
-    const auto abl_results = runPointsParallel(abl);
+    const auto abl_results = runFlowPoints(abl, scale);
 
     std::printf("  %-22s %9s %9s\n", "trace", "SRPT", "FCFS");
     i = 0;

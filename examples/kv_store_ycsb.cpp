@@ -89,8 +89,6 @@ main()
                     static_cast<unsigned long long>(
                         r.metricStat("misses").sum()));
     }
-    std::printf("\nGET latency summary (per scenario + merged):\n%s",
-                ScenarioRunner::summaryTable(results, "get_ns").c_str());
     std::printf("\n(every operation crosses the real block-level fabric:"
                 " ~300 ns EDM floor + DRAM + serialization)\n");
     return 0;

@@ -2,11 +2,12 @@
  * @file
  * Declarative scenario runner: execute a scenario (.edm) file.
  *
- * The scenario file names the experiment kind (incast contention or
- * preemption interference), its topology/workload parameters, the
- * sweep points and the EdmConfig flag set per mode; the experiment
- * bodies are the shared sim/scenario_exec.cpp functions the tests
- * also call, so a scenario run prints the values they pin.
+ * The scenario file names the experiment kind (incast contention,
+ * preemption interference, or the §4.3 flow-model load sweep), its
+ * topology/workload parameters, the sweep points and the EdmConfig
+ * flag set per mode; the experiment bodies are the shared
+ * sim/scenario_exec.cpp functions the tests also call, so a scenario
+ * run prints the values they pin.
  *
  * With --trace, every fabric decision (grants, ledger lifecycle,
  * trains, preemption, faults, id-wrap stalls) is recorded to a binary
@@ -18,6 +19,7 @@
  *   ./build/run_scenario scenarios/incast.edm
  *   ./build/run_scenario scenarios/incast.edm --quick
  *   ./build/run_scenario scenarios/incast.edm --trace incast.trace
+ *   ./build/run_scenario scenarios/cluster_sweep.edm
  */
 
 #include <algorithm>
@@ -124,9 +126,7 @@ runInterference(const ScenarioSpec &spec, bool quick,
                 max_frames, spec.interference.frame_payload,
                 cfg.link_rate.value);
 
-    ScenarioRunner::Options opts;
-    opts.threads = threads;
-    ScenarioRunner runner(opts);
+    ScenarioRunner runner(threads);
     for (int frames = 0; frames <= max_frames; ++frames)
         runner.add("jumbo x" + std::to_string(frames),
                    [frames, cfg, &spec](ScenarioContext &ctx) {
@@ -146,6 +146,31 @@ runInterference(const ScenarioSpec &spec, bool quick,
                     ns - clean,
                     r.metricStat("frames_delivered").mean());
     }
+    return 0;
+}
+
+int
+runFlow(const ScenarioSpec &spec, bool quick, trace::EventLog *log,
+        unsigned threads)
+{
+    // Read on this thread, before the pool starts: a malformed
+    // EDM_BENCH_SCALE stops the run once.
+    const double scale = quick ? benchScaleEnv(0.5) : 1.0;
+    std::printf("scenario %s (flow), %llu 64 B writes per point, "
+                "144 nodes at 100 G\n\n",
+                spec.name.c_str(),
+                static_cast<unsigned long long>(
+                    flowMessages(spec.messages, scale)));
+
+    std::printf("  %-9s %5s %-9s %9s %9s %9s %9s\n", "fabric", "load",
+                "mode", "completed", "norm mean", "norm p99", "mean ns");
+    for (const FlowRow &row : runFlowScenario(spec, scale, log, threads))
+        std::printf("  %-9s %5g %-9s %9llu %9.3f %9.3f %9.1f\n",
+                    flowFabricName(row.point.fabric), row.point.load,
+                    row.mode.c_str(),
+                    static_cast<unsigned long long>(row.result.completed),
+                    row.result.norm_mean, row.result.norm_p99,
+                    row.result.mean_ns);
     return 0;
 }
 
@@ -204,6 +229,8 @@ main(int argc, char **argv)
 
     const int rc = spec.kind == "incast"
         ? runIncast(spec, quick, log_ptr, threads)
+        : spec.kind == "flow"
+        ? runFlow(spec, quick, log_ptr, threads)
         : runInterference(spec, quick, log_ptr, threads);
 
     if (log_ptr) {

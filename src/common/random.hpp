@@ -18,8 +18,7 @@ namespace edm {
  * splitmix64 step: advances @p state and returns the next output.
  *
  * The canonical seed-expansion generator (Vigna): used to seed the
- * xoshiro256** state and to derive decorrelated per-scenario seed
- * streams from (base_seed, index) pairs.
+ * xoshiro256** state.
  */
 constexpr std::uint64_t
 splitmix64(std::uint64_t &state)

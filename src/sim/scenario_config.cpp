@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -39,12 +38,14 @@ parseLong(const std::string &v, long &out)
     return true;
 }
 
+/** A finite decimal number: `+25`, `0x19`, `inf` and `nan` do not parse. */
 bool
 parseDouble(const std::string &v, double &out)
 {
-    char *end = nullptr;
-    const double r = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || !std::isfinite(r))
+    const char *end = v.data() + v.size();
+    double r = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), end, r);
+    if (ec != std::errc() || ptr != end || !std::isfinite(r))
         return false;
     out = r;
     return true;
@@ -101,17 +102,63 @@ parseBool(const std::string &v, bool &out)
     return false;
 }
 
-/** Apply every key of @p s onto @p cfg, marking each read. */
+/**
+ * Apply the keys of @p s onto @p cfg, marking each read; under
+ * @p flow_only just those isFlowConfigKey accepts, so any other stays
+ * unread and fails the final check.
+ */
 bool
 applySection(const ScenarioSection &s, core::EdmConfig &cfg,
-             std::string &error)
+             bool flow_only, std::string &error)
 {
     for (const ScenarioEntry &e : s.entries) {
+        if (flow_only && !isFlowConfigKey(e.key))
+            continue;
         e.read = true;
         if (!applyEdmConfigKey(cfg, e.key, e.value, error)) {
             error = "[" + s.name + "] " + error;
             return false;
         }
+    }
+    return true;
+}
+
+/**
+ * The flow kind's `[sweep]` lists into @p spec: `fabrics` by name and
+ * `loads` in (0, 1], both required.
+ */
+bool
+readFlowSweep(const ScenarioSection *sw, ScenarioSpec &spec,
+              std::string &error)
+{
+    std::vector<std::string> fabrics;
+    std::vector<std::string> loads;
+    if (sw && (!sw->getList("fabrics", fabrics, error) ||
+               !sw->getList("loads", loads, error)))
+        return false;
+    if (fabrics.empty() || loads.empty()) {
+        error = std::string("flow scenario needs a [sweep] '") +
+            (fabrics.empty() ? "fabrics" : "loads") + "' list";
+        return false;
+    }
+    for (const std::string &name : fabrics) {
+        const FlowFabric *it = std::find_if(
+            std::begin(kFlowFabrics), std::end(kFlowFabrics),
+            [&name](FlowFabric f) { return name == flowFabricName(f); });
+        if (it == std::end(kFlowFabrics)) {
+            std::string names;
+            for (const FlowFabric f : kFlowFabrics)
+                names += (names.empty() ? "" : ", ") +
+                    std::string(flowFabricName(f));
+            return sw->reject("fabrics", "names among " + names, error);
+        }
+        spec.fabrics.push_back(*it);
+    }
+    for (const std::string &item : loads) {
+        double load = 0;
+        if (!parseDouble(item, load) || load <= 0 || load > 1)
+            return sw->reject("loads", "decimal numbers in (0, 1]", error);
+        spec.loads.push_back(load);
     }
     return true;
 }
@@ -174,19 +221,40 @@ ScenarioSection::getInt(const std::string &key, long &out,
 }
 
 bool
-ScenarioSection::getSizeList(const std::string &key,
-                             std::vector<std::size_t> &out,
-                             std::string &error, long lo, long hi) const
+ScenarioSection::getList(const std::string &key,
+                         std::vector<std::string> &out,
+                         std::string &error) const
 {
     out.clear();
     const std::string *v = find(key);
     if (!v)
         return true;
-    std::stringstream ss(*v);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    for (std::size_t begin = 0;;) {
+        const std::size_t comma = v->find(',', begin);
+        const std::string item = trim(v->substr(
+            begin, comma == std::string::npos ? comma : comma - begin));
+        if (item.empty())
+            return reject(key, "a comma-separated list with no empty item",
+                          error);
+        out.push_back(item);
+        if (comma == std::string::npos)
+            return true;
+        begin = comma + 1;
+    }
+}
+
+bool
+ScenarioSection::getSizeList(const std::string &key,
+                             std::vector<std::size_t> &out,
+                             std::string &error, long lo, long hi) const
+{
+    std::vector<std::string> items;
+    if (!getList(key, items, error))
+        return false;
+    out.clear();
+    for (const std::string &item : items) {
         long n = 0;
-        if (!parseLong(trim(item), n) || n < lo || n > hi)
+        if (!parseLong(item, n) || n < lo || n > hi)
             return reject(key, "integers" + rangeText(lo, hi), error);
         out.push_back(static_cast<std::size_t>(n));
     }
@@ -388,18 +456,24 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
     }
     spec.name = sc->getString("name", "unnamed");
     spec.kind = sc->getString("kind", "");
-    if (spec.kind != "incast" && spec.kind != "interference") {
-        error = "kind must be 'incast' or 'interference', got '" +
+    if (spec.kind != "incast" && spec.kind != "interference" &&
+        spec.kind != "flow") {
+        error = "kind must be 'incast', 'interference' or 'flow', got '" +
             spec.kind + "'";
         return false;
     }
     // Each kind reads only its own keys and sections; whatever it does
     // not read fails the final check. Absent keys keep the defaults of
     // ScenarioSpec and its members.
+    const bool incast_kind = spec.kind == "incast";
     const bool interference_kind = spec.kind == "interference";
+    const bool flow_kind = spec.kind == "flow";
     IncastWorkload &wl = spec.workload;
     InterferenceSetup &inter = spec.interference;
-    if (interference_kind) {
+    if (flow_kind) {
+        if (!readInt(*sc, "messages", spec.messages, error, 1))
+            return false;
+    } else if (interference_kind) {
         if (!readInt(*sc, "nodes", inter.nodes, error, 2, kMaxNodes) ||
             !readInt(*sc, "memory_node", inter.memory_node, error, 1,
                      kMaxNodes - 1) ||
@@ -421,7 +495,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
 
     const ScenarioSection *sw =
         interference_kind ? nullptr : doc.section("sweep");
-    if (sw &&
+    if (incast_kind && sw &&
         (!sw->getSizeList("n_to_1", spec.n_to_1, error, 2, kMaxNodes) ||
          !sw->getSizeList("all_to_all", spec.all_to_all, error, 2,
                           kMaxNodes) ||
@@ -430,19 +504,21 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
          !sw->getSizeList("quick_all_to_all", spec.quick_all_to_all, error,
                           2, kMaxNodes)))
         return false;
-    if (!interference_kind && spec.n_to_1.empty() &&
-        spec.all_to_all.empty()) {
+    if (incast_kind && spec.n_to_1.empty() && spec.all_to_all.empty()) {
         error = "incast scenario needs a [sweep] with n_to_1 and/or "
                 "all_to_all";
         return false;
     }
+    if (flow_kind && !readFlowSweep(sw, spec, error))
+        return false;
 
     // [config] onto a default EdmConfig, once; each mode copies it.
     core::EdmConfig base;
     if (const ScenarioSection *cs = doc.section("config"))
-        if (!applySection(*cs, base, error))
+        if (!applySection(*cs, base, flow_kind, error))
             return false;
-    if (const ScenarioSection *ts = doc.section("topology")) {
+    const ScenarioSection *ts = flow_kind ? nullptr : doc.section("topology");
+    if (ts) {
         const std::string tiers = ts->getString("tiers", "single");
         if (tiers == "single") {
             spec.topology.tiers = core::TopologySpec::Tiers::Single;
@@ -467,20 +543,16 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         }
     }
 
-    if (const ScenarioSection *tn = doc.section("tenants")) {
-        const std::string *names = tn->find("pools");
-        if (!names) {
+    const ScenarioSection *tn = flow_kind ? nullptr : doc.section("tenants");
+    if (tn) {
+        std::vector<std::string> names;
+        if (!tn->getList("pools", names, error))
+            return false;
+        if (names.empty()) {
             error = "[tenants] needs a 'pools' name list";
             return false;
         }
-        std::stringstream ss(*names);
-        std::string item;
-        while (std::getline(ss, item, ',')) {
-            const std::string name = trim(item);
-            if (name.empty()) {
-                error = "[tenants] pools has an empty name";
-                return false;
-            }
+        for (const std::string &name : names) {
             if (name == "default") {
                 error = "[tenants] pool name 'default' is reserved";
                 return false;
@@ -493,10 +565,6 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             core::TenantPoolSpec pool;
             pool.name = name;
             spec.tenants.pools.push_back(std::move(pool));
-        }
-        if (spec.tenants.pools.empty()) {
-            error = "[tenants] pools list is empty";
-            return false;
         }
         // Host 0 is a valid range end, so a set 'hosts' key is recorded
         // rather than inferred from a zero range.
@@ -595,8 +663,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         }
     }
 
-    const ScenarioSection *fs =
-        interference_kind ? nullptr : doc.section("faults");
+    const ScenarioSection *fs = incast_kind ? doc.section("faults") : nullptr;
     if (fs) {
         FaultCampaignSpec &f = spec.faults;
         f.active = true;
@@ -635,7 +702,7 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
         if (inter.memory_node >= inter.nodes)
             return sc->reject("memory_node", "a node below " + below,
                               error);
-    } else {
+    } else if (incast_kind) {
         const std::pair<const char *, const std::vector<std::size_t> *>
             sweeps[] = {{"n_to_1", &spec.n_to_1},
                         {"all_to_all", &spec.all_to_all},
@@ -662,8 +729,9 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
                 pool.name + ".hosts", "hosts below " + below, error);
 
     // Each mode copies the base config and applies its own keys on top.
-    // A mode header is exactly `mode` or `mode <name>`; an interference
-    // scenario reads only its first, so a second fails the final check.
+    // A mode header is exactly `mode` or `mode <name>`, and each name is
+    // taken once; an interference scenario reads only its first mode, so
+    // a second fails the final check.
     base.topology = spec.topology;
     base.tenants = spec.tenants;
     for (const ScenarioSection &ms : doc.sections) {
@@ -677,7 +745,13 @@ loadScenarioSpec(const std::string &path, ScenarioSpec &spec,
             error = "[mode] section needs a name: [mode <name>]";
             return false;
         }
-        if (!applySection(ms, mode.cfg, error))
+        for (const ScenarioModeSpec &taken : spec.modes)
+            if (taken.name == mode.name) {
+                error = "line " + std::to_string(ms.line) + ": [" +
+                    ms.name + "] repeats the mode name '" + mode.name + "'";
+                return false;
+            }
+        if (!applySection(ms, mode.cfg, flow_kind, error))
             return false;
         spec.modes.push_back(std::move(mode));
     }

@@ -60,8 +60,16 @@ struct ScenarioSection
                 long hi = std::numeric_limits<long>::max()) const;
 
     /**
+     * The comma-separated items of @p key, trimmed (empty when the key
+     * is absent). An empty value or an empty item fails: false, with
+     * @p error naming the section, the key and the value.
+     */
+    bool getList(const std::string &key, std::vector<std::string> &out,
+                 std::string &error) const;
+
+    /**
      * Comma-separated integers of @p key, each within [@p lo, @p hi];
-     * otherwise as getInt (empty when the key is absent).
+     * otherwise as getList and getInt.
      */
     bool getSizeList(const std::string &key, std::vector<std::size_t> &out,
                      std::string &error, long lo = 0,
@@ -139,7 +147,7 @@ struct FaultCampaignSpec
 struct ScenarioSpec
 {
     std::string name;
-    std::string kind; ///< "incast" or "interference"
+    std::string kind; ///< "incast", "interference" or "flow"
     int rounds = 20;  ///< closed-loop chain length (incast)
 
     // ---- incast workload + sweep ----
@@ -153,6 +161,11 @@ struct ScenarioSpec
     InterferenceSetup interference;
     int max_frames = 8;
 
+    // ---- flow workload + sweep ----
+    std::uint64_t messages = FlowPoint{}.messages; ///< writes per point
+    std::vector<FlowFabric> fabrics;
+    std::vector<double> loads;
+
     /** Fabric wiring from [topology] (single switch when absent). */
     core::TopologySpec topology;
 
@@ -160,8 +173,10 @@ struct ScenarioSpec
     core::TenantSpec tenants;
 
     /**
-     * Modes in file order; a file without `[mode]` sections has one,
-     * named "base". An interference scenario has exactly one.
+     * Modes in file order, each name once; a file without `[mode]`
+     * sections has one, named "base". An interference scenario has
+     * exactly one. A flow scenario's modes set only the keys
+     * isFlowConfigKey accepts.
      */
     std::vector<ScenarioModeSpec> modes;
 

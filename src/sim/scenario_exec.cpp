@@ -12,8 +12,13 @@
 #include "common/logging.hpp"
 #include "core/fabric.hpp"
 #include "mac/frame.hpp"
+#include "proto/cxl.hpp"
+#include "proto/fastpass.hpp"
+#include "proto/ird.hpp"
+#include "proto/window_model.hpp"
 #include "sim/fault_campaign.hpp"
 #include "sim/scenario_config.hpp"
+#include "workload/synthetic.hpp"
 
 namespace edm {
 
@@ -179,9 +184,7 @@ runIncastScenario(const ScenarioSpec &spec, bool quick,
                                                 : spec.all_to_all;
 
     std::vector<IncastRow> rows;
-    ScenarioRunner::Options opts;
-    opts.threads = threads;
-    ScenarioRunner runner(opts);
+    ScenarioRunner runner(threads);
     const auto add_points = [&](const char *pattern,
                                 const std::vector<std::size_t> &points) {
         for (const std::size_t nodes : points)
@@ -241,6 +244,151 @@ runInterferencePoint(ScenarioContext &ctx, const InterferenceSetup &setup,
     ctx.record("frames_delivered",
                static_cast<double>(
                    fabric.host(setup.memory_node).stats().frames_received));
+}
+
+const char *
+flowFabricName(FlowFabric f)
+{
+    switch (f) {
+      case FlowFabric::Edm: return "EDM";
+      case FlowFabric::Ird: return "IRD";
+      case FlowFabric::Pfabric: return "pFabric";
+      case FlowFabric::Pfc: return "PFC";
+      case FlowFabric::Dctcp: return "DCTCP";
+      case FlowFabric::Cxl: return "CXL";
+      case FlowFabric::Fastpass: return "Fastpass";
+    }
+    return "?";
+}
+
+namespace {
+
+std::unique_ptr<proto::FabricModel>
+makeFlowModel(const FlowPoint &p, Simulation &sim,
+              const proto::ClusterConfig &cluster)
+{
+    switch (p.fabric) {
+      case FlowFabric::Edm:
+        return std::make_unique<proto::EdmFlowModel>(sim, cluster, p.edm);
+      case FlowFabric::Ird:
+        return std::make_unique<proto::IrdModel>(sim, cluster);
+      case FlowFabric::Pfabric:
+        return std::make_unique<proto::PfabricModel>(sim, cluster);
+      case FlowFabric::Pfc:
+        return std::make_unique<proto::PfcDcqcnModel>(sim, cluster);
+      case FlowFabric::Dctcp:
+        return std::make_unique<proto::DctcpModel>(sim, cluster);
+      case FlowFabric::Cxl:
+        return std::make_unique<proto::CxlModel>(sim, cluster);
+      case FlowFabric::Fastpass:
+        return std::make_unique<proto::FastpassModel>(sim, cluster);
+    }
+    return nullptr;
+}
+
+/** Load-calibration wire function for each fabric's own framing. */
+workload::WireFn
+flowWireFn(FlowFabric f)
+{
+    switch (f) {
+      case FlowFabric::Edm: return workload::wire::edm;
+      case FlowFabric::Ird: return workload::wire::ethernet;
+      case FlowFabric::Pfabric: return workload::wire::tcp;
+      case FlowFabric::Pfc: return workload::wire::rdma;
+      case FlowFabric::Dctcp: return workload::wire::tcp;
+      case FlowFabric::Cxl: return workload::wire::cxl;
+      case FlowFabric::Fastpass: return workload::wire::ethernet;
+    }
+    return workload::wire::ethernet;
+}
+
+/** The §4.3 job-list seed every flow point draws from. */
+constexpr std::uint64_t kFlowSeed = 42;
+
+FlowResult
+runFlowPoint(const FlowPoint &p, double scale)
+{
+    Simulation sim(kFlowSeed);
+    const proto::ClusterConfig cluster;
+    const auto model = makeFlowModel(p, sim, cluster);
+
+    workload::SyntheticConfig cfg;
+    cfg.num_nodes = cluster.num_nodes;
+    cfg.load = p.load;
+    cfg.write_fraction = p.write_fraction;
+    cfg.messages = flowMessages(p.messages, scale);
+    cfg.size_cdf = p.size_cdf;
+
+    Rng rng(kFlowSeed * 77 + 1);
+    for (const auto &j :
+         workload::generateSynthetic(rng, cfg, flowWireFn(p.fabric)))
+        model->offer(j);
+    sim.run();
+
+    FlowResult r;
+    r.norm_mean = model->normalized().mean();
+    r.norm_p99 = model->normalized().percentile(99);
+    r.mean_ns = model->latency().mean();
+    r.completed = model->completed();
+    return r;
+}
+
+} // namespace
+
+std::uint64_t
+flowMessages(std::uint64_t messages, double scale)
+{
+    return std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(messages * scale));
+}
+
+std::vector<FlowResult>
+runFlowPoints(const std::vector<FlowPoint> &points, double scale,
+              unsigned threads)
+{
+    // Each worker writes only its own point's slot.
+    std::vector<FlowResult> out(points.size());
+    ScenarioRunner runner(threads);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        runner.add(flowFabricName(points[i].fabric),
+                   [&out, &points, i, scale](ScenarioContext &) {
+                       out[i] = runFlowPoint(points[i], scale);
+                   });
+    runner.runAll();
+    return out;
+}
+
+bool
+isFlowConfigKey(const std::string &key)
+{
+    return key == "wire_charged_occupancy";
+}
+
+std::vector<FlowRow>
+runFlowScenario(const ScenarioSpec &spec, double scale,
+                trace::EventLog *log, unsigned threads)
+{
+    std::vector<FlowRow> rows;
+    std::vector<FlowPoint> points;
+    for (const FlowFabric fabric : spec.fabrics)
+        for (const double load : spec.loads)
+            for (const ScenarioModeSpec &mode : spec.modes) {
+                FlowPoint p;
+                p.fabric = fabric;
+                p.load = load;
+                p.messages = spec.messages;
+                // Every isFlowConfigKey key, and nothing else.
+                p.edm.wire_charged_occupancy =
+                    mode.cfg.wire_charged_occupancy;
+                p.edm.event_log = log;
+                points.push_back(p);
+                rows.push_back(FlowRow{p, mode.name, {}});
+            }
+    const std::vector<FlowResult> results =
+        runFlowPoints(points, scale, threads);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].result = results[i];
+    return rows;
 }
 
 } // namespace edm

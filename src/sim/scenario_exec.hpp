@@ -1,20 +1,23 @@
 /**
  * @file
- * Execution bodies for the incast-contention and
- * preemption-interference experiments: examples/run_scenario.cpp runs
- * every scenario file under scenarios/ through them, and the tests
- * that pin scenario results call the same functions, so there is one
- * implementation of each experiment.
+ * Execution bodies for the incast-contention, preemption-interference
+ * and flow-model experiments: examples/run_scenario.cpp runs every
+ * scenario file under scenarios/ through them, and the paper-figure
+ * benches and the tests that pin results call the same functions, so
+ * there is one implementation of each experiment.
  */
 
 #ifndef EDM_SIM_SCENARIO_EXEC_HPP
 #define EDM_SIM_SCENARIO_EXEC_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/cdf.hpp"
 #include "core/config.hpp"
 #include "core/message.hpp"
+#include "proto/edm_model.hpp"
 #include "sim/scenario_runner.hpp"
 
 namespace edm {
@@ -85,7 +88,8 @@ int incastRounds(const ScenarioSpec &spec, bool quick);
  * under every mode in file order, modes innermost, with
  * incastRounds() rounds. Each mode's config records to @p log when it
  * is set; the event log is not thread-safe, so pass @p threads = 1
- * with it. @p threads sizes the pool as ScenarioRunner::Options does.
+ * with it. @p threads sizes the pool as ScenarioRunner's constructor
+ * takes it.
  */
 std::vector<IncastRow> runIncastScenario(const ScenarioSpec &spec,
                                          bool quick, trace::EventLog *log,
@@ -108,6 +112,88 @@ struct InterferenceSetup
 void runInterferencePoint(ScenarioContext &ctx,
                           const InterferenceSetup &setup, int frames,
                           core::EdmConfig cfg);
+
+/** The seven fabrics of §4.3. */
+enum class FlowFabric
+{
+    Edm,
+    Ird,
+    Pfabric,
+    Pfc,
+    Dctcp,
+    Cxl,
+    Fastpass,
+};
+
+/** Every FlowFabric, in the paper's presentation order. */
+inline constexpr FlowFabric kFlowFabrics[] = {
+    FlowFabric::Edm,   FlowFabric::Ird, FlowFabric::Pfabric, FlowFabric::Pfc,
+    FlowFabric::Dctcp, FlowFabric::Cxl, FlowFabric::Fastpass};
+
+/** The fabric's name as the paper and scenario files spell it. */
+const char *flowFabricName(FlowFabric f);
+
+/**
+ * One point of the §4.3 flow-model simulations: a synthetic job list on
+ * 144 nodes at 100 G (the proto::ClusterConfig defaults), drawn from
+ * the fixed seed 42 and calibrated to the fabric's own framing.
+ */
+struct FlowPoint
+{
+    FlowFabric fabric = FlowFabric::Edm;
+    double load = 0.5;
+    double write_fraction = 1.0;
+    std::uint64_t messages = 50000;
+    Cdf size_cdf = {}; ///< empty: fixed 64 B messages
+    proto::EdmModelConfig edm; ///< read by the EDM fabric only
+};
+
+/** Result of one flow point. */
+struct FlowResult
+{
+    double norm_mean = 0; ///< mean latency / own unloaded latency
+    double norm_p99 = 0;
+    double mean_ns = 0;
+    std::uint64_t completed = 0;
+};
+
+/** The messages a point of @p messages runs at @p scale: at least 1. */
+std::uint64_t flowMessages(std::uint64_t messages, double scale);
+
+/**
+ * Run @p points, each with flowMessages() of its count, on a
+ * ScenarioRunner pool of @p threads (as ScenarioRunner's constructor
+ * takes them), results in input order. Every point draws from the same
+ * fixed seed, so the results equal a serial loop's for any thread
+ * count.
+ */
+std::vector<FlowResult> runFlowPoints(const std::vector<FlowPoint> &points,
+                                      double scale, unsigned threads = 0);
+
+/** One flow table row: a (fabric, load) point under one mode. */
+struct FlowRow
+{
+    FlowPoint point;
+    std::string mode;
+    FlowResult result;
+};
+
+/**
+ * Whether a flow scenario's `[config]` and `[mode]` sections accept
+ * the EdmConfig @p key. runFlowScenario copies each accepted key into
+ * its EDM points' proto::EdmModelConfig; the loader rejects the rest.
+ */
+bool isFlowConfigKey(const std::string &key);
+
+/**
+ * Run every row of the flow @p spec: its fabrics, then its loads, each
+ * under every mode in file order, modes innermost, with the messages
+ * scaled by @p scale. The EDM points record to @p log when it is set;
+ * the event log is not thread-safe, so pass @p threads = 1 with it.
+ */
+std::vector<FlowRow> runFlowScenario(const ScenarioSpec &spec, double scale,
+                                     trace::EventLog *log,
+                                     unsigned threads);
 
 } // namespace edm
 

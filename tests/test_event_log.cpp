@@ -134,10 +134,7 @@ TEST(EventLog, RejectsForeignFiles)
 ScenarioResult
 runLoggedIncast(EventLog *log, std::size_t max_train_blocks)
 {
-    ScenarioRunner::Options opts;
-    opts.base_seed = 7;
-    opts.threads = 1;
-    ScenarioRunner runner(opts);
+    ScenarioRunner runner(1);
     runner.add("incast", [log, max_train_blocks](ScenarioContext &ctx) {
         core::EdmConfig cfg;
         cfg.max_train_blocks = max_train_blocks;

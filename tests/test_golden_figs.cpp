@@ -2,26 +2,28 @@
  * @file
  * Golden-output regression test for the figure reproductions.
  *
- * Pins per-point values of the Figure 6 / 8a / 8b reproductions and the
- * 16-point cluster load sweep to the exact doubles produced by the
- * per-block-event fabric and the pure-heap event queue (the PR 1
- * baseline, captured before the block-train / timing-wheel rewrite).
- * Any change to event ordering — a different (time, seq) pop order, a
- * tie broken differently, a lost or duplicated event — shifts these
- * values, so the test proves the rewrite is observably invisible.
+ * Pins per-point values of the Figure 6 / 8a / 8b reproductions, the
+ * 16-point cluster load sweep of scenarios/cluster_sweep.edm and the
+ * cycle-fabric scenario rows to exact doubles. The Figure 6 / 8a / 8b
+ * values were captured from the per-block-event fabric and the
+ * pure-heap event queue, before the block-train / timing-wheel
+ * rewrite. Any change to event ordering — a different (time, seq) pop
+ * order, a tie broken differently, a lost or duplicated event — shifts
+ * these values, so the test proves such a rewrite is observably
+ * invisible.
  *
- * Two charging modes are pinned: the legacy arrays above must stay
- * bit-identical forever (EdmConfig::wire_charged_occupancy off is the
- * bit-exact historical schedule), and the *WireCharged arrays pin the
- * EDM schedules produced with wire-charged port occupancy on
- * (core/occupancy.hpp) — a deliberate, documented schedule change whose
- * baselines were generated by the rebaseline pipeline
- * (tools/rebaseline.sh, docs/REBASELINE.md).
+ * Two charging modes are pinned: the legacy arrays hold the payload
+ * charge (EdmConfig::wire_charged_occupancy off), and the *WireCharged
+ * arrays pin the EDM schedules produced with wire-charged port
+ * occupancy on (core/occupancy.hpp) — a deliberate, documented schedule
+ * change. Every array is generated by the rebaseline pipeline
+ * (tools/rebaseline.sh, docs/REBASELINE.md), whose diff summary
+ * explains each change.
  *
  * The simulations here are deliberately smaller than the real figure
  * benches (fewer messages) but exercise every fabric model and the full
  * multi-threaded sweep machinery; values must be bit-identical for any
- * seed derivation and any EDM_SWEEP_THREADS.
+ * EDM_SWEEP_THREADS.
  *
  * Regenerating (only legitimate after an *intentional* model change —
  * use the documented pipeline, which also emits the schedule-diff
@@ -38,22 +40,14 @@
 #include <gtest/gtest.h>
 
 #include "analytic/bandwidth_model.hpp"
-#include "proto/cxl.hpp"
-#include "proto/edm_model.hpp"
-#include "proto/window_model.hpp"
 #include "sim/scenario_config.hpp"
 #include "sim/scenario_exec.hpp"
-#include "sim/scenario_runner.hpp"
-#include "workload/synthetic.hpp"
 #include "workload/traces.hpp"
 #include "workload/ycsb.hpp"
-
-#include "../bench/bench_util.hpp"
 
 namespace {
 
 using namespace edm;
-using namespace edm::bench;
 
 bool
 regenMode()
@@ -89,10 +83,10 @@ regenPrint(const char *name, const std::vector<double> &values)
 std::vector<double>
 fig8aValues()
 {
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (double load : {0.2, 0.8})
-        for (auto f : allFabrics()) {
-            PointSpec p;
+        for (auto f : kFlowFabrics) {
+            FlowPoint p;
             p.fabric = f;
             p.load = load;
             p.write_fraction = 1.0;
@@ -100,7 +94,7 @@ fig8aValues()
             points.push_back(p);
         }
     std::vector<double> out;
-    for (const RunResult &r : runPointsParallel(points)) {
+    for (const FlowResult &r : runFlowPoints(points, 1.0)) {
         out.push_back(r.norm_mean);
         out.push_back(r.norm_p99);
     }
@@ -112,11 +106,11 @@ std::vector<double>
 fig8bValues()
 {
     const auto traces = workload::allTraces();
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (std::size_t t = 0; t < traces.size() && t < 2; ++t) {
         const Cdf cdf = workload::traceSizeCdf(traces[t]);
-        for (auto f : allFabrics()) {
-            PointSpec p;
+        for (auto f : kFlowFabrics) {
+            FlowPoint p;
             p.fabric = f;
             p.load = 0.8;
             p.write_fraction = 0.5;
@@ -126,31 +120,30 @@ fig8bValues()
         }
     }
     std::vector<double> out;
-    for (const RunResult &r : runPointsParallel(points))
+    for (const FlowResult &r : runFlowPoints(points, 1.0))
         out.push_back(r.norm_mean);
     return out;
 }
 
 /**
  * Wire-charged fig 8a slice: the EDM rows of fig8aValues() with
- * EdmConfig::wire_charged_occupancy on. Only EDM consumes the knob, so
- * the other six fabrics need no second baseline.
+ * wire-charged occupancy on. Only EDM consumes the knob, so the other
+ * six fabrics need no second baseline.
  */
 std::vector<double>
 fig8aWireValues()
 {
-    std::vector<PointSpec> points;
+    std::vector<FlowPoint> points;
     for (double load : {0.2, 0.8}) {
-        PointSpec p;
-        p.fabric = Fabric::Edm;
+        FlowPoint p;
         p.load = load;
         p.write_fraction = 1.0;
         p.messages = 4000;
-        p.edm_wire_charged = true;
+        p.edm.wire_charged_occupancy = true;
         points.push_back(p);
     }
     std::vector<double> out;
-    for (const RunResult &r : runPointsParallel(points)) {
+    for (const FlowResult &r : runFlowPoints(points, 1.0)) {
         out.push_back(r.norm_mean);
         out.push_back(r.norm_p99);
     }
@@ -170,103 +163,24 @@ fig6Values()
 }
 
 /**
- * The 16-point cluster sweep of examples/cluster_load_sweep.cpp (EDM vs
- * DCTCP vs CXL), shrunk to 4000 messages per point. Uses the runner's
- * derived seed streams, so it also pins the seed-derivation chain.
+ * norm_mean of every row of the shipped flow scenario @p file (under
+ * scenarios/) at scale 0.2, on a pool of @p threads: 20000 messages per
+ * point become 4000. Loads the real file, so the golden also notices
+ * edits to the .edm itself.
  */
 std::vector<double>
-clusterSweepValues()
+flowValues(const std::string &file, unsigned threads = 0)
 {
-    constexpr int kLoadPoints = 16;
-    std::vector<double> loads;
-    for (int i = 0; i < kLoadPoints; ++i)
-        loads.push_back(0.05 + i * 0.90 / (kLoadPoints - 1));
-
-    ScenarioRunner::Options opts;
-    opts.base_seed = 11;
-    ScenarioRunner runner(opts);
-    for (int f = 0; f < 3; ++f)
-        for (double load : loads)
-            runner.add("pt", [f, load](ScenarioContext &ctx) {
-                Simulation &sim = ctx.sim();
-                proto::ClusterConfig cluster;
-                cluster.num_nodes = 144;
-                std::unique_ptr<proto::FabricModel> model;
-                workload::WireFn wire = workload::wire::edm;
-                switch (f) {
-                  case 0:
-                    model = std::make_unique<proto::EdmFlowModel>(sim,
-                                                                  cluster);
-                    break;
-                  case 1:
-                    model = std::make_unique<proto::DctcpModel>(sim,
-                                                                cluster);
-                    wire = workload::wire::tcp;
-                    break;
-                  default:
-                    model = std::make_unique<proto::CxlModel>(sim,
-                                                              cluster);
-                    wire = workload::wire::cxl;
-                    break;
-                }
-                workload::SyntheticConfig cfg;
-                cfg.num_nodes = cluster.num_nodes;
-                cfg.load = load;
-                cfg.write_fraction = 1.0;
-                cfg.messages = 4000;
-                for (const auto &j :
-                     workload::generateSynthetic(ctx.rng(), cfg, wire))
-                    model->offer(j);
-                sim.run();
-                ctx.record("norm_mean", model->normalized().mean());
-            });
-
+    ScenarioSpec spec;
+    std::string error;
+    if (!loadScenarioSpec(EDM_SOURCE_DIR "/scenarios/" + file, spec,
+                          error)) {
+        ADD_FAILURE() << file << ": " << error;
+        return {};
+    }
     std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll())
-        out.push_back(r.metricStat("norm_mean").mean());
-    return out;
-}
-
-/**
- * The 16 EDM points of the cluster sweep with wire-charged occupancy:
- * the flow model and the shared scheduler both charge exact 66-bit
- * block line-time per chunk. Same seed derivation as the legacy sweep
- * (base_seed 11, one scenario per load point).
- */
-std::vector<double>
-clusterSweepWireValues()
-{
-    constexpr int kLoadPoints = 16;
-    std::vector<double> loads;
-    for (int i = 0; i < kLoadPoints; ++i)
-        loads.push_back(0.05 + i * 0.90 / (kLoadPoints - 1));
-
-    ScenarioRunner::Options opts;
-    opts.base_seed = 11;
-    ScenarioRunner runner(opts);
-    for (double load : loads)
-        runner.add("pt", [load](ScenarioContext &ctx) {
-            Simulation &sim = ctx.sim();
-            proto::ClusterConfig cluster;
-            cluster.num_nodes = 144;
-            proto::EdmModelConfig mcfg;
-            mcfg.wire_charged_occupancy = true;
-            proto::EdmFlowModel model(sim, cluster, mcfg);
-            workload::SyntheticConfig cfg;
-            cfg.num_nodes = cluster.num_nodes;
-            cfg.load = load;
-            cfg.write_fraction = 1.0;
-            cfg.messages = 4000;
-            for (const auto &j : workload::generateSynthetic(
-                     ctx.rng(), cfg, workload::wire::edm))
-                model.offer(j);
-            sim.run();
-            ctx.record("norm_mean", model.normalized().mean());
-        });
-
-    std::vector<double> out;
-    for (const ScenarioResult &r : runner.runAll())
-        out.push_back(r.metricStat("norm_mean").mean());
+    for (const FlowRow &row : runFlowScenario(spec, 0.2, nullptr, threads))
+        out.push_back(row.result.norm_mean);
     return out;
 }
 
@@ -366,8 +280,8 @@ fairShareValues()
 }
 
 // ---------------------------------------------------------------------------
-// Golden values: captured from the PR 1 baseline (indexed 4-ary heap
-// event queue, per-block fabric emission) with EDM_GOLDEN_REGEN=1.
+// Golden values: written by tools/rebaseline.sh from an EDM_GOLDEN_REGEN=1
+// run of this test.
 // ---------------------------------------------------------------------------
 
 #include "golden_figs_values.inc"
@@ -408,7 +322,8 @@ TEST(GoldenFigs, Fig8bAppTraces)
 TEST(GoldenFigs, ClusterLoadSweep)
 {
     checkOrRegen("kGoldenClusterSweep", kGoldenClusterSweep,
-                 std::size(kGoldenClusterSweep), clusterSweepValues());
+                 std::size(kGoldenClusterSweep),
+                 flowValues("cluster_sweep.edm"));
 }
 
 TEST(GoldenFigs, Fig8aWireCharged)
@@ -421,7 +336,7 @@ TEST(GoldenFigs, ClusterSweepWireCharged)
 {
     checkOrRegen("kGoldenClusterSweepWire", kGoldenClusterSweepWire,
                  std::size(kGoldenClusterSweepWire),
-                 clusterSweepWireValues());
+                 flowValues("cluster_sweep_wire.edm"));
 }
 
 TEST(GoldenFigs, ChunkSweepWireCharged)
@@ -473,7 +388,9 @@ TEST(GoldenFigs, WireChargedDiffersFromLegacy)
         GTEST_SKIP() << "regen mode";
     bool differs = false;
     // Legacy fig8a stores all seven fabrics; EDM is the first row per
-    // load block (indices 0,1 and 14,15 of the 28-value array).
+    // load block (indices 0,1 and 14,15 of the 28-value array). The
+    // cluster sweep is fabric-major, so its first 16 values are the EDM
+    // rows the wire file repeats.
     const double legacy_edm[] = {kGoldenFig8a[0], kGoldenFig8a[1],
                                  kGoldenFig8a[14], kGoldenFig8a[15]};
     for (std::size_t i = 0; i < std::size(kGoldenFig8aWire); ++i)
@@ -491,9 +408,7 @@ TEST(GoldenFigs, ThreadCountInvariance)
     // default pool produced (itself pinned above).
     if (regenMode())
         GTEST_SKIP() << "regen mode";
-    setenv("EDM_SWEEP_THREADS", "1", 1);
-    const auto serial = clusterSweepValues();
-    unsetenv("EDM_SWEEP_THREADS");
+    const auto serial = flowValues("cluster_sweep.edm", 1);
     ASSERT_EQ(std::size(kGoldenClusterSweep), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectExact(kGoldenClusterSweep[i], serial[i],

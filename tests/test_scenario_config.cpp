@@ -2,15 +2,16 @@
  * @file
  * Scenario-file tests: the key/value parser, EdmConfig key application
  * (unknown keys, repeated keys, and keys or sections the loader never
- * reads are hard errors), loading the shipped scenario files, and that a
- * sweep point run under a config parsed from scenarios/incast.edm
- * matches the same config built by hand metric-for-metric.
+ * reads are hard errors), loading the shipped scenario files, and that
+ * rows run from scenarios/incast.edm and scenarios/cluster_sweep.edm
+ * match the same configs and points built by hand, bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sim/scenario_config.hpp"
 #include "sim/scenario_exec.hpp"
@@ -183,6 +184,13 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
         return std::string("[scenario]\nname = x\nkind = incast\n") +
             line + "[sweep]\nn_to_1 = 2\n";
     };
+    // A flow [scenario] section ending in @p line, then a [sweep] of
+    // @p sweep.
+    const auto flow = [](const char *line,
+                         const char *sweep = "fabrics = EDM\nloads = 0.5\n") {
+        return std::string("[scenario]\nname = x\nkind = flow\n") + line +
+            "[sweep]\n" + sweep;
+    };
     const struct
     {
         std::string text;
@@ -249,6 +257,51 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
         {base + "[mode m]\nnum_nodes = 3\n", "num_nodes", ""},
         {incast("base_seed = 7\n"), "base_seed", ""},
         {std::string(interference) + "link_gbps = 100\n", "link_gbps", ""},
+        // Fractions are decimal too: no sign, hex float or infinity.
+        {std::string(interference) + "[config]\nlink_gbps = +25\n",
+         "link_gbps", "+25"},
+        {std::string(interference) + "[config]\nlink_gbps = 0x19\n",
+         "link_gbps", "0x19"},
+        {base + "[config]\nscheduler_ghz = 0x1p-1\n", "scheduler_ghz",
+         "0x1p-1"},
+        {base + "[tenants]\npools = a\na.hosts = 0\na.weight = 0x1p1\n",
+         "a.weight", "0x1p1"},
+        // A list holds no empty value and no empty item: an empty
+        // storm_nodes would storm every sender, and a trailing comma
+        // would drop nothing silently.
+        {base + "[faults]\nstorm_nodes =\n", "storm_nodes", ""},
+        {base + "[tenants]\npools = bulk, ls,\nbulk.hosts = 0\n"
+                "ls.hosts = 1\n",
+         "pools", "bulk, ls,"},
+        {"[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 3,\n",
+         "n_to_1", "3,"},
+        {"[scenario]\nname = x\nkind = incast\n"
+         "[sweep]\nn_to_1 = 2\nall_to_all =\n",
+         "all_to_all", ""},
+        // kind = flow reads wire_charged_occupancy in [config] and
+        // [mode], `messages` and its two lists, nothing else: no other
+        // key has a value in use, and the §4.3.1 sweep is writes only.
+        {flow("") + "[config]\nmax_train_blocks = 4\n", "max_train_blocks",
+         ""},
+        {flow("") + "[config]\nchunk_bytes = 128\n", "chunk_bytes", ""},
+        {flow("") + "[mode m]\nlink_gbps = 25\n", "link_gbps", ""},
+        {flow("") + "[mode m]\npriority = fcfs\n", "priority", ""},
+        {flow("") + "[mode m]\nscheduler_ghz = 1\n", "scheduler_ghz", ""},
+        {flow("rounds = 3\n"), "rounds", ""},
+        {flow("", "fabrics = EDM\nloads = 0.5\nn_to_1 = 2\n"), "n_to_1",
+         ""},
+        {flow("", "fabrics = EDM, RoCE\nloads = 0.5\n"), "fabrics",
+         "EDM, RoCE"},
+        {flow("", "fabrics = EDM,\nloads = 0.5\n"), "fabrics", "EDM,"},
+        {flow("", "fabrics = EDM\nloads = 0\n"), "loads", "0"},
+        {flow("", "fabrics = EDM\nloads = 0.5, 1.5\n"), "loads",
+         "0.5, 1.5"},
+        {flow("", "fabrics = EDM\nloads = 0x0.8p0\n"), "loads",
+         "0x0.8p0"},
+        {flow("write_fraction = 1\n"), "write_fraction", ""},
+        {flow("messages = 0\n"), "messages", "0"},
+        {flow("", "fabrics = EDM\n"), "loads", ""},
+        {flow("", "loads = 0.5\n"), "fabrics", ""},
     };
     for (const auto &bad : bads) {
         ASSERT_TRUE(parseScenarioText(bad.text, doc, error)) << error;
@@ -267,6 +320,9 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
     ASSERT_TRUE(loadSpecText(incast("rounds = 010\n"), spec, error))
         << error;
     EXPECT_EQ(spec.rounds, 10);
+    ASSERT_TRUE(loadSpecText(flow("messages = 7\n"), spec, error))
+        << error;
+    EXPECT_EQ(spec.messages, 7u);
 }
 
 TEST(ScenarioSpecTest, SectionsTheLoaderNeverReadsAreRejected)
@@ -281,6 +337,8 @@ TEST(ScenarioSpecTest, SectionsTheLoaderNeverReadsAreRejected)
         "[scenario]\nname = x\nkind = incast\n[sweep]\nn_to_1 = 2\n";
     const std::string interference =
         "[scenario]\nname = x\nkind = interference\n";
+    const std::string flow = "[scenario]\nname = x\nkind = flow\n"
+                             "[sweep]\nfabrics = EDM\nloads = 0.5\n";
     const struct
     {
         std::string text;
@@ -301,6 +359,16 @@ TEST(ScenarioSpecTest, SectionsTheLoaderNeverReadsAreRejected)
          "line 4: section [faults]"},
         {interference + "[mode a]\n[mode b]\nwire_charged_occupancy = true\n",
          "line 5: section [mode b]"},
+        // A flow scenario builds no cycle fabric.
+        {flow + "[topology]\ntiers = single\n", "line 7: section [topology]"},
+        {flow + "[tenants]\npools = a\na.hosts = 0\n",
+         "line 7: section [tenants]"},
+        {flow + "[faults]\nstorm_at_ns = 0\n", "line 7: section [faults]"},
+        // Two modes with one name would print two rows with one label.
+        {incast + "[mode a]\n[mode a]\nwire_charged_occupancy = true\n",
+         "line 7: [mode a] repeats the mode name 'a'"},
+        {flow + "[mode a]\nwire_charged_occupancy = true\n[mode  a]\n",
+         "line 9: [mode  a] repeats the mode name 'a'"},
     };
     ScenarioSpec spec;
     std::string error;
@@ -345,6 +413,94 @@ TEST(ScenarioSpecTest, LoadsShippedIncastScenario)
     EXPECT_TRUE(spec.modes[1].cfg.wire_charged_occupancy);
 }
 
+TEST(ScenarioSpecTest, LoadsShippedFlowScenario)
+{
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(loadScenarioSpec(
+        EDM_SOURCE_DIR "/scenarios/cluster_sweep.edm", spec, error))
+        << error;
+    EXPECT_EQ(spec.kind, "flow");
+    const std::vector<FlowFabric> fabrics = {
+        FlowFabric::Edm, FlowFabric::Dctcp, FlowFabric::Cxl};
+    const std::vector<double> loads = {0.05, 0.11, 0.17, 0.23, 0.29, 0.35,
+                                       0.41, 0.47, 0.53, 0.59, 0.65, 0.71,
+                                       0.77, 0.83, 0.89, 0.95};
+    EXPECT_EQ(spec.fabrics, fabrics);
+    EXPECT_EQ(spec.loads, loads);
+    EXPECT_EQ(spec.messages, 20000u);
+    ASSERT_EQ(spec.modes.size(), 1u);
+    EXPECT_EQ(spec.modes[0].name, "base");
+
+    // The file's rows equal runFlowPoints on the same points built by
+    // hand, fabric-major, bit for bit (scale 0.01: 200 messages each).
+    std::vector<FlowPoint> hand;
+    for (const FlowFabric f : fabrics)
+        for (const double load : loads) {
+            FlowPoint p;
+            p.fabric = f;
+            p.load = load;
+            p.messages = 20000;
+            hand.push_back(p);
+        }
+    const std::vector<FlowResult> want = runFlowPoints(hand, 0.01);
+    const std::vector<FlowRow> rows = runFlowScenario(spec, 0.01, nullptr, 0);
+    ASSERT_EQ(rows.size(), want.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].point.fabric, hand[i].fabric) << i;
+        EXPECT_EQ(rows[i].point.load, hand[i].load) << i;
+        EXPECT_EQ(rows[i].point.write_fraction, 1.0) << i;
+        EXPECT_EQ(rows[i].mode, "base") << i;
+        EXPECT_EQ(rows[i].result.completed, 200u) << i;
+        EXPECT_EQ(rows[i].result.completed, want[i].completed) << i;
+        EXPECT_EQ(rows[i].result.norm_mean, want[i].norm_mean) << i;
+        EXPECT_EQ(rows[i].result.norm_p99, want[i].norm_p99) << i;
+        EXPECT_EQ(rows[i].result.mean_ns, want[i].mean_ns) << i;
+    }
+}
+
+TEST(ScenarioSpecTest, FlowModesSetTheEdmModelConfig)
+{
+    // [config] and each mode's wire_charged_occupancy reach every
+    // point's proto::EdmModelConfig, modes innermost.
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(loadSpecText("[scenario]\nname = x\nkind = flow\n"
+                             "messages = 100\n"
+                             "[sweep]\nfabrics = EDM, CXL\nloads = 0.3\n"
+                             "[config]\nwire_charged_occupancy = true\n"
+                             "[mode wire]\n"
+                             "[mode base]\nwire_charged_occupancy = false\n",
+                             spec, error))
+        << error;
+    const std::vector<FlowRow> rows = runFlowScenario(spec, 1.0, nullptr, 1);
+    ASSERT_EQ(rows.size(), 4u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const FlowPoint &p = rows[i].point;
+        EXPECT_EQ(p.fabric, i < 2 ? FlowFabric::Edm : FlowFabric::Cxl);
+        EXPECT_EQ(p.messages, 100u);
+        const bool wire = i % 2 == 0;
+        EXPECT_EQ(rows[i].mode, wire ? "wire" : "base");
+        EXPECT_EQ(p.edm.wire_charged_occupancy, wire);
+        EXPECT_EQ(rows[i].result.completed, 100u);
+    }
+}
+
+TEST(ScenarioSpecTest, FlowPointsRunAtLeastOneMessage)
+{
+    // A scale that rounds a point's count down to 0 still runs one
+    // message, as incastRounds keeps one round: an empty point would
+    // print a row of zeros.
+    EXPECT_EQ(flowMessages(20000, 1e-9), 1u);
+    EXPECT_EQ(flowMessages(20000, 0.2), 4000u);
+    FlowPoint p;
+    p.messages = 20000;
+    const std::vector<FlowResult> r = runFlowPoints({p}, 1e-9, 1);
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(r[0].completed, 1u);
+    EXPECT_GT(r[0].norm_mean, 0.0);
+}
+
 TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
 {
     ScenarioSpec spec;
@@ -366,9 +522,7 @@ TEST(ScenarioSpecTest, LoadsShippedInterferenceScenario)
 ScenarioResult
 runOnePoint(const core::EdmConfig &cfg)
 {
-    ScenarioRunner::Options opts;
-    opts.threads = 1;
-    ScenarioRunner runner(opts);
+    ScenarioRunner runner(1);
     runner.add("point", [&cfg](ScenarioContext &ctx) {
         runIncastPoint(ctx, IncastPoint{"N-to-1", 9}, IncastWorkload{}, 5,
                        cfg);

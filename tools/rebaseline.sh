@@ -89,11 +89,15 @@ emit_array() { # $1 = file, $2 = array name
 
 {
     cat <<'EOF'
-// Golden per-point values. Legacy arrays: captured from the PR 1
-// baseline (per-block fabric emission, pure 4-ary-heap event queue)
-// and bit-frozen since. *Wire arrays: EDM schedules under
-// EdmConfig::wire_charged_occupancy (exact 66-bit block line-time
-// port charges, core/occupancy.hpp). kGoldenLeafSpine: the
+// Golden per-point values. kGoldenFig6/8a/8b: captured from the
+// per-block fabric emission and pure 4-ary-heap event queue, and
+// bit-frozen since. kGoldenClusterSweep: every row of
+// scenarios/cluster_sweep.edm at scale 0.2 (4000 messages per point,
+// each job list drawn from the flow points' fixed seed 42). *Wire
+// arrays: EDM schedules under EdmConfig::wire_charged_occupancy
+// (exact 66-bit block line-time port charges, core/occupancy.hpp);
+// kGoldenClusterSweepWire holds the rows of
+// scenarios/cluster_sweep_wire.edm. kGoldenLeafSpine: the
 // cluster-scale leaf-spine incast rows of scenarios/leaf_spine.edm
 // (multi-tier topology, sharded scheduler, net/topology.hpp).
 // kGoldenFairShare: both rows of scenarios/tenant_isolation.edm
