@@ -130,6 +130,9 @@ runInterference(const ScenarioSpec &spec, bool quick,
     for (int frames = 0; frames <= max_frames; ++frames)
         runner.add("jumbo x" + std::to_string(frames),
                    [frames, cfg, &spec](ScenarioContext &ctx) {
+                       if (cfg.event_log)
+                           cfg.event_log->pointStart(
+                               static_cast<std::uint64_t>(frames));
                        runInterferencePoint(ctx, spec.interference,
                                             frames, cfg);
                    });

@@ -201,7 +201,9 @@ class Scheduler
      * message type) and @p last_chunk marks the message's final chunk.
      * Retires the ledger entry on the final chunk and reclaims any
      * residual queued demand for the flow, so it can never be granted
-     * again. Pure bookkeeping — schedules no events.
+     * again. Pure bookkeeping — schedules no events. The flow-level
+     * model has no per-chunk datapath: it reports each flow once, as
+     * its final chunk, when the whole message has landed.
      */
     void onChunkForwarded(NodeId src, NodeId dst, MsgId id, bool response,
                           Bytes bytes, bool last_chunk);

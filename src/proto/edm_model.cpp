@@ -164,6 +164,14 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
         // or the two stall at different wrap points (ROADMAP (c);
         // tests/test_proto.cpp IdLiveUntilCompletionMatchesHostStack).
         active_.erase(key);
+        // Retire the flow's ledger entry where the cycle fabric's
+        // datapath reports its final chunk. No grant can follow: the
+        // demand left its queue at its final grant, and the id-live
+        // guard keeps the id from reopening until now.
+        sched_->onChunkForwarded(job.src, job.dst,
+                                 static_cast<core::MsgId>(key & 0xFF),
+                                 !job.is_write, job.size,
+                                 /*last_chunk=*/true);
         complete(job, sim_.now() + cfg_.fixed_overhead);
         // Completion frees one slot of the per-pair X budget.
         const std::size_t pair = pairIndex(job.src, job.dst);

@@ -7,6 +7,8 @@
  * grant-obeying chunk transmitters. Reads register implicit demands when
  * the RREQ reaches the switch; writes pay the explicit notify→grant half
  * round trip. Hosts rate-limit active requests to X per destination pair.
+ * A flow's entry in the scheduler's demand ledger retires when its data
+ * lands, so the ledger holds live flows only, as the cycle fabric's does.
  */
 
 #ifndef EDM_PROTO_EDM_MODEL_HPP
@@ -76,9 +78,11 @@ class EdmFlowModel : public FabricModel
 
     /**
      * Grants that arrived for a job already delivered (or whose 8-bit
-     * message id was reclaimed). The cycle-level scheduler retires such
-     * demands through its ledger; the flow model tolerates and counts
-     * them instead of asserting, keeping the accounting stories aligned.
+     * message id was reclaimed): the flow-level analogue of a grant for
+     * a retired demand, tolerated and counted instead of asserted. The
+     * ledger retires a flow only once its data lands, after its demand
+     * left the queue at its final grant, so none occur without a fault
+     * abort.
      */
     std::uint64_t staleGrants() const { return stale_grants_; }
 

@@ -2,30 +2,34 @@
  * @file
  * Discrete-event simulation engine.
  *
- * A hierarchical timing wheel fronts an indexed 4-ary heap. Near-future
- * events — the "now + a few cycles" timer class that dominates the
- * cycle-level fabric — are filed into one of four 256-slot wheel levels
- * (1 ps ticks at level 0, ×256 per level, ~4.3 ms total span) in O(1);
- * events beyond the wheel span overflow to the heap. Per-level occupancy
- * bitmaps make "find the next event" a handful of countr_zero scans, and
- * buckets cascade toward level 0 lazily as simulated time advances
- * (Varghese & Lauck's hashed hierarchical wheel, adapted to the exact
- * (time, sequence) ordering a deterministic simulator needs).
+ * Near-future events (the "now + a cycle or a hop" class that dominates
+ * the cycle-level fabric) are filed in a one-level calendar (Brown's
+ * calendar queue, CACM 31(10), 1988): a ring of 64 buckets, each 1024 ps
+ * wide, covering the 65.5 ns from the current bucket on. A bucket is a
+ * run of entries sorted by (time, sequence), read from a head index, and
+ * one 64-bit occupancy word finds the next occupied bucket with a rotate
+ * and a countr_zero. Every later event waits in a binary heap. The next
+ * event is the calendar's head or the heap's top, whichever is earlier;
+ * the heap top is examined only when its time could win.
  *
  * Ordering contract: events fire in (time, schedule-sequence) order, so
- * same-timestamp events run in scheduling order regardless of which
- * structure held them — level-0 buckets are 1 ps wide, making every
- * bucket a single-timestamp FIFO list, and wheel/heap candidates are
- * tie-broken by sequence on pop.
+ * same-timestamp events run in scheduling order whichever structure
+ * holds them, and a calendar/heap tie goes to the lower sequence. A
+ * rescheduled event takes a new sequence and so fires behind the ties
+ * already at its new time.
  *
- * Events can be cancelled or rescheduled via the EventId handle: the
- * handle encodes a slot index plus a generation counter, so stale
- * handles (fired or already-cancelled events) are rejected without any
- * hash lookup. Cancellation unlinks wheel events in O(1) and removes
- * heap events in O(log n); rescheduling migrates freely between wheel
- * and heap. Callbacks are SmallFunction (small-buffer optimized,
- * move-only): typical capture sets live inline in the slot table, so
- * scheduling does not allocate.
+ * Cancellation and rescheduling are lazy. A pending event's slot holds
+ * the sequence of its one live entry: cancel frees the slot, reschedule
+ * files a new entry under a new sequence, and an entry whose sequence no
+ * longer matches its slot's is skipped when it is reached. The heap is
+ * pruned of such entries once they could outnumber the pending events.
+ * An EventId encodes a slot index plus a generation counter, so stale
+ * handles (fired or cancelled events) are rejected without any lookup.
+ *
+ * Slots live in fixed 512-slot chunks that never move, so step() runs
+ * each callback in place. Callbacks are SmallFunction (small-buffer
+ * optimized, move-only): typical capture sets live inline in the slot,
+ * so scheduling does not allocate.
  */
 
 #ifndef EDM_SIM_EVENT_QUEUE_HPP
@@ -33,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/small_function.hpp"
@@ -82,14 +87,17 @@ class EventQueue
      */
     bool reschedule(EventId id, Picoseconds when);
 
-    /** True if @p id refers to an event that has not yet fired. */
+    /**
+     * True if @p id refers to an event that has not yet fired. An event
+     * whose callback is running reads as fired.
+     */
     bool isPending(EventId id) const;
 
     /** True if no runnable events remain. */
-    bool empty() const { return heap_.empty() && wheel_count_ == 0; }
+    bool empty() const { return pending_ == 0; }
 
     /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return heap_.size() + wheel_count_; }
+    std::size_t pending() const { return pending_; }
 
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
@@ -111,24 +119,26 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
+    /** Sequence of a slot with no pending event. */
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
-    // ---- timing-wheel geometry ----
-    static constexpr int kWheelLevels = 4;
-    static constexpr int kLevelBits = 8;
-    static constexpr std::uint32_t kLevelSlots = 1u << kLevelBits;
-    static constexpr std::uint32_t kSlotMask = kLevelSlots - 1;
-    /** Bits of `when` resolved by the wheel; beyond that, the heap. */
-    static constexpr int kWheelBits = kWheelLevels * kLevelBits;
+    /** log2 of a calendar bucket's width in picoseconds. */
+    static constexpr int kBucketBits = 10;
+    /** Calendar buckets: one occupancy word. */
+    static constexpr std::uint32_t kBuckets = 64;
+    /** log2 of the slots per chunk. */
+    static constexpr int kChunkBits = 9;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
-    /** Heap entry: ordering key plus the owning slot. */
-    struct HeapEntry
+    /** A filed event: its ordering key and its slot. */
+    struct Entry
     {
         Picoseconds when;
-        std::uint64_t seq; ///< FIFO tie-break among equal timestamps
+        std::uint64_t seq; ///< FIFO tie-break; live while it is the slot's
         std::uint32_t slot;
 
         bool
-        before(const HeapEntry &o) const
+        before(const Entry &o) const
         {
             return when != o.when ? when < o.when : seq < o.seq;
         }
@@ -138,21 +148,16 @@ class EventQueue
     struct Slot
     {
         Callback cb;
-        Picoseconds when = 0;
-        std::uint64_t seq = 0;
+        std::uint64_t seq = kNoSeq;   ///< live entry's sequence, if pending
         std::uint32_t generation = 1; ///< bumped when the slot is freed
-        std::uint32_t heap_pos = kNpos;  ///< position if heap-resident
-        std::uint32_t bucket = kNpos;    ///< bucket if wheel-resident
-        std::uint32_t wheel_prev = kNpos;
-        std::uint32_t wheel_next = kNpos;
         std::uint32_t next_free = kNpos;
     };
 
-    /** Intrusive FIFO list of slots sharing a wheel bucket. */
+    /** One calendar bucket: entries sorted by (when, seq) from head. */
     struct Bucket
     {
-        std::uint32_t head = kNpos;
-        std::uint32_t tail = kNpos;
+        std::vector<Entry> entries;
+        std::size_t head = 0;
     };
 
     static EventId
@@ -161,70 +166,45 @@ class EventQueue
         return (static_cast<EventId>(generation) << 32) | slot;
     }
 
-    /** Decode an id; returns the slot index or kNpos for stale ids. */
+    Slot &
+    slotAt(std::uint32_t i)
+    {
+        return chunks_[i >> kChunkBits][i & (kChunkSlots - 1)];
+    }
+
+    const Slot &
+    slotAt(std::uint32_t i) const
+    {
+        return chunks_[i >> kChunkBits][i & (kChunkSlots - 1)];
+    }
+
+    /** True if @p e was cancelled or superseded by a reschedule. */
+    bool stale(const Entry &e) const { return slotAt(e.slot).seq != e.seq; }
+
+    /** Decode an id; returns the slot index or kNpos unless pending. */
     std::uint32_t decode(EventId id) const;
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
 
-    // ---- heap ----
-    void siftUp(std::uint32_t pos);
-    void siftDown(std::uint32_t pos);
-    void removeAt(std::uint32_t pos);
-    void placeHeap(std::uint32_t pos, HeapEntry entry);
+    /** File @p e in the calendar if it is due in its window, else the heap. */
+    void file(const Entry &e);
 
-    // ---- wheel ----
-    /** File a detached slot into the wheel or the overflow heap. */
-    void placeEvent(std::uint32_t slot);
-    /** Unlink a wheel-resident slot from its bucket. */
-    void wheelUnlink(std::uint32_t slot);
-    void wheelAppend(int level, std::uint32_t index, std::uint32_t slot);
-    /** Re-file every event of a bucket relative to the current time. */
-    void cascade(int level, std::uint32_t index);
-    /** Advance the wheel clock to @p t, cascading entered windows. */
-    void advanceTo(Picoseconds t);
     /**
-     * Earliest wheel event as (when, seq, found); O(bitmap scan) plus a
-     * list walk when the candidate lives above level 0.
+     * Calendar bucket holding the earliest live entry at its head, or
+     * kNpos; drops the stale and consumed entries met on the way.
      */
-    bool wheelPeek(Picoseconds &when, std::uint64_t &seq) const;
+    std::uint32_t calendarHead();
 
-    /** Earliest pending (when, seq) and which structure holds it. */
-    bool peekSelect(Picoseconds &when, std::uint64_t &seq,
-                    bool &from_wheel) const;
+    void popHeap();
 
-    static std::uint32_t
-    bucketIndex(int level, std::uint32_t index)
-    {
-        return static_cast<std::uint32_t>(level) * kLevelSlots + index;
-    }
-
-    void
-    bitmapSet(int level, std::uint32_t index)
-    {
-        bitmap_[static_cast<std::size_t>(level)][index >> 6] |=
-            std::uint64_t{1} << (index & 63);
-    }
-
-    void
-    bitmapClear(int level, std::uint32_t index)
-    {
-        bitmap_[static_cast<std::size_t>(level)][index >> 6] &=
-            ~(std::uint64_t{1} << (index & 63));
-    }
-
-    /** First set bitmap index >= @p from at @p level, or kNpos. */
-    std::uint32_t bitmapScan(int level, std::uint32_t from) const;
-
-    std::vector<HeapEntry> heap_;
-    std::vector<Slot> slots_;
-    std::array<Bucket, kWheelLevels * kLevelSlots> buckets_{};
-    std::array<std::array<std::uint64_t, kLevelSlots / 64>, kWheelLevels>
-        bitmap_{};
-    /** Events resident per level: lets the peek skip empty levels. */
-    std::array<std::uint32_t, kWheelLevels> level_count_{};
-    std::size_t wheel_count_ = 0;
+    std::array<Bucket, kBuckets> buckets_;
+    std::uint64_t occupied_ = 0; ///< bit b set: bucket b holds entries
+    std::vector<Entry> heap_;    ///< min-heap on (when, seq)
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::uint32_t slot_count_ = 0; ///< slots handed out so far
     std::uint32_t free_head_ = kNpos;
+    std::size_t pending_ = 0;
     Picoseconds now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -18,6 +18,7 @@
 #include "proto/window_model.hpp"
 #include "sim/fault_campaign.hpp"
 #include "sim/scenario_config.hpp"
+#include "trace/event_log.hpp"
 #include "workload/synthetic.hpp"
 
 namespace edm {
@@ -192,10 +193,14 @@ runIncastScenario(const ScenarioSpec &spec, bool quick,
                 const IncastPoint pt{pattern, nodes};
                 core::EdmConfig cfg = mode.cfg;
                 cfg.event_log = log;
+                const std::size_t index = rows.size();
                 rows.push_back(IncastRow{pt, mode.name, {}});
                 runner.add(std::string(pattern) + "/" +
                                std::to_string(nodes) + "/" + mode.name,
-                           [pt, cfg, &spec, rounds](ScenarioContext &ctx) {
+                           [pt, cfg, &spec, rounds,
+                            index](ScenarioContext &ctx) {
+                               if (cfg.event_log)
+                                   cfg.event_log->pointStart(index);
                                runIncastPoint(ctx, pt, spec.workload,
                                               rounds, cfg, &spec.faults);
                            });
@@ -352,6 +357,8 @@ runFlowPoints(const std::vector<FlowPoint> &points, double scale,
     for (std::size_t i = 0; i < points.size(); ++i)
         runner.add(flowFabricName(points[i].fabric),
                    [&out, &points, i, scale](ScenarioContext &) {
+                       if (auto *log = points[i].edm.event_log)
+                           log->pointStart(i);
                        out[i] = runFlowPoint(points[i], scale);
                    });
     runner.runAll();

@@ -43,6 +43,7 @@ toString(EventType type)
     case EventType::PoolShareComputed: return "pool-share-computed";
     case EventType::GrantDeferredByLimit: return "grant-deferred-by-limit";
     case EventType::PriorityBypass: return "priority-bypass";
+    case EventType::PointStart: return "point-start";
     }
     return "unknown";
 }

@@ -59,10 +59,11 @@ enum class EventType : std::uint8_t
     PoolShareComputed = 17,    ///< fair share: pool's share changed (arg=ppm)
     GrantDeferredByLimit = 18, ///< fair share: pool hit its limit window
     PriorityBypass = 19,       ///< fair share: latency-sensitive pool bypassed
+    PointStart = 20,           ///< a sweep point begins (arg=point index)
 };
 
 /** Highest EventType value in this format version (name lookups). */
-constexpr int kMaxEventType = 19;
+constexpr int kMaxEventType = 20;
 
 /** Why (qualifies GrantDropped / LedgerOpen / Train* / FaultRecover). */
 enum class Detail : std::uint8_t
@@ -178,6 +179,18 @@ class EventLog
              Detail detail = Detail::None, std::uint64_t arg = 0,
              std::uint8_t sw = 0, std::uint8_t tier = 0,
              std::uint32_t aux = 0);
+
+    /**
+     * Mark where one simulation's records begin in a log that several
+     * share (the points of a scenario sweep): a point-start record with
+     * @p index in `arg`. tools/edm_trace keeps the points' flows apart.
+     */
+    void
+    pointStart(std::uint64_t index)
+    {
+        log(EventType::PointStart, 0, 0, 0, 0, 0, false, Detail::None,
+            index);
+    }
 
     /** Records appended over the log's lifetime. */
     std::uint64_t totalRecorded() const { return total_; }

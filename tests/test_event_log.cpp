@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/scenario_config.hpp"
 #include "sim/scenario_exec.hpp"
 #include "sim/scenario_runner.hpp"
 #include "trace/event_log.hpp"
@@ -53,18 +54,24 @@ TEST(EventLog, RecordRoundTripsThroughFile)
         ASSERT_TRUE(log.openFile(path));
         for (int i = 0; i < 20; ++i)
             log.append(sample(i));
+        log.pointStart(3);
         log.close();
     }
     LogReader reader;
     ASSERT_TRUE(reader.open(path));
     EXPECT_EQ(reader.version(), EventLog::kVersion);
     const auto recs = reader.readAll();
-    ASSERT_EQ(recs.size(), 20u);
+    ASSERT_EQ(recs.size(), 21u);
     for (int i = 0; i < 20; ++i) {
         const Record want = sample(i);
         EXPECT_EQ(std::memcmp(&recs[i], &want, sizeof(Record)), 0)
             << "record " << i;
     }
+    Record point;
+    point.type = static_cast<std::uint8_t>(EventType::PointStart);
+    point.arg = 3;
+    EXPECT_EQ(std::memcmp(&recs[20], &point, sizeof(Record)), 0);
+    EXPECT_STREQ(toString(recs[20].eventType()), "point-start");
     std::remove(path.c_str());
 }
 
@@ -171,6 +178,54 @@ TEST(EventLog, DisabledModeRecordsNothingAndPerturbsNothing)
     EXPECT_EQ(log.dropped(), 0u) << "ring too small for this workload";
     EXPECT_EQ(static_cast<double>(grants_logged),
               with.metricStat("grants").mean());
+}
+
+/**
+ * Check that @p log opens with a point-start, holds @p points of them
+ * with indices 0, 1, ... in order, and that the clock never runs
+ * backwards between two of them: each point's simulation starts its
+ * clock over, so a rollup keyed by point never spans two of them.
+ */
+void
+expectPointsDelimited(const EventLog &log, std::size_t points)
+{
+    ASSERT_EQ(log.dropped(), 0u) << "ring too small for this workload";
+    ASSERT_GT(log.size(), points);
+    ASSERT_EQ(log.at(0).eventType(), EventType::PointStart);
+    std::uint64_t next = 0;
+    Picoseconds last = 0;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const Record &r = log.at(i);
+        if (r.eventType() == EventType::PointStart) {
+            EXPECT_EQ(r.arg, next++) << "record " << i;
+            last = 0;
+            continue;
+        }
+        EXPECT_GE(r.at, last) << "record " << i << " in point " << next;
+        last = r.at;
+    }
+    EXPECT_EQ(next, points);
+}
+
+TEST(EventLog, EveryScenarioPointOpensWithAPointStart)
+{
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(loadScenarioSpec(
+        EDM_SOURCE_DIR "/scenarios/failure_storm.edm", spec, error))
+        << error;
+    EventLog incast(1 << 18);
+    const auto rows = runIncastScenario(spec, true, &incast, 1);
+    ASSERT_GT(rows.size(), 1u);
+    expectPointsDelimited(incast, rows.size());
+
+    ASSERT_TRUE(loadScenarioSpec(
+        EDM_SOURCE_DIR "/scenarios/cluster_sweep_wire.edm", spec, error))
+        << error;
+    EventLog flow(1 << 18);
+    const auto flow_rows = runFlowScenario(spec, 0.002, &flow, 1);
+    ASSERT_GT(flow_rows.size(), 1u);
+    expectPointsDelimited(flow, flow_rows.size());
 }
 
 /** Decision records only (grants, ledger, stalls, faults): the events

@@ -1,18 +1,22 @@
 /**
  * @file
- * Deep tests for the event queue (hierarchical timing wheel over an
- * indexed 4-ary overflow heap): FIFO tie-breaking, cancellation life
- * cycle, rescheduling, wheel-specific behaviour (level wrap-around,
- * far-future heap overflow, wheel-to-heap migration, same-tick FIFO),
- * SBO callback semantics, a randomized run against an independent
- * ordered-set model, and a 1M-event randomized stress that checks the
- * ordering invariants end to end.
+ * Deep tests for the event queue (a one-level calendar ring in front of
+ * a lazily pruned binary heap, over a chunked slot table): FIFO
+ * tie-breaking, cancellation life cycle, rescheduling, calendar-specific
+ * behaviour (bucket edges, the window's end, ring wrap-around,
+ * calendar/heap ties, stale entries left by cancel and reschedule),
+ * callbacks that run in place while they schedule, SBO callback
+ * semantics, a randomized run against an independent ordered-set
+ * model, and a 1M-event randomized stress that checks the ordering
+ * invariants end to end.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -173,6 +177,17 @@ TEST(EventQueueCallbackDeathTest, SchedulingEmptyCallbackPanics)
     EXPECT_DEATH(q.schedule(10, null_fp), "empty callback");
 }
 
+TEST(EventQueueAssertDeathTest, TimeTravelPanics)
+{
+    EventQueue q;
+    q.schedule(100, [] {});
+    q.run();
+    EXPECT_DEATH(q.schedule(99, [] {}), "scheduling event in the past");
+    EXPECT_DEATH(q.scheduleAfter(-1, [] {}), "negative delay");
+    const EventId id = q.schedule(200, [] {});
+    EXPECT_DEATH(q.reschedule(id, 99), "rescheduling event into the past");
+}
+
 TEST(EventQueueCallback, MoveOnlyCaptureIsSupported)
 {
     EventQueue q;
@@ -222,7 +237,8 @@ TEST(EventQueueCallback, CountedInlineCaptureIsDestroyedOnce)
     int fired = 0;
     int fired_destroyed = 0;
     q.schedule(10, [c = Counted(&fired_destroyed), &fired] { ++fired; });
-    // Growing the slot table relocates the pending callback.
+    // Growing the slot table must neither copy nor destroy the pending
+    // callback.
     for (int i = 0; i < 100; ++i)
         q.schedule(20 + i, [] {});
     EXPECT_EQ(fired_destroyed, 0);
@@ -283,36 +299,56 @@ TEST(EventQueueCounters, ExecutedAccumulatesAcrossRuns)
 }
 
 // ---------------------------------------------------------------------------
-// Timing-wheel specifics. The wheel files events below ~2^32 ps of the
-// current time across four 256-slot levels; everything farther overflows
-// to the heap. None of this is observable except through timing, which
+// Calendar specifics. Events due within 64 buckets of 1024 ps from the
+// current bucket are filed in the calendar ring; everything later waits
+// in the heap. None of this is observable except through timing, which
 // is exactly what these tests pin.
 // ---------------------------------------------------------------------------
 
-TEST(EventQueueWheel, FiresAcrossEveryLevelBoundary)
+constexpr Picoseconds kBucket = 1024;
+constexpr Picoseconds kWindow = 64 * kBucket;
+
+/** Fire-time and tag log shared by the calendar tests. */
+using FireLog = std::vector<std::pair<Picoseconds, int>>;
+
+TEST(EventQueueCalendar, FiresAcrossBucketEdgesAndTheWindowEnd)
 {
-    // Delays that land on each wheel level and straddle level windows
-    // (256, 65536, 2^24 ps), including exact powers where the window
-    // wrap-around happens.
+    // From a clock in the middle of bucket 5, the window ends at bucket
+    // 68 inclusive: bucket 69 shares the ring index of the current
+    // bucket, so its events wait in the heap and must not fire early.
     EventQueue q;
     std::vector<Picoseconds> fired;
-    const Picoseconds delays[] = {0,       1,       255,      256,
-                                  257,     65535,   65536,    65537,
-                                  1 << 20, 1 << 24, (1 << 24) + 1,
-                                  Picoseconds{1} << 31};
-    for (Picoseconds d : delays)
-        q.scheduleAfter(d, [&fired, &q] { fired.push_back(q.now()); });
+    const Picoseconds start = 5 * kBucket + 700;
+    const Picoseconds base = 5 * kBucket;
+    const Picoseconds times[] = {start,
+                                 start + 1,
+                                 6 * kBucket - 1,
+                                 6 * kBucket,
+                                 6 * kBucket + 1,
+                                 base + kWindow - kBucket - 1,
+                                 base + kWindow - kBucket,
+                                 base + kWindow - 1, // last in the window
+                                 base + kWindow,     // first in the heap
+                                 base + kWindow + 1,
+                                 base + kWindow + kBucket - 1,
+                                 base + kWindow + kBucket,
+                                 base + 2 * kWindow,
+                                 Picoseconds{1} << 40};
+    // Filed in reverse from inside the window's first bucket, so each
+    // bucket fills by insertion ahead of later entries.
+    q.schedule(start, [&] {
+        for (auto it = std::rbegin(times); it != std::rend(times); ++it)
+            q.schedule(*it, [&fired, &q] { fired.push_back(q.now()); });
+    });
     q.run();
-    std::vector<Picoseconds> expected(std::begin(delays),
-                                      std::end(delays));
-    std::sort(expected.begin(), expected.end());
+    std::vector<Picoseconds> expected(std::begin(times), std::end(times));
     EXPECT_EQ(fired, expected);
 }
 
-TEST(EventQueueWheel, WrapAroundReusesSlots)
+TEST(EventQueueCalendar, WrapAroundReusesBuckets)
 {
-    // March time far enough that every level-0 slot index is reused
-    // many times, with events scheduled relative to a moving now.
+    // March time across the 64-bucket ring many times, with each event
+    // scheduled relative to a moving now.
     EventQueue q;
     std::uint64_t fired = 0;
     Picoseconds expect = 0;
@@ -321,10 +357,10 @@ TEST(EventQueueWheel, WrapAroundReusesSlots)
         ok = ok && q.now() == expect;
         ++fired;
         if (fired < 3000) {
-            // 97 is coprime with 256, so slot indices cycle through
-            // every position at every level-0 window phase.
-            expect += 97;
-            q.scheduleAfter(97, tick);
+            // 1031 is coprime with 1024, so events land at every offset
+            // within a bucket as the ring turns ~47 times.
+            expect += 1031;
+            q.scheduleAfter(1031, tick);
         }
     };
     q.scheduleAfter(0, tick);
@@ -333,11 +369,10 @@ TEST(EventQueueWheel, WrapAroundReusesSlots)
     EXPECT_TRUE(ok);
 }
 
-TEST(EventQueueWheel, FarFutureOverflowsToHeapAndStillFires)
+TEST(EventQueueCalendar, FarFutureWaitsInHeapAndStillFires)
 {
     EventQueue q;
     std::vector<int> order;
-    // Beyond the 2^32 ps wheel span: heap-resident from the start.
     const Picoseconds far = (Picoseconds{1} << 33) + 12345;
     q.schedule(far, [&] { order.push_back(2); });
     q.schedule(100, [&] { order.push_back(0); });
@@ -347,80 +382,166 @@ TEST(EventQueueWheel, FarFutureOverflowsToHeapAndStillFires)
     EXPECT_EQ(q.now(), far);
 }
 
-TEST(EventQueueWheel, HeapAndWheelTieBreakBySequence)
+TEST(EventQueueCalendar, CalendarAndHeapTiesBreakBySequence)
 {
-    // An event scheduled far ahead (heap) and one scheduled later at
-    // the same timestamp once it is near (wheel) must fire in schedule
-    // order.
+    // H is filed at time T from a clock one window away (heap). Once T
+    // is inside the window, C is filed at T (calendar), then R is moved
+    // onto T from the calendar and M from the heap: both re-sequence
+    // behind the ties already there.
     EventQueue q;
-    std::vector<int> order;
-    const Picoseconds when = (Picoseconds{1} << 32) + (1 << 21) + 500;
-    q.schedule(when, [&] { order.push_back(0); }); // heap resident
-    q.schedule(when - (1 << 20), [&, when] {
-        // now shares `when`'s top-level wheel window.
-        q.schedule(when, [&] { order.push_back(1); }); // wheel resident
+    FireLog log;
+    auto tag = [&](int t) {
+        return [&log, &q, t] { log.push_back({q.now(), t}); };
+    };
+    const Picoseconds T = kWindow + 300;
+    q.schedule(T, tag(0)); // H: heap
+    const EventId m = q.schedule(T + kWindow, tag(3)); // heap
+    const EventId r = q.schedule(2 * kBucket, tag(2)); // calendar
+    q.schedule(kWindow - kBucket, tag(-1));            // last bucket
+    q.schedule(kBucket + 10, [&, T] {
+        q.schedule(T, tag(1)); // C: calendar
+        EXPECT_TRUE(q.reschedule(r, T));
+        EXPECT_TRUE(q.reschedule(m, T));
     });
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(log, (FireLog{{kWindow - kBucket, -1},
+                            {T, 0},
+                            {T, 1},
+                            {T, 2},
+                            {T, 3}}));
 }
 
-TEST(EventQueueWheel, CancelAndRescheduleMigrateBetweenWheelAndHeap)
+TEST(EventQueueCalendar, FifoWithinOneTimestampFromEveryDistance)
+{
+    // Events at one exact timestamp, scheduled from far away (heap), from
+    // inside the window (calendar) and from its own bucket, fire in
+    // schedule order.
+    EventQueue q;
+    std::vector<int> order;
+    const Picoseconds when = 200 * kBucket + 777;
+    q.schedule(when, [&] { order.push_back(0); });
+    q.schedule(when - 100 * kBucket, [&, when] {
+        q.schedule(when, [&] { order.push_back(1); }); // still the heap
+    });
+    q.schedule(when - 10 * kBucket, [&, when] {
+        q.schedule(when, [&] { order.push_back(2); }); // calendar
+    });
+    q.schedule(when - 100, [&, when] {
+        q.schedule(when, [&] { order.push_back(3); }); // same bucket
+    });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueCalendar, CancelAndRescheduleMoveBetweenCalendarAndHeap)
 {
     EventQueue q;
     int fired = -1;
-    // Starts on the wheel...
+    // Starts in the calendar...
     const EventId id = q.schedule(1000, [&] { fired = 0; });
-    // ...migrates to the heap (far future)...
+    // ...moves to the heap (far future)...
     ASSERT_TRUE(q.reschedule(id, Picoseconds{1} << 40));
     ASSERT_TRUE(q.isPending(id));
-    // ...and back to the wheel.
+    // ...back to the calendar, then earlier within one bucket, leaving
+    // a stale entry behind it there.
     ASSERT_TRUE(q.reschedule(id, 2000));
+    ASSERT_TRUE(q.reschedule(id, 1500));
+    EXPECT_EQ(q.pending(), 1u);
     q.run();
     EXPECT_EQ(fired, 0);
-    EXPECT_EQ(q.now(), 2000);
+    EXPECT_EQ(q.now(), 1500);
+    EXPECT_EQ(q.executed(), 1u);
     EXPECT_FALSE(q.isPending(id));
 
-    // Cancel works in both residencies.
-    const EventId w = q.schedule(q.now() + 10, [&] { fired = 1; });
+    // Later within one bucket: the stale entry now sits ahead.
+    std::vector<int> order;
+    const EventId a = q.schedule(1600, [&] { order.push_back(0); });
+    q.schedule(1700, [&] { order.push_back(1); });
+    ASSERT_TRUE(q.reschedule(a, 1800));
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0}));
+
+    // Cancel works in both structures.
+    const EventId c = q.schedule(q.now() + 10, [&] { fired = 1; });
     const EventId h =
         q.schedule(q.now() + (Picoseconds{1} << 40), [&] { fired = 2; });
-    EXPECT_TRUE(q.cancel(w));
+    EXPECT_TRUE(q.cancel(c));
     EXPECT_TRUE(q.cancel(h));
-    q.run();
-    EXPECT_EQ(fired, 0);
     EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.pending(), 0u);
+    const Picoseconds before = q.now();
+    EXPECT_EQ(q.run(), 0u);
+    EXPECT_EQ(q.now(), before);
+    EXPECT_EQ(fired, 0);
 }
 
-TEST(EventQueueWheel, FifoWithinOneTickAcrossCascades)
+TEST(EventQueueCalendar, StaleEntryInABucketALaterEpochReuses)
 {
-    // Events at one exact timestamp, scheduled at different distances
-    // (so they enter at different wheel levels and cascade down), must
-    // still fire in schedule order.
+    // A is cancelled, leaving its entry in ring bucket 4, and B takes
+    // A's freed slot: only the sequence tells the entry is stale. The
+    // clock then reaches epoch 66 through the heap, and epoch 68 (ring
+    // bucket 4 again) fills from there.
     EventQueue q;
-    std::vector<int> order;
-    const Picoseconds when = (1 << 20) + 777;
-    q.schedule(when, [&] { order.push_back(0); });     // level 2 entry
-    q.schedule(when - (1 << 18), [&, when] {
-        q.schedule(when, [&] { order.push_back(1); }); // level 2, later
-    });
-    q.schedule(when - 100, [&, when] {
-        q.schedule(when, [&] { order.push_back(2); }); // level 0 entry
+    FireLog log;
+    auto tag = [&](int t) {
+        return [&log, &q, t] { log.push_back({q.now(), t}); };
+    };
+    const EventId a = q.schedule(4 * kBucket + 100, tag(-1));
+    ASSERT_TRUE(q.cancel(a));
+    const EventId b = q.schedule(30 * kBucket, tag(0));
+    EXPECT_EQ(b & 0xFFFFFFFFu, a & 0xFFFFFFFFu) << "B reuses A's slot";
+    q.schedule(66 * kBucket + 5, [&] {
+        log.push_back({q.now(), 1});
+        q.schedule(68 * kBucket + 900, tag(3));
+        q.schedule(68 * kBucket + 10, tag(2));
     });
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(log, (FireLog{{30 * kBucket, 0},
+                            {66 * kBucket + 5, 1},
+                            {68 * kBucket + 10, 2},
+                            {68 * kBucket + 900, 3}}));
 }
 
-TEST(EventQueueWheel, MatchesOrderedSetModel)
+TEST(EventQueueCalendar, RepeatedFarReschedulesFireOnce)
+{
+    // A retry-timer pattern far beyond the window: every push-out leaves
+    // a stale heap entry, enough to force the heap to be pruned.
+    EventQueue q;
+    FireLog log;
+    std::vector<EventId> ids;
+    for (int t = 0; t < 8; ++t)
+        ids.push_back(q.schedule(kWindow * 2 + t, [&log, &q, t] {
+            log.push_back({q.now(), t});
+        }));
+    for (Picoseconds round = 1; round <= 500; ++round)
+        for (int t = 0; t < 8; ++t)
+            ASSERT_TRUE(q.reschedule(ids[static_cast<std::size_t>(t)],
+                                     kWindow * (2 + round) + 7 - t));
+    for (int t = 0; t < 8; t += 2)
+        ASSERT_TRUE(q.cancel(ids[static_cast<std::size_t>(t)]));
+    EXPECT_EQ(q.pending(), 4u);
+    q.run();
+    const Picoseconds last = kWindow * 502 + 7;
+    EXPECT_EQ(log, (FireLog{{last - 7, 7},
+                            {last - 5, 5},
+                            {last - 3, 3},
+                            {last - 1, 1}}));
+    EXPECT_EQ(q.executed(), 4u);
+}
+
+TEST(EventQueueCalendar, MatchesOrderedSetModel)
 {
     // An independent oracle: a std::set of (when, seq, tag) with its own
     // sequence counter, updated on every schedule, cancel and
     // reschedule. After each step() the fired (time, tag) must be the
-    // model's minimum. About one target time in ten lies 2^32 ps or more
-    // ahead, so those events live in the overflow heap and reschedules
-    // migrate between wheel and heap both ways. Half land on the
-    // 2560 ps block-slot grid, as fabric events do, so same-timestamp
-    // ties are common: within a wheel bucket, across cascades, and
-    // between a heap event and a later wheel event.
+    // model's minimum. Target times straddle the calendar's window: one
+    // in ten lies 2^32 ps or more ahead (heap), and the rest fall within
+    // two windows of now, a quarter of them within two buckets of the
+    // window's end. Half land on the 2560 ps block-slot grid, as fabric
+    // events do, so same-timestamp ties are common: within a bucket,
+    // and between a heap event and a later calendar event. Reschedules
+    // move events between the two structures both ways, and cancelled
+    // tags free slots for later schedules to reuse.
     using Key = std::tuple<Picoseconds, std::uint64_t, std::size_t>;
     constexpr Picoseconds kSlot = 2560;
     EventQueue q;
@@ -441,14 +562,18 @@ TEST(EventQueueWheel, MatchesOrderedSetModel)
         if (roll < 0.1)
             return on_grid(now + (Picoseconds{1} << 32)) +
                 kSlot * static_cast<Picoseconds>(rng.uniformInt(64));
-        if (roll < 0.6)
+        if (roll < 0.5) // 0-161 ns ahead: across the 65.5 ns window
             return on_grid(now) +
                 kSlot * static_cast<Picoseconds>(rng.uniformInt(64));
-        // Anywhere within one of the four wheel levels' spans.
-        const auto bits = 8 * (1 + static_cast<int>(rng.uniformInt(4)));
-        return now +
+        if (roll < 0.75)
+            return now +
+                static_cast<Picoseconds>(
+                    rng.uniformInt(std::uint64_t{2} * kWindow));
+        // Within two buckets of the window's end, which moves with the
+        // current bucket, not with now.
+        return now / kBucket * kBucket + kWindow - 2 * kBucket +
             static_cast<Picoseconds>(
-                rng.uniformInt(std::uint64_t{1} << (bits - 1)));
+                rng.uniformInt(std::uint64_t{4} * kBucket));
     };
     auto file = [&](std::size_t tag, Picoseconds when) {
         keys[tag] = Key{when, model_seq++, tag};
@@ -504,6 +629,7 @@ TEST(EventQueueWheel, MatchesOrderedSetModel)
                 file(pick, to);
             }
         }
+        ASSERT_EQ(q.pending(), model.size());
         if (rng.uniform() < 0.35)
             for (std::uint64_t k = 1 + rng.uniformInt(8); k > 0 && ok; --k)
                 ok = step();
@@ -513,6 +639,65 @@ TEST(EventQueueWheel, MatchesOrderedSetModel)
     EXPECT_TRUE(ok);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.executed(), popped);
+}
+
+// ---------------------------------------------------------------------------
+// Slot chunks: a callback runs in place in its slot.
+// ---------------------------------------------------------------------------
+
+TEST(EventQueueSlots, CallbackReadsItsCapturesAfterSchedulingChunks)
+{
+    // Each callback schedules more than two 512-slot chunks of events
+    // while it runs, then reads its own captures: the slot it runs in
+    // must not have moved (run under ASan to see a move).
+    EventQueue q;
+    struct Seen
+    {
+        std::uint64_t fired = 0;
+        int checks = 0;
+    };
+    Seen seen;
+    auto flood = [&q, &seen] {
+        for (Picoseconds i = 0; i < 3 * 512; ++i)
+            q.scheduleAfter(i, [&seen] { ++seen.fired; });
+    };
+    const std::array<std::uint32_t, 6> words{3, 1, 4, 1, 5, 9};
+    auto trivial = [flood, &seen, words] {
+        flood();
+        if (words == std::array<std::uint32_t, 6>{3, 1, 4, 1, 5, 9})
+            ++seen.checks;
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(trivial)>);
+    static_assert(sizeof(trivial) <= 48, "must live inline in the slot");
+    q.schedule(10, trivial);
+    q.schedule(20, [flood, &seen, p = std::make_unique<int>(99)] {
+        flood();
+        if (*p == 99)
+            ++seen.checks;
+    });
+    q.run();
+    EXPECT_EQ(seen.checks, 2);
+    EXPECT_EQ(seen.fired, 2u * 3 * 512);
+}
+
+TEST(EventQueueSlots, OwnIdReadsFiredWhileItsCallbackRuns)
+{
+    EventQueue q;
+    EventId self = kInvalidEvent;
+    bool ran = false;
+    self = q.schedule(10, [&] {
+        EXPECT_FALSE(q.isPending(self));
+        EXPECT_FALSE(q.cancel(self));
+        EXPECT_FALSE(q.reschedule(self, 20));
+        // A slot scheduled now is not the running one.
+        const EventId next = q.scheduleAfter(5, [] {});
+        EXPECT_NE(next & 0xFFFFFFFFu, self & 0xFFFFFFFFu);
+        ran = true;
+    });
+    q.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(q.executed(), 2u);
+    EXPECT_TRUE(q.empty());
 }
 
 /**

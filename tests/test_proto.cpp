@@ -355,6 +355,44 @@ TEST(EdmFlow, IdLiveUntilCompletionMatchesHostStack)
     EXPECT_EQ(model.staleGrants(), 0u);
 }
 
+TEST(EdmFlow, LedgerRetiresEveryFlowAtDeliveryAcrossIdWraps)
+{
+    // The shared scheduler's demand ledger holds live flows only: each
+    // flow retires in its completion event, so ids that wrap reopen a
+    // fresh entry instead of evicting a stale one, and no grant follows
+    // a retirement. Four nodes and 6000 mixed reads and writes put
+    // about 500 messages on each pair, wrapping its 8-bit id about
+    // twice.
+    Simulation sim;
+    EdmFlowModel model(sim, smallCluster(4));
+    workload::SyntheticConfig cfg;
+    cfg.num_nodes = 4;
+    cfg.load = 0.7;
+    cfg.write_fraction = 0.5;
+    cfg.messages = 6000;
+    cfg.size_cdf = Cdf{{64, 0.5}, {1024, 0.9}, {8192, 1.0}};
+    Rng rng(5);
+    const auto jobs = workload::generateSynthetic(rng, cfg,
+                                                  workload::wire::edm);
+    std::size_t reads = 0;
+    for (const auto &j : jobs) {
+        reads += j.is_write ? 0 : 1;
+        model.offer(j);
+    }
+    ASSERT_GT(reads, jobs.size() / 4);
+    ASSERT_LT(reads, jobs.size() * 3 / 4);
+    sim.run();
+
+    ASSERT_EQ(model.completed(), jobs.size());
+    const core::Scheduler &sched = model.scheduler();
+    const core::LedgerStats &stats = sched.ledgerStats();
+    EXPECT_EQ(sched.pendingLedgerEntries(), 0u);
+    EXPECT_EQ(stats.retired_by_completion, model.completed());
+    EXPECT_EQ(stats.grants_suppressed, 0u);
+    EXPECT_EQ(stats.entries_evicted, 0u);
+    EXPECT_EQ(model.staleGrants(), 0u);
+}
+
 TEST(Ird, ConflictsAppearUnderLoad)
 {
     Simulation sim;

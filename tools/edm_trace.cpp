@@ -32,6 +32,12 @@
  * the owning pool (`aux` = pool id + 1); `summary` rolls those up into
  * a per-pool table: grants, bytes, achieved Gbps, limit deferrals,
  * priority bypasses and LedgerOpen->LedgerRetire completion p50/p99.
+ *
+ * A scenario sweep writes every point's simulation into one log, each
+ * opened by a point-start record. Point N is the records after the N-th
+ * point-start (0: before any), and every rollup (per flow, switch, pool
+ * or faulty link) is keyed by point, since each point's clock and
+ * message ids start over.
  */
 
 #include <algorithm>
@@ -44,6 +50,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -99,6 +106,13 @@ struct Filter
     }
 };
 
+/** A record and the sweep point it belongs to. */
+struct Traced
+{
+    Record rec;
+    std::uint32_t point = 0; ///< point-start records before it
+};
+
 int
 typeFromName(const std::string &name)
 {
@@ -108,25 +122,27 @@ typeFromName(const std::string &name)
     return -1;
 }
 
-using FlowKey = std::tuple<std::uint16_t, std::uint16_t, std::uint8_t,
-                           bool>;
+/** (point, src, dst, id, response): a flow within one sweep point. */
+using FlowKey = std::tuple<std::uint32_t, std::uint16_t, std::uint16_t,
+                           std::uint8_t, bool>;
 
 std::string
 flowName(const FlowKey &k)
 {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%u->%u id %u %s",
-                  static_cast<unsigned>(std::get<0>(k)),
                   static_cast<unsigned>(std::get<1>(k)),
                   static_cast<unsigned>(std::get<2>(k)),
-                  std::get<3>(k) ? "rsp" : "req");
+                  static_cast<unsigned>(std::get<3>(k)),
+                  std::get<4>(k) ? "rsp" : "req");
     return buf;
 }
 
 FlowKey
-flowOf(const Record &r)
+flowOf(const Traced &t)
 {
-    return FlowKey{r.src, r.dst, r.id, r.response()};
+    const Record &r = t.rec;
+    return FlowKey{t.point, r.src, r.dst, r.id, r.response()};
 }
 
 void
@@ -156,10 +172,10 @@ dumpRecord(const Record &r)
 }
 
 int
-cmdDump(const std::vector<Record> &recs)
+cmdDump(const std::vector<Traced> &recs)
 {
-    for (const Record &r : recs)
-        dumpRecord(r);
+    for (const Traced &t : recs)
+        dumpRecord(t.rec);
     std::printf("%zu records\n", recs.size());
     return 0;
 }
@@ -186,10 +202,11 @@ struct FlowSummary
 };
 
 int
-cmdSummary(const std::vector<Record> &recs)
+cmdSummary(const std::vector<Traced> &recs)
 {
     std::map<FlowKey, FlowSummary> flows;
-    for (const Record &r : recs) {
+    for (const Traced &tr : recs) {
+        const Record &r = tr.rec;
         const EventType t = r.eventType();
         switch (t) {
         case EventType::GrantIssued:
@@ -204,7 +221,7 @@ cmdSummary(const std::vector<Record> &recs)
         default:
             continue; // port-scoped events have no flow key
         }
-        FlowSummary &f = flows[flowOf(r)];
+        FlowSummary &f = flows[flowOf(tr)];
         f.touch(r.at);
         switch (t) {
         case EventType::GrantIssued:
@@ -221,14 +238,15 @@ cmdSummary(const std::vector<Record> &recs)
         default: break;
         }
     }
-    std::printf("%-22s %7s %10s %7s %7s %7s %6s %6s %6s %6s %12s\n",
-                "flow", "grants", "bytes", "parked", "drained", "dropped",
-                "open", "retire", "abort", "stall", "span ns");
+    std::printf("%5s %-22s %7s %10s %7s %7s %7s %6s %6s %6s %6s %12s\n",
+                "point", "flow", "grants", "bytes", "parked", "drained",
+                "dropped", "open", "retire", "abort", "stall", "span ns");
     for (const auto &kv : flows) {
         const FlowSummary &f = kv.second;
-        std::printf("%-22s %7" PRIu64 " %10" PRIu64 " %7" PRIu64
+        std::printf("%5u %-22s %7" PRIu64 " %10" PRIu64 " %7" PRIu64
                     " %7" PRIu64 " %7" PRIu64 " %6" PRIu64 " %6" PRIu64
                     " %6" PRIu64 " %6" PRIu64 " %12.1f\n",
+                    static_cast<unsigned>(std::get<0>(kv.first)),
                     flowName(kv.first).c_str(), f.issued, f.issued_bytes,
                     f.parked, f.drained, f.dropped, f.ledger_open,
                     f.ledger_retire, f.ledger_abort, f.stalls,
@@ -238,23 +256,25 @@ cmdSummary(const std::vector<Record> &recs)
 
     // Per-switch, per-tier occupancy rollup (leaf-spine logs only:
     // single-switch fabrics emit no tier-charge records).
-    std::map<std::uint8_t, std::array<std::uint64_t,
-                                      core::kNumLinkTiers>> tiers;
-    for (const Record &r : recs)
-        if (r.eventType() == EventType::TierCharge &&
-            r.tier < core::kNumLinkTiers)
-            tiers[r.sw][r.tier] += r.arg;
+    // Key: (point, switch).
+    std::map<std::pair<std::uint32_t, std::uint8_t>,
+             std::array<std::uint64_t, core::kNumLinkTiers>> tiers;
+    for (const Traced &t : recs)
+        if (t.rec.eventType() == EventType::TierCharge &&
+            t.rec.tier < core::kNumLinkTiers)
+            tiers[{t.point, t.rec.sw}][t.rec.tier] += t.rec.arg;
     if (!tiers.empty()) {
         std::printf("\nper-tier occupancy charged (ns):\n");
-        std::printf("%-8s %14s %14s %14s %14s\n", "switch",
+        std::printf("%5s %-8s %14s %14s %14s %14s\n", "point", "switch",
                     "leaf-ingress", "trunk", "spine", "leaf-egress");
         for (const auto &kv : tiers) {
             auto ns = [&kv](core::LinkTier t) {
                 return toNs(static_cast<Picoseconds>(
                     kv.second[static_cast<std::size_t>(t)]));
             };
-            std::printf("%-8u %14.1f %14.1f %14.1f %14.1f\n",
-                        static_cast<unsigned>(kv.first),
+            std::printf("%5u %-8u %14.1f %14.1f %14.1f %14.1f\n",
+                        static_cast<unsigned>(kv.first.first),
+                        static_cast<unsigned>(kv.first.second),
                         ns(core::LinkTier::LeafIngress),
                         ns(core::LinkTier::Trunk),
                         ns(core::LinkTier::Spine),
@@ -271,12 +291,14 @@ cmdSummary(const std::vector<Record> &recs)
         Picoseconds first = -1, last = 0;
         Samples complete_ns; ///< LedgerOpen -> LedgerRetire per flow
     };
-    std::map<std::uint32_t, PoolSummary> pools; // key: aux = pool + 1
+    // Key: (point, aux = pool + 1).
+    std::map<std::pair<std::uint32_t, std::uint32_t>, PoolSummary> pools;
     std::map<FlowKey, Picoseconds> open_at;
-    for (const Record &r : recs) {
+    for (const Traced &t : recs) {
+        const Record &r = t.rec;
         if (r.aux == 0)
             continue;
-        PoolSummary &p = pools[r.aux];
+        PoolSummary &p = pools[{t.point, r.aux}];
         switch (r.eventType()) {
         case EventType::GrantIssued:
             ++p.grants;
@@ -287,23 +309,23 @@ cmdSummary(const std::vector<Record> &recs)
             break;
         case EventType::GrantDeferredByLimit: ++p.deferred; break;
         case EventType::PriorityBypass: ++p.bypasses; break;
-        case EventType::LedgerOpen: open_at[flowOf(r)] = r.at; break;
+        case EventType::LedgerOpen: open_at[flowOf(t)] = r.at; break;
         case EventType::LedgerRetire: {
-            const auto it = open_at.find(flowOf(r));
+            const auto it = open_at.find(flowOf(t));
             if (it != open_at.end()) {
                 p.complete_ns.add(toNs(r.at - it->second));
                 open_at.erase(it);
             }
             break;
         }
-        case EventType::LedgerAbort: open_at.erase(flowOf(r)); break;
+        case EventType::LedgerAbort: open_at.erase(flowOf(t)); break;
         default: break;
         }
     }
     if (!pools.empty()) {
         std::printf("\nper-pool fair-share rollup:\n");
-        std::printf("%-6s %7s %10s %8s %9s %8s %12s %12s\n", "pool",
-                    "grants", "bytes", "Gbps", "deferred", "bypass",
+        std::printf("%5s %-6s %7s %10s %8s %9s %8s %12s %12s\n", "point",
+                    "pool", "grants", "bytes", "Gbps", "deferred", "bypass",
                     "complete p50", "complete p99");
         for (const auto &kv : pools) {
             const PoolSummary &p = kv.second;
@@ -313,9 +335,10 @@ cmdSummary(const std::vector<Record> &recs)
             const double gbps = span_ns > 0
                 ? static_cast<double>(p.bytes) * 8.0 / span_ns
                 : 0.0;
-            std::printf("%-6u %7" PRIu64 " %10" PRIu64 " %8.2f %9" PRIu64
+            std::printf("%5u %-6u %7" PRIu64 " %10" PRIu64 " %8.2f %9" PRIu64
                         " %8" PRIu64 " %12.1f %12.1f\n",
-                        static_cast<unsigned>(kv.first - 1), p.grants,
+                        static_cast<unsigned>(kv.first.first),
+                        static_cast<unsigned>(kv.first.second - 1), p.grants,
                         p.bytes, gbps, p.deferred, p.bypasses,
                         p.complete_ns.count()
                             ? p.complete_ns.percentile(50) : 0.0,
@@ -338,17 +361,18 @@ struct ParkSpan
 };
 
 std::vector<ParkSpan>
-parkSpans(const std::vector<Record> &recs)
+parkSpans(const std::vector<Traced> &recs)
 {
     // Parked grants drain FIFO per flow (HostStack keeps them in a
     // deque), so matching park->resolution in order is exact.
     std::map<FlowKey, std::deque<std::size_t>> open;
     std::vector<ParkSpan> spans;
-    for (const Record &r : recs) {
+    for (const Traced &tr : recs) {
+        const Record &r = tr.rec;
         const EventType t = r.eventType();
         if (t == EventType::GrantParked) {
             ParkSpan s;
-            s.flow = flowOf(r);
+            s.flow = flowOf(tr);
             s.parked_at = r.at;
             open[s.flow].push_back(spans.size());
             spans.push_back(s);
@@ -356,7 +380,7 @@ parkSpans(const std::vector<Record> &recs)
         }
         if (t != EventType::GrantDrained && t != EventType::GrantDropped)
             continue;
-        auto it = open.find(flowOf(r));
+        auto it = open.find(flowOf(tr));
         if (it == open.end() || it->second.empty())
             continue; // drop of a never-parked grant (unknown, stale...)
         ParkSpan &s = spans[it->second.front()];
@@ -370,25 +394,26 @@ parkSpans(const std::vector<Record> &recs)
 }
 
 int
-cmdParked(const std::vector<Record> &recs, double min_ns)
+cmdParked(const std::vector<Traced> &recs, double min_ns)
 {
     const auto spans = parkSpans(recs);
     std::size_t shown = 0;
-    std::printf("%-22s %14s %12s %-10s %s\n", "flow", "parked at ns",
-                "parked ns", "outcome", "why");
+    std::printf("%5s %-22s %14s %12s %-10s %s\n", "point", "flow",
+                "parked at ns", "parked ns", "outcome", "why");
     for (const ParkSpan &s : spans) {
         const double ns =
             s.resolved ? toNs(s.resolved_at - s.parked_at) : -1;
         if (s.resolved && ns < min_ns)
             continue;
         ++shown;
+        const auto point = static_cast<unsigned>(std::get<0>(s.flow));
         if (s.resolved)
-            std::printf("%-22s %14.3f %12.1f %-10s %s\n",
+            std::printf("%5u %-22s %14.3f %12.1f %-10s %s\n", point,
                         flowName(s.flow).c_str(), toNs(s.parked_at), ns,
                         s.drained ? "drained" : "dropped",
                         s.drained ? "-" : trace::toString(s.reason));
         else
-            std::printf("%-22s %14.3f %12s %-10s %s\n",
+            std::printf("%5u %-22s %14.3f %12s %-10s %s\n", point,
                         flowName(s.flow).c_str(), toNs(s.parked_at),
                         "never", "unresolved",
                         "still parked at end of log");
@@ -399,13 +424,13 @@ cmdParked(const std::vector<Record> &recs, double min_ns)
 }
 
 int
-cmdHisto(const std::vector<Record> &recs)
+cmdHisto(const std::vector<Traced> &recs)
 {
     // Wasted grants by reason.
     std::map<std::uint8_t, std::uint64_t> drops;
-    for (const Record &r : recs)
-        if (r.eventType() == EventType::GrantDropped)
-            ++drops[r.detail];
+    for (const Traced &t : recs)
+        if (t.rec.eventType() == EventType::GrantDropped)
+            ++drops[t.rec.detail];
     std::printf("wasted grants by reason:\n");
     if (drops.empty())
         std::printf("  (none)\n");
@@ -446,6 +471,7 @@ cmdHisto(const std::vector<Record> &recs)
  */
 struct FaultEpisode
 {
+    std::uint32_t point = 0;
     std::uint16_t port = 0;
     Picoseconds injected_at = -1;
     Picoseconds disabled_at = -1;
@@ -472,28 +498,34 @@ printEpisode(const FaultEpisode &e)
     stamp(inj, sizeof(inj), e.injected_at);
     stamp(dis, sizeof(dis), e.disabled_at);
     stamp(rep, sizeof(rep), e.repaired_at);
-    std::printf("%-6u %14s %14s %14s %14s %14s\n",
+    std::printf("%5u %-6u %14s %14s %14s %14s %14s\n",
+                static_cast<unsigned>(e.point),
                 static_cast<unsigned>(e.port), inj, dis, rep, disable,
                 repair);
 }
 
 int
-cmdFaults(const std::vector<Record> &recs)
+cmdFaults(const std::vector<Traced> &recs)
 {
-    std::map<std::uint16_t, FaultEpisode> open;
+    // Key: (point, port).
+    std::map<std::pair<std::uint32_t, std::uint16_t>, FaultEpisode> open;
     std::vector<FaultEpisode> episodes;
     std::uint64_t injections = 0, retries = 0, abandoned = 0;
     std::uint64_t switch_fails = 0, switch_failbacks = 0;
-    for (const Record &r : recs) {
+    for (const Traced &tr : recs) {
+        const Record &r = tr.rec;
         const EventType t = r.eventType();
         const Detail d = r.detailCode();
+        const std::pair<std::uint32_t, std::uint16_t> link{tr.point,
+                                                           r.port};
         if (t == EventType::FaultInject) {
             if (d == Detail::SwitchFail) {
                 ++switch_fails;
                 continue;
             }
             ++injections;
-            FaultEpisode &e = open[r.port];
+            FaultEpisode &e = open[link];
+            e.point = tr.point;
             e.port = r.port;
             if (e.injected_at < 0)
                 e.injected_at = r.at;
@@ -503,18 +535,20 @@ cmdFaults(const std::vector<Record> &recs)
             continue;
         switch (d) {
         case Detail::LinkDisabled: {
-            FaultEpisode &e = open[r.port];
+            FaultEpisode &e = open[link];
+            e.point = tr.point;
             e.port = r.port;
             if (e.disabled_at < 0)
                 e.disabled_at = r.at;
             break;
         }
         case Detail::LinkRepaired: {
-            FaultEpisode &e = open[r.port];
+            FaultEpisode &e = open[link];
+            e.point = tr.point;
             e.port = r.port;
             e.repaired_at = r.at;
             episodes.push_back(e);
-            open.erase(r.port);
+            open.erase(link);
             break;
         }
         case Detail::ReadRetry: ++retries; break;
@@ -524,7 +558,7 @@ cmdFaults(const std::vector<Record> &recs)
         }
     }
 
-    std::printf("%-6s %14s %14s %14s %14s %14s\n", "port",
+    std::printf("%5s %-6s %14s %14s %14s %14s %14s\n", "point", "port",
                 "injected ns", "disabled ns", "repaired ns",
                 "tt_disable ns", "tt_repair ns");
     for (const FaultEpisode &e : episodes)
@@ -614,11 +648,17 @@ main(int argc, char **argv)
                      path.c_str());
         return 1;
     }
-    std::vector<Record> recs;
+    // Points are counted before filtering, so a filtered view keeps
+    // each record's point.
+    std::vector<Traced> recs;
+    std::uint32_t point = 0;
     Record r;
-    while (reader.next(r))
+    while (reader.next(r)) {
+        if (r.eventType() == EventType::PointStart)
+            ++point;
         if (filter.pass(r))
-            recs.push_back(r);
+            recs.push_back({r, point});
+    }
 
     if (cmd == "dump")
         return cmdDump(recs);
