@@ -37,6 +37,16 @@ template <typename R, typename... Args, std::size_t InlineBytes>
 class SmallFunction<R(Args...), InlineBytes>
 {
   public:
+    /**
+     * True if a callable of type D is stored inline, so wrapping it
+     * makes no heap allocation; a hot path can static_assert it.
+     */
+    template <typename D>
+    static constexpr bool kFitsInline =
+        sizeof(D) <= InlineBytes &&
+        alignof(D) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<D>;
+
     SmallFunction() = default;
     SmallFunction(std::nullptr_t) {}
 
@@ -110,12 +120,6 @@ class SmallFunction<R(Args...), InlineBytes>
         /** Relocate by copying the buffer; destruction is a no-op. */
         bool trivial;
     };
-
-    template <typename D>
-    static constexpr bool kFitsInline =
-        sizeof(D) <= InlineBytes &&
-        alignof(D) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<D>;
 
     template <typename D>
     static constexpr bool kTrivial =

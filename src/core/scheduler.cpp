@@ -187,7 +187,7 @@ Scheduler::openLedgerEntry(const Demand &d)
 }
 
 bool
-Scheduler::insertDemand(Demand d)
+Scheduler::insertDemand(Demand d, const MemMessage *request)
 {
     EDM_ASSERT(d.dst < cfg_.num_nodes && d.src < cfg_.num_nodes,
                "demand for unknown port %u->%u", d.src, d.dst);
@@ -199,6 +199,16 @@ Scheduler::insertDemand(Demand d)
     // stale). A full queue drops the demand before it owns anything.
     if (q.full())
         return false;
+    if (request) {
+        if (free_requests_.empty()) {
+            d.request = static_cast<std::uint32_t>(requests_.size());
+            requests_.push_back(*request);
+        } else {
+            d.request = free_requests_.back();
+            free_requests_.pop_back();
+            requests_[d.request] = *request;
+        }
+    }
     if (fair_tree_)
         d.pool = fair_tree_->poolOf(
             static_cast<std::uint16_t>(d.response ? d.dst : d.src));
@@ -243,8 +253,14 @@ Scheduler::addReadDemand(const MemMessage &request, Bytes response_bytes)
     d.notified = events_.now();
     d.seq = next_seq_++;
     d.response = true;
-    d.buffered_request = request;
-    return insertDemand(std::move(d));
+    return insertDemand(std::move(d), &request);
+}
+
+void
+Scheduler::releaseRequest(std::uint32_t index)
+{
+    if (index != kNone)
+        free_requests_.push_back(index);
 }
 
 std::size_t
@@ -294,7 +310,7 @@ Scheduler::eligible(const Demand &dem) const
     // multi-block message delivered on the memory node's *downlink*,
     // which therefore must be free too (unlike single-block /G/ grants,
     // which interleave freely).
-    if (dem.buffered_request && dst_busy_[dem.src])
+    if (dem.request != kNone && dst_busy_[dem.src])
         return false;
     if (topo_) {
         // Sharded eligibility: respect reservations other shards
@@ -310,7 +326,7 @@ Scheduler::eligible(const Demand &dem) const
                 return false;
             // ...and a request forward first ascends our up lane toward
             // the memory node.
-            if (dem.buffered_request &&
+            if (dem.request != kNone &&
                 lane_busy_until_[0][lane] > events_.now())
                 return false;
         }
@@ -560,20 +576,28 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
                      dst_port, d.src, d.dst, d.id, d.response,
                      trace::Detail::Suppressed, d.remaining, leaf_, 0,
                      auxOf(d.pool));
+        releaseRequest(d.request);
         retirePairEntry(d);
         return;
     }
     ledger_it->second.granted += l;
     ++grants_issued_;
 
-    GrantAction action;
-    action.target = d.src;
-    action.chunk = l;
-    if (d.buffered_request) {
+    ControlInfo g;
+    g.dst = d.dst;
+    g.src = d.src;
+    g.id = d.id;
+    g.size = l;
+    g.response = d.response;
+    // A response's first grant forwards its buffered request; the
+    // delivery event takes over the request's index.
+    const std::uint32_t request = d.request;
+    d.request = kNone;
+    if (request != kNone) {
         // Forwarding the request occupies the memory node's downlink for
         // the request's few blocks; reserve it so the RREQ cannot
         // interleave with a data stream headed to the same port.
-        const auto &req = *d.buffered_request;
+        const MemMessage &req = requests_[request];
         const NodeId mem_port = d.src;
         dst_busy_[mem_port] = true;
         events_.schedule(when + requestForwardOccupancy(cfg_, req),
@@ -598,16 +622,6 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
                     peer->noteRemoteForward(mem_port, lane, fwd_release);
                 });
         }
-        action.forward_request = std::move(d.buffered_request);
-        d.buffered_request.reset();
-    } else {
-        ControlInfo g;
-        g.dst = d.dst;
-        g.src = d.src;
-        g.id = d.id;
-        g.size = l;
-        g.response = d.response;
-        action.grant_block = g;
     }
 
     src_busy_[d.src] = true;
@@ -643,8 +657,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     if (auto *log = cfg_.event_log)
         log->log(trace::EventType::GrantIssued, when, dst_port, d.src,
                  d.dst, d.id, d.response,
-                 action.forward_request ? trace::Detail::RequestForward
-                                        : trace::Detail::None,
+                 request != kNone ? trace::Detail::RequestForward
+                                  : trace::Detail::None,
                  l, leaf_, 0, auxOf(d.pool));
 
     if (isCrossLeaf(d)) {
@@ -684,8 +698,25 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
     }
 
-    GrantAction act_copy = action;
-    events_.schedule(when, [this, act_copy] { sink_(act_copy); });
+    auto deliver = [this, g, request] { deliverGrant(g, request); };
+    static_assert(EventQueue::Callback::kFitsInline<decltype(deliver)>,
+                  "a grant's delivery event must not allocate");
+    events_.schedule(when, std::move(deliver));
+}
+
+void
+Scheduler::deliverGrant(const ControlInfo &grant, std::uint32_t request)
+{
+    GrantAction action;
+    action.target = grant.src;
+    action.chunk = grant.size;
+    if (request == kNone) {
+        action.grant_block = grant;
+    } else {
+        action.forward_request = std::move(requests_[request]);
+        releaseRequest(request);
+    }
+    sink_(action);
 }
 
 void
@@ -706,6 +737,7 @@ Scheduler::reclaimQueuedDemand(const FlowKey &key)
     if (!found)
         return;
     ledger_stats_.stale_bytes_reclaimed += dropped.remaining;
+    releaseRequest(dropped.request);
     retirePairEntry(dropped);
 }
 

@@ -221,6 +221,17 @@ class Scheduler
     /** Live (unretired) ledger entries. */
     std::size_t pendingLedgerEntries() const { return ledger_.size(); }
 
+    /**
+     * RREQ/RMWREQs held for forwarding: those of queued demands not yet
+     * granted, and those whose forwarding grant is still on its way to
+     * the sink. Zero once every read has been forwarded or reclaimed.
+     */
+    std::size_t
+    bufferedRequests() const
+    {
+        return requests_.size() - free_requests_.size();
+    }
+
     /** A live flow's byte lifecycle, for diagnostics and tests. */
     struct FlowBytes
     {
@@ -273,9 +284,12 @@ class Scheduler
         Picoseconds notified;
         std::uint64_t seq; ///< per-pair FIFO ordering
         bool response = false; ///< RRES demand (grants carry the flag)
-        std::optional<MemMessage> buffered_request; ///< RREQ awaiting fwd
+        /** requests_ index of the RREQ awaiting forwarding, or kNone. */
+        std::uint32_t request = kNone;
         int pool = -1; ///< fair-share pool of the client host (-1 = off)
     };
+
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
     using Queue = hw::OrderedList<std::int64_t, Demand>;
 
@@ -367,6 +381,16 @@ class Scheduler
     std::unordered_map<std::uint64_t, LedgerEntry> ledger_;
     LedgerStats ledger_stats_;
 
+    /**
+     * Buffered RREQ/RMWREQs, by index. A read demand holds its request's
+     * index until its first grant, whose delivery event then holds it
+     * until the sink has the request; freed indices are reused. Keeping
+     * the message here keeps Demand small and lets a grant's event fit
+     * the queue's inline callback buffer.
+     */
+    std::vector<MemMessage> requests_;
+    std::vector<std::uint32_t> free_requests_;
+
     std::uint64_t next_seq_ = 0;
     std::uint64_t grants_issued_ = 0;
     std::uint64_t matching_passes_ = 0;
@@ -383,7 +407,9 @@ class Scheduler
     std::vector<FairShareTree::ShareChange> share_changes_;
 
     std::int64_t priorityOf(const Demand &d) const;
-    bool insertDemand(Demand d);
+    /** Queue @p d, buffering @p request for it if given. */
+    bool insertDemand(Demand d, const MemMessage *request = nullptr);
+    void releaseRequest(std::uint32_t index);
     bool isPairHead(const Demand &d) const;
     void retirePairEntry(const Demand &d);
 
@@ -401,6 +427,12 @@ class Scheduler
     void scheduleMatching();
     void runMatching();
     void issueGrant(NodeId dst_port, Demand &d, Picoseconds when);
+
+    /**
+     * Hand a grant to the sink: @p grant's block, or the buffered
+     * request at @p request (its index is freed) when it is not kNone.
+     */
+    void deliverGrant(const ControlInfo &grant, std::uint32_t request);
 
     static FlowKey
     keyOf(const Demand &d)

@@ -25,26 +25,24 @@ CxlModel::CxlModel(Simulation &sim, const ClusterConfig &cluster,
 }
 
 void
-CxlModel::offer(const Job &job)
+CxlModel::arrive(const Job &job)
 {
-    sim_.events().schedule(job.arrival, [this, job] {
-        jobs_[job.id] = JobState{job, 0};
-        // Inject every flit-group immediately; credits are the only brake.
-        Bytes sent = 0;
-        std::uint64_t seq = 0;
-        while (sent < job.size) {
-            const Bytes seg = std::min<Bytes>(ccfg_.flit_payload,
-                                              job.size - sent);
-            Packet p;
-            p.job_id = job.id;
-            p.src = job.src;
-            p.dst = job.dst;
-            p.seq = seq++;
-            p.wire_bytes = seg + ccfg_.flit_overhead;
-            net_->send(p);
-            sent += seg;
-        }
-    });
+    jobs_[job.id] = JobState{job, 0};
+    // Inject every flit-group immediately; credits are the only brake.
+    Bytes sent = 0;
+    std::uint64_t seq = 0;
+    while (sent < job.size) {
+        const Bytes seg =
+            std::min<Bytes>(ccfg_.flit_payload, job.size - sent);
+        Packet p;
+        p.job_id = job.id;
+        p.src = job.src;
+        p.dst = job.dst;
+        p.seq = seq++;
+        p.wire_bytes = seg + ccfg_.flit_overhead;
+        net_->send(p);
+        sent += seg;
+    }
 }
 
 void

@@ -43,9 +43,11 @@ class CxlModel : public FabricModel
              const CxlConfig &cfg = {});
 
     std::string name() const override { return "CXL"; }
-    void offer(const Job &job) override;
 
     const PacketNet &net() const { return *net_; }
+
+  protected:
+    void arrive(const Job &job) override;
 
   private:
     struct JobState

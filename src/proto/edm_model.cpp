@@ -30,13 +30,7 @@ EdmFlowModel::EdmFlowModel(Simulation &sim, const ClusterConfig &cluster,
 }
 
 void
-EdmFlowModel::offer(const Job &job)
-{
-    sim_.events().schedule(job.arrival, [this, job] { admit(job); });
-}
-
-void
-EdmFlowModel::admit(const Job &job)
+EdmFlowModel::arrive(const Job &job)
 {
     // Hosts rate-limit active requests to X per destination (§3.1.2).
     const std::size_t pair = pairIndex(job.src, job.dst);
@@ -88,18 +82,23 @@ EdmFlowModel::launch(const Job &job)
         });
     } else {
         // The read request reaches the switch one hop after issue and is
-        // buffered as the implicit demand for the response (§3.1.1).
-        core::MemMessage req;
-        req.type = core::MemMsgType::RREQ;
-        req.src = job.dst; // requester
-        req.dst = job.src; // memory node (data sender)
-        req.id = id;
-        req.len = static_cast<Bytes>(
-            std::min<Bytes>(job.size, 0xFFFF));
-        sim_.events().scheduleAfter(cfg_.propagation,
-                                    [this, req, size = job.size] {
-                                        sched_->addReadDemand(req, size);
-                                    });
+        // buffered as the implicit demand for the response (§3.1.1). It
+        // is built when it lands: a MemMessage capture would not fit the
+        // event's inline buffer.
+        auto request = [this, requester = job.dst, memory = job.src, id,
+                        size = job.size] {
+            core::MemMessage req;
+            req.type = core::MemMsgType::RREQ;
+            req.src = requester;
+            req.dst = memory; // the data sender
+            req.id = id;
+            req.len = static_cast<Bytes>(std::min<Bytes>(size, 0xFFFF));
+            sched_->addReadDemand(req, size);
+        };
+        static_assert(
+            EventQueue::Callback::kFitsInline<decltype(request)>,
+            "a read request's event must not allocate");
+        sim_.events().scheduleAfter(cfg_.propagation, std::move(request));
     }
 }
 
@@ -157,13 +156,19 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
     if (a.delivered < a.job.size)
         return;
 
-    const Job job = a.job;
-    sim_.events().schedule(at, [this, key, job] {
+    // The message stays in active_ until its data lands, so the event
+    // reads the job there and captures only the key: a job capture would
+    // not fit the event's inline buffer.
+    auto land = [this, key] {
         // The id stays live until the data lands — HostStack::admit's
         // wrap guard and this model must agree on when an id retires,
         // or the two stall at different wrap points (ROADMAP (c);
         // tests/test_proto.cpp IdLiveUntilCompletionMatchesHostStack).
-        active_.erase(key);
+        const auto live = active_.find(key);
+        EDM_ASSERT(live != active_.end(), "landing message %llx not live",
+                   static_cast<unsigned long long>(key));
+        const Job job = live->second.job;
+        active_.erase(live);
         // Retire the flow's ledger entry where the cycle fabric's
         // datapath reports its final chunk. No grant can follow: the
         // demand left its queue at its final grant, and the id-live
@@ -189,7 +194,10 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
             ++outstanding_[pair];
             launch(next);
         }
-    });
+    };
+    static_assert(EventQueue::Callback::kFitsInline<decltype(land)>,
+                  "a completion event must not allocate");
+    sim_.events().schedule(at, std::move(land));
 }
 
 } // namespace proto

@@ -60,7 +60,6 @@ class EdmFlowModel : public FabricModel
                  const EdmModelConfig &cfg = {});
 
     std::string name() const override { return "EDM"; }
-    void offer(const Job &job) override;
 
     /** Scheduler statistics (matching iterations, grants). */
     const core::Scheduler &scheduler() const { return *sched_; }
@@ -85,6 +84,10 @@ class EdmFlowModel : public FabricModel
      * abort.
      */
     std::uint64_t staleGrants() const { return stale_grants_; }
+
+  protected:
+    /** Admit under the per-pair X budget and id-wrap guard, or park. */
+    void arrive(const Job &job) override;
 
   private:
     struct Active
@@ -123,7 +126,6 @@ class EdmFlowModel : public FabricModel
     std::uint64_t stale_grants_ = 0;
     std::uint64_t id_stalls_ = 0;
 
-    void admit(const Job &job);
     bool nextIdLive(core::NodeId src, core::NodeId dst) const;
     void launch(const Job &job);
     void onGrant(const core::GrantAction &action);

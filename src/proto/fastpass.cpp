@@ -60,23 +60,20 @@ FastpassModel::allocateSlots(NodeId src, NodeId dst,
 }
 
 void
-FastpassModel::offer(const Job &job)
+FastpassModel::arrive(const Job &job)
 {
-    sim_.events().schedule(job.arrival, [this, job] {
-        // Hosts aggregate their demands and send one request frame per
-        // batching interval (as real Fastpass does per timeslot); without
-        // batching the per-message control frames alone would need >100×
-        // the arbiter's bandwidth.
-        const NodeId hid = job.is_write ? job.src : job.dst;
-        Host &h = hosts_[hid];
-        h.pending.push_back(job);
-        if (h.pending.size() == 1) {
-            const Picoseconds fire =
-                std::max(sim_.now(), next_batch_[hid]);
-            next_batch_[hid] = fire + fcfg_.batch_interval;
-            sim_.events().schedule(fire, [this, hid] { flushBatch(hid); });
-        }
-    });
+    // Hosts aggregate their demands and send one request frame per
+    // batching interval (as real Fastpass does per timeslot); without
+    // batching the per-message control frames alone would need >100×
+    // the arbiter's bandwidth.
+    const NodeId hid = job.is_write ? job.src : job.dst;
+    Host &h = hosts_[hid];
+    h.pending.push_back(job);
+    if (h.pending.size() == 1) {
+        const Picoseconds fire = std::max(sim_.now(), next_batch_[hid]);
+        next_batch_[hid] = fire + fcfg_.batch_interval;
+        sim_.events().schedule(fire, [this, hid] { flushBatch(hid); });
+    }
 }
 
 void

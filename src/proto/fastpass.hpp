@@ -45,9 +45,11 @@ class FastpassModel : public FabricModel
                   const FastpassConfig &cfg = {});
 
     std::string name() const override { return "Fastpass"; }
-    void offer(const Job &job) override;
 
     Picoseconds idealLatency(Bytes size, bool is_write) const override;
+
+  protected:
+    void arrive(const Job &job) override;
 
   private:
     struct Host

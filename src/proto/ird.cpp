@@ -14,19 +14,16 @@ IrdModel::IrdModel(Simulation &sim, const ClusterConfig &cluster)
 }
 
 void
-IrdModel::offer(const Job &job)
+IrdModel::arrive(const Job &job)
 {
-    sim_.events().schedule(job.arrival, [this, job] {
-        // Zero-time notification: the receiver knows immediately (the
-        // idealization the paper grants this baseline).
-        jobs_[job.id] = JobState{job, 0};
-        Receiver &r = receivers_[job.dst];
-        const bool ok = r.demands.insert(
-            -static_cast<std::int64_t>(job.size),
-            Pending{job.id, job.size});
-        EDM_ASSERT(ok, "IRD demand list overflow");
-        scheduleReceiver(job.dst);
-    });
+    // Zero-time notification: the receiver knows immediately (the
+    // idealization the paper grants this baseline).
+    jobs_[job.id] = JobState{job, 0};
+    Receiver &r = receivers_[job.dst];
+    const bool ok = r.demands.insert(-static_cast<std::int64_t>(job.size),
+                                     Pending{job.id, job.size});
+    EDM_ASSERT(ok, "IRD demand list overflow");
+    scheduleReceiver(job.dst);
 }
 
 void

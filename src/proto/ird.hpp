@@ -32,10 +32,12 @@ class IrdModel : public FabricModel
     IrdModel(Simulation &sim, const ClusterConfig &cluster);
 
     std::string name() const override { return "IRD"; }
-    void offer(const Job &job) override;
 
     /** Grants that found the sender busy (conflict accounting). */
     std::uint64_t conflicts() const { return conflicts_; }
+
+  protected:
+    void arrive(const Job &job) override;
 
   private:
     /** A job with grant progress, as the receiver tracks it. */

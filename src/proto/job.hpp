@@ -14,7 +14,7 @@
 #define EDM_PROTO_JOB_HPP
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <string>
 
 #include "common/stats.hpp"
@@ -53,10 +53,19 @@ struct ClusterConfig
 /**
  * Base class for the seven fabric models.
  *
- * Usage: construct with a Simulation, offer() every job (arrival times
- * must be non-decreasing), run the simulation, then read completion
- * statistics. Normalization against the model's own unloaded latency is
- * the caller's job via idealLatency().
+ * Usage: construct with a Simulation, offer() jobs, run the simulation,
+ * then read completion statistics. Normalization against the model's own
+ * unloaded latency is the caller's job via idealLatency().
+ *
+ * offer() is the one arrival path. It accepts jobs in any order, before
+ * or between runs, as long as no arrival lies before now(), and each job
+ * reaches the model's arrive() hook at its arrival time. Jobs tied at
+ * one arrival time arrive in offer order, and each arrival sorts among
+ * the simulation's other events at that instant as an event scheduled
+ * at its offer would. The jobs wait in an arrival stream ordered by
+ * (arrival, offer); only the stream's head is in the event queue, so a
+ * model holds at most one pending arrival event however many jobs it
+ * has been offered.
  */
 class FabricModel
 {
@@ -74,8 +83,12 @@ class FabricModel
     /** Model name for reports. */
     virtual std::string name() const = 0;
 
-    /** Hand one job to the fabric (called in arrival order). */
-    virtual void offer(const Job &job) = 0;
+    /**
+     * Hand one job to the fabric: it arrives at job.arrival.
+     * @pre job.arrival >= now(): offering a job in the past is a logic
+     *      error, reported here rather than when it reaches the head.
+     */
+    void offer(const Job &job);
 
     /**
      * Unloaded (contention-free) completion latency of a job of @p size
@@ -95,6 +108,9 @@ class FabricModel
   protected:
     Simulation &sim_;
     ClusterConfig cfg_;
+
+    /** A job reaches the fabric; now() is its arrival time. */
+    virtual void arrive(const Job &job) = 0;
 
     /** Record a job completion at time @p finish. */
     void
@@ -116,9 +132,26 @@ class FabricModel
     }
 
   private:
+    /** An offered job and the event-queue ticket it took at its offer. */
+    struct Arrival
+    {
+        Job job;
+        std::uint64_t ticket;
+    };
+
     Samples latency_;
     Samples normalized_;
     std::uint64_t completed_ = 0;
+
+    /** Offered jobs not yet arrived, by (arrival, ticket); chunked. */
+    std::deque<Arrival> arrivals_;
+    /** The pending event for arrivals_.front(), if any. */
+    EventId head_event_ = kInvalidEvent;
+
+    /** Schedule the event for the stream's head under its ticket. */
+    void fileHead();
+    /** The head's event: file the next head, then hand the job over. */
+    void arriveHead();
 };
 
 } // namespace proto

@@ -33,13 +33,11 @@ WindowModel::segmentPriority(const Job &, Bytes)
 }
 
 void
-WindowModel::offer(const Job &job)
+WindowModel::arrive(const Job &job)
 {
-    sim_.events().schedule(job.arrival, [this, job] {
-        jobs_[job.id] = JobState{job, 0, 0};
-        conn(job.src, job.dst).fifo.push_back(job.id);
-        pump(job.src, job.dst);
-    });
+    jobs_[job.id] = JobState{job, 0, 0};
+    conn(job.src, job.dst).fifo.push_back(job.id);
+    pump(job.src, job.dst);
 }
 
 void

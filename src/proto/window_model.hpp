@@ -50,12 +50,13 @@ class WindowModel : public FabricModel
                 const WindowConfig &cfg, std::string name);
 
     std::string name() const override { return name_; }
-    void offer(const Job &job) override;
 
     const PacketNet &net() const { return *net_; }
     std::uint64_t retransmissions() const { return retx_; }
 
   protected:
+    void arrive(const Job &job) override;
+
     /** Segment priority under SRPT disciplines (default: none). */
     virtual std::int64_t segmentPriority(const Job &job, Bytes remaining);
 

@@ -91,16 +91,18 @@ EventQueue::file(const Entry &e)
     }
     const auto b = static_cast<std::uint32_t>(epoch & (kBuckets - 1));
     Bucket &bucket = buckets_[b];
-    // e carries the newest sequence, so it goes behind every entry at or
-    // before its time: an append unless a later time is already filed.
-    if (bucket.entries.empty() || bucket.entries.back().when <= e.when) {
+    // A newly scheduled e carries the newest sequence, so it appends
+    // unless a later time is already filed; a ticketed e may also sort
+    // before a tie. Entries before the head have fired or were skipped
+    // as stale, so e never belongs among them.
+    if (bucket.entries.empty() || bucket.entries.back().before(e)) {
         bucket.entries.push_back(e);
     } else {
         const auto at = std::upper_bound(
             bucket.entries.begin() +
                 static_cast<std::ptrdiff_t>(bucket.head),
-            bucket.entries.end(), e.when,
-            [](Picoseconds t, const Entry &x) { return t < x.when; });
+            bucket.entries.end(), e,
+            [](const Entry &x, const Entry &y) { return x.before(y); });
         bucket.entries.insert(at, e);
     }
     occupied_ |= std::uint64_t{1} << b;
@@ -145,6 +147,24 @@ EventQueue::popHeap()
 EventId
 EventQueue::schedule(Picoseconds when, Callback cb)
 {
+    return add(when, next_seq_++, std::move(cb));
+}
+
+EventId
+EventQueue::schedule(Picoseconds when, std::uint64_t ticket, Callback cb)
+{
+    EDM_ASSERT(ticket < next_seq_, "ticket %llu was never issued",
+               static_cast<unsigned long long>(ticket));
+    EDM_ASSERT(when > now_ || ticket >= seq_floor_,
+               "ticket %llu at now %lld sorts before the event run last",
+               static_cast<unsigned long long>(ticket),
+               static_cast<long long>(now_));
+    return add(when, ticket, std::move(cb));
+}
+
+EventId
+EventQueue::add(Picoseconds when, std::uint64_t seq, Callback cb)
+{
     EDM_ASSERT(when >= now_,
                "scheduling event in the past: %lld < now %lld",
                static_cast<long long>(when), static_cast<long long>(now_));
@@ -152,9 +172,9 @@ EventQueue::schedule(Picoseconds when, Callback cb)
     const std::uint32_t slot = allocSlot();
     Slot &s = slotAt(slot);
     s.cb = std::move(cb);
-    s.seq = next_seq_++;
+    s.seq = seq;
     ++pending_;
-    file(Entry{when, s.seq, slot});
+    file(Entry{when, seq, slot});
     return makeId(slot, s.generation);
 }
 
@@ -230,6 +250,7 @@ EventQueue::step(Picoseconds horizon)
     else
         ++buckets_[b].head;
     now_ = e.when;
+    seq_floor_ = e.seq + 1;
     // Run the callback in place (chunks never move); the event reads as
     // fired meanwhile, and its slot is freed only once it returns.
     Slot &s = slotAt(e.slot);

@@ -12,11 +12,14 @@
  * event is the calendar's head or the heap's top, whichever is earlier;
  * the heap top is examined only when its time could win.
  *
- * Ordering contract: events fire in (time, schedule-sequence) order, so
- * same-timestamp events run in scheduling order whichever structure
- * holds them, and a calendar/heap tie goes to the lower sequence. A
- * rescheduled event takes a new sequence and so fires behind the ties
- * already at its new time.
+ * Ordering contract: events fire in (time, sequence) order, whichever
+ * structure holds them, and a calendar/heap tie goes to the lower
+ * sequence. An event's sequence comes from schedule(), which takes the
+ * next one, or from ticket(), taken earlier: schedule(when, ticket, cb)
+ * files the event as if schedule() had been called when the ticket was
+ * taken, so a caller can hold work outside the queue without moving it
+ * among same-timestamp events. A rescheduled event takes a new sequence
+ * and so fires behind the ties already at its new time.
  *
  * Cancellation and rescheduling are lazy. A pending event's slot holds
  * the sequence of its one live entry: cancel frees the slot, reschedule
@@ -71,6 +74,23 @@ class EventQueue
 
     /** Schedule @p cb at now() + @p delay. */
     EventId scheduleAfter(Picoseconds delay, Callback cb);
+
+    /**
+     * Take the next sequence without filing an event: the sequence a
+     * schedule() call made now would get. Hand it to the three-argument
+     * schedule() later.
+     */
+    std::uint64_t ticket() { return next_seq_++; }
+
+    /**
+     * Schedule @p cb at absolute time @p when under a sequence taken
+     * earlier from ticket(): among events at @p when it fires where a
+     * schedule() call made at ticket time would have.
+     * @pre @p ticket was issued, and (when, ticket) orders after the
+     *      event now running (or the last one to run): filing before it
+     *      is a logic error, as scheduling in the past is.
+     */
+    EventId schedule(Picoseconds when, std::uint64_t ticket, Callback cb);
 
     /**
      * Cancel a pending event. Returns true if the event was pending and is
@@ -187,6 +207,9 @@ class EventQueue
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
 
+    /** Take a slot for @p cb and file it at (@p when, @p seq). */
+    EventId add(Picoseconds when, std::uint64_t seq, Callback cb);
+
     /** File @p e in the calendar if it is due in its window, else the heap. */
     void file(const Entry &e);
 
@@ -207,6 +230,8 @@ class EventQueue
     std::size_t pending_ = 0;
     Picoseconds now_ = 0;
     std::uint64_t next_seq_ = 0;
+    /** Sequences below it, at now(), order before the last event run. */
+    std::uint64_t seq_floor_ = 0;
     std::uint64_t executed_ = 0;
     bool stop_requested_ = false;
 };

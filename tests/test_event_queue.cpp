@@ -5,10 +5,11 @@
  * tie-breaking, cancellation life cycle, rescheduling, calendar-specific
  * behaviour (bucket edges, the window's end, ring wrap-around,
  * calendar/heap ties, stale entries left by cancel and reschedule),
- * callbacks that run in place while they schedule, SBO callback
- * semantics, a randomized run against an independent ordered-set
- * model, and a 1M-event randomized stress that checks the ordering
- * invariants end to end.
+ * ticketed events filed after the events they tie with, callbacks that
+ * run in place while they schedule, SBO callback semantics, a
+ * randomized run against an independent ordered-set model, and a
+ * 1M-event randomized stress that checks the ordering invariants end
+ * to end.
  */
 
 #include <gtest/gtest.h>
@@ -186,6 +187,33 @@ TEST(EventQueueAssertDeathTest, TimeTravelPanics)
     EXPECT_DEATH(q.scheduleAfter(-1, [] {}), "negative delay");
     const EventId id = q.schedule(200, [] {});
     EXPECT_DEATH(q.reschedule(id, 99), "rescheduling event into the past");
+}
+
+TEST(EventQueueAssertDeathTest, TicketBeforeTheRunningEventPanics)
+{
+    // A ticket taken before the event now running, filed at now, would
+    // fire before an event that has already run.
+    EventQueue q;
+    const std::uint64_t early = q.ticket();
+    q.schedule(100, [&q, early] { q.schedule(100, early, [] {}); });
+    EXPECT_DEATH(q.run(), "sorts before the event run last");
+
+    EventQueue r;
+    const std::uint64_t old = r.ticket();
+    r.schedule(100, [] {});
+    r.run();
+    EXPECT_DEATH(r.schedule(100, old, [] {}),
+                 "sorts before the event run last");
+    EXPECT_DEATH(r.schedule(99, r.ticket(), [] {}),
+                 "scheduling event in the past");
+    EXPECT_DEATH(r.schedule(200, r.ticket() + 1, [] {}), "never issued");
+    // The same old ticket is fine at a later time, and a ticket newer
+    // than the last event's is fine at now.
+    int fired = 0;
+    r.schedule(101, old, [&] { ++fired; });
+    r.schedule(100, r.ticket(), [&] { ++fired; });
+    r.run();
+    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueueCallback, MoveOnlyCaptureIsSupported)
@@ -529,6 +557,132 @@ TEST(EventQueueCalendar, RepeatedFarReschedulesFireOnce)
     EXPECT_EQ(q.executed(), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// Tickets: a sequence taken with ticket() and filed later under it with
+// schedule(when, ticket, cb) orders as if scheduled at ticket time.
+// ---------------------------------------------------------------------------
+
+/** Tickets and fresh events tied at @p when, filed from @p from. */
+FireLog
+tiedTicketsAndFreshEvents(Picoseconds when, Picoseconds from)
+{
+    EventQueue q;
+    FireLog log;
+    auto tag = [&](int t) {
+        return [&log, &q, t] { log.push_back({q.now(), t}); };
+    };
+    const std::uint64_t t0 = q.ticket();
+    q.schedule(when, tag(1));
+    const std::uint64_t t2 = q.ticket();
+    q.schedule(when, tag(3));
+    const std::uint64_t t4 = q.ticket();
+    // Filed newest first, and behind the fresh events they tie with.
+    q.schedule(from, [&, when, t0, t2, t4] {
+        q.schedule(when, t4, tag(4));
+        q.schedule(when, tag(5));
+        q.schedule(when, t2, tag(2));
+        q.schedule(when, t0, tag(0));
+    });
+    q.run();
+    return log;
+}
+
+TEST(EventQueueTicket, TiesWithFreshEventsInTheCalendar)
+{
+    const Picoseconds when = 7 * kBucket + 3;
+    EXPECT_EQ(tiedTicketsAndFreshEvents(when, when - 100),
+              (FireLog{{when, 0},
+                       {when, 1},
+                       {when, 2},
+                       {when, 3},
+                       {when, 4},
+                       {when, 5}}));
+    // Filed from the same bucket, into the entries already there.
+    EXPECT_EQ(tiedTicketsAndFreshEvents(when, when - 2),
+              (FireLog{{when, 0},
+                       {when, 1},
+                       {when, 2},
+                       {when, 3},
+                       {when, 4},
+                       {when, 5}}));
+}
+
+TEST(EventQueueTicket, TiesWithFreshEventsInTheHeap)
+{
+    const Picoseconds when = (Picoseconds{1} << 40) + 7;
+    EXPECT_EQ(tiedTicketsAndFreshEvents(when, 100),
+              (FireLog{{when, 0},
+                       {when, 1},
+                       {when, 2},
+                       {when, 3},
+                       {when, 4},
+                       {when, 5}}));
+}
+
+TEST(EventQueueTicket, TiesAcrossCalendarAndHeap)
+{
+    // Tickets c and b are filed into the calendar once T is inside the
+    // window; ticket a and fresh event F wait in the heap from the
+    // start. Sequences alternate between the two structures: c (cal),
+    // a (heap), F (heap), b (cal), then a fresh calendar event.
+    EventQueue q;
+    FireLog log;
+    auto tag = [&](int t) {
+        return [&log, &q, t] { log.push_back({q.now(), t}); };
+    };
+    const Picoseconds T = 3 * kWindow + 500;
+    const std::uint64_t c = q.ticket();
+    const std::uint64_t a = q.ticket();
+    q.schedule(T, tag(2)); // F: heap
+    const std::uint64_t b = q.ticket();
+    q.schedule(T, a, tag(1)); // heap
+    q.schedule(T - 10 * kBucket, [&, T, b, c] {
+        q.schedule(T, b, tag(3)); // calendar
+        q.schedule(T, tag(4));    // calendar, fresh
+        q.schedule(T, c, tag(0)); // calendar
+    });
+    q.run();
+    EXPECT_EQ(log, (FireLog{{T, 0}, {T, 1}, {T, 2}, {T, 3}, {T, 4}}));
+}
+
+TEST(EventQueueTicket, CancelAndRescheduleATicketedEvent)
+{
+    EventQueue q;
+    FireLog log;
+    auto tag = [&](int t) {
+        return [&log, &q, t] { log.push_back({q.now(), t}); };
+    };
+    const std::uint64_t gone = q.ticket();
+    q.schedule(100, tag(1));
+    const EventId cancelled = q.schedule(100, gone, tag(-1));
+    EXPECT_TRUE(q.isPending(cancelled));
+    EXPECT_TRUE(q.cancel(cancelled));
+    EXPECT_FALSE(q.cancel(cancelled));
+    EXPECT_FALSE(q.reschedule(cancelled, 300));
+
+    // A ticketed event moved by reschedule takes a new sequence: it
+    // leaves its ticket's place and fires behind the ties at its new
+    // time, from the calendar and from the heap alike.
+    const std::uint64_t near = q.ticket();
+    q.schedule(200, tag(3));
+    const EventId moved = q.schedule(200, near, tag(2));
+    const Picoseconds far = Picoseconds{1} << 40;
+    const std::uint64_t away = q.ticket();
+    q.schedule(far, tag(5));
+    const EventId back = q.schedule(far, away, tag(4));
+    EXPECT_TRUE(q.reschedule(moved, 200));
+    EXPECT_TRUE(q.reschedule(back, far));
+    EXPECT_EQ(q.pending(), 5u);
+    q.run();
+    EXPECT_EQ(log, (FireLog{{100, 1},
+                            {200, 3},
+                            {200, 2},
+                            {far, 5},
+                            {far, 4}}));
+    EXPECT_FALSE(q.isPending(moved));
+    EXPECT_EQ(q.executed(), 5u);
+}
+
 TEST(EventQueueCalendar, MatchesOrderedSetModel)
 {
     // An independent oracle: a std::set of (when, seq, tag) with its own
@@ -541,7 +695,9 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     // events do, so same-timestamp ties are common: within a bucket,
     // and between a heap event and a later calendar event. Reschedules
     // move events between the two structures both ways, and cancelled
-    // tags free slots for later schedules to reuse.
+    // tags free slots for later schedules to reuse. One draw in five
+    // takes a ticket instead and files it later, at random or once it
+    // is the model's next event, never after the queue has passed it.
     using Key = std::tuple<Picoseconds, std::uint64_t, std::size_t>;
     constexpr Picoseconds kSlot = 2560;
     EventQueue q;
@@ -579,8 +735,21 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
         keys[tag] = Key{when, model_seq++, tag};
         model.insert(keys[tag]);
     };
+    auto record = [&fired, &q](std::size_t tag) {
+        return [&fired, &q, tag] { fired = {q.now(), tag}; };
+    };
+    std::set<Key> deferred; // ticketed tags not filed yet
+    auto file_ticketed = [&](std::set<Key>::iterator it) {
+        const auto [when, seq, tag] = *it;
+        ids[tag] = q.schedule(when, seq, record(tag));
+        model.insert(*it);
+        deferred.erase(it);
+    };
     // One step; false (after recording a failure) on any divergence.
     auto step = [&]() {
+        while (!deferred.empty() &&
+               (model.empty() || *deferred.begin() < *model.begin()))
+            file_ticketed(deferred.begin());
         const bool ran = q.step();
         if (ran != !model.empty()) {
             ADD_FAILURE() << "step() returned " << ran << " with "
@@ -605,15 +774,27 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     for (std::size_t i = 0; i < 20000 && ok; ++i) {
         const std::size_t tag = ids.size();
         const Picoseconds when = draw();
-        ids.push_back(q.schedule(when, [&fired, &q, tag] {
-            fired = {q.now(), tag};
-        }));
         keys.emplace_back();
-        file(tag, when);
+        if (rng.uniform() < 0.2) {
+            // Until it is filed, the model and the queue hold neither
+            // the tag nor an id for it.
+            ids.push_back(kInvalidEvent);
+            keys[tag] = Key{when, model_seq++, tag};
+            ASSERT_EQ(q.ticket(), std::get<1>(keys[tag]));
+            deferred.insert(keys[tag]);
+        } else {
+            ids.push_back(q.schedule(when, record(tag)));
+            file(tag, when);
+        }
+        if (!deferred.empty() && rng.uniform() < 0.3)
+            file_ticketed(std::next(
+                deferred.begin(),
+                static_cast<std::ptrdiff_t>(
+                    rng.uniformInt(deferred.size()))));
 
-        // Cancel or reschedule any tag, fired and cancelled ones
-        // included: the queue must reject exactly the ones the model no
-        // longer holds.
+        // Cancel or reschedule any tag, fired, cancelled and unfiled
+        // ones included: the queue must reject exactly the ones the
+        // model does not hold.
         const double roll = rng.uniform();
         const std::size_t pick = rng.uniformInt(ids.size());
         const bool pending = model.count(keys[pick]) != 0;
@@ -634,7 +815,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
             for (std::uint64_t k = 1 + rng.uniformInt(8); k > 0 && ok; --k)
                 ok = step();
     }
-    while (ok && !model.empty())
+    while (ok && !(model.empty() && deferred.empty()))
         ok = step();
     EXPECT_TRUE(ok);
     EXPECT_TRUE(q.empty());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "proto/cxl.hpp"
 #include "proto/edm_model.hpp"
@@ -390,6 +392,7 @@ TEST(EdmFlow, LedgerRetiresEveryFlowAtDeliveryAcrossIdWraps)
     EXPECT_EQ(stats.retired_by_completion, model.completed());
     EXPECT_EQ(stats.grants_suppressed, 0u);
     EXPECT_EQ(stats.entries_evicted, 0u);
+    EXPECT_EQ(sched.bufferedRequests(), 0u);
     EXPECT_EQ(model.staleGrants(), 0u);
 }
 
@@ -461,6 +464,162 @@ TEST(Fastpass, ControlChannelDominates)
     EXPECT_EQ(model.completed(), 2000u);
     // Batching + arbiter serialization put it far above the others.
     EXPECT_GT(model.normalized().mean(), 2.0);
+}
+
+// ---- the arrival stream ----
+
+/** Records each arrival's time and job id. */
+class ArrivalLog : public FabricModel
+{
+  public:
+    using FabricModel::FabricModel;
+
+    std::string name() const override { return "log"; }
+
+    std::vector<std::pair<Picoseconds, std::uint64_t>> arrivals;
+
+  protected:
+    void
+    arrive(const Job &job) override
+    {
+        EXPECT_EQ(sim_.now(), job.arrival);
+        arrivals.emplace_back(sim_.now(), job.id);
+    }
+};
+
+TEST(ArrivalStream, AnyOfferOrderArrivesByTimeThenOffer)
+{
+    // Offers out of time order, ties at one time, an offer that becomes
+    // the new head, and an event scheduled between two tied offers,
+    // which fires between them.
+    Simulation sim;
+    ArrivalLog model(sim, smallCluster());
+    model.offer(makeJob(1, 0, 1, 64, 500));
+    model.offer(makeJob(2, 0, 1, 64, 300));
+    model.offer(makeJob(3, 0, 1, 64, 500));
+    model.offer(makeJob(4, 0, 1, 64, 300));
+    sim.events().schedule(300, [&] { model.arrivals.push_back({-1, 99}); });
+    model.offer(makeJob(5, 0, 1, 64, 300));
+    model.offer(makeJob(6, 0, 1, 64, 100));
+    model.offer(makeJob(7, 0, 1, 64, 900));
+    EXPECT_EQ(sim.events().pending(), 2u);
+    sim.run(400);
+    // Between runs, offers at the current time and later.
+    model.offer(makeJob(8, 0, 1, 64, 700));
+    model.offer(makeJob(9, 0, 1, 64, sim.now()));
+    sim.run();
+    using Log = std::vector<std::pair<Picoseconds, std::uint64_t>>;
+    EXPECT_EQ(model.arrivals, (Log{{100, 6},
+                                   {300, 2},
+                                   {300, 4},
+                                   {-1, 99},
+                                   {300, 5},
+                                   {300, 9},
+                                   {500, 1},
+                                   {500, 3},
+                                   {700, 8},
+                                   {900, 7}}));
+    EXPECT_TRUE(sim.events().empty());
+}
+
+TEST(ArrivalStreamDeathTest, OfferInThePastFailsAtTheOffer)
+{
+    // The stream's head lies far ahead, yet an arrival before now()
+    // fails when it is offered, not when it would reach the head.
+    Simulation sim;
+    ArrivalLog model(sim, smallCluster());
+    model.offer(makeJob(1, 0, 1, 64, 10 * kMicrosecond));
+    sim.events().schedule(kMicrosecond, [] {});
+    sim.run(2 * kMicrosecond);
+    EXPECT_DEATH(model.offer(makeJob(2, 0, 1, 64, kMicrosecond / 2)),
+                 "offering job 2 in the past");
+}
+
+/** A 16-node synthetic job list at load 0.7. */
+std::vector<Job>
+streamJobs(std::uint64_t messages)
+{
+    workload::SyntheticConfig cfg;
+    cfg.num_nodes = 16;
+    cfg.load = 0.7;
+    cfg.write_fraction = 0.5;
+    cfg.messages = messages;
+    cfg.size_cdf = Cdf{{64, 0.5}, {1024, 0.9}, {8192, 1.0}};
+    Rng rng(11);
+    return workload::generateSynthetic(rng, cfg, workload::wire::edm);
+}
+
+template <typename Model>
+void
+holdsOneArrivalEvent()
+{
+    Simulation sim;
+    Model model(sim, smallCluster(16));
+    SCOPED_TRACE(model.name());
+    const auto jobs = streamJobs(400);
+    for (const Job &j : jobs)
+        model.offer(j);
+    EXPECT_EQ(sim.events().pending(), 1u);
+    sim.run();
+    EXPECT_EQ(model.completed(), jobs.size());
+}
+
+TEST(ArrivalStream, EveryModelHoldsOneArrivalEvent)
+{
+    holdsOneArrivalEvent<EdmFlowModel>();
+    holdsOneArrivalEvent<IrdModel>();
+    holdsOneArrivalEvent<DctcpModel>();
+    holdsOneArrivalEvent<PfabricModel>();
+    holdsOneArrivalEvent<PfcDcqcnModel>();
+    holdsOneArrivalEvent<CxlModel>();
+    holdsOneArrivalEvent<FastpassModel>();
+}
+
+/** Latency samples of @p jobs offered at once, or in @p slices slices. */
+template <typename Model>
+std::vector<double>
+streamedLatencies(const std::vector<Job> &jobs, std::size_t slices)
+{
+    Simulation sim;
+    Model model(sim, smallCluster(16));
+    const Picoseconds span = jobs.back().arrival + 1;
+    std::size_t next = 0;
+    for (std::size_t k = 1; k <= slices; ++k) {
+        // Offer the slice's jobs, then run up to its end.
+        const Picoseconds end =
+            span * static_cast<Picoseconds>(k) /
+            static_cast<Picoseconds>(slices);
+        for (; next < jobs.size() && jobs[next].arrival < end; ++next)
+            model.offer(jobs[next]);
+        sim.run(end - 1);
+    }
+    sim.run();
+    EXPECT_EQ(model.completed(), jobs.size());
+    return model.latency().raw();
+}
+
+template <typename Model>
+void
+slicedOffersMatchOneBatch()
+{
+    Simulation sim;
+    SCOPED_TRACE(Model(sim, smallCluster()).name());
+    const auto jobs = streamJobs(2000);
+    const auto batch = streamedLatencies<Model>(jobs, 1);
+    ASSERT_EQ(batch.size(), jobs.size());
+    EXPECT_EQ(streamedLatencies<Model>(jobs, 7), batch);
+    EXPECT_EQ(streamedLatencies<Model>(jobs, 40), batch);
+}
+
+TEST(ArrivalStream, SlicedOffersMatchOneBatch)
+{
+    slicedOffersMatchOneBatch<EdmFlowModel>();
+    slicedOffersMatchOneBatch<IrdModel>();
+    slicedOffersMatchOneBatch<DctcpModel>();
+    slicedOffersMatchOneBatch<PfabricModel>();
+    slicedOffersMatchOneBatch<PfcDcqcnModel>();
+    slicedOffersMatchOneBatch<CxlModel>();
+    slicedOffersMatchOneBatch<FastpassModel>();
 }
 
 TEST(Models, NamesAreStable)

@@ -360,6 +360,50 @@ TEST(SchedulerLedger, FullQueueInsertLeavesPredecessorTracked)
     EXPECT_EQ(sched.pendingDemands(), 2u);
 }
 
+TEST(SchedulerLedger, BufferedRequestsFreeOnForwardAndReclaim)
+{
+    // A read demand holds its RREQ until the first grant forwards it;
+    // a demand dropped on a full queue holds none, and one reclaimed by
+    // retirement frees its request. The sink receives the request
+    // whole.
+    EdmConfig cfg;
+    cfg.num_nodes = 2;
+    cfg.max_notifications = 1; // per-port queue capacity = 1 * 2 = 2
+    Simulation sim;
+    std::vector<MemMessage> forwarded;
+    Scheduler sched(cfg, sim.events(), [&](const GrantAction &a) {
+        if (a.forward_request)
+            forwarded.push_back(*a.forward_request);
+    });
+
+    MemMessage req; // host 1 reads node 0's memory
+    req.type = MemMsgType::RREQ;
+    req.src = 1;
+    req.dst = 0;
+    req.addr = 0x1234;
+    req.len = 600;
+    for (MsgId id = 1; id <= 2; ++id) {
+        req.id = id;
+        ASSERT_TRUE(sched.addReadDemand(req, 600));
+    }
+    req.id = 3;
+    EXPECT_FALSE(sched.addReadDemand(req, 600)); // queue for dst 1 full
+    EXPECT_EQ(sched.bufferedRequests(), 2u);
+
+    // Retiring id 2 before its first grant reclaims its demand.
+    sched.onChunkForwarded(0, 1, 2, /*response=*/true, 600,
+                           /*last_chunk=*/true);
+    EXPECT_EQ(sched.bufferedRequests(), 1u);
+
+    sim.run();
+    ASSERT_EQ(forwarded.size(), 1u);
+    EXPECT_EQ(forwarded[0].id, 1);
+    EXPECT_EQ(forwarded[0].addr, 0x1234u);
+    EXPECT_EQ(forwarded[0].len, 600u);
+    EXPECT_EQ(sched.bufferedRequests(), 0u);
+    EXPECT_EQ(sched.ledgerStats().grants_suppressed, 0u);
+}
+
 TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
 {
     // Acceptance criterion for EdmConfig::wire_charged_occupancy: with
