@@ -225,11 +225,9 @@ struct EdmConfig
      * the fabric additionally caps trains at hop-latency/cycle + 2 so a
      * train's delivery event never fires before its last block left the
      * transmitter (keeping mid-train fault injection exact). Observable
-     * timing is identical for every value on a single switch and on a
-     * leaf-spine without L2 floods (tests/test_block_train.cpp). With
-     * floods on a leaf-spine it is not: a grant can tie a cut-through
-     * block's stamp on an egress mux and leave one slot later than
-     * per-block (ROADMAP item 4).
+     * timing is identical for every value, with either
+     * max_frame_train_blocks (tests/test_block_train.cpp,
+     * tests/test_train_equivalence.cpp).
      */
     std::size_t max_train_blocks = 64;
 
@@ -240,9 +238,8 @@ struct EdmConfig
      * memory stream cannot claim their slots. 1 restores per-block
      * frame emission (the timing-equivalence baseline); the same
      * hop-latency safety cap as max_train_blocks applies. Observable
-     * timing is identical for every value on a single switch and on
-     * leaf-spines with L2 floods, at either max_train_blocks
-     * (tests/test_frame_train.cpp, LeafSpineFloodsBitIdentical).
+     * timing is identical for every value, with either max_train_blocks
+     * (tests/test_frame_train.cpp, tests/test_train_equivalence.cpp).
      */
     std::size_t max_frame_train_blocks = 64;
 

@@ -47,10 +47,12 @@ CycleFabric::CycleFabric(const EdmConfig &cfg, Simulation &sim,
     for (NodeId i = 0; i < n; ++i) {
         Link &up = links_[i];
         up.node = i;
+        up.rank = static_cast<std::uint32_t>(1 + i);
         up.mux = &hosts_[i]->mux();
         up.backlog = &frame_backlog_[i];
         Link &down = links_[n + i];
         down.node = i;
+        down.rank = static_cast<std::uint32_t>(1 + n + i);
         down.uplink = false;
         down.mux = &leafSw(i).egressMux(i);
         down.backlog = &leafSw(i).egressFrameBacklog(i);
@@ -203,18 +205,34 @@ CycleFabric::topUpFrames(phy::PreemptionMux &mux,
 //
 // Every link runs the same transmit pump; the direction only decides
 // where blocks land (receive, deliverTrain). Each pump owns one emit
-// event. While blocks flow it self-reschedules every cycle (or every
-// train); when queued work is still in flight upstream it parks at the
-// head block's availability; with nothing queued it deactivates and
-// pump() restarts it, exactly like the original activate-on-work design.
+// event. While blocks flow it fires every cycle (or at the slot after
+// a train); when queued work is still in flight upstream it parks at
+// the head block's availability; with nothing queued it deactivates
+// and pump() restarts it.
+//
+// Same-instant order is a rule, not an accident of scheduling: an emit
+// event is ranked 1 + its link's index, so every arrival, enqueue and
+// grant of an instant (rank 0) is visible before any link transmits in
+// it, and links transmit in index order (so the deliveries they file
+// for one later instant tie in that order too). A train therefore sees
+// exactly what per-block emission would have seen at each of its
+// slots, and trim() only has to give back the slots not yet on the
+// wire.
 // ---------------------------------------------------------------------------
+
+void
+CycleFabric::fileEmit(Link &l, Picoseconds at)
+{
+    l.pump.emit_at = at;
+    l.pump.emit_ev = sim_.events().scheduleRanked(
+        at, l.rank, [this, lp = &l] { emit(*lp); });
+}
 
 void
 CycleFabric::pump(Link &l)
 {
     trim(l);
-    EventQueue &q = sim_.events();
-    const Picoseconds now = q.now();
+    const Picoseconds now = sim_.now();
     const Picoseconds ready =
         l.backlog->empty() ? l.mux->readyAt(now) : now;
     if (ready == phy::PreemptionMux::kNever)
@@ -223,13 +241,11 @@ CycleFabric::pump(Link &l)
     const Picoseconds start = std::max({now, p.next_slot, ready});
     if (!p.active) {
         p.active = true;
-        p.emit_at = start;
-        p.emit_ev = q.schedule(start, [this, lp = &l] { emit(*lp); });
+        fileEmit(l, start);
     } else if (p.emit_ev != kInvalidEvent && start < p.emit_at) {
         // Parked waiting on in-flight blocks, but fresher work (e.g. a
-        // grant) is emittable sooner. Rescheduling re-sequences the
-        // event, just as a fresh activation would have.
-        q.reschedule(p.emit_ev, start);
+        // grant) is emittable sooner.
+        sim_.events().reschedule(p.emit_ev, start);
         p.emit_at = start;
     }
 }
@@ -239,23 +255,13 @@ CycleFabric::emit(Link &l)
 {
     TxPump &p = l.pump;
     phy::PreemptionMux &mux = *l.mux;
-    EventQueue &q = sim_.events();
-    const auto again = [this, lp = &l] { emit(*lp); };
     p.emit_ev = kInvalidEvent;
 
     // Top up the mux's bounded frame staging buffer from the backlog.
     topUpFrames(mux, *l.backlog);
 
-    const Picoseconds now = q.now();
-    if (now < p.next_slot) {
-        // Train-continuation sentinel: it fires at the train's *last*
-        // slot so that the next real emit is sequenced here — exactly
-        // where baseline's per-slot chain would have scheduled it —
-        // keeping same-timestamp ordering against enqueue events.
-        p.emit_at = p.next_slot;
-        p.emit_ev = q.schedule(p.next_slot, again);
-        return;
-    }
+    const Picoseconds now = sim_.now();
+    EDM_ASSERT(now >= p.next_slot, "emit before the link's next slot");
     const Picoseconds ready = mux.readyAt(now);
     if (ready == phy::PreemptionMux::kNever) {
         p.active = false;
@@ -264,8 +270,7 @@ CycleFabric::emit(Link &l)
     if (ready > now) {
         // Queued blocks are still in flight upstream: park until the
         // head becomes emittable.
-        p.emit_at = std::max(ready, p.next_slot);
-        p.emit_ev = q.schedule(p.emit_at, again);
+        fileEmit(l, std::max(ready, p.next_slot));
         return;
     }
 
@@ -312,12 +317,12 @@ CycleFabric::emit(Link &l)
     }
 
     if (deliver) {
-        q.schedule(now + cfg_.cycle + hopLatency(),
-                   [this, lp = &l, block] { receive(*lp, block); });
+        sim_.events().schedule(now + cfg_.cycle + hopLatency(),
+                               [this, lp = &l, block] {
+                                   receive(*lp, block);
+                               });
     }
-
-    p.emit_at = p.next_slot;
-    p.emit_ev = q.schedule(p.next_slot, again);
+    fileEmit(l, p.next_slot);
 }
 
 bool
@@ -372,19 +377,15 @@ void
 CycleFabric::commitTrain(Link &l, Train t, std::size_t run, Picoseconds now)
 {
     TxPump &p = l.pump;
-    EventQueue &q = sim_.events();
     t.start = now;
-    // Same call order as the per-block path (delivery first, then
-    // emit): same-instant sequence numbers depend on it.
-    q.schedule(now + cfg_.cycle + hopLatency(),
-               [this, lp = &l] { deliverTrain(*lp); });
+    sim_.events().schedule(now + cfg_.cycle + hopLatency(),
+                           [this, lp = &l] { deliverTrain(*lp); });
     EDM_ASSERT(p.trains.size() < kMaxTrainsInFlight,
                "more than %zu trains in flight on one pump",
                kMaxTrainsInFlight);
     p.trains.push_back(std::move(t));
     p.next_slot = now + static_cast<Picoseconds>(run) * cfg_.cycle;
-    p.emit_at = now + static_cast<Picoseconds>(run - 1) * cfg_.cycle;
-    p.emit_ev = q.schedule(p.emit_at, [this, lp = &l] { emit(*lp); });
+    fileEmit(l, p.next_slot);
 }
 
 void
@@ -397,14 +398,14 @@ CycleFabric::deliverTrain(Link &l)
     const NodeId n = l.node;
     const phy::PhyBlock *blocks = t.blocks.data();
     const std::size_t count = t.blocks.size();
+    // now() is the first block's arrival; later blocks arrive (and are
+    // timestamped) one serialization slot apart.
     if (t.kind == Train::Kind::Frame) {
         if (l.uplink)
-            leafSw(n).rxFrameTrain(n, blocks, count);
+            leafSw(n).rxFrameTrain(n, blocks, count, sim_.now(), cfg_.cycle);
         else
             hosts_[n]->rxFrameTrain(blocks, count);
     } else if (l.uplink) {
-        // now() is the first block's arrival; later blocks arrive (and
-        // are timestamped) one serialization slot apart.
         leafSw(n).rxBlockTrain(n, blocks, count, sim_.now(), cfg_.cycle);
     } else {
         hosts_[n]->rxBlockTrain(blocks, count);
@@ -421,6 +422,18 @@ CycleFabric::receive(Link &l, const phy::PhyBlock &block)
         hosts_[l.node]->rxBlock(block);
 }
 
+std::size_t
+CycleFabric::committedSlots(const Train &t) const
+{
+    // Slots strictly before now are on the wire, and so is the slot that
+    // formed the train. A slot exactly at now belongs to this instant's
+    // transmit phase, which runs after the caller: per-block, whatever
+    // the caller enqueues or corrupts would be seen by that slot's emit.
+    const Picoseconds delta = sim_.now() - t.start;
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>((delta + cfg_.cycle - 1) / cfg_.cycle));
+}
+
 void
 CycleFabric::trim(Link &l)
 {
@@ -431,42 +444,26 @@ CycleFabric::trim(Link &l)
     if (p.trains.empty())
         return;
     Train &t = p.trains.back();
-    const Picoseconds now = sim_.now();
-    const auto len = static_cast<Picoseconds>(t.blocks.size());
-    // Strict >: a block landing exactly on the *last* slot still wins
-    // it (the tie rules below) — only past the last slot is every block
-    // irrevocably on the wire.
-    if (now > t.start + (len - 1) * cfg_.cycle)
+    std::size_t keep = committedSlots(t);
+    if (keep >= t.blocks.size())
         return;
     const Picoseconds head = l.mux->headAvail();
     if (head == phy::PreemptionMux::kNever)
         return;
-    std::size_t keep;
     if (t.kind == Train::Kind::Memory) {
-        // Slots up to now are committed. A queued block with an earlier
-        // availability than a not-yet-emitted train block — a grant /G/
-        // behind a cut-through stream on a switch egress is the
-        // canonical case — would have gone on the wire before it, so
-        // the tail from there re-queues behind that block. Never fires
-        // on an uplink: every host mux enqueue is stamped with its
-        // event time, so nothing queued sorts ahead of a train block.
-        keep = static_cast<std::size_t>((now - t.start) / cfg_.cycle) + 1;
+        // A queued block that sorts ahead of a not-yet-emitted train
+        // block — a grant /G/ stamped before a cut-through block on a
+        // switch egress is the canonical case — would have gone on the
+        // wire before it, so the tail from there re-queues behind that
+        // block. A grant stamped the same as a train block yields to it
+        // (PreemptionMux), so only an earlier stamp cuts; on an uplink,
+        // whose enqueues are stamped with their event time, none does.
         while (keep < t.blocks.size() && t.avails[keep] <= head)
             ++keep;
     } else {
         // Memory preempts a frame at every slot its availability
         // reaches (after a frame slot the mux always prefers eligible
-        // memory). Slots strictly before now are gone. A slot exactly
-        // at now is the tie case: every memory enqueue event is
-        // scheduled at least one full cycle ahead, so in the per-block
-        // engine it runs before the slot's emit event and wins the
-        // slot — except at the train's own start, where the forming
-        // emit demonstrably ran first.
-        const Picoseconds delta = now - t.start;
-        keep = delta == 0
-            ? 1
-            : static_cast<std::size_t>(delta / cfg_.cycle) +
-                (delta % cfg_.cycle != 0 ? 1 : 0);
+        // memory).
         while (keep < t.blocks.size() &&
                t.start + static_cast<Picoseconds>(keep) * cfg_.cycle < head)
             ++keep;
@@ -482,8 +479,7 @@ CycleFabric::untrain(Link &l, Train &t, std::size_t keep)
     // (memory blocks with their availability stamps), then move the
     // pump's next slot and pending emit to the cut.
     const std::size_t back = t.blocks.size() - keep;
-    if (back > 0)
-        noteTrainEvent(trace::EventType::TrainTrim, l.node, t.kind, back);
+    noteTrainEvent(trace::EventType::TrainTrim, l.node, t.kind, back);
     if (t.kind == Train::Kind::Memory) {
         l.mux->restoreMemoryRun(t.blocks.data() + keep,
                                 t.avails.data() + keep, back);
@@ -503,27 +499,17 @@ CycleFabric::untrain(Link &l, Train &t, std::size_t keep)
 void
 CycleFabric::abortUplinkTrain(Link &l)
 {
+    // Only the newest train can still be mid-emission: trains earlier in
+    // the FIFO finished their slots before this one started. Its blocks
+    // not yet on the wire go back to the head of the mux, so the
+    // per-block path re-emits them under the fault model.
     TxPump &p = l.pump;
     if (p.trains.empty())
         return;
-    // Only the newest train can still be mid-emission: trains earlier in
-    // the FIFO finished their slots before this one started.
     Train &t = p.trains.back();
-    const Picoseconds now = sim_.now();
-    const auto len = static_cast<Picoseconds>(t.blocks.size());
-    if (now > t.start + (len - 1) * cfg_.cycle)
-        return; // every block already left the transmitter
-
-    // Blocks whose emission slot has passed (slot <= now: the emit ran
-    // before this abort in event order) stay committed; the rest go back
-    // to the head of the mux so the per-block path re-emits them under
-    // the fault model. At least one block stays: the emit event that
-    // formed the train ran at t.start before any same-instant abort, so
-    // the delivery event survives with a non-empty prefix. An abort on
-    // the train's last slot gives nothing back but still reschedules
-    // the pending emit, re-sequencing it among same-instant events.
-    untrain(l, t,
-            static_cast<std::size_t>((now - t.start) / cfg_.cycle) + 1);
+    const std::size_t keep = committedSlots(t);
+    if (keep < t.blocks.size())
+        untrain(l, t, keep);
 }
 
 void

@@ -16,8 +16,10 @@
  * bursts both travel as pooled, kind-tagged block trains (one emit +
  * one delivery event per train) whenever the mux's scheduling decisions
  * cannot change mid-run, with per-block emission as the fallback and
- * the timing-equivalence baseline (see EdmConfig::max_train_blocks for
- * where the equivalence is known to hold).
+ * the timing-equivalence baseline. Within one instant every arrival
+ * runs before any link transmits (emit events are ranked, see
+ * fabric.cpp), so trains are observably identical to per-block
+ * emission by construction.
  */
 
 #ifndef EDM_CORE_FABRIC_HPP
@@ -307,6 +309,8 @@ class CycleFabric
 
         NodeId node = 0;
         bool uplink = true;
+        /** Rank of its emit events: 1 + its index in links_. */
+        std::uint32_t rank = 0;
         phy::PreemptionMux *mux = nullptr;
         /** Frame blocks waiting behind the mux's staging buffer. */
         common::Ring<phy::PhyBlock> *backlog = nullptr;
@@ -354,12 +358,15 @@ class CycleFabric
                         std::size_t blocks);
 
     // The transmit path, identical for every link (fabric.cpp).
+    void fileEmit(Link &l, Picoseconds at);
     void pump(Link &l);
     void emit(Link &l);
     bool emitTrain(Link &l, Picoseconds now);
     void commitTrain(Link &l, Train t, std::size_t run, Picoseconds now);
     void deliverTrain(Link &l);
     void receive(Link &l, const phy::PhyBlock &block);
+    /** Leading blocks of @p t already on the wire at now(). */
+    std::size_t committedSlots(const Train &t) const;
     void trim(Link &l);
     void untrain(Link &l, Train &t, std::size_t keep);
     void abortUplinkTrain(Link &l);

@@ -276,9 +276,12 @@ HostStack::onMemoryBlock(const phy::PhyBlock &block)
         delay = cycles(cfg_.costs.host_proc_data);
         break;
     }
-    events_.scheduleAfter(delay, [this, m = std::move(m)] {
-        onMessage(m);
-    });
+    auto handle = [this, i = messages_.put(std::move(m))] {
+        onMessage(messages_.take(i));
+    };
+    static_assert(EventQueue::Callback::kFitsInline<decltype(handle)>,
+                  "a received message's event must not allocate");
+    events_.scheduleAfter(delay, std::move(handle));
 }
 
 void

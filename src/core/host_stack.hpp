@@ -21,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/index_pool.hpp"
 #include "core/config.hpp"
 #include "core/message.hpp"
 #include "core/wire.hpp"
@@ -283,6 +284,8 @@ class HostStack
     phy::PreemptionMux mux_;
     phy::PreemptionDemux demux_;
     MessageAssembler assembler_;
+    /** Received messages waiting out their processing delay. */
+    common::IndexPool<MemMessage> messages_;
 
     std::map<std::pair<NodeId, MsgId>, RequestState> requests_;
     std::map<std::pair<NodeId, MsgId>, ResponseState> responses_;

@@ -199,16 +199,8 @@ Scheduler::insertDemand(Demand d, const MemMessage *request)
     // stale). A full queue drops the demand before it owns anything.
     if (q.full())
         return false;
-    if (request) {
-        if (free_requests_.empty()) {
-            d.request = static_cast<std::uint32_t>(requests_.size());
-            requests_.push_back(*request);
-        } else {
-            d.request = free_requests_.back();
-            free_requests_.pop_back();
-            requests_[d.request] = *request;
-        }
-    }
+    if (request)
+        d.request = requests_.put(*request);
     if (fair_tree_)
         d.pool = fair_tree_->poolOf(
             static_cast<std::uint16_t>(d.response ? d.dst : d.src));
@@ -260,7 +252,7 @@ void
 Scheduler::releaseRequest(std::uint32_t index)
 {
     if (index != kNone)
-        free_requests_.push_back(index);
+        requests_.release(index);
 }
 
 std::size_t
@@ -713,8 +705,7 @@ Scheduler::deliverGrant(const ControlInfo &grant, std::uint32_t request)
     if (request == kNone) {
         action.grant_block = grant;
     } else {
-        action.forward_request = std::move(requests_[request]);
-        releaseRequest(request);
+        action.forward_request = requests_.take(request);
     }
     sink_(action);
 }

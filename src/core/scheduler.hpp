@@ -48,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/index_pool.hpp"
 #include "core/config.hpp"
 #include "core/fair_share.hpp"
 #include "core/message.hpp"
@@ -226,11 +227,7 @@ class Scheduler
      * granted, and those whose forwarding grant is still on its way to
      * the sink. Zero once every read has been forwarded or reclaimed.
      */
-    std::size_t
-    bufferedRequests() const
-    {
-        return requests_.size() - free_requests_.size();
-    }
+    std::size_t bufferedRequests() const { return requests_.size(); }
 
     /** A live flow's byte lifecycle, for diagnostics and tests. */
     struct FlowBytes
@@ -388,8 +385,7 @@ class Scheduler
      * the message here keeps Demand small and lets a grant's event fit
      * the queue's inline callback buffer.
      */
-    std::vector<MemMessage> requests_;
-    std::vector<std::uint32_t> free_requests_;
+    common::IndexPool<MemMessage> requests_;
 
     std::uint64_t next_seq_ = 0;
     std::uint64_t grants_issued_ = 0;

@@ -65,11 +65,14 @@ SwitchStack::onGrantAction(const GrantAction &action)
         // multi-block message, so it claims the egress stream like any
         // virtual circuit (pseudo-ingress: the scheduler itself).
         ++stats_.requests_forwarded;
-        events_.scheduleAfter(
-            cycles(cfg_.costs.sw_forward) + trunkTo(target),
-            [sw, target, request = *action.forward_request] {
-                sw->acceptForwardedRequest(target, request);
-            });
+        auto forward = [this, sw, target,
+                        i = forwarded_.put(*action.forward_request)] {
+            sw->acceptForwardedRequest(target, forwarded_.take(i));
+        };
+        static_assert(EventQueue::Callback::kFitsInline<decltype(forward)>,
+                      "a forwarded request's event must not allocate");
+        events_.scheduleAfter(cycles(cfg_.costs.sw_forward) + trunkTo(target),
+                              std::move(forward));
         return;
     }
     EDM_ASSERT(action.grant_block.has_value(),
@@ -459,16 +462,27 @@ SwitchStack::rxBlockTrain(NodeId ingress, const phy::PhyBlock *blocks,
 
 void
 SwitchStack::rxFrameTrain(NodeId ingress, const phy::PhyBlock *blocks,
-                          std::size_t count)
+                          std::size_t count, Picoseconds first_at,
+                          Picoseconds stride)
 {
     EDM_ASSERT(ingress < ports_.size(), "ingress port %u out of range",
                ingress);
     Port &port = *ports_[ingress];
-    // The emitting mux was outside any memory message for the train's
-    // whole span, so this wire segment is pure L2 stream; mid-message
-    // ingress states cannot be active at delivery time.
-    EDM_ASSERT(!port.absorbing && !port.forwarding,
-               "frame train inside a memory stream on port %u", ingress);
+    if (port.absorbing || port.forwarding) {
+        // The emitting mux finished its memory message, but the /MT/ was
+        // lost on the wire, so this port still classifies data blocks as
+        // stream data. Deliver them as per-block rxBlock() would: the
+        // /S/ on its own, the data as a memory train stamped with each
+        // block's arrival.
+        const std::size_t lead = blocks[0].isControl() ? 1 : 0;
+        if (lead > 0)
+            rxBlock(ingress, blocks[0]);
+        if (count > lead)
+            rxBlockTrain(ingress, blocks + lead, count - lead,
+                         first_at + static_cast<Picoseconds>(lead) * stride,
+                         stride);
+        return;
+    }
     for (std::size_t i = 0; i < count; ++i) {
         const phy::PhyBlock &b = blocks[i];
         if (b.isControl()) {

@@ -34,6 +34,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/index_pool.hpp"
 #include "common/ring.hpp"
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
@@ -103,13 +104,16 @@ class SwitchStack
 
     /**
      * Deliver a frame block train: @p count contiguous L2 frame blocks
-     * (an /S/ and/or data — never a terminate) received on @p ingress.
-     * Frame blocks only accumulate in the port-local reassembly buffer;
-     * the flood fires from the per-block /Tn/ that follows the train,
-     * so no per-block timestamps are needed.
+     * (an /S/ and/or data — never a terminate) received on @p ingress,
+     * block i at time @p first_at + i * @p stride. Frame blocks only
+     * accumulate in the port-local reassembly buffer; the flood fires
+     * from the per-block /Tn/ that follows the train. A port a lost /MT/
+     * left inside a memory stream takes the frame's data down the memory
+     * path instead, as rxBlock() would one block at a time.
      */
     void rxFrameTrain(NodeId ingress, const phy::PhyBlock *blocks,
-                      std::size_t count);
+                      std::size_t count, Picoseconds first_at,
+                      Picoseconds stride);
 
     /** Egress mux for @p port (drained by the fabric, one block/slot). */
     phy::PreemptionMux &egressMux(NodeId port);
@@ -238,6 +242,8 @@ class SwitchStack
     std::unique_ptr<Scheduler> scheduler_;
     SwitchStats stats_;
     std::uint64_t sched_fwd_seq_ = 0; ///< stream seq for request forwards
+    /** Granted requests crossing the forwarding pipeline. */
+    common::IndexPool<MemMessage> forwarded_;
 
     /** Scratch for adoption drains (reused, never shrunk). */
     std::vector<phy::PhyBlock> scratch_blocks_;

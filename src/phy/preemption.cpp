@@ -8,31 +8,41 @@
 namespace edm {
 namespace phy {
 
+namespace {
+
+bool
+isGrant(const PhyBlock &b)
+{
+    return b.isControl() && b.type() == BlockType::Grant;
+}
+
+} // namespace
+
+bool
+PreemptionMux::leavesAfter(const MemEntry &e, const PhyBlock &block,
+                           Picoseconds ready)
+{
+    return e.ready != ready ? e.ready > ready
+                            : isGrant(e.block) && !isGrant(block);
+}
+
 void
 PreemptionMux::enqueueMemory(const std::vector<PhyBlock> &blocks,
                              Picoseconds ready)
 {
-    // Every block shares one stamp: when it sorts at the tail the whole
-    // message appends, as enqueueMemoryRun() does for a burst.
-    if (!mem_q_.empty() && mem_q_.back().ready > ready) {
-        for (const auto &b : blocks)
-            enqueueMemory(b, ready);
-        return;
-    }
     for (const auto &b : blocks)
-        mem_q_.push_back(MemEntry{b, ready});
+        enqueueMemory(b, ready);
 }
 
 void
 PreemptionMux::enqueueMemory(const PhyBlock &block, Picoseconds ready)
 {
-    // Availability-ordered stable insert. A block enqueued by an event
-    // at time t must precede blocks that only become available later —
-    // the order FIFO produced when every arrival was its own event. In
-    // the common case (no in-flight burst ahead) this is a plain
-    // push_back; bursts are short, so the backward scan is a few steps.
+    // Ordered insert by (availability, is-grant), stable within each
+    // group. In the common case (no in-flight burst or tied grant
+    // queued) this is a plain push_back; bursts are short, so the
+    // backward scan is a few steps.
     std::size_t pos = mem_q_.size();
-    while (pos > 0 && mem_q_[pos - 1].ready > ready)
+    while (pos > 0 && leavesAfter(mem_q_[pos - 1], block, ready))
         --pos;
     mem_q_.insert(pos, MemEntry{block, ready});
 }
@@ -41,20 +51,9 @@ void
 PreemptionMux::enqueueMemoryRun(const PhyBlock *blocks, std::size_t count,
                                 Picoseconds first_avail, Picoseconds stride)
 {
-    // Stream stamps are non-decreasing, so when the first block sorts
-    // at the tail the whole run appends; an out-of-order head (rare:
-    // something with a later stamp already queued) falls back to the
-    // per-block ordered insert.
-    if (!mem_q_.empty() && mem_q_.back().ready > first_avail) {
-        for (std::size_t i = 0; i < count; ++i)
-            enqueueMemory(blocks[i],
-                          first_avail +
-                              static_cast<Picoseconds>(i) * stride);
-        return;
-    }
     for (std::size_t i = 0; i < count; ++i)
-        mem_q_.push_back(MemEntry{
-            blocks[i], first_avail + static_cast<Picoseconds>(i) * stride});
+        enqueueMemory(blocks[i],
+                      first_avail + static_cast<Picoseconds>(i) * stride);
 }
 
 void
@@ -62,15 +61,8 @@ PreemptionMux::enqueueMemoryList(const PhyBlock *blocks,
                                  const Picoseconds *avails,
                                  std::size_t count)
 {
-    if (count == 0)
-        return;
-    if (!mem_q_.empty() && mem_q_.back().ready > avails[0]) {
-        for (std::size_t i = 0; i < count; ++i)
-            enqueueMemory(blocks[i], avails[i]);
-        return;
-    }
     for (std::size_t i = 0; i < count; ++i)
-        mem_q_.push_back(MemEntry{blocks[i], avails[i]});
+        enqueueMemory(blocks[i], avails[i]);
 }
 
 bool
@@ -193,9 +185,9 @@ PreemptionMux::restoreMemoryRun(const PhyBlock *blocks,
     // trim returns blocks *because* something with an earlier stamp
     // (the grant) slipped in front of them, so a plain push_front would
     // invert the queue's availability order and bury that grant behind
-    // not-yet-available blocks. On the fault-abort path every entry
-    // ahead shares the restored blocks' enqueue stamp, so the merge
-    // degenerates to the old push_front.
+    // not-yet-available blocks. Restored blocks are data, which leave
+    // before a grant of the same stamp, and were queued before any data
+    // block of the same stamp, so restored-first is the queue's order.
     std::size_t pos = 0;
     for (std::size_t i = 0; i < count; ++i) {
         while (pos < mem_q_.size() && mem_q_[pos].ready < avails[i])

@@ -14,8 +14,11 @@
  * enqueue a whole burst in one event while each block becomes emittable
  * only at the instant it would have arrived had every block been its own
  * event (the block-train transmission path). Entries are kept ordered by
- * availability with stable ties, which is exactly the FIFO order the
- * per-event design produced; callers that never timestamp see plain FIFO.
+ * (availability, is-grant), stable within each group: a /G/ yields a
+ * tied slot, so a grant stamped the same instant as a block of a
+ * cut-through stream leaves after it whichever was enqueued first, and
+ * otherwise ties leave in FIFO order. Callers that never timestamp and
+ * queue no grants see plain FIFO.
  * Frame blocks can form trains too: a run of staged frame blocks whose
  * slots no queued memory block could claim (memory preempts a frame
  * whenever its head is available by a slot, so a frame run is only safe
@@ -94,8 +97,7 @@ class PreemptionMux
 
     /**
      * Queue a cut-through burst: @p count blocks, block i available at
-     * @p first_avail + i * @p stride. One call per train instead of one
-     * ordered insert per block; equivalent to enqueueMemory() in a loop.
+     * @p first_avail + i * @p stride; enqueueMemory() per block.
      */
     void enqueueMemoryRun(const PhyBlock *blocks, std::size_t count,
                           Picoseconds first_avail, Picoseconds stride);
@@ -270,7 +272,7 @@ class PreemptionMux
 
     trace::EventLog *trace_ = nullptr; ///< optional; not owned
     std::uint16_t trace_port_ = 0;
-    common::Ring<MemEntry> mem_q_;   ///< availability-sorted, stable ties
+    common::Ring<MemEntry> mem_q_;   ///< (availability, is-grant)-sorted
     common::Ring<PhyBlock> frame_q_; ///< FIFO staging buffer
     bool last_was_memory_ = false; ///< slot alternation state
     bool mid_memory_message_ = false;
@@ -285,6 +287,10 @@ class PreemptionMux
     }
 
     bool pickMemory(Picoseconds now) const;
+
+    /** True if queued @p e leaves after @p block, available at @p ready. */
+    static bool leavesAfter(const MemEntry &e, const PhyBlock &block,
+                            Picoseconds ready);
 
     /** Emit a PreemptEnter/PreemptReenter record (trace_ checked). */
     void notePreempt(bool enter, Picoseconds at, std::uint64_t arg);

@@ -162,8 +162,9 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
     auto land = [this, key] {
         // The id stays live until the data lands — HostStack::admit's
         // wrap guard and this model must agree on when an id retires,
-        // or the two stall at different wrap points (ROADMAP (c);
-        // tests/test_proto.cpp IdLiveUntilCompletionMatchesHostStack).
+        // or the two stall at different wrap points (PR 10 in
+        // CHANGES.md; tests/test_proto.cpp
+        // IdLiveUntilCompletionMatchesHostStack).
         const auto live = active_.find(key);
         EDM_ASSERT(live != active_.end(), "landing message %llx not live",
                    static_cast<unsigned long long>(key));

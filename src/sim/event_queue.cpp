@@ -32,7 +32,7 @@ EventQueue::allocSlot()
 {
     if (free_head_ != kNpos) {
         const std::uint32_t slot = free_head_;
-        free_head_ = slotAt(slot).next_free;
+        free_head_ = slotAt(slot).rank_or_next_free;
         return slot;
     }
     EDM_ASSERT(slot_count_ < kNpos, "event slot table overflow");
@@ -50,7 +50,7 @@ EventQueue::freeSlot(std::uint32_t slot)
     // Bumping the generation invalidates every outstanding EventId for
     // this slot; wrap-around after 2^32 reuses is accepted.
     ++s.generation;
-    s.next_free = free_head_;
+    s.rank_or_next_free = free_head_;
     free_head_ = slot;
 }
 
@@ -92,9 +92,9 @@ EventQueue::file(const Entry &e)
     const auto b = static_cast<std::uint32_t>(epoch & (kBuckets - 1));
     Bucket &bucket = buckets_[b];
     // A newly scheduled e carries the newest sequence, so it appends
-    // unless a later time is already filed; a ticketed e may also sort
-    // before a tie. Entries before the head have fired or were skipped
-    // as stale, so e never belongs among them.
+    // unless a later time or rank is already filed; a ticketed e may
+    // also sort before a tie. Entries before the head have fired or were
+    // skipped as stale, so e never belongs among them.
     if (bucket.entries.empty() || bucket.entries.back().before(e)) {
         bucket.entries.push_back(e);
     } else {
@@ -147,7 +147,14 @@ EventQueue::popHeap()
 EventId
 EventQueue::schedule(Picoseconds when, Callback cb)
 {
-    return add(when, next_seq_++, std::move(cb));
+    return add(when, 0, next_seq_++, std::move(cb));
+}
+
+EventId
+EventQueue::scheduleRanked(Picoseconds when, std::uint32_t rank,
+                           Callback cb)
+{
+    return add(when, rank, next_seq_++, std::move(cb));
 }
 
 EventId
@@ -155,26 +162,37 @@ EventQueue::schedule(Picoseconds when, std::uint64_t ticket, Callback cb)
 {
     EDM_ASSERT(ticket < next_seq_, "ticket %llu was never issued",
                static_cast<unsigned long long>(ticket));
-    EDM_ASSERT(when > now_ || ticket >= seq_floor_,
-               "ticket %llu at now %lld sorts before the event run last",
-               static_cast<unsigned long long>(ticket),
-               static_cast<long long>(now_));
-    return add(when, ticket, std::move(cb));
+    return add(when, 0, ticket, std::move(cb));
+}
+
+void
+EventQueue::checkNotBehind(Picoseconds when, std::uint32_t rank,
+                           std::uint64_t seq) const
+{
+    EDM_ASSERT(when > now_ || rank > rank_floor_ ||
+                   (rank == rank_floor_ && seq >= seq_floor_),
+               "event of rank %u, sequence %llu at now %lld sorts before "
+               "the event run last (rank %u)",
+               rank, static_cast<unsigned long long>(seq),
+               static_cast<long long>(now_), rank_floor_);
 }
 
 EventId
-EventQueue::add(Picoseconds when, std::uint64_t seq, Callback cb)
+EventQueue::add(Picoseconds when, std::uint32_t rank, std::uint64_t seq,
+                Callback cb)
 {
     EDM_ASSERT(when >= now_,
                "scheduling event in the past: %lld < now %lld",
                static_cast<long long>(when), static_cast<long long>(now_));
+    checkNotBehind(when, rank, seq);
     EDM_ASSERT(static_cast<bool>(cb), "scheduling an empty callback");
     const std::uint32_t slot = allocSlot();
     Slot &s = slotAt(slot);
     s.cb = std::move(cb);
     s.seq = seq;
+    s.rank_or_next_free = rank;
     ++pending_;
-    file(Entry{when, seq, slot});
+    file(Entry{when, seq, slot, rank});
     return makeId(slot, s.generation);
 }
 
@@ -209,10 +227,11 @@ EventQueue::reschedule(EventId id, Picoseconds when)
                "rescheduling event into the past: %lld < now %lld",
                static_cast<long long>(when), static_cast<long long>(now_));
     // A new sequence makes the old entry stale; the slot, and therefore
-    // the caller's EventId, stays.
+    // the caller's EventId, stays, and so does the rank.
     Slot &s = slotAt(slot);
     s.seq = next_seq_++;
-    file(Entry{when, s.seq, slot});
+    checkNotBehind(when, s.rank_or_next_free, s.seq);
+    file(Entry{when, s.seq, slot, s.rank_or_next_free});
     return true;
 }
 
@@ -250,6 +269,7 @@ EventQueue::step(Picoseconds horizon)
     else
         ++buckets_[b].head;
     now_ = e.when;
+    rank_floor_ = e.rank;
     seq_floor_ = e.seq + 1;
     // Run the callback in place (chunks never move); the event reads as
     // fired meanwhile, and its slot is freed only once it returns.

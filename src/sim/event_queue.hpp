@@ -6,20 +6,28 @@
  * the cycle-level fabric) are filed in a one-level calendar (Brown's
  * calendar queue, CACM 31(10), 1988): a ring of 64 buckets, each 1024 ps
  * wide, covering the 65.5 ns from the current bucket on. A bucket is a
- * run of entries sorted by (time, sequence), read from a head index, and
- * one 64-bit occupancy word finds the next occupied bucket with a rotate
- * and a countr_zero. Every later event waits in a binary heap. The next
- * event is the calendar's head or the heap's top, whichever is earlier;
- * the heap top is examined only when its time could win.
+ * run of entries sorted by (time, rank, sequence), read from a head
+ * index, and one 64-bit occupancy word finds the next occupied bucket
+ * with a rotate and a countr_zero. Every later event waits in a binary
+ * heap. The next event is the calendar's head or the heap's top,
+ * whichever is earlier; the heap top is examined only when its time
+ * could win.
  *
- * Ordering contract: events fire in (time, sequence) order, whichever
- * structure holds them, and a calendar/heap tie goes to the lower
- * sequence. An event's sequence comes from schedule(), which takes the
- * next one, or from ticket(), taken earlier: schedule(when, ticket, cb)
- * files the event as if schedule() had been called when the ticket was
- * taken, so a caller can hold work outside the queue without moving it
- * among same-timestamp events. A rescheduled event takes a new sequence
- * and so fires behind the ties already at its new time.
+ * Ordering contract: events fire in (time, rank, sequence) order,
+ * whichever structure holds them. The rank splits one instant into
+ * phases: every rank-0 event of an instant fires before any rank-1
+ * event of it, and so on. schedule() and ticket() file at rank 0;
+ * scheduleRanked() chooses the rank (the cycle fabric runs each link's
+ * transmit decision after every arrival of its instant this way). Within
+ * one rank, the sequence keeps FIFO order. An event's sequence comes
+ * from schedule(), which takes the next one, or from ticket(), taken
+ * earlier: schedule(when, ticket, cb) files the event as if schedule()
+ * had been called when the ticket was taken, so a caller can hold work
+ * outside the queue without moving it among same-timestamp events. A
+ * rescheduled event keeps its rank and takes a new sequence, so it fires
+ * behind the ties of its rank already at its new time. Filing an event
+ * at now() that orders before the event running (or the last one run)
+ * is a logic error, as scheduling in the past is.
  *
  * Cancellation and rescheduling are lazy. A pending event's slot holds
  * the sequence of its one live entry: cancel frees the slot, reschedule
@@ -76,6 +84,16 @@ class EventQueue
     EventId scheduleAfter(Picoseconds delay, Callback cb);
 
     /**
+     * Schedule @p cb at absolute time @p when with rank @p rank: among
+     * the events at @p when it fires after every lower-ranked one and,
+     * within its rank, in scheduling order.
+     * @pre (when, rank) orders after the event now running (or the last
+     *      one to run).
+     */
+    EventId scheduleRanked(Picoseconds when, std::uint32_t rank,
+                           Callback cb);
+
+    /**
      * Take the next sequence without filing an event: the sequence a
      * schedule() call made now would get. Hand it to the three-argument
      * schedule() later.
@@ -100,10 +118,11 @@ class EventQueue
 
     /**
      * Move a pending event to absolute time @p when (keeping its
-     * callback). The event is re-sequenced: among events at the new
-     * timestamp it fires after those already scheduled there. Returns
-     * false if the event already fired or was cancelled.
-     * @pre when >= now()
+     * callback and rank). The event is re-sequenced: among events of its
+     * rank at the new timestamp it fires after those already scheduled
+     * there. Returns false if the event already fired or was cancelled.
+     * @pre when >= now(), and (when, rank) orders after the event now
+     *      running (or the last one to run)
      */
     bool reschedule(EventId id, Picoseconds when);
 
@@ -156,13 +175,18 @@ class EventQueue
         Picoseconds when;
         std::uint64_t seq; ///< FIFO tie-break; live while it is the slot's
         std::uint32_t slot;
+        std::uint32_t rank; ///< phase within one instant
 
         bool
         before(const Entry &o) const
         {
-            return when != o.when ? when < o.when : seq < o.seq;
+            if (when != o.when)
+                return when < o.when;
+            return rank != o.rank ? rank < o.rank : seq < o.seq;
         }
     };
+    // The rank fills what was padding: buckets and heap stay as dense.
+    static_assert(sizeof(Entry) == 24, "Entry grew past 24 bytes");
 
     /** Callback storage; indexed by the low half of an EventId. */
     struct Slot
@@ -170,10 +194,11 @@ class EventQueue
         Callback cb;
         std::uint64_t seq = kNoSeq;   ///< live entry's sequence, if pending
         std::uint32_t generation = 1; ///< bumped when the slot is freed
-        std::uint32_t next_free = kNpos;
+        /** The pending event's rank; the next free slot once freed. */
+        std::uint32_t rank_or_next_free = kNpos;
     };
 
-    /** One calendar bucket: entries sorted by (when, seq) from head. */
+    /** One calendar bucket: entries sorted by (when, rank, seq) from head. */
     struct Bucket
     {
         std::vector<Entry> entries;
@@ -207,8 +232,13 @@ class EventQueue
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
 
-    /** Take a slot for @p cb and file it at (@p when, @p seq). */
-    EventId add(Picoseconds when, std::uint64_t seq, Callback cb);
+    /** Take a slot for @p cb and file it at (@p when, @p rank, @p seq). */
+    EventId add(Picoseconds when, std::uint32_t rank, std::uint64_t seq,
+                Callback cb);
+
+    /** Assert that (@p when, @p rank, @p seq) orders after the last event. */
+    void checkNotBehind(Picoseconds when, std::uint32_t rank,
+                        std::uint64_t seq) const;
 
     /** File @p e in the calendar if it is due in its window, else the heap. */
     void file(const Entry &e);
@@ -223,14 +253,15 @@ class EventQueue
 
     std::array<Bucket, kBuckets> buckets_;
     std::uint64_t occupied_ = 0; ///< bit b set: bucket b holds entries
-    std::vector<Entry> heap_;    ///< min-heap on (when, seq)
+    std::vector<Entry> heap_;    ///< min-heap on (when, rank, seq)
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t slot_count_ = 0; ///< slots handed out so far
     std::uint32_t free_head_ = kNpos;
     std::size_t pending_ = 0;
     Picoseconds now_ = 0;
     std::uint64_t next_seq_ = 0;
-    /** Sequences below it, at now(), order before the last event run. */
+    /** The last event run's rank and sequence + 1: the floor at now(). */
+    std::uint32_t rank_floor_ = 0;
     std::uint64_t seq_floor_ = 0;
     std::uint64_t executed_ = 0;
     bool stop_requested_ = false;

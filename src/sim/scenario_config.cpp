@@ -1,6 +1,7 @@
 #include "sim/scenario_config.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -85,8 +86,19 @@ constexpr long kMaxMessageBytes = 0xFFFF;
 constexpr long kMaxFramePayload = static_cast<long>(
     mac::kJumboFrame - mac::kHeaderBytes - mac::kFcsBytes);
 constexpr long kIntMax = std::numeric_limits<int>::max();
-/** Nanosecond keys convert to picoseconds without overflow. */
-constexpr long kMaxNs = std::numeric_limits<long>::max() / kNanosecond;
+/**
+ * Longest duration a nanosecond key may set: 2^50 ps, about 19 minutes
+ * of simulated time. The few durations one chain of events adds up
+ * (a storm's start and jitter, a timeout and a backoff, a repair) then
+ * stay far inside the 63-bit picosecond clock.
+ */
+constexpr Picoseconds kMaxDuration = Picoseconds{1} << 50;
+constexpr long kMaxNs = kMaxDuration / kNanosecond;
+/** Slowest link a scenario may set: 64 KiB then takes 0.5 s. */
+constexpr double kMinLinkGbps = 1e-3;
+/** Scheduler clock range: cycles from 1 ps to 1 ms. */
+constexpr double kMinSchedulerGhz = 1e-6;
+constexpr double kMaxSchedulerGhz = 1e3;
 
 bool
 parseBool(const std::string &v, bool &out)
@@ -119,6 +131,19 @@ applySection(const ScenarioSection &s, core::EdmConfig &cfg,
             error = "[" + s.name + "] " + error;
             return false;
         }
+    }
+    // Retry n waits read_retry_base << n: the last wait must still be a
+    // duration the clock can hold.
+    const int max_retries = std::bit_width(
+        static_cast<std::uint64_t>(kMaxDuration / cfg.read_retry_base));
+    if (cfg.read_retry_limit > max_retries) {
+        error = "[" + s.name + "] bad value '" +
+            std::to_string(cfg.read_retry_limit) +
+            "' for config key 'read_retry_limit' (want at most " +
+            std::to_string(max_retries) + " with read_retry_base_ns = " +
+            std::to_string(cfg.read_retry_base / kNanosecond) +
+            ", or the backoff outgrows " + std::to_string(kMaxNs) + " ns)";
+        return false;
     }
     return true;
 }
@@ -367,24 +392,43 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
         error = "bad value '" + value + "' for config key '" + key + "'";
         return false;
     };
+    auto out_of_range = [&](const std::string &want) {
+        bad_value();
+        error += " (want " + want + ")";
+        return false;
+    };
     long n = 0;
     double d = 0;
     bool b = false;
+    // A nanosecond count the picosecond clock can hold, from @p lo.
+    auto duration = [&](long lo) {
+        if (parseLong(value, n) && n >= lo && n <= kMaxNs)
+            return true;
+        return out_of_range("an integer in [" + std::to_string(lo) + ", " +
+                            std::to_string(kMaxNs) + "]");
+    };
+    auto count = [&](long lo) {
+        if (parseLong(value, n) && n >= lo && n <= kIntMax)
+            return true;
+        return out_of_range("an integer in [" + std::to_string(lo) + ", " +
+                            std::to_string(kIntMax) + "]");
+    };
     if (key == "link_gbps") {
-        if (!parseDouble(value, d) || d <= 0)
-            return bad_value();
+        if (!parseDouble(value, d) || d < kMinLinkGbps)
+            return out_of_range("at least 0.001");
         cfg.link_rate = Gbps{d};
     } else if (key == "scheduler_ghz") {
-        if (!parseDouble(value, d) || d <= 0)
-            return bad_value();
+        if (!parseDouble(value, d) || d < kMinSchedulerGhz ||
+            d > kMaxSchedulerGhz)
+            return out_of_range("from 0.000001 to 1000");
         cfg.scheduler_ghz = d;
     } else if (key == "chunk_bytes") {
         if (!parseLong(value, n) || n <= 0)
             return bad_value();
         cfg.chunk_bytes = static_cast<Bytes>(n);
     } else if (key == "max_notifications") {
-        if (!parseLong(value, n) || n <= 0)
-            return bad_value();
+        if (!count(1))
+            return false;
         cfg.max_notifications = static_cast<int>(n);
     } else if (key == "priority") {
         if (value == "fcfs")
@@ -394,20 +438,20 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
         else
             return bad_value();
     } else if (key == "read_timeout_ns") {
-        if (!parseLong(value, n) || n < 0)
-            return bad_value();
+        if (!duration(0))
+            return false;
         cfg.read_timeout = n * kNanosecond;
     } else if (key == "link_error_threshold") {
         if (!parseLong(value, n) || n < 1)
             return bad_value();
         cfg.link_error_threshold = static_cast<std::uint64_t>(n);
     } else if (key == "read_retry_limit") {
-        if (!parseLong(value, n) || n < 0)
-            return bad_value();
+        if (!count(0))
+            return false;
         cfg.read_retry_limit = static_cast<int>(n);
     } else if (key == "read_retry_base_ns") {
-        if (!parseLong(value, n) || n < 1)
-            return bad_value();
+        if (!duration(1))
+            return false;
         cfg.read_retry_base = n * kNanosecond;
     } else if (key == "wire_charged_occupancy") {
         if (!parseBool(value, b))
@@ -422,16 +466,16 @@ applyEdmConfigKey(core::EdmConfig &cfg, const std::string &key,
             return bad_value();
         cfg.max_frame_train_blocks = static_cast<std::size_t>(n);
     } else if (key == "l2_pipeline_ns") {
-        if (!parseLong(value, n) || n < 0)
-            return bad_value();
+        if (!duration(0))
+            return false;
         cfg.l2_pipeline = n * kNanosecond;
     } else if (key == "fair_share") {
         if (!parseBool(value, b))
             return bad_value();
         cfg.fair_share = b;
     } else if (key == "fair_share_window_ns") {
-        if (!parseLong(value, n) || n < 1)
-            return bad_value();
+        if (!duration(1))
+            return false;
         cfg.fair_share_window_ns = n;
     } else {
         error = "unknown EdmConfig key '" + key + "'";

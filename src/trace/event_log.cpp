@@ -196,17 +196,28 @@ LogReader::open(const std::string &path)
 {
     close();
     file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        return false;
-    FileHeader hdr{};
-    if (std::fread(&hdr, sizeof(hdr), 1, file_) != 1 ||
-        std::memcmp(hdr.magic, EventLog::kMagic, 8) != 0 ||
-        hdr.record_size != sizeof(Record)) {
-        close();
+    if (!file_) {
+        error_ = "cannot open";
         return false;
     }
-    version_ = hdr.version;
-    return true;
+    FileHeader hdr{};
+    if (std::fread(&hdr, sizeof(hdr), 1, file_) != 1 ||
+        std::memcmp(hdr.magic, EventLog::kMagic, 8) != 0) {
+        error_ = "not an EDMTRACE file";
+    } else if (hdr.version != EventLog::kVersion) {
+        error_ = "EDMTRACE version " + std::to_string(hdr.version) +
+            ", this reader reads version " +
+            std::to_string(EventLog::kVersion);
+    } else if (hdr.record_size != sizeof(Record)) {
+        error_ = "record size " + std::to_string(hdr.record_size) +
+            ", expected " + std::to_string(sizeof(Record));
+    } else {
+        version_ = hdr.version;
+        return true;
+    }
+    std::fclose(file_);
+    file_ = nullptr;
+    return false;
 }
 
 void
@@ -217,6 +228,7 @@ LogReader::close()
         file_ = nullptr;
     }
     version_ = 0;
+    error_.clear();
 }
 
 bool
@@ -224,7 +236,15 @@ LogReader::next(Record &r)
 {
     if (!file_)
         return false;
-    return std::fread(&r, sizeof(Record), 1, file_) == 1;
+    const std::size_t got = std::fread(&r, 1, sizeof(Record), file_);
+    if (got == sizeof(Record))
+        return true;
+    if (std::ferror(file_))
+        error_ = "read error";
+    else if (got > 0)
+        error_ = "truncated: trailing partial record of " +
+            std::to_string(got) + " bytes";
+    return false;
 }
 
 std::vector<Record>

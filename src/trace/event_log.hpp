@@ -231,7 +231,11 @@ class LogReader
     LogReader(const LogReader &) = delete;
     LogReader &operator=(const LogReader &) = delete;
 
-    /** Open and validate the header; false on mismatch or I/O error. */
+    /**
+     * Open and validate the header: false, with error() saying why, if
+     * the file cannot be read, is not a trace, or was written in another
+     * format version.
+     */
     bool open(const std::string &path);
 
     void close();
@@ -239,15 +243,23 @@ class LogReader
     /** File format version from the header (0 before open). */
     std::uint32_t version() const { return version_; }
 
-    /** Read the next record; false at end of file. */
+    /**
+     * Read the next record; false at end of file. A trailing partial
+     * record (a truncated file) or a read error also ends the stream,
+     * and error() then says so.
+     */
     bool next(Record &r);
 
     /** Read every remaining record. */
     std::vector<Record> readAll();
 
+    /** Why open() or next() last failed; empty at a clean end of file. */
+    const std::string &error() const { return error_; }
+
   private:
     std::FILE *file_ = nullptr;
     std::uint32_t version_ = 0;
+    std::string error_;
 };
 
 } // namespace trace

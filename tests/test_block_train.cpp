@@ -177,8 +177,8 @@ TEST(BlockTrain, OutstandingMixedOpsBitIdentical)
     // leaf-spine shapes (2-host leaves, 2 trunk lanes) add the trunk
     // path: cross-leaf streams reach the peer leaf as runs (acceptRun)
     // with trains and as single blocks (egressAccept) per-block. They
-    // stay memory-only: with L2 floods on a leaf-spine, trains are not
-    // yet identical to per-block (see EdmConfig::max_train_blocks).
+    // also flood an MTU frame per op across the spine, so grants and
+    // cut-through blocks contend with frame preemption on every egress.
     struct Shape
     {
         std::size_t nodes;
@@ -187,13 +187,19 @@ TEST(BlockTrain, OutstandingMixedOpsBitIdentical)
     for (const Shape shape : {Shape{2, 0}, Shape{3, 0}, Shape{4, 0},
                               Shape{3, 2}, Shape{4, 2}, Shape{9, 2}}) {
         const std::size_t nodes = shape.nodes;
-        auto scenario = [nodes](Simulation &, CycleFabric &fab) {
+        const bool floods = shape.hosts_per_leaf > 0;
+        auto scenario = [nodes, floods](Simulation &, CycleFabric &fab) {
             const NodeId mem = static_cast<NodeId>(nodes - 1);
             fab.host(mem).store()->write(
                 0x1000, std::vector<std::uint8_t>(4096, 0x77));
+            mac::Frame f;
+            f.payload.assign(1400, 0x7B);
+            const auto frame = mac::serialize(f);
             for (int i = 0; i < 12; ++i) {
                 const NodeId src =
                     static_cast<NodeId>(i % (nodes - 1 ? nodes - 1 : 1));
+                if (floods)
+                    fab.injectFrame(src, frame);
                 fab.read(src, mem, 0x1000, 1024, {});
                 fab.write(src, mem,
                           0x8000 + static_cast<std::uint64_t>(i) * 512,

@@ -135,6 +135,56 @@ TEST(EventLog, RejectsForeignFiles)
     std::remove(path.c_str());
 }
 
+TEST(EventLog, RejectsOtherVersionsAndTruncatedFiles)
+{
+    const std::string path = tmpPath("checked.trace");
+    {
+        EventLog log(8);
+        ASSERT_TRUE(log.openFile(path));
+        for (int i = 0; i < 5; ++i)
+            log.append(sample(i));
+        log.close();
+    }
+    std::vector<char> bytes;
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        for (int c; (c = std::fgetc(f)) != EOF;)
+            bytes.push_back(static_cast<char>(c));
+        std::fclose(f);
+    }
+    const auto write = [&path](const std::vector<char> &b) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(b.data(), 1, b.size(), f);
+        std::fclose(f);
+    };
+
+    // The header's version field follows the 8-byte magic.
+    std::vector<char> foreign = bytes;
+    foreign[8] = static_cast<char>(EventLog::kVersion + 1);
+    write(foreign);
+    LogReader reader;
+    EXPECT_FALSE(reader.open(path));
+    EXPECT_NE(reader.error().find("version"), std::string::npos)
+        << reader.error();
+
+    // Cut 13 bytes off the last record: four whole records, then an
+    // error instead of a quiet end of file.
+    write(std::vector<char>(bytes.begin(), bytes.end() - 13));
+    ASSERT_TRUE(reader.open(path)) << reader.error();
+    EXPECT_EQ(reader.readAll().size(), 4u);
+    EXPECT_NE(reader.error().find("truncated"), std::string::npos)
+        << reader.error();
+
+    // The intact file reads to a clean end.
+    write(bytes);
+    ASSERT_TRUE(reader.open(path));
+    EXPECT_EQ(reader.readAll().size(), 5u);
+    EXPECT_EQ(reader.error(), "");
+    std::remove(path.c_str());
+}
+
 // ---- integration against the fabric ----
 
 /** Run one small incast point, optionally logging, and return metrics. */

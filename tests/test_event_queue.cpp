@@ -2,7 +2,8 @@
  * @file
  * Deep tests for the event queue (a one-level calendar ring in front of
  * a lazily pruned binary heap, over a chunked slot table): FIFO
- * tie-breaking, cancellation life cycle, rescheduling, calendar-specific
+ * tie-breaking, ranked phases within one instant, cancellation life
+ * cycle, rescheduling (which keeps an event's rank), calendar-specific
  * behaviour (bucket edges, the window's end, ring wrap-around,
  * calendar/heap ties, stale entries left by cancel and reschedule),
  * ticketed events filed after the events they tie with, callbacks that
@@ -141,6 +142,23 @@ TEST(EventQueueReschedule, ResequencesBehindExistingTies)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
+TEST(EventQueueReschedule, KeepsItsRank)
+{
+    // Within one instant ranks fire in order, FIFO within each. A
+    // rank-1 event moved onto a busy instant stays behind every rank-0
+    // event there, even one scheduled after the move, and ahead of the
+    // rank-2 one.
+    EventQueue q;
+    std::vector<int> order;
+    const EventId moved = q.scheduleRanked(50, 1, [&] { order.push_back(3); });
+    q.scheduleRanked(100, 2, [&] { order.push_back(4); });
+    q.schedule(100, [&] { order.push_back(1); });
+    ASSERT_TRUE(q.reschedule(moved, 100));
+    q.schedule(100, [&] { order.push_back(2); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(EventQueueReschedule, FiredOrCancelledEventRejects)
 {
     EventQueue q;
@@ -214,6 +232,38 @@ TEST(EventQueueAssertDeathTest, TicketBeforeTheRunningEventPanics)
     r.schedule(100, r.ticket(), [&] { ++fired; });
     r.run();
     EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueueAssertDeathTest, RankBelowTheRunningEventPanics)
+{
+    // An event filed at now with a rank below the running event's would
+    // fire before an event that has already run: from a rank-2 event a
+    // rank-1 one, and from a ranked event a plain (rank-0) one.
+    EventQueue q;
+    q.scheduleRanked(100, 2, [&q] { q.scheduleRanked(100, 1, [] {}); });
+    EXPECT_DEATH(q.run(), "sorts before the event run last");
+
+    EventQueue r;
+    r.scheduleRanked(100, 1, [&r] { r.schedule(100, [] {}); });
+    EXPECT_DEATH(r.run(), "sorts before the event run last");
+
+    // Moving a ranked event onto now keeps its rank, so the same holds.
+    EventQueue m;
+    const EventId low = m.scheduleRanked(500, 1, [] {});
+    m.scheduleRanked(100, 2, [&m, low] { m.reschedule(low, 100); });
+    EXPECT_DEATH(m.run(), "sorts before the event run last");
+
+    // The same rank or a higher one at now, and any rank later, file.
+    EventQueue ok;
+    std::vector<int> order;
+    ok.scheduleRanked(100, 1, [&] {
+        order.push_back(1);
+        ok.scheduleRanked(100, 2, [&] { order.push_back(3); });
+        ok.scheduleRanked(100, 1, [&] { order.push_back(2); });
+        ok.schedule(101, [&] { order.push_back(4); });
+    });
+    ok.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(EventQueueCallback, MoveOnlyCaptureIsSupported)
@@ -685,20 +735,24 @@ TEST(EventQueueTicket, CancelAndRescheduleATicketedEvent)
 
 TEST(EventQueueCalendar, MatchesOrderedSetModel)
 {
-    // An independent oracle: a std::set of (when, seq, tag) with its own
-    // sequence counter, updated on every schedule, cancel and
+    // An independent oracle: a std::set of (when, rank, seq, tag) with
+    // its own sequence counter, updated on every schedule, cancel and
     // reschedule. After each step() the fired (time, tag) must be the
     // model's minimum. Target times straddle the calendar's window: one
     // in ten lies 2^32 ps or more ahead (heap), and the rest fall within
     // two windows of now, a quarter of them within two buckets of the
     // window's end. Half land on the 2560 ps block-slot grid, as fabric
     // events do, so same-timestamp ties are common: within a bucket,
-    // and between a heap event and a later calendar event. Reschedules
-    // move events between the two structures both ways, and cancelled
-    // tags free slots for later schedules to reuse. One draw in five
-    // takes a ticket instead and files it later, at random or once it
-    // is the model's next event, never after the queue has passed it.
-    using Key = std::tuple<Picoseconds, std::uint64_t, std::size_t>;
+    // and between a heap event and a later calendar event. Half the
+    // events are ranked 1-3, as the fabric's transmit events are, so
+    // ties split into phases. Reschedules move events between the two
+    // structures both ways and keep their rank, and cancelled tags free
+    // slots for later schedules to reuse. One draw in five takes a
+    // rank-0 ticket instead and files it later, at random or once it is
+    // the model's next event, never after the queue has passed it.
+    // Nothing is ever filed at now() ahead of the event run last.
+    using Key = std::tuple<Picoseconds, std::uint32_t, std::uint64_t,
+                           std::size_t>;
     constexpr Picoseconds kSlot = 2560;
     EventQueue q;
     Rng rng(77);
@@ -707,6 +761,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     std::vector<EventId> ids; // by tag
     std::vector<Key> keys;    // by tag: its entry, in the model if pending
     std::pair<Picoseconds, std::size_t> fired{-1, 0};
+    std::uint32_t last_rank = 0; // rank of the event run last
     std::uint64_t popped = 0;
 
     auto on_grid = [](Picoseconds t) {
@@ -731,8 +786,12 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
             static_cast<Picoseconds>(
                 rng.uniformInt(std::uint64_t{4} * kBucket));
     };
-    auto file = [&](std::size_t tag, Picoseconds when) {
-        keys[tag] = Key{when, model_seq++, tag};
+    // Keep (when, rank) from ordering before the event run last.
+    auto after_last = [&](Picoseconds when, std::uint32_t rank) {
+        return when == q.now() && rank < last_rank ? when + 1 : when;
+    };
+    auto file = [&](std::size_t tag, Picoseconds when, std::uint32_t rank) {
+        keys[tag] = Key{when, rank, model_seq++, tag};
         model.insert(keys[tag]);
     };
     auto record = [&fired, &q](std::size_t tag) {
@@ -740,7 +799,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     };
     std::set<Key> deferred; // ticketed tags not filed yet
     auto file_ticketed = [&](std::set<Key>::iterator it) {
-        const auto [when, seq, tag] = *it;
+        const auto [when, rank, seq, tag] = *it;
         ids[tag] = q.schedule(when, seq, record(tag));
         model.insert(*it);
         deferred.erase(it);
@@ -758,13 +817,15 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
         }
         if (!ran)
             return true;
-        const auto [when, seq, tag] = *model.begin();
+        const auto [when, rank, seq, tag] = *model.begin();
         model.erase(model.begin());
+        last_rank = rank;
         ++popped;
         if (fired != std::make_pair(when, tag)) {
             ADD_FAILURE() << "fired tag " << fired.second << " at "
                           << fired.first << ", model expected tag " << tag
-                          << " (seq " << seq << ") at " << when;
+                          << " (rank " << rank << ", seq " << seq
+                          << ") at " << when;
             return false;
         }
         return true;
@@ -773,18 +834,23 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     bool ok = true;
     for (std::size_t i = 0; i < 20000 && ok; ++i) {
         const std::size_t tag = ids.size();
-        const Picoseconds when = draw();
         keys.emplace_back();
         if (rng.uniform() < 0.2) {
             // Until it is filed, the model and the queue hold neither
             // the tag nor an id for it.
             ids.push_back(kInvalidEvent);
-            keys[tag] = Key{when, model_seq++, tag};
-            ASSERT_EQ(q.ticket(), std::get<1>(keys[tag]));
+            keys[tag] = Key{after_last(draw(), 0), 0, model_seq++, tag};
+            ASSERT_EQ(q.ticket(), std::get<2>(keys[tag]));
             deferred.insert(keys[tag]);
         } else {
-            ids.push_back(q.schedule(when, record(tag)));
-            file(tag, when);
+            const auto rank = rng.chance(0.5)
+                ? 0
+                : static_cast<std::uint32_t>(1 + rng.uniformInt(3));
+            const Picoseconds when = after_last(draw(), rank);
+            ids.push_back(rank == 0
+                              ? q.schedule(when, record(tag))
+                              : q.scheduleRanked(when, rank, record(tag)));
+            file(tag, when, rank);
         }
         if (!deferred.empty() && rng.uniform() < 0.3)
             file_ticketed(std::next(
@@ -802,16 +868,19 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
             ASSERT_EQ(q.cancel(ids[pick]), pending) << "tag " << pick;
             model.erase(keys[pick]);
         } else if (roll < 0.35) {
-            const Picoseconds to = draw();
+            const std::uint32_t rank = std::get<1>(keys[pick]);
+            const Picoseconds to = after_last(draw(), rank);
             ASSERT_EQ(q.reschedule(ids[pick], to), pending)
                 << "tag " << pick;
             if (pending) {
                 model.erase(keys[pick]);
-                file(pick, to);
+                file(pick, to, rank);
             }
         }
         ASSERT_EQ(q.pending(), model.size());
-        if (rng.uniform() < 0.35)
+        // Step only past 32 pending events, so every instant on the
+        // grid is likely to hold several of them.
+        if (model.size() > 32 && rng.uniform() < 0.35)
             for (std::uint64_t k = 1 + rng.uniformInt(8); k > 0 && ok; --k)
                 ok = step();
     }

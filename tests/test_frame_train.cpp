@@ -250,10 +250,11 @@ TEST(FrameTrain, LeafSpineFloodsBitIdentical)
 {
     // MTU frames flood across the spine beside reads, writes and RMWs
     // onto the last node, on 2-lane leaf-spines whose last leaf may be
-    // ragged. Frame trains are compared with per-block frames at each
-    // memory-train cap, never one memory cap with the other: with
-    // floods on a leaf-spine, memory trains can move a grant by one
-    // slot (EdmConfig::max_train_blocks).
+    // ragged. Every combination of the two train caps must reproduce
+    // the fully per-block engine. On 8 hosts with 4 per leaf, memory
+    // trains once moved two reads by a slot: a /G/ tied a cut-through
+    // block's stamp on an egress mux and left in whichever order the
+    // two enqueues happened to run.
     struct Shape
     {
         std::size_t nodes;
@@ -288,21 +289,29 @@ TEST(FrameTrain, LeafSpineFloodsBitIdentical)
                         mem::RmwOp::FetchAndAdd, 1, 0, {});
             }
         };
-        for (const std::size_t mem_cap : {1, 64}) {
-            const std::string label = std::to_string(nodes) + " nodes, " +
-                std::to_string(shape.hosts_per_leaf) +
-                " hosts per leaf, memory cap " + std::to_string(mem_cap);
-            const Outcome per_block = runScenario(
-                config(nodes, 1, mem_cap, shape.hosts_per_leaf), scenario);
+        const std::string shape_label = std::to_string(nodes) + " nodes, " +
+            std::to_string(shape.hosts_per_leaf) + " hosts per leaf";
+        const Outcome per_block = runScenario(
+            config(nodes, 1, 1, shape.hosts_per_leaf), scenario);
+        EXPECT_EQ(per_block.reads, 32u) << shape_label;
+        EXPECT_EQ(per_block.writes, 32u) << shape_label;
+        EXPECT_EQ(per_block.rmw_lat.size(), 32u) << shape_label;
+        EXPECT_EQ(per_block.frames_flooded, 32u) << shape_label;
+        for (const auto &[frame_cap, mem_cap] :
+             {std::pair<std::size_t, std::size_t>{64, 1}, {1, 64},
+              {64, 64}}) {
+            const std::string label = shape_label + ", frame cap " +
+                std::to_string(frame_cap) + ", memory cap " +
+                std::to_string(mem_cap);
             const Outcome trains = runScenario(
-                config(nodes, 64, mem_cap, shape.hosts_per_leaf), scenario);
+                config(nodes, frame_cap, mem_cap, shape.hosts_per_leaf),
+                scenario);
             expectIdentical(per_block, trains, label);
-            EXPECT_EQ(trains.reads, 32u) << label;
-            EXPECT_EQ(trains.writes, 32u) << label;
-            EXPECT_EQ(trains.rmw_lat.size(), 32u) << label;
-            EXPECT_EQ(trains.frames_flooded, 32u) << label;
-            EXPECT_LT(trains.events, per_block.events * 2 / 3)
-                << label << ": frame-train path did not engage";
+            // Memory trains alone save less on this frame-heavy load.
+            EXPECT_LT(trains.events, frame_cap > 1
+                          ? per_block.events * 2 / 3
+                          : per_block.events * 3 / 4)
+                << label << ": train path did not engage";
         }
     }
 }
@@ -433,6 +442,36 @@ TEST(FrameTrain, MidStreamFaultInjectionBitIdentical)
         expectIdentical(per_block, trains,
                         "corrupt_at step " + std::to_string(step));
         EXPECT_GT(trains.link_errors, 0u) << "fault never engaged";
+    }
+}
+
+TEST(FrameTrain, FrameAfterALostMemoryTerminateBitIdentical)
+{
+    // The corrupted block is a write's /MT/: the host mux has finished
+    // the message, so the next frame forms a frame train, but the switch
+    // ingress still classifies data as the write's stream. The train
+    // must reach the port as per-block emission would (this once
+    // panicked with "frame train inside a memory stream").
+    auto scenario = [](Simulation &sim, CycleFabric &fab) {
+        fab.write(0, 2, 0x8000, std::vector<std::uint8_t>(256, 0x5A), {});
+        mac::Frame f;
+        f.payload.assign(1400, 0x7B);
+        sim.events().schedule(200 * kNanosecond,
+                              [&fab, frame = mac::serialize(f)] {
+                                  fab.injectFrame(0, frame);
+                              });
+        sim.events().schedule(253440, [&fab] { fab.corruptUplink(0, 1); });
+    };
+    const Outcome per_block = runScenario(config(3, 1, 1), scenario);
+    EXPECT_EQ(per_block.link_errors, 1u);
+    EXPECT_EQ(per_block.writes, 0u) << "the /MT/ was not the lost block";
+    for (const auto &[frame_cap, mem_cap] :
+         {std::pair<std::size_t, std::size_t>{64, 1}, {1, 64}, {64, 64}}) {
+        const Outcome trains =
+            runScenario(config(3, frame_cap, mem_cap), scenario);
+        expectIdentical(per_block, trains,
+                        "frame cap " + std::to_string(frame_cap) +
+                            ", memory cap " + std::to_string(mem_cap));
     }
 }
 

@@ -329,8 +329,8 @@ TEST(EdmFlow, IdWrapStallsInsteadOfMergingOntoLiveId)
 
 TEST(EdmFlow, IdLiveUntilCompletionMatchesHostStack)
 {
-    // ROADMAP (c): HostStack holds a message id until its data lands;
-    // the flow model used to free the id at final-grant time, so a
+    // HostStack holds a message id until its data lands; before PR 10
+    // (CHANGES.md) the flow model freed the id at final-grant time, so a
     // wrapped id could relaunch onto a message whose last chunk was
     // still in flight. Stretch propagation so the granted-to-landed
     // window is enormous, push all 256 ids through the grant stage

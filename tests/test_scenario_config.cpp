@@ -325,6 +325,73 @@ TEST(ScenarioSpecTest, UnknownKeysRejectedEverywhere)
     EXPECT_EQ(spec.messages, 7u);
 }
 
+TEST(ScenarioSpecTest, ValuesTheSimulatorCannotHoldAreRejected)
+{
+    // Each of these once loaded and then overflowed the picosecond
+    // clock, shifted past 63 bits, tripped an assertion, or ran with
+    // another value than the file's. Durations stay within 2^50 ps,
+    // counts within int, and rates keep every delay finite. The error
+    // names the key and the value.
+    const std::string base = "[scenario]\nname = x\nkind = incast\n"
+                             "[sweep]\nn_to_1 = 3\n";
+    const std::string big = "9223372036854775807";
+    const struct
+    {
+        std::string text;
+        const char *key;
+        std::string value;
+    } bads[] = {
+        {base + "[config]\nread_timeout_ns = " + big + "\n",
+         "read_timeout_ns", big},
+        {base + "[config]\nread_retry_base_ns = " + big + "\n",
+         "read_retry_base_ns", big},
+        {base + "[config]\nl2_pipeline_ns = " + big + "\n",
+         "l2_pipeline_ns", big},
+        {base + "[config]\nfair_share = true\nfair_share_window_ns = " +
+             big + "\n",
+         "fair_share_window_ns", big},
+        // Each within the old nanosecond bound, their sum not.
+        {base + "[faults]\nstorm_at_ns = 9223372036854775\n"
+                "storm_jitter_ns = 9223372036854775\nstorm_nodes = 0\n"
+                "storm_blocks = 4\n",
+         "storm_at_ns", "9223372036854775"},
+        // 1 ns doubled 79 times.
+        {base + "[config]\nread_timeout_ns = 1000\nread_retry_limit = 80\n"
+                "read_retry_base_ns = 1\n",
+         "read_retry_limit", "80"},
+        {base + "[config]\nmax_notifications = " + big + "\n",
+         "max_notifications", big},
+        {base + "[config]\nmax_notifications = 4294967297\n",
+         "max_notifications", "4294967297"},
+        {base + "[config]\nread_retry_limit = 4294967295\n",
+         "read_retry_limit", "4294967295"},
+        {base + "[config]\nlink_gbps = 1e-300\n", "link_gbps", "1e-300"},
+        {base + "[config]\nscheduler_ghz = 1e-300\n", "scheduler_ghz",
+         "1e-300"},
+    };
+    ScenarioSpec spec;
+    std::string error;
+    for (const auto &bad : bads) {
+        error.clear();
+        EXPECT_FALSE(loadSpecText(bad.text, spec, error)) << bad.text;
+        EXPECT_NE(error.find(std::string("'") + bad.key + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("'" + bad.value + "'"), std::string::npos)
+            << error;
+    }
+    // The bounds themselves load.
+    error.clear();
+    EXPECT_TRUE(loadSpecText(base + "[config]\nread_timeout_ns = 1000\n"
+                                    "read_retry_limit = 41\n"
+                                    "read_retry_base_ns = 1\n"
+                                    "max_notifications = 2147483647\n"
+                                    "l2_pipeline_ns = 1125899906842\n"
+                                    "link_gbps = 0.001\n",
+                             spec, error))
+        << error;
+}
+
 TEST(ScenarioSpecTest, SectionsTheLoaderNeverReadsAreRejected)
 {
     // A section the loader never reads would be dropped: an unknown or

@@ -427,11 +427,11 @@ TEST(SchedulerLedger, WireChargedOccupancyShrinksIncastStaging)
 
 TEST(SchedulerLedger, IdWrapStallsInsteadOfPanicking)
 {
-    // Incast follow-up (ROADMAP, PR 4): 8-bit message ids wrap
-    // at 256 sends per destination, and a long-enough run with one
-    // stranded flow eventually wrapped onto its still-live id — an
-    // EDM_PANIC in HostStack::launch. The host must stall the new send
-    // until the id frees instead.
+    // Incast follow-up to PR 4, fixed in PR 5 (CHANGES.md): 8-bit
+    // message ids wrap at 256 sends per destination, and a long-enough
+    // run with one stranded flow eventually wrapped onto its still-live
+    // id — an EDM_PANIC in HostStack::launch. The host must stall the
+    // new send until the id frees instead.
     EdmConfig cfg;
     Simulation sim;
     HostStack host(0, cfg, sim.events(), /*has_memory=*/false, [] {});

@@ -644,8 +644,8 @@ main(int argc, char **argv)
 
     trace::LogReader reader;
     if (!reader.open(path)) {
-        std::fprintf(stderr, "%s: not a readable EDMTRACE file\n",
-                     path.c_str());
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     reader.error().c_str());
         return 1;
     }
     // Points are counted before filtering, so a filtered view keeps
@@ -658,6 +658,11 @@ main(int argc, char **argv)
             ++point;
         if (filter.pass(r))
             recs.push_back({r, point});
+    }
+    if (!reader.error().empty()) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     reader.error().c_str());
+        return 1;
     }
 
     if (cmd == "dump")
