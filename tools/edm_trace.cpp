@@ -18,6 +18,10 @@
  *                                        pairing with phase latencies,
  *                                        plus retry/abandon and switch
  *                                        fail/failback counts
+ *   edm_trace digest  <file> [filters]   record count and a 64-bit
+ *                                        digest of the records, the
+ *                                        trace line of a scenario
+ *                                        snapshot (tests/snapshots)
  *
  * Filters: --type <name> --port N --src N --dst N --id N --response
  *          --switch N          (leaf switch id; multi-tier topologies)
@@ -53,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.hpp"
 #include "common/stats.hpp"
 #include "core/occupancy.hpp"
 #include "trace/event_log.hpp"
@@ -577,12 +582,36 @@ cmdFaults(const std::vector<Traced> &recs)
     return 0;
 }
 
+/**
+ * Fold every record into one 64-bit value: each of a record's four
+ * 8-byte words is mixed into the running state by a splitmix64 step,
+ * so any changed, added, dropped or reordered record moves the digest.
+ */
+int
+cmdDigest(const std::vector<Traced> &recs)
+{
+    static_assert(sizeof(Record) == 4 * sizeof(std::uint64_t),
+                  "a record digests as four words");
+    std::uint64_t digest = 0;
+    for (const Traced &t : recs) {
+        std::uint64_t words[4];
+        std::memcpy(words, &t.rec, sizeof(words));
+        for (const std::uint64_t w : words) {
+            std::uint64_t state = digest ^ w;
+            digest = splitmix64(state);
+        }
+    }
+    std::printf("trace: %zu records, digest %016" PRIx64 "\n", recs.size(),
+                digest);
+    return 0;
+}
+
 int
 usage()
 {
     std::fprintf(
         stderr,
-        "usage: edm_trace <dump|summary|parked|histo|faults> <file> "
+        "usage: edm_trace <dump|summary|parked|histo|faults|digest> <file> "
         "[--type NAME] [--port N]\n"
         "                 [--src N] [--dst N] [--id N] [--switch N] "
         "[--pool N] [--response]\n"
@@ -675,5 +704,7 @@ main(int argc, char **argv)
         return cmdHisto(recs);
     if (cmd == "faults")
         return cmdFaults(recs);
+    if (cmd == "digest")
+        return cmdDigest(recs);
     return usage();
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 #
 # Golden-rebaseline pipeline — the ONLY sanctioned way to change
-# tests/golden_figs_values.inc. See docs/REBASELINE.md for when a
-# schedule change is legitimate and how to review the output.
+# tests/golden_figs_values.inc and the scenario snapshots in
+# tests/snapshots. See docs/REBASELINE.md for when a schedule change is
+# legitimate and how to review the output.
 #
 # What it does:
 #   1. builds test_golden_figs,
@@ -10,7 +11,9 @@
 #   3. rewrites tests/golden_figs_values.inc for the selected mode set
 #      (arrays outside the set keep their previous values),
 #   4. prints a before/after schedule-diff summary per array,
-#   5. re-runs test_golden_figs to prove the new baselines pass.
+#   5. re-runs test_golden_figs to prove the new baselines pass,
+#   6. rewrites the scenario snapshots (tools/check_snapshots.sh
+#      --rewrite), naming each one that changed.
 #
 # Usage:
 #   tools/rebaseline.sh [--build-dir <dir>] [--modes legacy,wire]
@@ -23,20 +26,22 @@
 #                              kGoldenChunkSweepWire
 #                   leafspine  kGoldenLeafSpine
 #                   fairshare  kGoldenFairShare
+#                   snapshots  tests/snapshots/*.txt (one per
+#                              scenarios/*.edm)
 #
 # Also available as a build target: cmake --build build -t rebaseline
 
 set -euo pipefail
 
 BUILD_DIR=build
-MODES=legacy,wire,leafspine,fairshare
+MODES=legacy,wire,leafspine,fairshare,snapshots
 while [[ $# -gt 0 ]]; do
     case "$1" in
       --build-dir) BUILD_DIR=$2; shift 2 ;;
       --modes) MODES=$2; shift 2 ;;
       *)
         echo "usage: $0 [--build-dir <dir>]" \
-             "[--modes legacy,wire,leafspine,fairshare]" >&2
+             "[--modes legacy,wire,leafspine,fairshare,snapshots]" >&2
         exit 2 ;;
     esac
 done
@@ -59,9 +64,23 @@ esac
 case ",$MODES," in
   *,fairshare,*) SELECTED="$SELECTED $FAIRSHARE_ARRAYS" ;;
 esac
-if [[ -z "$SELECTED" ]]; then
+SNAPSHOTS=0
+case ",$MODES," in *,snapshots,*) SNAPSHOTS=1 ;; esac
+if [[ -z "$SELECTED" && $SNAPSHOTS -eq 0 ]]; then
     echo "rebaseline: no known mode in --modes '$MODES'" >&2
     exit 2
+fi
+
+# Rewrite the scenario snapshots (the last step).
+rewrite_snapshots() {
+    echo
+    echo "== rebaseline: rewriting scenario snapshots (tests/snapshots) =="
+    cmake --build "$BUILD_DIR" -j --target run_scenario edm_trace > /dev/null
+    tools/check_snapshots.sh --build-dir "$BUILD_DIR" --rewrite
+}
+if [[ -z "$SELECTED" ]]; then
+    rewrite_snapshots
+    exit 0
 fi
 
 echo "== rebaseline: building test_golden_figs in $BUILD_DIR =="
@@ -170,6 +189,9 @@ cmake --build "$BUILD_DIR" -j --target test_golden_figs > /dev/null
     { tail -40 "$TMP/verify.out"; exit 1; }
 tail -1 "$TMP/verify.out"
 
+[[ $SNAPSHOTS -eq 0 ]] || rewrite_snapshots
+
 echo
 echo "rebaseline complete. Review the diff summary above and follow the"
-echo "docs/REBASELINE.md checklist before committing $INC."
+echo "docs/REBASELINE.md checklist before committing $INC and"
+echo "tests/snapshots (git diff shows every moved row)."
