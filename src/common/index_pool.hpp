@@ -38,6 +38,7 @@ class IndexPool
     }
 
     T &operator[](std::uint32_t i) { return items_[i]; }
+    const T &operator[](std::uint32_t i) const { return items_[i]; }
 
     /** Move the value at @p i out and free the index. */
     T

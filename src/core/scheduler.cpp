@@ -16,8 +16,8 @@ Scheduler::Scheduler(const EdmConfig &cfg, EventQueue &events,
                      std::uint16_t leaf)
     : cfg_(cfg), events_(events), sink_(std::move(sink)), topo_(topo),
       leaf_(leaf), dst_hi_(static_cast<NodeId>(cfg.num_nodes)),
-      src_busy_(cfg.num_nodes, false), dst_busy_(cfg.num_nodes, false),
-      pairs_(cfg.num_nodes * cfg.num_nodes),
+      src_busy_(cfg.num_nodes, 0), dst_busy_(cfg.num_nodes, 0),
+      pair_head_(cfg.num_nodes * cfg.num_nodes, kNoHead),
       words_((cfg.num_nodes + 63) / 64),
       pair_dsts_(cfg.num_nodes * words_, 0), rescan_(words_, 0),
       winner_of_src_(cfg.num_nodes, -1)
@@ -95,7 +95,7 @@ Scheduler::raiseBusyUntil(std::vector<Picoseconds> &table,
         // queue, so every port is rescanned.
         if (table[idx] == release) {
             markAllPorts();
-            scheduleMatching();
+            matchAfterRelease();
         }
     });
 }
@@ -163,19 +163,25 @@ Scheduler::priorityOf(const Demand &d) const
 }
 
 void
-Scheduler::openLedgerEntry(const Demand &d)
+Scheduler::openLedgerEntry(Demand &d)
 {
     const FlowKey key = keyOf(d);
-    auto [it, inserted] = ledger_.try_emplace(packKey(key));
-    if (!inserted) {
+    const std::uint64_t packed = packKey(key);
+    std::uint32_t slot = ledger_index_.find(packed);
+    const bool inserted = slot == common::IndexMap::kNone;
+    if (inserted) {
+        slot = ledger_.put(LedgerSlot{packed, LedgerEntry{}});
+        ledger_index_.insert(packed, slot);
+    } else {
         // Message-id reuse before the previous flow retired (a wrapped
         // 8-bit id, or a flow whose completion was never observed). The
         // new demand owns the identity from here on.
         ++ledger_stats_.entries_evicted;
-        releaseLedgerBacklog(key, it->second);
-        it->second = LedgerEntry{};
+        releaseLedgerBacklog(key, ledger_[slot].entry);
+        ledger_[slot].entry = LedgerEntry{};
     }
-    it->second.demanded = d.remaining;
+    ledger_[slot].entry.demanded = d.remaining;
+    d.ledger = slot;
     if (fair_tree_)
         fair_tree_->addDemand(d.pool, d.remaining);
     if (auto *log = cfg_.event_log)
@@ -184,6 +190,24 @@ Scheduler::openLedgerEntry(const Demand &d)
                  inserted ? trace::Detail::None
                           : trace::Detail::EvictedPredecessor,
                  d.remaining, leaf_, 0, auxOf(d.pool));
+}
+
+Scheduler::LedgerEntry *
+Scheduler::ledgerEntryOf(const Demand &d)
+{
+    const std::uint64_t packed = packKey(keyOf(d));
+    if (ledger_[d.ledger].key == packed)
+        return &ledger_[d.ledger].entry;
+    const std::uint32_t slot = ledger_index_.find(packed);
+    return slot == common::IndexMap::kNone ? nullptr : &ledger_[slot].entry;
+}
+
+void
+Scheduler::eraseLedgerEntry(std::uint64_t packed, std::uint32_t slot)
+{
+    ledger_index_.erase(packed);
+    ledger_[slot].key = kNoKey;
+    ledger_.release(slot);
 }
 
 bool
@@ -211,10 +235,11 @@ Scheduler::insertDemand(Demand d, const MemMessage *request)
     openLedgerEntry(d);
     const bool inserted = q.insert(prio, std::move(d));
     EDM_ASSERT(inserted, "insert into a non-full queue failed");
-    auto &pair = pairs_[pairIndex(src, dst)];
-    if (pair.empty())
+    std::uint64_t &head = pair_head_[pairIndex(src, dst)];
+    if (head == kNoHead) {
+        head = seq;
         pairDstsWord(src, dst) |= portBit(dst);
-    pair.push_back(seq);
+    }
     markPort(dst);
     scheduleMatching();
     return true;
@@ -276,21 +301,27 @@ Scheduler::avgIterations() const
 bool
 Scheduler::isPairHead(const Demand &d) const
 {
-    const auto &v = pairs_[pairIndex(d.src, d.dst)];
-    return !v.empty() && v.front() == d.seq;
+    return pair_head_[pairIndex(d.src, d.dst)] == d.seq;
 }
 
 void
 Scheduler::retirePairEntry(const Demand &d)
 {
-    auto &v = pairs_[pairIndex(d.src, d.dst)];
-    auto pos = std::find(v.begin(), v.end(), d.seq);
-    EDM_ASSERT(pos != v.end(), "retiring unknown seq");
-    v.erase(pos);
-    if (v.empty())
-        pairDstsWord(d.src, d.dst) &= ~portBit(d.dst);
+    // @p d has left its queue. A live demand of the pair is its head or
+    // was notified after it.
+    std::uint64_t &head = pair_head_[pairIndex(d.src, d.dst)];
+    EDM_ASSERT(head != kNoHead && d.seq >= head, "retiring unknown seq");
     // The pair's next demand may now be its head.
     markPort(d.dst);
+    if (d.seq != head)
+        return;
+    head = kNoHead;
+    queues_[d.dst]->forEach([&](const Queue::Entry &e) {
+        if (e.value.src == d.src && e.value.seq < head)
+            head = e.value.seq;
+    });
+    if (head == kNoHead)
+        pairDstsWord(d.src, d.dst) &= ~portBit(d.dst);
 }
 
 bool
@@ -413,6 +444,18 @@ Scheduler::scheduleMatching()
     // hardware); the switch datapath charges the visible grant latency
     // (PIM iteration + grant generation / forwarding CDC, §3.2.2).
     events_.scheduleAfter(0, [this] { runMatching(); });
+}
+
+void
+Scheduler::matchAfterRelease()
+{
+    // The release runs at rank 0 and returns after this, so a pass filed
+    // now, at (now, 0, newest seq), would fire next unless a pass is
+    // already filed or another rank-0 event is due now.
+    if (!matching_scheduled_ && !events_.rankZeroPendingNow())
+        runMatching();
+    else
+        scheduleMatching();
 }
 
 void
@@ -540,11 +583,34 @@ Scheduler::runMatching()
                 if (limit_wake_at_ == wake) {
                     limit_wake_at_ = -1;
                     markAllPorts();
-                    scheduleMatching();
+                    matchAfterRelease();
                 }
             });
         }
     }
+    // Last: whatever the sink files must follow every event the pass
+    // filed, as it would from the delivery events.
+    deliverDueGrants();
+}
+
+void
+Scheduler::deliverDueGrants()
+{
+    if (due_.empty())
+        return;
+    if (events_.rankZeroPendingNow()) {
+        for (const DueGrant &d : due_) {
+            auto deliver = [this, d] { deliverGrant(d.grant, d.request); };
+            static_assert(
+                EventQueue::Callback::kFitsInline<decltype(deliver)>,
+                "a grant's delivery event must not allocate");
+            events_.schedule(events_.now(), std::move(deliver));
+        }
+    } else {
+        for (const DueGrant &d : due_)
+            deliverGrant(d.grant, d.request);
+    }
+    due_.clear();
 }
 
 void
@@ -553,8 +619,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     const Bytes l = std::min<Bytes>(cfg_.chunk_bytes, d.remaining);
     EDM_ASSERT(l > 0, "granting zero bytes");
 
-    const auto ledger_it = ledger_.find(packKey(keyOf(d)));
-    if (ledger_it == ledger_.end()) {
+    LedgerEntry *const entry = ledgerEntryOf(d);
+    if (!entry) {
         // The flow retired (final /MT/ observed, or its sender's link
         // died) while this demand was still queued: granting it would
         // put a /G/ on the wire that no host answers and hold both
@@ -572,7 +638,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
         return;
     }
-    ledger_it->second.granted += l;
+    entry->granted += l;
     ++grants_issued_;
 
     ControlInfo g;
@@ -591,13 +657,13 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         // interleave with a data stream headed to the same port.
         const MemMessage &req = requests_[request];
         const NodeId mem_port = d.src;
-        dst_busy_[mem_port] = true;
+        dst_busy_[mem_port] = 1;
         events_.schedule(when + requestForwardOccupancy(cfg_, req),
                          [this, mem_port] {
-                             dst_busy_[mem_port] = false;
+                             dst_busy_[mem_port] = 0;
                              markPort(mem_port);
                              markPairDsts(mem_port);
-                             scheduleMatching();
+                             matchAfterRelease();
                          });
         if (isCrossLeaf(d)) {
             // The forward ascends our up lane toward the spine; the
@@ -616,8 +682,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         }
     }
 
-    src_busy_[d.src] = true;
-    dst_busy_[dst_port] = true;
+    src_busy_[d.src] = 1;
+    dst_busy_[dst_port] = 1;
 
     // Release both ports one chunk occupancy after the grant leaves, so
     // the next chunk's first bit lands right behind this chunk's last
@@ -634,8 +700,8 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
     }
     const NodeId src_port = d.src;
     events_.schedule(when + occupancy, [this, src_port, dst_port] {
-        src_busy_[src_port] = false;
-        dst_busy_[dst_port] = false;
+        src_busy_[src_port] = 0;
+        dst_busy_[dst_port] = 0;
         // Both freed ports can take a demand as destination, and every
         // queue holding a pair from either can now see it eligible (the
         // uplink for its data, the downlink for a request forward).
@@ -643,7 +709,7 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         markPort(dst_port);
         markPairDsts(src_port);
         markPairDsts(dst_port);
-        scheduleMatching();
+        matchAfterRelease();
     });
 
     if (auto *log = cfg_.event_log)
@@ -690,6 +756,11 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         retirePairEntry(d);
     }
 
+    if (when == events_.now()) {
+        // First iteration: due now, delivered at the end of the pass.
+        due_.push_back(DueGrant{g, request});
+        return;
+    }
     auto deliver = [this, g, request] { deliverGrant(g, request); };
     static_assert(EventQueue::Callback::kFitsInline<decltype(deliver)>,
                   "a grant's delivery event must not allocate");
@@ -738,31 +809,33 @@ Scheduler::onChunkForwarded(NodeId src, NodeId dst, MsgId id,
 {
     ++ledger_stats_.chunks_observed;
     const FlowKey key{src, dst, id, response};
-    auto it = ledger_.find(packKey(key));
-    if (it == ledger_.end())
+    const std::uint64_t packed = packKey(key);
+    const std::uint32_t slot = ledger_index_.find(packed);
+    if (slot == common::IndexMap::kNone)
         return; // flow already retired, or never tracked (evicted id)
-    it->second.observed += bytes;
+    LedgerEntry &e = ledger_[slot].entry;
+    e.observed += bytes;
     if (!last_chunk)
         return;
     // The message's final chunk is through the switch: the demand's
     // lifecycle ends here, whatever the byte arithmetic says.
     ++ledger_stats_.retired_by_completion;
-    releaseLedgerBacklog(key, it->second);
+    releaseLedgerBacklog(key, e);
     if (auto *log = cfg_.event_log)
         log->log(trace::EventType::LedgerRetire, events_.now(), dst,
-                 src, dst, id, response, trace::Detail::None,
-                 it->second.observed, leaf_, 0, auxOf(poolOfKey(key)));
-    ledger_.erase(it);
+                 src, dst, id, response, trace::Detail::None, e.observed,
+                 leaf_, 0, auxOf(poolOfKey(key)));
+    eraseLedgerEntry(packed, slot);
     reclaimQueuedDemand(key);
 }
 
 std::optional<Scheduler::FlowBytes>
 Scheduler::flowBytes(const FlowKey &key) const
 {
-    const auto it = ledger_.find(packKey(key));
-    if (it == ledger_.end())
+    const std::uint32_t slot = ledger_index_.find(packKey(key));
+    if (slot == common::IndexMap::kNone)
         return std::nullopt;
-    return it->second;
+    return ledger_[slot].entry;
 }
 
 void
@@ -772,22 +845,23 @@ Scheduler::abortPort(NodeId port)
     // records, reclaims and sink calls do not depend on the hash
     // table's layout.
     std::vector<std::uint64_t> keys;
-    for (const auto &[packed, entry] : ledger_) {
+    ledger_index_.forEach([&](std::uint64_t packed, std::uint32_t) {
         if (unpackKey(packed).src == port)
             keys.push_back(packed);
-    }
+    });
     std::sort(keys.begin(), keys.end());
     std::vector<FlowKey> aborted;
     for (const std::uint64_t packed : keys) {
         const FlowKey key = unpackKey(packed);
-        const auto it = ledger_.find(packed);
-        const Bytes stale = it->second.demanded - it->second.observed;
+        const std::uint32_t slot = ledger_index_.find(packed);
+        const LedgerEntry &e = ledger_[slot].entry;
+        const Bytes stale = e.demanded - e.observed;
         // The aborted flow's never-granted bytes leave the pool's
         // backlog with it — a storm must not inflate a tenant's
         // apparent demand (and so deflate everyone else's share)
         // with demand nobody can serve anymore.
-        releaseLedgerBacklog(key, it->second);
-        ledger_.erase(it);
+        releaseLedgerBacklog(key, e);
+        eraseLedgerEntry(packed, slot);
         ++ledger_stats_.retired_by_abort;
         if (auto *log = cfg_.event_log)
             log->log(trace::EventType::LedgerAbort, events_.now(), port,

@@ -35,6 +35,26 @@
  * reservation or limit window expiring) marks the queues it affects.
  * The rescan set is a simulator device with no timing meaning: the
  * §3.1.2 per-iteration charges are unchanged.
+ *
+ * A granted chunk costs one event, its ports' release, where a filed
+ * pass and a delivery event would add two more at the same instant.
+ * Both are skipped only when the event they would be is provably the
+ * next to fire, so every schedule is the one they would give:
+ * - a release (of a grant's ports, of a request forward's downlink, or
+ *   a remote-reservation or limit-window wake-up) ends by running the
+ *   pass in place when no pass is filed and no other rank-0 event is
+ *   pending at now (EventQueue::rankZeroPendingNow), for the pass it
+ *   would file, at (now, rank 0, newest sequence), would run next.
+ *   Otherwise, and after a new demand, whose caller goes on running,
+ *   the pass is filed;
+ * - the grants of a pass's first iteration are due at now. The pass
+ *   collects them and, once it has filed everything else, hands them
+ *   to the sink in grant order when no rank-0 event is pending at now,
+ *   since their delivery events would run next and in that order
+ *   (nothing else a pass files lands at now). Otherwise it files those
+ *   delivery events. Later iterations' grants keep theirs.
+ * A grant reads flat per-port and per-pair state (busy bytes, pair
+ * heads) and its ledger entry by the index its demand carries.
  */
 
 #ifndef EDM_CORE_SCHEDULER_HPP
@@ -45,9 +65,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/index_map.hpp"
 #include "common/index_pool.hpp"
 #include "core/config.hpp"
 #include "core/fair_share.hpp"
@@ -137,6 +157,14 @@ struct LedgerStats
 class Scheduler
 {
   public:
+    /**
+     * Receiver of grant decisions, in grant order, at the grant's time.
+     * A sink may run at the end of a matching pass, inside whichever
+     * event ran the pass (a port release, say), rather than in an event
+     * of its own. It may file events, but it must not re-enter the
+     * scheduler: SwitchStack::onGrantAction and EdmFlowModel::onGrant
+     * only file the grant's next hop.
+     */
     using GrantSink = std::function<void(const GrantAction &)>;
 
     /**
@@ -220,7 +248,11 @@ class Scheduler
     std::size_t pendingDemands() const;
 
     /** Live (unretired) ledger entries. */
-    std::size_t pendingLedgerEntries() const { return ledger_.size(); }
+    std::size_t
+    pendingLedgerEntries() const
+    {
+        return ledger_index_.size();
+    }
 
     /**
      * RREQ/RMWREQs held for forwarding: those of queued demands not yet
@@ -244,10 +276,10 @@ class Scheduler
     const LedgerStats &ledgerStats() const { return ledger_stats_; }
 
     /** True if port @p p's uplink (TX side) is reserved by a grant. */
-    bool srcBusy(NodeId p) const { return src_busy_.at(p); }
+    bool srcBusy(NodeId p) const { return src_busy_.at(p) != 0; }
 
     /** True if port @p p's downlink (RX side) is reserved by a grant. */
-    bool dstBusy(NodeId p) const { return dst_busy_.at(p); }
+    bool dstBusy(NodeId p) const { return dst_busy_.at(p) != 0; }
 
     /** Grants issued so far (statistics). */
     std::uint64_t grantsIssued() const { return grants_issued_; }
@@ -283,6 +315,13 @@ class Scheduler
         bool response = false; ///< RRES demand (grants carry the flag)
         /** requests_ index of the RREQ awaiting forwarding, or kNone. */
         std::uint32_t request = kNone;
+        /**
+         * ledger_ index of the entry opened for this demand. A grant
+         * uses it while that slot still holds this flow's key, and
+         * looks the key up otherwise (the entry retired, or a reused
+         * message id opened another).
+         */
+        std::uint32_t ledger = kNone;
         int pool = -1; ///< fair-share pool of the client host (-1 = off)
     };
 
@@ -292,6 +331,25 @@ class Scheduler
 
     /** Ledger entry: a demand's byte lifecycle. */
     using LedgerEntry = FlowBytes;
+
+    /** A ledger_ slot: the flow's packed key (kNoKey once freed). */
+    struct LedgerSlot
+    {
+        std::uint64_t key = kNoKey;
+        LedgerEntry entry;
+    };
+
+    static constexpr std::uint64_t kNoKey = common::IndexMap::kEmptyKey;
+
+    /** pair_head_ value of a pair with no live demand. */
+    static constexpr std::uint64_t kNoHead = ~std::uint64_t{0};
+
+    /** A first-iteration grant, due at the pass's instant. */
+    struct DueGrant
+    {
+        ControlInfo grant;
+        std::uint32_t request; ///< buffered request to forward, or kNone
+    };
 
     /** A destination port's phase-1 proposal. */
     struct Candidate
@@ -327,9 +385,10 @@ class Scheduler
     std::vector<std::unique_ptr<Queue>> queues_; ///< one per dst port
     // Uplink (source) and downlink (destination) reservations are
     // independent resources: a node may send and receive concurrently
-    // (full duplex); PIM matches switch ingresses to egresses.
-    std::vector<bool> src_busy_;
-    std::vector<bool> dst_busy_;
+    // (full duplex); PIM matches switch ingresses to egresses. One byte
+    // per port, 1 = reserved.
+    std::vector<std::uint8_t> src_busy_;
+    std::vector<std::uint8_t> dst_busy_;
 
     // Leaf-spine remote views (empty / never consulted when topo_ is
     // null). Busy-until timestamps rather than bools: notes arrive one
@@ -344,10 +403,13 @@ class Scheduler
     std::array<std::uint64_t, kNumLinkTiers> tier_charged_ps_{};
 
     /**
-     * Live seqs per (src,dst) pair in notification order, for in-order
-     * service; indexed src * N + dst.
+     * Per (src, dst) pair, indexed src * N + dst: the seq of the pair's
+     * head, the one demand of the pair that may be granted (in-order
+     * service), or kNoHead. Seqs grow with notification order and the
+     * pair's other demands wait in queue dst, so a retiring head's
+     * successor is the pair's lowest seq still queued there.
      */
-    std::vector<std::vector<std::uint64_t>> pairs_;
+    std::vector<std::uint64_t> pair_head_;
 
     /** 64-bit words per port bitset. */
     std::size_t words_ = 0;
@@ -368,14 +430,19 @@ class Scheduler
     /** Index into winners_ per source port (-1 = none this iteration). */
     std::vector<std::int32_t> winner_of_src_;
 
+    /** The running pass's first-iteration grants, in grant order. */
+    std::vector<DueGrant> due_;
+
     /**
-     * Live demand lifecycles, keyed by packKey(). An entry exists from
-     * demand registration until retirement (observed final chunk or
-     * fault abort) — a flow whose completion the datapath never reports
-     * stays resident, which is exactly the stranded-flow diagnostic
-     * pendingLedgerEntries() and the incast stress report as "stranded".
+     * Live demand lifecycles, by index, and their indices by packKey().
+     * An entry exists from demand registration until retirement
+     * (observed final chunk or fault abort) — a flow whose completion
+     * the datapath never reports stays resident, which is exactly the
+     * stranded-flow diagnostic pendingLedgerEntries() and the incast
+     * table report as "stranded".
      */
-    std::unordered_map<std::uint64_t, LedgerEntry> ledger_;
+    common::IndexPool<LedgerSlot> ledger_;
+    common::IndexMap ledger_index_;
     LedgerStats ledger_stats_;
 
     /**
@@ -421,8 +488,21 @@ class Scheduler
     bool propose(NodeId d, bool &limit_deferred);
 
     void scheduleMatching();
+
+    /**
+     * The last act of a port-release event: run the matching pass in
+     * place when it would be the next event to fire, else file it.
+     */
+    void matchAfterRelease();
+
     void runMatching();
     void issueGrant(NodeId dst_port, Demand &d, Picoseconds when);
+
+    /**
+     * End of a pass: hand due_ to the sink now when their delivery
+     * events would run next, else file those events.
+     */
+    void deliverDueGrants();
 
     /**
      * Hand a grant to the sink: @p grant's block, or the buffered
@@ -457,7 +537,7 @@ class Scheduler
                        static_cast<MsgId>(p >> 1), (p & 1) != 0};
     }
 
-    /** Index of the (src, dst) pair in pairs_. */
+    /** Index of the (src, dst) pair in pair_head_. */
     std::size_t
     pairIndex(NodeId src, NodeId dst) const
     {
@@ -491,7 +571,14 @@ class Scheduler
     /** Mark every port (a time-based reservation expired). */
     void markAllPorts();
 
-    void openLedgerEntry(const Demand &d);
+    /** Open @p d's ledger entry and record its slot in @p d. */
+    void openLedgerEntry(Demand &d);
+
+    /** The live ledger entry of @p d's flow, or null once retired. */
+    LedgerEntry *ledgerEntryOf(const Demand &d);
+
+    /** Free the ledger entry at @p slot, keyed @p packed. */
+    void eraseLedgerEntry(std::uint64_t packed, std::uint32_t slot);
     /** Drop a retired flow's queued demand. */
     void reclaimQueuedDemand(const FlowKey &key);
 

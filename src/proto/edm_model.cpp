@@ -13,7 +13,7 @@ EdmFlowModel::EdmFlowModel(Simulation &sim, const ClusterConfig &cluster,
                            const EdmModelConfig &cfg)
     : FabricModel(sim, cluster), mcfg_(cfg),
       outstanding_(cluster.num_nodes * cluster.num_nodes, 0),
-      parked_(cluster.num_nodes * cluster.num_nodes),
+      parked_fifo_(cluster.num_nodes * cluster.num_nodes),
       next_id_(cluster.num_nodes * cluster.num_nodes, 0)
 {
     ecfg_.num_nodes = cluster.num_nodes;
@@ -35,7 +35,7 @@ EdmFlowModel::arrive(const Job &job)
     // Hosts rate-limit active requests to X per destination (§3.1.2).
     const std::size_t pair = pairIndex(job.src, job.dst);
     if (outstanding_[pair] >= mcfg_.max_notifications) {
-        parked_[pair].push_back(job);
+        park(pair, job);
         return;
     }
     // 8-bit id-wrap guard (mirrors HostStack::admit): launching onto a
@@ -46,29 +46,51 @@ EdmFlowModel::arrive(const Job &job)
         if (auto *log = mcfg_.event_log)
             log->log(trace::EventType::IdWrapStall, sim_.now(), job.src,
                      job.src, job.dst, next_id_[pair], false,
-                     trace::Detail::None, parked_[pair].size());
-        parked_[pair].push_back(job);
+                     trace::Detail::None, parkedCount(pair));
+        park(pair, job);
         return;
     }
     ++outstanding_[pair];
     launch(job);
 }
 
+void
+EdmFlowModel::park(std::size_t pair, const Job &job)
+{
+    const std::uint32_t i = parked_.put(Parked{job, kNone});
+    ParkedFifo &fifo = parked_fifo_[pair];
+    if (fifo.tail == kNone)
+        fifo.head = i;
+    else
+        parked_[fifo.tail].next = i;
+    fifo.tail = i;
+}
+
+std::size_t
+EdmFlowModel::parkedCount(std::size_t pair) const
+{
+    std::size_t n = 0;
+    for (std::uint32_t i = parked_fifo_[pair].head; i != kNone;
+         i = parked_[i].next)
+        ++n;
+    return n;
+}
+
 bool
 EdmFlowModel::nextIdLive(core::NodeId src, core::NodeId dst) const
 {
-    return active_.contains(msgKey(src, dst, next_id_[pairIndex(src, dst)]));
+    return active_index_.find(msgKey(
+               src, dst, next_id_[pairIndex(src, dst)])) != kNone;
 }
 
 void
 EdmFlowModel::launch(const Job &job)
 {
     const core::MsgId id = next_id_[pairIndex(job.src, job.dst)]++;
-    const bool inserted =
-        active_.emplace(msgKey(job.src, job.dst, id), Active{job, 0})
-            .second;
-    EDM_ASSERT(inserted, "message id %u reused while live",
-               static_cast<unsigned>(id));
+    const std::uint64_t key = msgKey(job.src, job.dst, id);
+    EDM_ASSERT(active_index_.find(key) == kNone,
+               "message id %u reused while live", static_cast<unsigned>(id));
+    active_index_.insert(key, active_.put(Active{job, 0}));
 
     if (job.is_write) {
         // Explicit /N/ travels one hop to the switch (§3.1.4).
@@ -134,8 +156,8 @@ EdmFlowModel::onGrant(const core::GrantAction &action)
 void
 EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
 {
-    auto it = active_.find(key);
-    if (it == active_.end()) {
+    const std::uint32_t slot = active_index_.find(key);
+    if (slot == kNone) {
         // The job finished (or its id wrapped) before this grant landed
         // — the flow-level analogue of a grant for a retired demand.
         // Tolerate and count it, as the cycle-level ledger does, rather
@@ -143,7 +165,7 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
         ++stale_grants_;
         return;
     }
-    Active &a = it->second;
+    Active &a = active_[slot];
     if (a.delivered >= a.job.size) {
         // Fully granted but the final chunk is still in flight: a late
         // over-grant for a message whose id is merely awaiting its
@@ -157,19 +179,18 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
         return;
 
     // The message stays in active_ until its data lands, so the event
-    // reads the job there and captures only the key: a job capture would
-    // not fit the event's inline buffer.
-    auto land = [this, key] {
+    // reads the job there and captures only its key and index: a job
+    // capture would not fit the event's inline buffer.
+    auto land = [this, key, slot] {
         // The id stays live until the data lands — HostStack::admit's
         // wrap guard and this model must agree on when an id retires,
         // or the two stall at different wrap points (PR 10 in
         // CHANGES.md; tests/test_proto.cpp
         // IdLiveUntilCompletionMatchesHostStack).
-        const auto live = active_.find(key);
-        EDM_ASSERT(live != active_.end(), "landing message %llx not live",
+        const std::uint32_t live = active_index_.erase(key);
+        EDM_ASSERT(live == slot, "landing message %llx not live",
                    static_cast<unsigned long long>(key));
-        const Job job = live->second.job;
-        active_.erase(live);
+        const Job job = active_.take(slot).job;
         // Retire the flow's ledger entry where the cycle fabric's
         // datapath reports its final chunk. No grant can follow: the
         // demand left its queue at its final grant, and the id-live
@@ -186,12 +207,15 @@ EdmFlowModel::deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at)
         // live (id-wrap stall). Without a fault abort the id guard never
         // fires and at most one slot just freed, so this drains exactly
         // one job — bit-identical to the historical single relaunch.
-        auto &parked = parked_[pair];
-        while (!parked.empty() &&
+        ParkedFifo &fifo = parked_fifo_[pair];
+        while (fifo.head != kNone &&
                outstanding_[pair] < mcfg_.max_notifications &&
                !nextIdLive(job.src, job.dst)) {
-            const Job next = parked.front();
-            parked.pop_front();
+            const std::uint32_t i = fifo.head;
+            fifo.head = parked_[i].next;
+            if (fifo.head == kNone)
+                fifo.tail = kNone;
+            const Job next = parked_.take(i).job;
             ++outstanding_[pair];
             launch(next);
         }

@@ -15,11 +15,11 @@
 #define EDM_PROTO_EDM_MODEL_HPP
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/index_map.hpp"
+#include "common/index_pool.hpp"
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
 #include "proto/job.hpp"
@@ -90,10 +90,26 @@ class EdmFlowModel : public FabricModel
     void arrive(const Job &job) override;
 
   private:
+    static constexpr std::uint32_t kNone = common::IndexMap::kNone;
+
     struct Active
     {
         Job job;
         Bytes delivered = 0;
+    };
+
+    /** A parked job and the next one parked on its pair (or kNone). */
+    struct Parked
+    {
+        Job job;
+        std::uint32_t next = kNone;
+    };
+
+    /** A pair's parked jobs, oldest first: parked_ indices (or kNone). */
+    struct ParkedFifo
+    {
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
     };
 
     /** Index of the (src, dst) pair in the per-pair vectors. */
@@ -115,13 +131,16 @@ class EdmFlowModel : public FabricModel
     core::EdmConfig ecfg_;
     std::unique_ptr<core::Scheduler> sched_;
 
-    /** Live messages, keyed by msgKey(). */
-    std::unordered_map<std::uint64_t, Active> active_;
+    /** Live messages by index, and their indices by msgKey(). */
+    common::IndexPool<Active> active_;
+    common::IndexMap active_index_;
 
-    // Per (src, dst) pair, indexed by pairIndex(). Parked jobs sit in a
-    // list so the many never-parking pairs own no allocation.
+    /** Parked jobs of every pair, each linked to the next of its pair. */
+    common::IndexPool<Parked> parked_;
+
+    // Per (src, dst) pair, indexed by pairIndex().
     std::vector<int> outstanding_;
-    std::vector<std::list<Job>> parked_;
+    std::vector<ParkedFifo> parked_fifo_;
     std::vector<core::MsgId> next_id_;
     std::uint64_t stale_grants_ = 0;
     std::uint64_t id_stalls_ = 0;
@@ -130,6 +149,12 @@ class EdmFlowModel : public FabricModel
     void launch(const Job &job);
     void onGrant(const core::GrantAction &action);
     void deliverChunk(std::uint64_t key, Bytes chunk, Picoseconds at);
+
+    /** Append @p job to pair @p pair's parked FIFO. */
+    void park(std::size_t pair, const Job &job);
+
+    /** Jobs parked on pair @p pair (walks its FIFO). */
+    std::size_t parkedCount(std::size_t pair) const;
 };
 
 } // namespace proto

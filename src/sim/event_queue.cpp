@@ -242,6 +242,30 @@ EventQueue::isPending(EventId id) const
 }
 
 bool
+EventQueue::rankZeroPendingNow()
+{
+    // Now's bucket holds only unfired times of now's 1024 ps epoch from
+    // its head on, sorted, so its first live entry is the earliest.
+    Bucket &bucket = buckets_[(static_cast<std::uint64_t>(now_) >>
+                               kBucketBits) & (kBuckets - 1)];
+    while (bucket.head < bucket.entries.size() &&
+           stale(bucket.entries[bucket.head]))
+        ++bucket.head;
+    if (bucket.head < bucket.entries.size()) {
+        const Entry &e = bucket.entries[bucket.head];
+        if (e.when == now_ && e.rank == 0)
+            return true;
+    }
+    // Only an entry at (now, rank 0) on top can hide a live one below.
+    while (!heap_.empty() && heap_[0].when == now_ && heap_[0].rank == 0) {
+        if (!stale(heap_[0]))
+            return true;
+        popHeap();
+    }
+    return false;
+}
+
+bool
 EventQueue::step(Picoseconds horizon)
 {
     const std::uint32_t b = calendarHead();

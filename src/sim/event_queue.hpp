@@ -132,6 +132,17 @@ class EventQueue
      */
     bool isPending(EventId id) const;
 
+    /**
+     * True if a live rank-0 event is pending at now(). An event filed
+     * by schedule(now(), cb) would then not be the next to fire, since
+     * that event precedes it; with none pending and the running event
+     * at rank 0, it would. It reads now's calendar bucket head and the
+     * heap top (an event filed more than the calendar's 65.5 ns window
+     * ahead waits in the heap even once it is due), dropping the stale
+     * entries it meets there, and scans nothing else.
+     */
+    bool rankZeroPendingNow();
+
     /** True if no runnable events remain. */
     bool empty() const { return pending_ == 0; }
 

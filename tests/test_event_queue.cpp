@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -751,6 +752,12 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     // rank-0 ticket instead and files it later, at random or once it is
     // the model's next event, never after the queue has passed it.
     // Nothing is ever filed at now() ahead of the event run last.
+    // After every step and every cancel or reschedule,
+    // rankZeroPendingNow() must say whether the model holds an event at
+    // (now, rank 0); after a step, a third of the time one such event is
+    // cancelled and the question asked again. Due-now events filed from
+    // beyond the window sit in the heap, and both kinds are counted, so
+    // the test fails if either never occurs.
     using Key = std::tuple<Picoseconds, std::uint32_t, std::uint64_t,
                            std::size_t>;
     constexpr Picoseconds kSlot = 2560;
@@ -760,6 +767,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     std::uint64_t model_seq = 0;
     std::vector<EventId> ids; // by tag
     std::vector<Key> keys;    // by tag: its entry, in the model if pending
+    std::vector<Picoseconds> filed_at; // by tag: now() when last filed
     std::pair<Picoseconds, std::size_t> fired{-1, 0};
     std::uint32_t last_rank = 0; // rank of the event run last
     std::uint64_t popped = 0;
@@ -792,6 +800,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     };
     auto file = [&](std::size_t tag, Picoseconds when, std::uint32_t rank) {
         keys[tag] = Key{when, rank, model_seq++, tag};
+        filed_at[tag] = q.now();
         model.insert(keys[tag]);
     };
     auto record = [&fired, &q](std::size_t tag) {
@@ -801,8 +810,37 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     auto file_ticketed = [&](std::set<Key>::iterator it) {
         const auto [when, rank, seq, tag] = *it;
         ids[tag] = q.schedule(when, seq, record(tag));
+        filed_at[tag] = q.now();
         model.insert(*it);
         deferred.erase(it);
+    };
+    // The model's first event at (now, rank 0), or model.end().
+    auto due_now = [&]() {
+        const auto it = model.lower_bound(Key{q.now(), 0, 0, 0});
+        return it != model.end() && std::get<0>(*it) == q.now() &&
+                std::get<1>(*it) == 0
+            ? it
+            : model.end();
+    };
+    Rng due_rng(78);
+    std::uint64_t due_answers = 0;   // checks where one was due now
+    std::uint64_t due_from_heap = 0; // ... filed beyond the window
+    std::uint64_t due_cancels = 0;
+    auto check_due = [&]() {
+        const auto it = due_now();
+        const bool want = it != model.end();
+        if (q.rankZeroPendingNow() != want) {
+            ADD_FAILURE() << "rankZeroPendingNow() is " << !want
+                          << " at now " << q.now();
+            return false;
+        }
+        if (want) {
+            ++due_answers;
+            const Picoseconds when = std::get<0>(*it);
+            if (when / kBucket - filed_at[std::get<3>(*it)] / kBucket >= 64)
+                ++due_from_heap;
+        }
+        return true;
     };
     // One step; false (after recording a failure) on any divergence.
     auto step = [&]() {
@@ -828,6 +866,19 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
                           << ") at " << when;
             return false;
         }
+        if (!check_due())
+            return false;
+        const auto due = due_now();
+        if (due != model.end() && due_rng.uniform() < 0.33) {
+            const std::size_t pick = std::get<3>(*due);
+            if (!q.cancel(ids[pick])) {
+                ADD_FAILURE() << "cancel of due tag " << pick << " failed";
+                return false;
+            }
+            model.erase(due);
+            ++due_cancels;
+            return check_due();
+        }
         return true;
     };
 
@@ -835,6 +886,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     for (std::size_t i = 0; i < 20000 && ok; ++i) {
         const std::size_t tag = ids.size();
         keys.emplace_back();
+        filed_at.emplace_back();
         if (rng.uniform() < 0.2) {
             // Until it is filed, the model and the queue hold neither
             // the tag nor an id for it.
@@ -878,6 +930,7 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
             }
         }
         ASSERT_EQ(q.pending(), model.size());
+        ASSERT_TRUE(check_due());
         // Step only past 32 pending events, so every instant on the
         // grid is likely to hold several of them.
         if (model.size() > 32 && rng.uniform() < 0.35)
@@ -889,6 +942,14 @@ TEST(EventQueueCalendar, MatchesOrderedSetModel)
     EXPECT_TRUE(ok);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.executed(), popped);
+    EXPECT_GT(due_answers, 0u);
+    EXPECT_GT(due_from_heap, 0u);
+    EXPECT_GT(due_cancels, 0u);
+    std::printf("rank-0 due now: %llu answers, %llu from the heap, %llu "
+                "cancelled\n",
+                static_cast<unsigned long long>(due_answers),
+                static_cast<unsigned long long>(due_from_heap),
+                static_cast<unsigned long long>(due_cancels));
 }
 
 // ---------------------------------------------------------------------------

@@ -488,6 +488,74 @@ TEST(Scheduler, AbortPortSweepsFlowsInFlowKeyOrder)
     EXPECT_EQ(sched.pendingDemands(), 1u); // the abort reclaimed the rest
 }
 
+// ---------------------------------------------------------------------------
+// One event per granted chunk: a port release runs the pass in place, and
+// the pass hands its due grants to the sink, only when the event either
+// would have been is the next to fire.
+// ---------------------------------------------------------------------------
+
+TEST(Scheduler, TiedReleasesMatchOnceBothPortsAreFree)
+{
+    // Grants 0->1 and 2->3 free their ports at the same instant t, the
+    // 0->1 release first. Queued meanwhile: 2->1, which needs a port
+    // from each release, and the longer 4->1, which needs only port 1.
+    // The pass runs after both releases, so SRPT gives port 1 to 2->1
+    // at t. A pass run in place at the first release would see port 2
+    // still busy and give port 1 to 4->1 instead.
+    Simulation sim;
+    GrantLog log;
+    const EdmConfig cfg = makeConfig(6, 256);
+    Scheduler sched(cfg, sim.events(), log.sink(sim));
+    sched.addWriteDemand(notify(0, 1, 1, 256));
+    sched.addWriteDemand(notify(2, 3, 1, 256));
+    sim.events().schedule(1000, [&] {
+        sched.addWriteDemand(notify(2, 1, 2, 64));
+        sched.addWriteDemand(notify(4, 1, 3, 1024));
+    });
+    sim.run();
+    const Picoseconds t = grantOccupancy(cfg, false, 256);
+    ASSERT_EQ(log.grants.size(), 7u); // 1 + 1 + 1 + 4 chunks
+    EXPECT_EQ(log.grants[0].first, 0);
+    EXPECT_EQ(log.grants[1].first, 0);
+    EXPECT_EQ(log.grants[2].first, t);
+    EXPECT_EQ(log.grants[2].second.target, 2);
+    EXPECT_EQ(log.grants[2].second.grant_block->id, 2);
+    EXPECT_EQ(log.grants[3].second.target, 4);
+    EXPECT_GT(log.grants[3].first, t);
+}
+
+TEST(Scheduler, EventFiledAfterThePassRunsBeforeItsDueGrant)
+{
+    // The pass is filed at 0 by the demand, then another rank-0 event at
+    // 0. The grant's delivery event would run after that event, so the
+    // sink must see the grant after it, not at the end of the pass.
+    Simulation sim;
+    std::vector<std::string> order;
+    Scheduler sched(makeConfig(4), sim.events(),
+                    [&](const GrantAction &) { order.push_back("grant"); });
+    sched.addWriteDemand(notify(0, 1, 7, 64));
+    sim.events().schedule(0, [&] { order.push_back("event"); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"event", "grant"}));
+}
+
+TEST(Scheduler, LoneFlowCostsOneEventPerChunk)
+{
+    // Nothing else is due when a release ends or a pass ends, so each
+    // chunk costs only its ports' release; the demand files the one
+    // pass that grants the first chunk.
+    Simulation sim;
+    GrantLog log;
+    Scheduler sched(makeConfig(4, 256), sim.events(), log.sink(sim));
+    sched.addWriteDemand(notify(0, 1, 1, 1000));
+    sim.run();
+    ASSERT_EQ(log.grants.size(), 4u);
+    EXPECT_EQ(sim.events().executed(), 1u + 4u);
+    const Picoseconds occ = grantOccupancy(makeConfig(4, 256), false, 256);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(log.grants[i].first, static_cast<Picoseconds>(i) * occ);
+}
+
 TEST(Scheduler, AverageIterationsReasonable)
 {
     // ~log2(N) iterations per maximal matching on average (§3.1.3).
