@@ -599,13 +599,8 @@ Scheduler::deliverDueGrants()
     if (due_.empty())
         return;
     if (events_.rankZeroPendingNow()) {
-        for (const DueGrant &d : due_) {
-            auto deliver = [this, d] { deliverGrant(d.grant, d.request); };
-            static_assert(
-                EventQueue::Callback::kFitsInline<decltype(deliver)>,
-                "a grant's delivery event must not allocate");
-            events_.schedule(events_.now(), std::move(deliver));
-        }
+        for (const DueGrant &d : due_)
+            fileDelivery(d.grant, d.request, events_.now());
     } else {
         for (const DueGrant &d : due_)
             deliverGrant(d.grant, d.request);
@@ -761,7 +756,14 @@ Scheduler::issueGrant(NodeId dst_port, Demand &d, Picoseconds when)
         due_.push_back(DueGrant{g, request});
         return;
     }
-    auto deliver = [this, g, request] { deliverGrant(g, request); };
+    fileDelivery(g, request, when);
+}
+
+void
+Scheduler::fileDelivery(const ControlInfo &grant, std::uint32_t request,
+                        Picoseconds when)
+{
+    auto deliver = [this, grant, request] { deliverGrant(grant, request); };
     static_assert(EventQueue::Callback::kFitsInline<decltype(deliver)>,
                   "a grant's delivery event must not allocate");
     events_.schedule(when, std::move(deliver));

@@ -504,6 +504,10 @@ class Scheduler
      */
     void deliverDueGrants();
 
+    /** File the event that hands @p grant to the sink at @p when. */
+    void fileDelivery(const ControlInfo &grant, std::uint32_t request,
+                      Picoseconds when);
+
     /**
      * Hand a grant to the sink: @p grant's block, or the buffered
      * request at @p request (its index is freed) when it is not kNone.
